@@ -232,10 +232,12 @@ void BM_JoinGainBatch(benchmark::State& state) {
   community_state.lambda_hat.assign(k, 60.0);
   core::NodeProfile node{0.5, 12.0};
   std::vector<double> weight_to(k, 3.0);
+  std::vector<double> before(k);
+  for (uint32_t q = 0; q < k; ++q) before[q] = community_state.ThroughputOf(q);
   std::vector<double> gains(k, 0.0);
   for (auto _ : state) {
-    core::JoinGainBatch(community_state, node, weight_to.data(), k,
-                        gains.data());
+    core::JoinGainBatch(community_state, node, weight_to.data(), before.data(),
+                        k, gains.data());
     benchmark::DoNotOptimize(gains.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * k);

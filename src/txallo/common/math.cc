@@ -9,13 +9,6 @@ uint64_t EdgeSplitCount(uint64_t num_accounts) {
   return num_accounts * (num_accounts - 1) / 2;
 }
 
-double ClampThroughput(double uncapped_throughput, double workload,
-                       double capacity) {
-  if (workload <= capacity) return uncapped_throughput;
-  if (workload <= 0.0) return uncapped_throughput;
-  return (capacity / workload) * uncapped_throughput;
-}
-
 double AverageLatencyBlocks(double workload, double capacity) {
   if (capacity <= 0.0) return 1.0;
   double norm = workload / capacity;

@@ -19,8 +19,14 @@ uint64_t EdgeSplitCount(uint64_t num_accounts);
 ///   Λ_i = Λ̂_i            if σ_i <= λ
 ///   Λ_i = (λ / σ_i) Λ̂_i  otherwise.
 /// Precondition: capacity λ > 0 whenever workload > capacity.
-double ClampThroughput(double uncapped_throughput, double workload,
-                       double capacity);
+/// Inline: the TxAllo sweeps evaluate it for every candidate community of
+/// every node they visit.
+inline double ClampThroughput(double uncapped_throughput, double workload,
+                              double capacity) {
+  if (workload <= capacity) return uncapped_throughput;
+  if (workload <= 0.0) return uncapped_throughput;
+  return (capacity / workload) * uncapped_throughput;
+}
 
 /// Average confirmation latency of a shard in block units, Eq. (4), as the
 /// exact integral  ζ(σ̂) = (∫_0^σ̂ ⌈x⌉ dx) / σ̂  with σ̂ = workload/capacity.

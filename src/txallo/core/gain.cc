@@ -1,53 +1,10 @@
 #include "txallo/core/gain.h"
 
-#if defined(TXALLO_ENABLE_AVX2) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
-#include "txallo/common/math.h"
-
 namespace txallo::core {
 
-namespace {
-
-inline double Clamped(double lambda_hat, double sigma, double capacity) {
-  return ClampThroughput(lambda_hat, sigma, capacity);
-}
-
-}  // namespace
-
-CommunityDelta JoinDelta(const alloc::CommunityState& state, uint32_t q,
-                         const NodeProfile& node, double weight_to_q) {
-  CommunityDelta delta;
-  const double eta = state.eta;
-  delta.d_sigma = node.self_loop + eta * node.strength +
-                  (1.0 - 2.0 * eta) * weight_to_q;
-  delta.d_lambda_hat = node.self_loop + 0.5 * node.strength;
-  const double before =
-      Clamped(state.lambda_hat[q], state.sigma[q], state.capacity);
-  const double after = Clamped(state.lambda_hat[q] + delta.d_lambda_hat,
-                               state.sigma[q] + delta.d_sigma, state.capacity);
-  delta.throughput_gain = after - before;
-  return delta;
-}
-
-CommunityDelta LeaveDelta(const alloc::CommunityState& state, uint32_t p,
-                          const NodeProfile& node, double weight_to_p) {
-  CommunityDelta delta;
-  const double eta = state.eta;
-  delta.d_sigma = -node.self_loop - eta * (node.strength - weight_to_p) +
-                  (eta - 1.0) * weight_to_p;
-  delta.d_lambda_hat = -node.self_loop - 0.5 * node.strength;
-  const double before =
-      Clamped(state.lambda_hat[p], state.sigma[p], state.capacity);
-  const double after = Clamped(state.lambda_hat[p] + delta.d_lambda_hat,
-                               state.sigma[p] + delta.d_sigma, state.capacity);
-  delta.throughput_gain = after - before;
-  return delta;
-}
-
 void JoinGainBatch(const alloc::CommunityState& state, const NodeProfile& node,
-                   const double* weight_to, uint32_t k, double* gains) {
+                   const double* weight_to, const double* before, uint32_t k,
+                   double* gains) {
   const double eta = state.eta;
   const double cap = state.capacity;
   // Loop-invariant pieces of JoinDelta, factored without reassociating:
@@ -58,48 +15,11 @@ void JoinGainBatch(const alloc::CommunityState& state, const NodeProfile& node,
   const double d_lambda_hat = node.self_loop + 0.5 * node.strength;
   const double* sigma = state.sigma.data();
   const double* lambda_hat = state.lambda_hat.data();
-  uint32_t q = 0;
-#if defined(TXALLO_ENABLE_AVX2) && defined(__AVX2__)
-  // Four lanes of the exact scalar operations (vdivpd/vmulpd/vsubpd are
-  // IEEE-exact; the clamp select becomes a blend). The quotient is computed
-  // unconditionally and blended away on the σ <= λ lanes — same value
-  // semantics, no FP traps in the default environment.
-  const __m256d v_cap = _mm256_set1_pd(cap);
-  const __m256d v_zero = _mm256_setzero_pd();
-  const __m256d v_base = _mm256_set1_pd(sigma_base);
-  const __m256d v_wcoef = _mm256_set1_pd(w_coef);
-  const __m256d v_dlh = _mm256_set1_pd(d_lambda_hat);
-  for (; q + 4 <= k; q += 4) {
-    const __m256d sig = _mm256_loadu_pd(sigma + q);
-    const __m256d lh = _mm256_loadu_pd(lambda_hat + q);
-    const __m256d w = _mm256_loadu_pd(weight_to + q);
-    const __m256d d_sig =
-        _mm256_add_pd(v_base, _mm256_mul_pd(v_wcoef, w));
-    const __m256d sig_after = _mm256_add_pd(sig, d_sig);
-    const __m256d lh_after = _mm256_add_pd(lh, v_dlh);
-    // ClampThroughput(lh, sig, cap): lh when sig <= cap or sig <= 0,
-    // else (cap / sig) * lh.
-    const __m256d pass_b = _mm256_or_pd(
-        _mm256_cmp_pd(sig, v_cap, _CMP_LE_OQ),
-        _mm256_cmp_pd(sig, v_zero, _CMP_LE_OQ));
-    const __m256d scaled_b =
-        _mm256_mul_pd(_mm256_div_pd(v_cap, sig), lh);
-    const __m256d before = _mm256_blendv_pd(scaled_b, lh, pass_b);
-    const __m256d pass_a = _mm256_or_pd(
-        _mm256_cmp_pd(sig_after, v_cap, _CMP_LE_OQ),
-        _mm256_cmp_pd(sig_after, v_zero, _CMP_LE_OQ));
-    const __m256d scaled_a =
-        _mm256_mul_pd(_mm256_div_pd(v_cap, sig_after), lh_after);
-    const __m256d after = _mm256_blendv_pd(scaled_a, lh_after, pass_a);
-    _mm256_storeu_pd(gains + q, _mm256_sub_pd(after, before));
-  }
-#endif
-  for (; q < k; ++q) {
+  for (uint32_t q = 0; q < k; ++q) {
     const double d_sigma = sigma_base + w_coef * weight_to[q];
-    const double before = Clamped(lambda_hat[q], sigma[q], cap);
     const double after =
-        Clamped(lambda_hat[q] + d_lambda_hat, sigma[q] + d_sigma, cap);
-    gains[q] = after - before;
+        ClampThroughput(lambda_hat[q] + d_lambda_hat, sigma[q] + d_sigma, cap);
+    gains[q] = after - before[q];
   }
 }
 

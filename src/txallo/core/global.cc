@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "txallo/common/sha256.h"
 #include "txallo/common/stopwatch.h"
@@ -20,6 +21,51 @@ using alloc::ShardId;
 using graph::NodeId;
 using graph::TransactionGraph;
 
+// The per-call clamp cache: before[q] == state.ThroughputOf(q), the
+// `before` term every leave and join gain subtracts. Callers refresh every
+// community an applied leave or join changes, so each read returns the
+// bits a fresh ClampThroughput would. It lives for one call and never goes
+// into CommunityState, so nothing else that edits the state (history
+// decay, recomputation) can leave it stale.
+std::vector<double> ClampedThroughputs(const CommunityState& state) {
+  std::vector<double> before(state.num_communities());
+  for (ShardId q = 0; q < before.size(); ++q) before[q] = state.ThroughputOf(q);
+  return before;
+}
+
+// The rows of a sweep's nodes, copied once into one array in visit order,
+// with each node's (ℓ, s). Entries keep Neighbors(v)'s order, so every
+// accumulation over a packed row adds the same weights in the same order
+// as over the graph's own row; the sweeps then read memory sequentially
+// instead of jumping to CSR offsets or probing the shadow-row map.
+class PackedRows {
+ public:
+  PackedRows(const TransactionGraph& graph, const std::vector<NodeId>& nodes) {
+    offsets_.reserve(nodes.size() + 1);
+    offsets_.push_back(0);
+    profiles_.reserve(nodes.size());
+    for (NodeId v : nodes) {
+      offsets_.push_back(offsets_.back() + graph.Neighbors(v).size());
+      profiles_.push_back({graph.SelfLoop(v), graph.Strength(v)});
+    }
+    entries_.reserve(offsets_.back());
+    for (NodeId v : nodes) {
+      const std::span<const graph::Neighbor> row = graph.Neighbors(v);
+      entries_.insert(entries_.end(), row.begin(), row.end());
+    }
+  }
+
+  std::span<const graph::Neighbor> Row(size_t i) const {
+    return {entries_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  const NodeProfile& Profile(size_t i) const { return profiles_[i]; }
+
+ private:
+  std::vector<size_t> offsets_;
+  std::vector<graph::Neighbor> entries_;
+  std::vector<NodeProfile> profiles_;
+};
+
 // Scratch accumulator of w{v, community}, reset via a touched list so a
 // sweep over the whole graph is O(Σ degree), not O(N·k). Also owns the
 // per-node join-gain buffer the batched kernel fills.
@@ -32,11 +78,11 @@ class WeightToCommunity {
     touched_.reserve(64);
   }
 
-  void Accumulate(const TransactionGraph& graph, NodeId v,
+  void Accumulate(std::span<const graph::Neighbor> row,
                   const Allocation& allocation) {
     const ShardId* shard_of = allocation.raw().data();
     const size_t num_accounts = allocation.num_accounts();
-    for (const graph::Neighbor& nb : graph.Neighbors(v)) {
+    for (const graph::Neighbor& nb : row) {
       const ShardId c =
           nb.node < num_accounts ? shard_of[nb.node] : kUnassignedShard;
       if (c == kUnassignedShard) continue;
@@ -52,14 +98,16 @@ class WeightToCommunity {
   /// kernel replays the scalar expression tree), so the density heuristic
   /// affects speed only, never the selected shard. Untouched entries are
   /// stale in sparse mode; callers only read q's they asked for.
-  void ComputeJoinGains(const CommunityState& state, const NodeProfile& node,
-                        bool need_all) {
+  void ComputeJoinGains(const CommunityState& state,
+                        const std::vector<double>& before,
+                        const NodeProfile& node, bool need_all) {
     if (need_all || touched_.size() * 4 >= num_communities_) {
-      JoinGainBatch(state, node, weight_.data(), num_communities_,
-                    gains_.data());
+      JoinGainBatch(state, node, weight_.data(), before.data(),
+                    num_communities_, gains_.data());
     } else {
       for (ShardId q : touched_) {
-        gains_[q] = JoinDelta(state, q, node, weight_[q]).throughput_gain;
+        gains_[q] =
+            JoinDelta(state, q, node, weight_[q], before[q]).throughput_gain;
       }
     }
   }
@@ -134,11 +182,12 @@ void AssignUnassignedNodes(const TransactionGraph& graph,
                            const AllocationParams& params,
                            Allocation* allocation, CommunityState* state) {
   WeightToCommunity scratch(params.num_shards);
+  std::vector<double> before = ClampedThroughputs(*state);
   for (NodeId v : node_order) {
     if (allocation->IsAssigned(v)) continue;
     NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
-    scratch.Accumulate(graph, v, *allocation);
-    scratch.ComputeJoinGains(*state, node,
+    scratch.Accumulate(graph.Neighbors(v), *allocation);
+    scratch.ComputeJoinGains(*state, before, node,
                              /*need_all=*/scratch.touched().empty());
 
     // Max join gain; ties break toward the smaller shard id (determinism).
@@ -165,6 +214,7 @@ void AssignUnassignedNodes(const TransactionGraph& graph,
       }
     }
     ApplyJoin(state, best, node, scratch.WeightTo(best));
+    before[best] = state->ThroughputOf(best);
     allocation->Assign(v, best);
     scratch.Reset();
   }
@@ -176,18 +226,22 @@ int OptimizeSweeps(const TransactionGraph& graph,
                    const GlobalOptions& options, Allocation* allocation,
                    CommunityState* state) {
   WeightToCommunity scratch(params.num_shards);
+  std::vector<double> before = ClampedThroughputs(*state);
+  const PackedRows rows(graph, sweep_nodes);
   int sweeps = 0;
   for (; sweeps < options.max_sweeps; ++sweeps) {
     double sweep_gain = 0.0;
-    for (NodeId v : sweep_nodes) {
+    for (size_t i = 0; i < sweep_nodes.size(); ++i) {
+      const NodeId v = sweep_nodes[i];
       const ShardId p = allocation->shard_of(v);
       if (p == kUnassignedShard) continue;  // Defensive; phase 1 assigns all.
-      NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
-      scratch.Accumulate(graph, v, *allocation);
+      const NodeProfile& node = rows.Profile(i);
+      scratch.Accumulate(rows.Row(i), *allocation);
 
       const double w_to_p = scratch.WeightTo(p);
-      const CommunityDelta leave = LeaveDelta(*state, p, node, w_to_p);
-      scratch.ComputeJoinGains(*state, node,
+      const CommunityDelta leave =
+          LeaveDelta(*state, p, node, w_to_p, before[p]);
+      scratch.ComputeJoinGains(*state, before, node,
                                /*need_all=*/options.search_all_communities);
 
       ShardId best = p;
@@ -218,6 +272,8 @@ int OptimizeSweeps(const TransactionGraph& graph,
       if (best != p && best_gain > 0.0) {
         ApplyLeave(state, p, node, w_to_p);
         ApplyJoin(state, best, node, scratch.WeightTo(best));
+        before[p] = state->ThroughputOf(p);
+        before[best] = state->ThroughputOf(best);
         allocation->Assign(v, best);
         sweep_gain += best_gain;
       }

@@ -68,7 +68,8 @@ Result<alloc::Allocation> RunGlobalTxAllo(
 /// every node of `node_order` that is still unassigned joins the community
 /// with the best join gain (Eq. 6); the candidate set falls back to all k
 /// communities when the node has no assigned neighbor. `allocation` and
-/// `state` are updated in place.
+/// `state` are updated in place. Join gains read a per-call cache of each
+/// community's clamped throughput, refreshed after every join.
 void AssignUnassignedNodes(const graph::TransactionGraph& graph,
                            const std::vector<graph::NodeId>& node_order,
                            const alloc::AllocationParams& params,
@@ -79,6 +80,15 @@ void AssignUnassignedNodes(const graph::TransactionGraph& graph,
 /// the ablations reuse it. Sweeps `sweep_nodes` (in order) until the total
 /// gain of a sweep is < ε or `max_sweeps` is hit. `allocation` and `state`
 /// are updated in place. Returns the number of sweeps executed.
+///
+/// On entry it copies the rows of `sweep_nodes` once into one array in
+/// sweep order, with each node's (ℓ, s), so every sweep reads rows
+/// sequentially; entries keep Neighbors(v)'s order, so each w{v, X} sums
+/// the same weights in the same order as over the graph. It also caches
+/// every community's clamped throughput (the `before` of each gain) and
+/// refreshes only p and q after a move. Both live for this call only, and
+/// the moves, σ/Λ̂ and sweep count are bit-identical to evaluating the
+/// graph and the clamp afresh (tests/core/sweep_equivalence_test.cc).
 int OptimizeSweeps(const graph::TransactionGraph& graph,
                    const std::vector<graph::NodeId>& sweep_nodes,
                    const alloc::AllocationParams& params,

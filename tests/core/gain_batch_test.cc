@@ -1,9 +1,11 @@
 // JoinGainBatch must be bit-identical to per-community JoinDelta — the
-// G-TxAllo sweep switches between the two on a density heuristic, so any
+// TxAllo sweeps switch between the two on a density heuristic, so any
 // divergence would make the heuristic (a pure perf knob) change
-// allocations. Randomized states cover under-capacity, exactly-at-capacity
-// and clamped (overloaded) communities, negative-σ corner values, and every
-// vector-width tail (k not a multiple of 4).
+// allocations. The batch reads the caller's clamp cache (before[q] ==
+// ThroughputOf(q)) where the scalar JoinDelta recomputes the clamp, so the
+// cache contract is pinned here too. Randomized states cover
+// under-capacity, exactly-at-capacity and clamped (overloaded)
+// communities, negative-σ corner values, and k from 1 to 257.
 #include "txallo/core/gain.h"
 
 #include <cstdint>
@@ -32,6 +34,14 @@ CommunityState RandomState(Rng* rng, uint32_t k, double capacity) {
   return state;
 }
 
+std::vector<double> ClampCache(const CommunityState& state) {
+  std::vector<double> before(state.num_communities());
+  for (uint32_t q = 0; q < before.size(); ++q) {
+    before[q] = state.ThroughputOf(q);
+  }
+  return before;
+}
+
 TEST(GainBatchTest, BitIdenticalToScalarJoinDelta) {
   Rng rng(77);
   for (const uint32_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 60u, 257u}) {
@@ -43,7 +53,9 @@ TEST(GainBatchTest, BitIdenticalToScalarJoinDelta) {
         w = rng.NextBounded(4) == 0 ? 0.0 : rng.NextDouble() * 8.0;
       }
       std::vector<double> gains(k, -1.0);
-      JoinGainBatch(state, node, weight_to.data(), k, gains.data());
+      const std::vector<double> before = ClampCache(state);
+      JoinGainBatch(state, node, weight_to.data(), before.data(), k,
+                    gains.data());
       for (uint32_t q = 0; q < k; ++q) {
         const double scalar =
             JoinDelta(state, q, node, weight_to[q]).throughput_gain;
@@ -66,7 +78,8 @@ TEST(GainBatchTest, ClampCornersMatchScalar) {
   const std::vector<double> weight_to = {0.0, 1.0, 2.0, 0.5, 4.0};
   const auto k = static_cast<uint32_t>(state.sigma.size());
   std::vector<double> gains(k);
-  JoinGainBatch(state, node, weight_to.data(), k, gains.data());
+  const std::vector<double> before = ClampCache(state);
+  JoinGainBatch(state, node, weight_to.data(), before.data(), k, gains.data());
   for (uint32_t q = 0; q < k; ++q) {
     EXPECT_EQ(gains[q], JoinDelta(state, q, node, weight_to[q]).throughput_gain)
         << "q=" << q;
@@ -78,7 +91,8 @@ TEST(GainBatchTest, ZeroCommunitiesIsANoop) {
   state.eta = 2.0;
   state.capacity = 10.0;
   NodeProfile node{0.0, 0.0};
-  JoinGainBatch(state, node, nullptr, 0, nullptr);  // Must not touch memory.
+  // Must not touch memory.
+  JoinGainBatch(state, node, nullptr, nullptr, 0, nullptr);
 }
 
 }  // namespace

@@ -1,0 +1,393 @@
+// The phase-2 sweep and the phase-1b assignment read packed row copies and
+// a per-call clamp cache instead of the graph and a fresh clamp per gain.
+// Both are pure speed changes: on seeded random graphs, the allocation
+// bytes, the σ/Λ̂ bits and the sweep counts must equal those of the
+// straightforward loops kept verbatim below as the reference. Cases cover
+// a refrozen graph swept in full (the G-TxAllo path), live shadow rows
+// swept over a V̂ subset (the A-TxAllo path), the all-communities
+// ablation, k in {1, 3, 16, 17}, and isolated and unassigned nodes.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "txallo/alloc/graph_metrics.h"
+#include "txallo/common/rng.h"
+#include "txallo/core/gain.h"
+#include "txallo/core/global.h"
+#include "txallo/graph/graph.h"
+
+namespace txallo::core {
+namespace {
+
+using alloc::Allocation;
+using alloc::AllocationParams;
+using alloc::CommunityState;
+using alloc::kUnassignedShard;
+using alloc::ShardId;
+using graph::NodeId;
+using graph::TransactionGraph;
+
+// --- Reference: the sweep loops as they were before packing and caching ---
+// Only the dense join path differs: it evaluates JoinDelta per community,
+// which gain_batch_test.cc pins bit-identical to the batched kernel.
+
+class ReferenceWeights {
+ public:
+  explicit ReferenceWeights(uint32_t num_communities)
+      : num_communities_(num_communities),
+        weight_(num_communities, 0.0),
+        gains_(num_communities, 0.0) {
+    touched_.reserve(64);
+  }
+
+  void Accumulate(const TransactionGraph& graph, NodeId v,
+                  const Allocation& allocation) {
+    const ShardId* shard_of = allocation.raw().data();
+    const size_t num_accounts = allocation.num_accounts();
+    for (const graph::Neighbor& nb : graph.Neighbors(v)) {
+      const ShardId c =
+          nb.node < num_accounts ? shard_of[nb.node] : kUnassignedShard;
+      if (c == kUnassignedShard) continue;
+      if (weight_[c] == 0.0) touched_.push_back(c);
+      weight_[c] += nb.weight;
+    }
+  }
+
+  void ComputeJoinGains(const CommunityState& state, const NodeProfile& node,
+                        bool need_all) {
+    if (need_all || touched_.size() * 4 >= num_communities_) {
+      for (ShardId q = 0; q < num_communities_; ++q) {
+        gains_[q] = JoinDelta(state, q, node, weight_[q]).throughput_gain;
+      }
+    } else {
+      for (ShardId q : touched_) {
+        gains_[q] = JoinDelta(state, q, node, weight_[q]).throughput_gain;
+      }
+    }
+  }
+
+  double WeightTo(ShardId c) const { return weight_[c]; }
+  double Gain(ShardId c) const { return gains_[c]; }
+  const std::vector<ShardId>& touched() const { return touched_; }
+
+  void Reset() {
+    for (ShardId c : touched_) weight_[c] = 0.0;
+    touched_.clear();
+  }
+
+ private:
+  uint32_t num_communities_;
+  std::vector<double> weight_;
+  std::vector<double> gains_;
+  std::vector<ShardId> touched_;
+};
+
+void ReferenceAssignUnassigned(const TransactionGraph& graph,
+                               const std::vector<NodeId>& node_order,
+                               const AllocationParams& params,
+                               Allocation* allocation, CommunityState* state) {
+  ReferenceWeights scratch(params.num_shards);
+  for (NodeId v : node_order) {
+    if (allocation->IsAssigned(v)) continue;
+    NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
+    scratch.Accumulate(graph, v, *allocation);
+    scratch.ComputeJoinGains(*state, node,
+                             /*need_all=*/scratch.touched().empty());
+
+    ShardId best = kUnassignedShard;
+    double best_gain = 0.0;
+    if (!scratch.touched().empty()) {
+      for (ShardId q : scratch.touched()) {
+        const double gain = scratch.Gain(q);
+        if (best == kUnassignedShard || gain > best_gain + 1e-15) {
+          best = q;
+          best_gain = gain;
+        } else if (gain >= best_gain - 1e-15 && q < best) {
+          best = q;
+        }
+      }
+    } else {
+      for (ShardId q = 0; q < params.num_shards; ++q) {
+        const double gain = scratch.Gain(q);
+        if (best == kUnassignedShard || gain > best_gain + 1e-15) {
+          best = q;
+          best_gain = gain;
+        }
+      }
+    }
+    ApplyJoin(state, best, node, scratch.WeightTo(best));
+    allocation->Assign(v, best);
+    scratch.Reset();
+  }
+}
+
+int ReferenceOptimizeSweeps(const TransactionGraph& graph,
+                            const std::vector<NodeId>& sweep_nodes,
+                            const AllocationParams& params,
+                            const GlobalOptions& options,
+                            Allocation* allocation, CommunityState* state) {
+  ReferenceWeights scratch(params.num_shards);
+  int sweeps = 0;
+  for (; sweeps < options.max_sweeps; ++sweeps) {
+    double sweep_gain = 0.0;
+    for (NodeId v : sweep_nodes) {
+      const ShardId p = allocation->shard_of(v);
+      if (p == kUnassignedShard) continue;
+      NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
+      scratch.Accumulate(graph, v, *allocation);
+
+      const double w_to_p = scratch.WeightTo(p);
+      const CommunityDelta leave = LeaveDelta(*state, p, node, w_to_p);
+      scratch.ComputeJoinGains(*state, node,
+                               /*need_all=*/options.search_all_communities);
+
+      ShardId best = p;
+      double best_gain = 0.0;
+      if (options.search_all_communities) {
+        for (ShardId q = 0; q < params.num_shards; ++q) {
+          if (q == p) continue;
+          const double gain = leave.throughput_gain + scratch.Gain(q);
+          if (gain > best_gain + 1e-15) {
+            best = q;
+            best_gain = gain;
+          } else if (gain >= best_gain - 1e-15 && best != p && q < best) {
+            best = q;
+          }
+        }
+      } else {
+        for (ShardId q : scratch.touched()) {
+          if (q == p) continue;
+          const double gain = leave.throughput_gain + scratch.Gain(q);
+          if (gain > best_gain + 1e-15) {
+            best = q;
+            best_gain = gain;
+          } else if (gain >= best_gain - 1e-15 && best != p && q < best) {
+            best = q;
+          }
+        }
+      }
+      if (best != p && best_gain > 0.0) {
+        ApplyLeave(state, p, node, w_to_p);
+        ApplyJoin(state, best, node, scratch.WeightTo(best));
+        allocation->Assign(v, best);
+        sweep_gain += best_gain;
+      }
+      scratch.Reset();
+    }
+    if (sweep_gain < params.epsilon) {
+      ++sweeps;
+      break;
+    }
+  }
+  return sweeps;
+}
+
+// --- Fixtures ---------------------------------------------------------------
+
+constexpr uint32_t kNodes = 600;
+constexpr uint32_t kIsolated = 20;  // The last ids never get an edge.
+constexpr uint32_t kPlanted = 12;   // Planted communities the edges favor.
+
+// One transaction-like edge between two non-isolated nodes, mostly inside a
+// planted community; weights are 1/π shares so sums are not exact.
+void AddRandomEdge(Rng* rng, TransactionGraph* g) {
+  const uint32_t active = kNodes - kIsolated;
+  const auto u = static_cast<NodeId>(rng->NextBounded(active));
+  NodeId v = static_cast<NodeId>(rng->NextBounded(active));
+  if (rng->NextBounded(5) != 0) {
+    // Same planted community as u (community = id % kPlanted).
+    v = static_cast<NodeId>(v - v % kPlanted + u % kPlanted);
+    if (v >= active) v = static_cast<NodeId>(u % kPlanted);
+  }
+  const double shares[] = {1.0, 0.5, 1.0 / 3.0, 0.1};
+  const double w = shares[rng->NextBounded(4)];
+  if (u == v) {
+    g->AddSelfLoop(u, w);
+  } else {
+    g->AddEdge(u, v, w);
+  }
+}
+
+TransactionGraph RandomGraph(Rng* rng, int edges) {
+  TransactionGraph g;
+  g.EnsureNodeCount(kNodes);
+  for (int e = 0; e < edges; ++e) AddRandomEdge(rng, &g);
+  g.Consolidate();
+  return g;
+}
+
+std::vector<NodeId> ShuffledOrder(Rng* rng, size_t n) {
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  for (size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng->NextBounded(i)]);
+  }
+  return order;
+}
+
+// Random placement; roughly one node in five (always including some
+// isolated ones) stays unassigned.
+Allocation RandomAllocation(Rng* rng, size_t n, uint32_t k) {
+  Allocation a(n, k);
+  for (size_t v = 0; v < n; ++v) {
+    if (rng->NextBounded(5) == 0) continue;
+    a.Assign(static_cast<NodeId>(v), static_cast<ShardId>(rng->NextBounded(k)));
+  }
+  return a;
+}
+
+AllocationParams Params(const TransactionGraph& g, uint32_t k,
+                        double capacity_factor) {
+  AllocationParams p;
+  p.num_shards = k;
+  p.eta = 2.0;
+  // Factors around 1 put some communities over capacity, so the clamp's
+  // division branch runs as well as its pass-through.
+  p.capacity = capacity_factor * g.TotalWeight() / k;
+  p.epsilon = 1e-9;
+  return p;
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << what << "[" << i << "] " << a[i] << " vs " << b[i];
+  }
+}
+
+struct Outcome {
+  Allocation allocation;
+  CommunityState state;
+  int sweeps = 0;
+};
+
+void ExpectSameOutcome(const Outcome& ref, const Outcome& got) {
+  EXPECT_TRUE(ref.allocation.raw() == got.allocation.raw());
+  ExpectSameBits(ref.state.sigma, got.state.sigma, "sigma");
+  ExpectSameBits(ref.state.lambda_hat, got.state.lambda_hat, "lambda_hat");
+  EXPECT_EQ(ref.sweeps, got.sweeps);
+}
+
+// Runs phase 1b (when `assign`) and phase 2 over `nodes` from the same
+// start through the reference and the library, and compares the outcomes.
+// Returns the reference sweep count.
+int CheckBothPaths(const TransactionGraph& g, const std::vector<NodeId>& nodes,
+                   const AllocationParams& params, const GlobalOptions& options,
+                   const Allocation& start, bool assign) {
+  const CommunityState start_state =
+      alloc::ComputeCommunityState(g, start, params);
+  Outcome ref{start, start_state};
+  Outcome got{start, start_state};
+  if (assign) {
+    ReferenceAssignUnassigned(g, nodes, params, &ref.allocation, &ref.state);
+    AssignUnassignedNodes(g, nodes, params, &got.allocation, &got.state);
+    ExpectSameOutcome(ref, got);
+  }
+  ref.sweeps = ReferenceOptimizeSweeps(g, nodes, params, options,
+                                       &ref.allocation, &ref.state);
+  got.sweeps =
+      OptimizeSweeps(g, nodes, params, options, &got.allocation, &got.state);
+  ExpectSameOutcome(ref, got);
+  return ref.sweeps;
+}
+
+// --- Cases ------------------------------------------------------------------
+
+TEST(SweepEquivalenceTest, RefrozenGraphFullOrder) {
+  // The G-TxAllo shape: every node swept, rows read from a frozen core.
+  int total_sweeps = 0;
+  for (const uint32_t k : {1u, 3u, 16u, 17u}) {
+    for (const double capacity_factor : {0.6, 1.0, 3.0}) {
+      for (const bool search_all : {false, true}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " capacity_factor=" +
+                     std::to_string(capacity_factor) +
+                     " search_all=" + std::to_string(search_all));
+        Rng rng(1000 + k);
+        TransactionGraph g = RandomGraph(&rng, 4000);
+        g.Refreeze();
+        ASSERT_EQ(g.overlay_rows(), 0u);
+        const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+        const AllocationParams params = Params(g, k, capacity_factor);
+        GlobalOptions options;
+        options.search_all_communities = search_all;
+        total_sweeps += CheckBothPaths(g, order, params, options,
+                                       RandomAllocation(&rng, kNodes, k),
+                                       /*assign=*/true);
+      }
+    }
+  }
+  // The comparison means something only if the sweeps ran and moved.
+  EXPECT_GT(total_sweeps, 24);
+}
+
+TEST(SweepEquivalenceTest, ShadowRowsOverSubset) {
+  // The A-TxAllo shape: a frozen core plus live shadow rows from a later
+  // consolidation; only the nodes that consolidation touched are swept.
+  for (const uint32_t k : {1u, 3u, 16u, 17u}) {
+    for (const bool search_all : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " search_all=" + std::to_string(search_all));
+      Rng rng(2000 + k);
+      TransactionGraph g = RandomGraph(&rng, 4000);
+      for (int e = 0; e < 40; ++e) AddRandomEdge(&rng, &g);
+      g.Consolidate();
+      ASSERT_GT(g.overlay_rows(), 0u);
+      // V̂ in shuffled order: a third of the nodes, so a mix of shadow
+      // and core rows, plus half the isolated ones.
+      std::vector<NodeId> touched;
+      for (NodeId v : ShuffledOrder(&rng, g.num_nodes())) {
+        const bool isolated = v >= kNodes - kIsolated;
+        if (isolated ? rng.NextBounded(2) == 0 : rng.NextBounded(3) == 0) {
+          touched.push_back(v);
+        }
+      }
+      const AllocationParams params = Params(g, k, 1.0);
+      GlobalOptions options;
+      options.search_all_communities = search_all;
+      CheckBothPaths(g, touched, params, options,
+                     RandomAllocation(&rng, kNodes, k), /*assign=*/true);
+    }
+  }
+}
+
+TEST(SweepEquivalenceTest, SweepsSkipUnassignedNodes) {
+  // Phase 2 without phase 1b: unassigned nodes are skipped, and their
+  // weight never counts toward any community.
+  for (const uint32_t k : {3u, 16u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng rng(3000 + k);
+    TransactionGraph g = RandomGraph(&rng, 3000);
+    g.Refreeze();
+    const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+    const Allocation start = RandomAllocation(&rng, kNodes, k);
+    const AllocationParams params = Params(g, k, 1.0);
+    CheckBothPaths(g, order, params, GlobalOptions{}, start,
+                   /*assign=*/false);
+  }
+}
+
+TEST(SweepEquivalenceTest, SweepCapStopsBothAlike) {
+  // A tight max_sweeps ends the loop before the ε test does.
+  Rng rng(4000);
+  TransactionGraph g = RandomGraph(&rng, 4000);
+  g.Refreeze();
+  const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+  const Allocation start = RandomAllocation(&rng, kNodes, 16);
+  for (const int max_sweeps : {0, 1, 2}) {
+    SCOPED_TRACE("max_sweeps=" + std::to_string(max_sweeps));
+    GlobalOptions options;
+    options.max_sweeps = max_sweeps;
+    EXPECT_EQ(CheckBothPaths(g, order, Params(g, 16, 1.0), options, start,
+                             /*assign=*/true),
+              max_sweeps);
+  }
+}
+
+}  // namespace
+}  // namespace txallo::core

@@ -6,8 +6,12 @@
 // "engine" label.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "txallo/allocator/registry.h"
@@ -38,22 +42,19 @@ PipelineFixture MakeFixture(uint64_t blocks = 48, uint64_t seed = 29) {
   return f;
 }
 
-Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
-                                       const std::string& spec,
+constexpr uint32_t kShards = 4;
+
+alloc::AllocationParams FixtureParams(const PipelineFixture& f) {
+  return alloc::AllocationParams::ForExperiment(f.ledger.num_transactions(),
+                                                kShards, 2.0);
+}
+
+Result<engine::PipelineResult> RunWith(const PipelineFixture& f,
+                                       allocator::OnlineAllocator* online,
                                        engine::AllocatorMode mode,
-                                       uint32_t producers = 0,
-                                       uint32_t epoch_blocks = 8) {
-  const uint32_t k = 4;
-  allocator::AllocatorOptions options;
-  options.params = alloc::AllocationParams::ForExperiment(
-      f.ledger.num_transactions(), k, 2.0);
-  options.registry = &f.generator->registry();
-  auto made = allocator::MakeAllocatorFromSpec(spec, options);
-  if (!made.ok()) return made.status();
-  allocator::OnlineAllocator* online = (*made)->AsOnline();
-  if (online == nullptr) {
-    return Status::InvalidArgument(spec + " is one-shot only");
-  }
+                                       uint32_t producers,
+                                       uint32_t epoch_blocks) {
+  const uint32_t k = kShards;
   engine::EngineConfig config;
   config.num_shards = k;
   config.num_threads = 2;
@@ -67,6 +68,82 @@ Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
   pipeline.ingest_producers = producers;
   return engine::RunReallocatedStream(f.ledger, online, &engine, pipeline);
 }
+
+Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
+                                       const std::string& spec,
+                                       engine::AllocatorMode mode,
+                                       uint32_t producers = 0,
+                                       uint32_t epoch_blocks = 8) {
+  allocator::AllocatorOptions options;
+  options.params = FixtureParams(f);
+  options.registry = &f.generator->registry();
+  auto made = allocator::MakeAllocatorFromSpec(spec, options);
+  if (!made.ok()) return made.status();
+  allocator::OnlineAllocator* online = (*made)->AsOnline();
+  if (online == nullptr) {
+    return Status::InvalidArgument(spec + " is one-shot only");
+  }
+  return RunWith(f, online, mode, producers, epoch_blocks);
+}
+
+// Hash-routes everything (an empty mapping), but orders its own timeline:
+// each rebalance's Run() sleeps at least kRunTime, and ApplyBlock() waits
+// until the in-flight Run() has returned. The driver therefore reaches
+// every boundary after the task finished, so Collect() only waits for the
+// worker's hand-off, never for Run() itself, however the host schedules
+// the two threads.
+class LatchedAllocator : public allocator::OnlineAllocator {
+ public:
+  static constexpr std::chrono::milliseconds kRunTime{2};
+
+  explicit LatchedAllocator(alloc::AllocationParams params)
+      : OnlineAllocator("latched", params) {}
+
+  Result<alloc::Allocation> Allocate(
+      const allocator::AllocationContext& /*context*/) override {
+    return CurrentAllocation();
+  }
+
+  void ApplyBlock(const chain::Block& /*block*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_.wait(lock, [this] { return !running_; });
+  }
+
+  Result<alloc::Allocation> Rebalance() override {
+    return CurrentAllocation();
+  }
+
+  std::unique_ptr<allocator::RebalanceTask> BeginRebalance() override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      running_ = true;
+    }
+    return std::make_unique<allocator::ClosureRebalanceTask>(
+        [this]() -> Result<alloc::Allocation> {
+          std::this_thread::sleep_for(kRunTime);
+          Release();
+          return CurrentAllocation();
+        },
+        // Also on abandonment, so a dropped task cannot wedge ApplyBlock.
+        [this](const Result<alloc::Allocation>& outcome) {
+          Release();
+          return outcome.status();
+        });
+  }
+
+ private:
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      running_ = false;
+    }
+    released_.notify_all();
+  }
+
+  std::mutex mu_;
+  std::condition_variable released_;
+  bool running_ = false;
+};
 
 void ExpectStepsIdentical(const engine::PipelineResult& a,
                           const engine::PipelineResult& b) {
@@ -228,15 +305,19 @@ TEST(BackgroundPipelineTest, BackgroundMatchesDeferredStepForStep) {
 
 TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
   // alloc_overlap_ratio > 0: at least part of the allocation latency hides
-  // behind execution. Submitting/ticking an epoch takes strictly positive
-  // wall time, so a cheap strategy's Run() always beats the driver to the
-  // next boundary.
+  // behind execution. The latched strategy guarantees every Run() (>= 2 ms)
+  // has returned before the driver reaches the next boundary, so each
+  // Collect() waits only for the worker's hand-off.
   const PipelineFixture f = MakeFixture(60, 31);
-  auto result = RunMode(f, "hash", engine::AllocatorMode::kBackground,
+  LatchedAllocator latched(FixtureParams(f));
+  auto result = RunWith(f, &latched, engine::AllocatorMode::kBackground,
                         /*producers=*/0, /*epoch_blocks=*/6);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->epochs, 5u);
-  EXPECT_GT(result->alloc_seconds, 0.0);
+  const double min_run_seconds =
+      static_cast<double>(result->epochs) *
+      std::chrono::duration<double>(LatchedAllocator::kRunTime).count();
+  EXPECT_GE(result->alloc_seconds, min_run_seconds);
   EXPECT_GT(result->alloc_overlap_ratio, 0.0);
 }
 
