@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common/bench_common.h"
-#include "txallo/graph/csr.h"
 #include "txallo/graph/louvain.h"
 #include "txallo/graph/stats.h"
 
@@ -21,15 +20,15 @@ int main(int argc, char** argv) {
       "transaction-graph visualization)",
       scale, fixture, seed);
 
-  graph::CsrGraph csr = graph::CsrGraph::FromGraph(fixture.graph());
-  graph::GraphStats stats = graph::ComputeGraphStats(csr);
+  const graph::TransactionGraph& g = fixture.graph();
+  graph::GraphStats stats = graph::ComputeGraphStats(g);
 
   std::printf("\nGlobal structure\n");
   std::printf("  nodes (accounts)           : %zu\n", stats.num_nodes);
   std::printf("  edges (account pairs)      : %zu\n", stats.num_edges);
   std::printf("  total edge weight (= |T|)  : %.1f\n", stats.total_weight);
   std::printf("  connected components       : %zu\n",
-              graph::CountConnectedComponents(csr));
+              graph::CountConnectedComponents(g));
 
   std::printf("\nHub account (paper: ~11%% of transactions)\n");
   std::printf("  most active account        : %u\n", stats.max_strength_node);
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
   std::printf("  activity Gini coefficient  : %.3f\n", stats.strength_gini);
 
   std::printf("\nDegree histogram (log2 buckets)\n");
-  auto hist = graph::DegreeHistogramLog2(csr);
+  auto hist = graph::DegreeHistogramLog2(g);
   for (size_t b = 0; b < hist.size(); ++b) {
     if (hist[b] == 0) continue;
     std::printf("  degree in [%zu, %zu): %" PRIu64 "\n", size_t{1} << b,
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nCommunity structure (what graph-based allocation exploits)\n");
   graph::LouvainResult louvain =
-      graph::RunLouvain(csr, fixture.node_order());
+      graph::RunLouvain(g, fixture.node_order());
   std::printf("  Louvain communities        : %u\n", louvain.num_communities);
   std::printf("  modularity Q               : %.3f\n", louvain.modularity);
   std::printf("  aggregation levels         : %d\n", louvain.levels);

@@ -1,7 +1,7 @@
 // google-benchmark micro-kernels for the hot paths: SHA-256, Zipf
-// sampling, transaction-graph construction, CSR snapshot, Louvain, one
-// optimization sweep, the gain kernel, metric evaluation, and the Shard
-// Scheduler's per-transaction cost.
+// sampling, transaction-graph construction, Louvain, one optimization
+// sweep, the gain kernel, metric evaluation, and the Shard Scheduler's
+// per-transaction cost.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "txallo/core/gain.h"
 #include "txallo/core/global.h"
 #include "txallo/graph/builder.h"
-#include "txallo/graph/csr.h"
 #include "txallo/graph/louvain.h"
 #include "txallo/workload/ethereum_like.h"
 
@@ -112,21 +111,12 @@ void BM_GraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuild);
 
-void BM_CsrSnapshot(benchmark::State& state) {
-  const graph::TransactionGraph& g = SharedGraph();
-  for (auto _ : state) {
-    graph::CsrGraph csr = graph::CsrGraph::FromGraph(g);
-    benchmark::DoNotOptimize(csr.num_edges());
-  }
-}
-BENCHMARK(BM_CsrSnapshot);
-
 void BM_Louvain(benchmark::State& state) {
-  graph::CsrGraph csr = graph::CsrGraph::FromGraph(SharedGraph());
-  std::vector<graph::NodeId> order(csr.num_nodes());
+  const graph::TransactionGraph& g = SharedGraph();
+  std::vector<graph::NodeId> order(g.num_nodes());
   std::iota(order.begin(), order.end(), 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::RunLouvain(csr, order));
+    benchmark::DoNotOptimize(graph::RunLouvain(g, order));
   }
 }
 BENCHMARK(BM_Louvain);

@@ -5,7 +5,6 @@
 
 #include "txallo/common/sha256.h"
 #include "txallo/core/global.h"
-#include "txallo/graph/csr.h"
 
 namespace txallo::allocator {
 
@@ -17,6 +16,12 @@ size_t DomainSize(const AllocationContext& context) {
   size_t n = context.graph != nullptr ? context.graph->num_nodes() : 0;
   if (context.registry != nullptr) n = std::max(n, context.registry->size());
   return n;
+}
+
+// The account domain an online mapping covers: every registry-known
+// account plus the widest id seen in a transaction.
+size_t SeenDomain(const chain::AccountRegistry* registry, size_t seen) {
+  return registry != nullptr ? std::max(registry->size(), seen) : seen;
 }
 
 // Hash mapping over `domain` accounts: address hash for ids the registry
@@ -60,7 +65,7 @@ TxAlloAllocator::TxAlloAllocator(std::string name,
                                  alloc::AllocationParams params,
                                  uint32_t global_every)
     : OnlineAllocator(std::move(name), params),
-      controller_(registry, params),
+      controller_(std::make_shared<core::TxAlloController>(registry, params)),
       global_every_(global_every) {}
 
 Result<alloc::Allocation> TxAlloAllocator::Allocate(
@@ -71,10 +76,12 @@ Result<alloc::Allocation> TxAlloAllocator::Allocate(
 }
 
 void TxAlloAllocator::ApplyBlock(const chain::Block& block) {
-  // While a RebalanceTask steps a controller clone, buffer the block so
-  // Commit() can replay it into the stepped clone (see BeginRebalance).
-  if (task_outstanding_) pending_blocks_.push_back(block);
-  controller_.ApplyBlock(block);
+  if (controller_ == nullptr) {
+    // A task owns the controller: Commit() replays the block into it.
+    pending_blocks_.push_back(block);
+    return;
+  }
+  controller_->ApplyBlock(block);
 }
 
 bool TxAlloAllocator::GlobalNow() const {
@@ -82,68 +89,55 @@ bool TxAlloAllocator::GlobalNow() const {
          (global_every_ > 0 && rebalances_ % global_every_ == 0);
 }
 
-Result<alloc::Allocation> TxAlloAllocator::Rebalance() {
-  if (controller_.transactions_applied() == 0) {
-    // Nothing absorbed yet: there is no workload to optimize against.
-    return controller_.allocation();
-  }
-  ++rebalances_;
-  if (GlobalNow()) {
-    Result<core::GlobalRunInfo> info = controller_.StepGlobal();
-    if (!info.ok()) return info.status();
-  } else {
-    Result<core::AdaptiveRunInfo> info = controller_.StepAdaptive();
-    if (!info.ok()) return info.status();
-  }
-  return controller_.allocation();
-}
-
 std::unique_ptr<RebalanceTask> TxAlloAllocator::BeginRebalance() {
-  if (task_outstanding_) return nullptr;  // At most one task outstanding.
-  if (controller_.transactions_applied() == 0) {
-    // Mirror the synchronous no-op path: no step, no rebalance counted.
+  if (controller_ == nullptr) return nullptr;  // At most one task outstanding.
+  if (controller_->transactions_applied() == 0) {
+    // Nothing absorbed yet: there is no workload to optimize against, so no
+    // step runs and no rebalance is counted.
     return std::make_unique<ClosureRebalanceTask>(
-        [mapping = controller_.allocation()]() -> Result<alloc::Allocation> {
+        [mapping = controller_->allocation()]() -> Result<alloc::Allocation> {
           return mapping;
         },
         nullptr);
   }
   ++rebalances_;
   const bool global_now = GlobalNow();
-  // Double buffer: the task owns a full clone of the controller (graph,
-  // mapping, community state, V̂) frozen at this point; the live controller
-  // keeps absorbing blocks.
-  auto clone = std::make_shared<core::TxAlloController>(controller_);
-  task_outstanding_ = true;
+  checkpoint_ = controller_->SaveCheckpoint();
+  // The task steps the controller itself — no copy of the graph, mapping or
+  // V̂ — and hands it back at Commit().
+  std::shared_ptr<core::TxAlloController> stepped = std::move(controller_);
   return std::make_unique<ClosureRebalanceTask>(
-      [clone, global_now]() -> Result<alloc::Allocation> {
+      [stepped, global_now]() -> Result<alloc::Allocation> {
         if (global_now) {
-          Result<core::GlobalRunInfo> info = clone->StepGlobal();
+          Result<core::GlobalRunInfo> info = stepped->StepGlobal();
           if (!info.ok()) return info.status();
         } else {
-          Result<core::AdaptiveRunInfo> info = clone->StepAdaptive();
+          Result<core::AdaptiveRunInfo> info = stepped->StepAdaptive();
           if (!info.ok()) return info.status();
         }
-        return clone->allocation();
+        return stepped->allocation();
       },
-      [this, clone](const Result<alloc::Allocation>& result) -> Status {
-        // Clear the bookkeeping first so a failed task cannot wedge the
-        // allocator.
-        std::vector<chain::Block> replay = std::move(pending_blocks_);
-        pending_blocks_.clear();
-        task_outstanding_ = false;
-        if (!result.ok()) return result.status();
-        // stepped-clone + replayed tail == the state the synchronous path
-        // reaches when Rebalance() ran at the snapshot point and the same
-        // blocks arrived afterwards.
-        for (const chain::Block& block : replay) clone->ApplyBlock(block);
-        controller_ = std::move(*clone);
-        return Status::OK();
+      [this, stepped](const Result<alloc::Allocation>& result) -> Status {
+        if (!result.ok()) {
+          // Failed or abandoned: undo the step (if it ran) and the count.
+          stepped->RestoreCheckpoint(std::move(checkpoint_));
+          --rebalances_;
+        }
+        checkpoint_ = {};
+        // stepped controller + replayed tail == the state Rebalance()
+        // reaches at the BeginRebalance() point with the same blocks
+        // arriving afterwards.
+        for (const chain::Block& block : std::exchange(pending_blocks_, {})) {
+          stepped->ApplyBlock(block);
+        }
+        controller_ = stepped;
+        return result.status();
       });
 }
 
 alloc::Allocation TxAlloAllocator::CurrentAllocation() const {
-  return controller_.allocation();
+  return controller_ != nullptr ? controller_->allocation()
+                                : checkpoint_.allocation;
 }
 
 // ---------------------------------------------------------------------------
@@ -170,18 +164,11 @@ void HashStrategy::ApplyBlock(const chain::Block& block) {
   }
 }
 
-Result<alloc::Allocation> HashStrategy::Rebalance() {
-  return CurrentAllocation();
-}
-
 std::unique_ptr<RebalanceTask> HashStrategy::BeginRebalance() {
   // Freeze the domain width; the hash mapping itself is stateless, so the
   // (cheap) recompute runs off-thread against the immutable registry.
-  const size_t domain =
-      registry_ != nullptr ? std::max(registry_->size(), num_accounts_seen_)
-                           : num_accounts_seen_;
   return std::make_unique<ClosureRebalanceTask>(
-      [registry = registry_, domain,
+      [registry = registry_, domain = SeenDomain(registry_, num_accounts_seen_),
        k = params_.num_shards]() -> Result<alloc::Allocation> {
         return HashOverDomain(registry, domain, k);
       },
@@ -189,10 +176,8 @@ std::unique_ptr<RebalanceTask> HashStrategy::BeginRebalance() {
 }
 
 alloc::Allocation HashStrategy::CurrentAllocation() const {
-  const size_t domain =
-      registry_ != nullptr ? std::max(registry_->size(), num_accounts_seen_)
-                           : num_accounts_seen_;
-  return HashOverDomain(registry_, domain, params_.num_shards);
+  return HashOverDomain(registry_, SeenDomain(registry_, num_accounts_seen_),
+                        params_.num_shards);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,16 +199,6 @@ Result<alloc::Allocation> MetisStrategy::Allocate(
 
 void MetisStrategy::ApplyBlock(const chain::Block& block) {
   builder_.AddBlock(block);
-}
-
-Result<alloc::Allocation> MetisStrategy::Rebalance() {
-  builder_.Finish();
-  if (graph_.num_nodes() == 0) return last_;
-  Result<alloc::Allocation> result = baselines::metis::PartitionGraph(
-      graph_, params_.num_shards, options_);
-  if (!result.ok()) return result.status();
-  last_ = std::move(result.value());
-  return last_;
 }
 
 std::unique_ptr<RebalanceTask> MetisStrategy::BeginRebalance() {
@@ -279,9 +254,8 @@ Result<alloc::Allocation> LouvainStrategy::Partition(
     const std::vector<graph::NodeId>& node_order, uint32_t num_shards) const {
   const size_t n = graph.num_nodes();
   if (n == 0) return alloc::Allocation(0, num_shards);
-  const graph::CsrGraph csr = graph::CsrGraph::FromGraph(graph);
   const graph::LouvainResult louvain =
-      graph::RunLouvain(csr, node_order, options_);
+      graph::RunLouvain(graph, node_order, options_);
 
   // Pack whole communities into shards: heaviest community first into the
   // currently lightest shard (LPT). Keeps communities intact — the point of
@@ -289,8 +263,8 @@ Result<alloc::Allocation> LouvainStrategy::Partition(
   std::vector<double> community_weight(louvain.num_communities, 0.0);
   for (size_t v = 0; v < n; ++v) {
     community_weight[louvain.community[v]] +=
-        csr.Strength(static_cast<graph::NodeId>(v)) +
-        csr.SelfLoop(static_cast<graph::NodeId>(v));
+        graph.Strength(static_cast<graph::NodeId>(v)) +
+        graph.SelfLoop(static_cast<graph::NodeId>(v));
   }
   std::vector<uint32_t> by_weight(louvain.num_communities);
   for (uint32_t c = 0; c < louvain.num_communities; ++c) by_weight[c] = c;
@@ -328,18 +302,6 @@ Result<alloc::Allocation> LouvainStrategy::Allocate(
 
 void LouvainStrategy::ApplyBlock(const chain::Block& block) {
   builder_.AddBlock(block);
-}
-
-Result<alloc::Allocation> LouvainStrategy::Rebalance() {
-  builder_.Finish();
-  AllocationContext context;
-  context.graph = &graph_;
-  context.registry = registry_;
-  Result<alloc::Allocation> result =
-      Partition(graph_, ResolveNodeOrder(context), params_.num_shards);
-  if (!result.ok()) return result.status();
-  last_ = std::move(result.value());
-  return last_;
 }
 
 std::unique_ptr<RebalanceTask> LouvainStrategy::BeginRebalance() {
@@ -409,30 +371,22 @@ void ShardSchedulerStrategy::ApplyBlock(const chain::Block& block) {
   }
 }
 
-Result<alloc::Allocation> ShardSchedulerStrategy::Rebalance() {
-  return CurrentAllocation();
-}
-
 std::unique_ptr<RebalanceTask> ShardSchedulerStrategy::BeginRebalance() {
   // The scheduler already maintains the mapping; freeze it by copying the
   // scheduler so the snapshot extraction runs off-thread while the live one
   // keeps streaming transactions.
-  const size_t domain =
-      registry_ != nullptr ? std::max(registry_->size(), num_accounts_seen_)
-                           : num_accounts_seen_;
   auto frozen = std::make_shared<const baselines::ShardScheduler>(scheduler_);
   return std::make_unique<ClosureRebalanceTask>(
-      [frozen, domain]() -> Result<alloc::Allocation> {
+      [frozen, domain = SeenDomain(registry_, num_accounts_seen_)]()
+          -> Result<alloc::Allocation> {
         return frozen->SnapshotAllocation(domain);
       },
       nullptr);
 }
 
 alloc::Allocation ShardSchedulerStrategy::CurrentAllocation() const {
-  const size_t domain =
-      registry_ != nullptr ? std::max(registry_->size(), num_accounts_seen_)
-                           : num_accounts_seen_;
-  return scheduler_.SnapshotAllocation(domain);
+  return scheduler_.SnapshotAllocation(
+      SeenDomain(registry_, num_accounts_seen_));
 }
 
 // ---------------------------------------------------------------------------
@@ -465,19 +419,6 @@ void BrokerOverlay::ApplyBlock(const chain::Block& block) {
   if (OnlineAllocator* online = inner_->AsOnline()) {
     online->ApplyBlock(block);
   }
-}
-
-Result<alloc::Allocation> BrokerOverlay::Rebalance() {
-  OnlineAllocator* online = inner_->AsOnline();
-  if (online == nullptr) {
-    return Status::FailedPrecondition(
-        Name() + ": inner allocator '" + inner_->Name() +
-        "' does not support online use");
-  }
-  builder_.Finish();
-  brokers_ =
-      baselines::SelectBrokersByActivity(graph_, options_.num_brokers);
-  return online->Rebalance();
 }
 
 std::unique_ptr<RebalanceTask> BrokerOverlay::BeginRebalance() {

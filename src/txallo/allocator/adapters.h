@@ -4,10 +4,11 @@
 //
 //   * Allocate() is stateless per call — it partitions the context's
 //     workload from scratch, so repeated calls are deterministic;
-//   * the online path (ApplyBlock/Rebalance) streams: graph-based methods
-//     accumulate their own transaction graph and re-partition it each
-//     Rebalance, which is what lets hash/METIS/Louvain/Shard-Scheduler run
-//     live on the parallel engine alongside TxAllo.
+//   * the online path (ApplyBlock/BeginRebalance) streams: graph-based
+//     methods accumulate their own transaction graph and re-partition a
+//     snapshot of it in each RebalanceTask, which is what lets hash/METIS/
+//     Louvain/Shard-Scheduler run live on the parallel engine alongside
+//     TxAllo.
 //
 // Construct these via allocator/registry.h unless a call site needs one
 // concrete strategy (e.g. tests pinning TxAllo's hybrid schedule).
@@ -42,25 +43,24 @@ class TxAlloAllocator : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
-
-  const core::TxAlloController& controller() const { return controller_; }
 
  private:
   // The hybrid schedule's global-vs-adaptive decision for rebalance number
   // `rebalances_` (already incremented).
   bool GlobalNow() const;
 
-  core::TxAlloController controller_;
+  // Null while a RebalanceTask owns (and steps) the controller; a shared_ptr
+  // only because the task's closures must be copyable. Meanwhile
+  // ApplyBlock() only buffers into pending_blocks_, and checkpoint_ holds
+  // what the step may change: CurrentAllocation() reads the pre-step
+  // mapping from it, and a failed or abandoned task restores it before the
+  // buffered blocks are replayed, so its step is never folded in.
+  std::shared_ptr<core::TxAlloController> controller_;
   uint32_t global_every_;
   uint64_t rebalances_ = 0;
-  // Double-buffer bookkeeping while a RebalanceTask is outstanding: the
-  // task steps a clone of the controller, and blocks applied meanwhile are
-  // buffered here so Commit() can replay them into the stepped clone before
-  // swapping it in (yielding the exact state the synchronous path reaches).
-  bool task_outstanding_ = false;
+  core::TxAlloController::Checkpoint checkpoint_;
   std::vector<chain::Block> pending_blocks_;
 };
 
@@ -75,7 +75,6 @@ class HashStrategy : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 
@@ -94,7 +93,6 @@ class MetisStrategy : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 
@@ -118,7 +116,6 @@ class LouvainStrategy : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 
@@ -148,7 +145,6 @@ class ShardSchedulerStrategy : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 
@@ -177,7 +173,6 @@ class BrokerOverlay : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 

@@ -15,6 +15,17 @@ Result<alloc::EvaluationReport> Allocator::Evaluate(
   return alloc::EvaluateAllocation(transactions, allocation, params);
 }
 
+Result<alloc::Allocation> OnlineAllocator::Rebalance() {
+  std::unique_ptr<RebalanceTask> task = BeginRebalance();
+  if (task == nullptr) {
+    return Status::FailedPrecondition(
+        Name() + ": Rebalance() while a rebalance task is outstanding");
+  }
+  Result<alloc::Allocation> mapping = task->Run();
+  TXALLO_RETURN_NOT_OK(task->Commit());
+  return mapping;
+}
+
 std::vector<graph::NodeId> ResolveNodeOrder(const AllocationContext& context) {
   if (context.node_order != nullptr) return *context.node_order;
   const size_t num_nodes =

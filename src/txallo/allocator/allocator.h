@@ -7,8 +7,15 @@
 //   * one-shot: Allocate(AllocationContext) partitions a historical
 //     workload once (what the figure sweeps evaluate);
 //   * online: an OnlineAllocator additionally absorbs committed blocks
-//     (ApplyBlock) and refreshes the mapping on demand (Rebalance) — the
-//     epoch-driven shape engine::RunReallocatedStream drives.
+//     (ApplyBlock) and refreshes the mapping at epoch boundaries — the
+//     shape engine::RunReallocatedStream drives.
+//
+// An online strategy implements its refresh exactly once, as
+// BeginRebalance(): a RebalanceTask that freezes the absorbed state, runs
+// on any thread, and commits back on the owner thread. Rebalance() is not
+// a second implementation but the synchronous use of that one task
+// (BeginRebalance() → Run() → Commit() in place), so the background
+// pipeline and the driver schedules cannot compute different mappings.
 //
 // Instances come from the string-keyed factory in allocator/registry.h
 // (MakeAllocator("txallo-hybrid", options)), so benches, examples and the
@@ -99,22 +106,23 @@ class Allocator {
   std::string name_;
 };
 
-/// A frozen rebalance computation, detached from its parent allocator so
-/// the expensive part can run on a background thread while the parent keeps
-/// absorbing blocks. Lifecycle (enforced by the engine pipeline and the
-/// conformance suite):
+/// One rebalance of an OnlineAllocator, detached from its parent so the
+/// expensive part can run on a background thread while the parent keeps
+/// absorbing blocks. This is the only rebalance a strategy implements;
+/// OnlineAllocator::Rebalance() runs the same three steps in place.
+/// Lifecycle (enforced by the engine pipeline and the conformance suite):
 ///
-///   1. `BeginRebalance()` on the thread that owns the allocator snapshots
-///      everything absorbed so far (double-buffering: graph copies, frozen
-///      domain sizes, controller clones) into the task.
+///   1. `BeginRebalance()` on the thread that owns the allocator freezes
+///      everything absorbed so far into the task (graph snapshots, frozen
+///      domain sizes, or the whole TxAllo controller, moved in).
 ///   2. `Run()` — once, on any thread — computes the refreshed mapping from
-///      the snapshot only. It is safe to call `ApplyBlock()` on the parent
-///      concurrently; blocks applied after the snapshot are not seen by
-///      this task (they roll into the next rebalance).
+///      the frozen state only. It is safe to call `ApplyBlock()` on the
+///      parent concurrently; blocks applied after BeginRebalance() are not
+///      seen by this task (they roll into the next rebalance).
 ///   3. `Commit()` — once, back on the owning thread, after Run() returned —
-///      folds the result into the parent so `CurrentAllocation()` and later
-///      `Rebalance()`/`BeginRebalance()` calls continue exactly as if the
-///      synchronous `Rebalance()` had run at the snapshot point.
+///      folds the result into the parent, so `CurrentAllocation()` and the
+///      next rebalance continue exactly as if Rebalance() had run at the
+///      BeginRebalance() point and the later blocks arrived afterwards.
 ///
 /// At most one task may be outstanding per allocator, and the parent must
 /// outlive the task. Destroying a task without Commit() *abandons* it: the
@@ -157,8 +165,9 @@ class ClosureRebalanceTask : public RebalanceTask {
 
   /// Abandonment: a task destroyed before Commit() still runs the commit
   /// closure, but with an error outcome — parents release their
-  /// outstanding-task bookkeeping (TxAllo's pending-block buffer, etc.)
-  /// without ever folding the abandoned mapping in.
+  /// outstanding-task bookkeeping (TxAllo restores its pre-step checkpoint
+  /// and takes its controller back, etc.) without ever folding the
+  /// abandoned mapping in.
   ~ClosureRebalanceTask() override {
     if (committed_ || !commit_) return;
     (void)commit_(Result<alloc::Allocation>(
@@ -205,21 +214,20 @@ class OnlineAllocator : public Allocator {
   /// Absorbs one committed block into the strategy's internal state.
   virtual void ApplyBlock(const chain::Block& block) = 0;
 
+  /// Freezes the absorbed state into a task whose Run() may execute on
+  /// another thread while this allocator keeps accumulating blocks (see
+  /// RebalanceTask for the full contract). The one rebalance a strategy
+  /// implements. Returns nullptr while a previous task is still
+  /// outstanding (not yet committed or abandoned).
+  virtual std::unique_ptr<RebalanceTask> BeginRebalance() = 0;
+
+  /// Synchronous rebalance: BeginRebalance() → Run() → Commit() in place.
   /// Recomputes the mapping from everything absorbed so far and returns the
   /// account-shard mapping to publish. Every account that has transacted is
   /// assigned; ids that exist only as domain padding (never seen in a
   /// transaction) may read as unassigned — engines hash-route those.
-  virtual Result<alloc::Allocation> Rebalance() = 0;
-
-  /// Snapshot/accumulate split of Rebalance(): freezes the absorbed state
-  /// into a task whose Run() may execute on another thread while this
-  /// allocator keeps accumulating blocks (see RebalanceTask for the full
-  /// contract). Must be equivalent to Rebalance() at equal inputs — the
-  /// conformance suite enforces both the equivalence and that every
-  /// registered strategy supports the split. Returns nullptr when the
-  /// strategy cannot snapshot; callers then fall back to the synchronous
-  /// Rebalance() (the engine pipeline does this automatically).
-  virtual std::unique_ptr<RebalanceTask> BeginRebalance() { return nullptr; }
+  /// FailedPrecondition while a task is outstanding.
+  Result<alloc::Allocation> Rebalance();
 
   /// The mapping currently in force, before/without a Rebalance. The
   /// default — an empty all-unassigned mapping over k shards — is valid

@@ -107,19 +107,6 @@ void ContribStrategy::ApplyBlock(const chain::Block& block) {
   builder_.AddBlock(block);
 }
 
-Result<alloc::Allocation> ContribStrategy::Rebalance() {
-  builder_.Finish();
-  AllocationContext context;
-  context.graph = &graph_;
-  context.registry = registry_;
-  Result<alloc::Allocation> result =
-      Partition(graph_, ResolveNodeOrder(context), params_.num_shards,
-                options_);
-  if (!result.ok()) return result.status();
-  last_ = std::move(result.value());
-  return last_;
-}
-
 std::unique_ptr<RebalanceTask> ContribStrategy::BeginRebalance() {
   builder_.Finish();
   AllocationContext context;

@@ -41,14 +41,12 @@ class ContribStrategy : public OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
-  Result<alloc::Allocation> Rebalance() override;
   std::unique_ptr<RebalanceTask> BeginRebalance() override;
   alloc::Allocation CurrentAllocation() const override;
 
  private:
   /// Pure (static) partition of one consolidated graph — the same routine
-  /// backs the one-shot, synchronous-online and background-task paths, so
-  /// they cannot diverge.
+  /// backs the one-shot and online paths, so they cannot diverge.
   static Result<alloc::Allocation> Partition(
       const graph::TransactionGraph& graph,
       const std::vector<graph::NodeId>& node_order, uint32_t num_shards,

@@ -1,6 +1,7 @@
 #include "txallo/core/controller.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "txallo/common/math.h"
 
@@ -159,6 +160,20 @@ Result<GlobalRunInfo> TxAlloController::StepGlobal() {
   for (NodeId v : touched_) touched_flag_[v] = 0;
   touched_.clear();
   return info;
+}
+
+TxAlloController::Checkpoint TxAlloController::SaveCheckpoint() const {
+  return Checkpoint{allocation_, state_, touched_, params_};
+}
+
+void TxAlloController::RestoreCheckpoint(Checkpoint checkpoint) {
+  allocation_ = std::move(checkpoint.allocation);
+  state_ = std::move(checkpoint.state);
+  touched_ = std::move(checkpoint.touched);
+  params_ = checkpoint.params;
+  // A step only clears flags of V̂ members, and touched_flag_ only grows in
+  // ApplyBlock(), so re-flagging the saved V̂ restores the bitmap.
+  for (NodeId v : touched_) touched_flag_[v] = 1;
 }
 
 void TxAlloController::RecomputeState() {

@@ -53,6 +53,20 @@ class TxAlloController {
   /// the mapping and state; clears V̂ (a global step supersedes it).
   Result<GlobalRunInfo> StepGlobal();
 
+  /// What StepAdaptive()/StepGlobal() change: the mapping, σ/Λ̂, V̂ and the
+  /// λ/ε rescaling. A step leaves the graph's contents untouched (it only
+  /// refreezes its representation), so restoring the checkpoint taken
+  /// before a step undoes that step exactly.
+  struct Checkpoint {
+    alloc::Allocation allocation;
+    alloc::CommunityState state;
+    std::vector<graph::NodeId> touched;
+    alloc::AllocationParams params;
+  };
+  Checkpoint SaveCheckpoint() const;
+  /// Precondition: no block was applied since `checkpoint` was saved.
+  void RestoreCheckpoint(Checkpoint checkpoint);
+
   /// Re-derives the community state from scratch (drift resync; also used
   /// by tests to check the incremental bookkeeping).
   void RecomputeState();

@@ -7,7 +7,6 @@
 #include "txallo/common/sha256.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/core/gain.h"
-#include "txallo/graph/csr.h"
 
 namespace txallo::core {
 
@@ -136,9 +135,8 @@ uint32_t LouvainInitialize(const TransactionGraph& graph,
                            const AllocationParams& params,
                            const GlobalOptions& options,
                            Allocation* allocation) {
-  const graph::CsrGraph csr = graph::CsrGraph::FromGraph(graph);
   graph::LouvainResult louvain =
-      graph::RunLouvain(csr, node_order, options.louvain);
+      graph::RunLouvain(graph, node_order, options.louvain);
   const uint32_t l = louvain.num_communities;
 
   // Workload σ of every Louvain community (η-aware), used for the top-k

@@ -100,9 +100,6 @@ class PipelineRun {
   /// block has been reached (block 0 before the first submission, epoch
   /// boundaries after their window's last tick).
   Status ApplyDueInstalls(uint64_t* applied);
-  /// The shared compute-on-the-driver-and-hold step of both deferred
-  /// schedules: one implementation so their timelines cannot drift apart.
-  Status ComputeAndHold(StepMetrics& metrics);
   /// Engine-delta counters of the window [first_block, last_block) against
   /// the previous snapshot.
   StepMetrics WindowMetrics(const EngineReport& snap, uint64_t first_block,
@@ -151,9 +148,8 @@ class PipelineRun {
   // install stream stands in for the allocator entirely).
   std::optional<IngestRouter> router_;
   std::optional<BackgroundAllocator> background_;
-  // Mapping computed at the previous boundary, awaiting its deferred
-  // install (kDriverDeferred, and kBackground's fallback when the strategy
-  // cannot snapshot).
+  // kDriverDeferred: the mapping computed at the previous boundary,
+  // awaiting its install at this one.
   std::shared_ptr<const alloc::Allocation> held_;
   size_t install_cursor_ = 0;
   EngineReport prev_;
@@ -299,18 +295,6 @@ Status PipelineRun::Bootstrap() {
   return Status::OK();
 }
 
-Status PipelineRun::ComputeAndHold(StepMetrics& metrics) {
-  Stopwatch watch;
-  Result<alloc::Allocation> rebalanced = alloc_->Rebalance();
-  if (!rebalanced.ok()) return rebalanced.status();
-  const double seconds = watch.ElapsedSeconds();
-  metrics.alloc_seconds += seconds;
-  metrics.alloc_wait_seconds += seconds;
-  held_ = std::make_shared<const alloc::Allocation>(
-      std::move(rebalanced.value()));
-  return Status::OK();
-}
-
 StepMetrics PipelineRun::WindowMetrics(const EngineReport& snap,
                                        uint64_t first_block,
                                        uint64_t last_block) {
@@ -340,7 +324,14 @@ StepMetrics PipelineRun::WindowMetrics(const EngineReport& snap,
 
 Status PipelineRun::EpochBoundary(StepMetrics& metrics) {
   switch (config_.allocator_mode) {
-    case AllocatorMode::kDriverSync: {
+    case AllocatorMode::kDriverSync:
+    case AllocatorMode::kDriverDeferred: {
+      // Both rebalance on the driver; kDriverDeferred installs the mapping
+      // one boundary late, the logical schedule of kBackground.
+      if (held_ != nullptr) {
+        TXALLO_RETURN_NOT_OK(Install(std::move(held_)));
+        metrics.installed = true;
+      }
       ++result_.epochs;
       Stopwatch watch;
       Result<alloc::Allocation> rebalanced = alloc_->Rebalance();
@@ -348,19 +339,14 @@ Status PipelineRun::EpochBoundary(StepMetrics& metrics) {
       const double seconds = watch.ElapsedSeconds();
       metrics.alloc_seconds = seconds;
       metrics.alloc_wait_seconds = seconds;
-      TXALLO_RETURN_NOT_OK(Install(std::make_shared<const alloc::Allocation>(
-          std::move(rebalanced.value()))));
-      metrics.installed = true;
-      break;
-    }
-    case AllocatorMode::kDriverDeferred: {
-      if (held_ != nullptr) {
-        TXALLO_RETURN_NOT_OK(Install(std::move(held_)));
-        held_ = nullptr;
+      auto next = std::make_shared<const alloc::Allocation>(
+          std::move(rebalanced.value()));
+      if (config_.allocator_mode == AllocatorMode::kDriverDeferred) {
+        held_ = std::move(next);
+      } else {
+        TXALLO_RETURN_NOT_OK(Install(std::move(next)));
         metrics.installed = true;
       }
-      ++result_.epochs;
-      TXALLO_RETURN_NOT_OK(ComputeAndHold(metrics));
       break;
     }
     case AllocatorMode::kBackground: {
@@ -396,23 +382,12 @@ Status PipelineRun::EpochBoundary(StepMetrics& metrics) {
                   std::move(outcome->mapping.value()))));
           metrics.installed = true;
         }
-      } else if (held_ != nullptr) {
-        TXALLO_RETURN_NOT_OK(Install(std::move(held_)));
-        held_ = nullptr;
-        metrics.installed = true;
       }
       if (!skipped) {
         ++result_.epochs;
-        std::unique_ptr<allocator::RebalanceTask> task =
-            alloc_->BeginRebalance();
-        if (task != nullptr) {
-          TXALLO_RETURN_NOT_OK(background_->Launch(std::move(task)));
-        } else {
-          // Strategy cannot snapshot: compute synchronously here, keep the
-          // deferred install schedule so the logical timeline stays
-          // identical (overlap just stays at zero for this strategy).
-          TXALLO_RETURN_NOT_OK(ComputeAndHold(metrics));
-        }
+        // No synchronous fallback: a null task (none can be outstanding
+        // here) fails Launch().
+        TXALLO_RETURN_NOT_OK(background_->Launch(alloc_->BeginRebalance()));
       }
       break;
     }

@@ -6,21 +6,26 @@
 // `blocks_per_epoch` blocks its mapping refreshes and the result is
 // published to the engine as a fresh copy-on-write snapshot via
 // InstallAllocation() (a pause-free shared_ptr swap; the engine reports the
-// cost as `realloc_pause_seconds`). Three allocator schedules:
+// cost as `realloc_pause_seconds`). Every schedule runs the strategy's one
+// rebalance implementation (OnlineAllocator::BeginRebalance()'s task); they
+// differ only in where Run() executes and when the result installs:
 //
-//   * kDriverSync      — the classic loop: Rebalance() on the driver at the
+//   * kDriverSync      — the classic loop: Rebalance() (the task's
+//                        Begin → Run → Commit in place) on the driver at the
 //                        boundary, install immediately. Shards idle for
 //                        `alloc_seconds` each epoch.
 //   * kDriverDeferred  — Rebalance() on the driver at the boundary, install
 //                        at the NEXT boundary. Same stall, but the exact
 //                        logical schedule of kBackground — its determinism
 //                        baseline.
-//   * kBackground      — BeginRebalance() snapshots at the boundary
-//                        (double-buffering: the allocator keeps absorbing
-//                        blocks), Run() executes on a BackgroundAllocator
-//                        worker while the next epoch streams, and the
-//                        result commits + installs at the next boundary.
-//                        Allocation latency is overlapped with execution;
+//   * kBackground      — BeginRebalance() freezes the state at the boundary
+//                        (the allocator keeps absorbing blocks), Run()
+//                        executes on a BackgroundAllocator worker while the
+//                        next epoch streams, and the result commits +
+//                        installs at the next boundary. There is no
+//                        synchronous fallback: a strategy returning no task
+//                        with none in flight fails the run. Allocation
+//                        latency is overlapped with execution;
 //                        `alloc_overlap_ratio` reports how much. Install
 //                        points are pinned to logical block boundaries, so
 //                        per-step metrics are deterministic and identical

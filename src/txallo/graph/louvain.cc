@@ -22,7 +22,8 @@ struct LevelGraph {
   size_t num_nodes() const { return self_loop.size(); }
 };
 
-LevelGraph FromCsr(const CsrGraph& graph) {
+// Level 0: the transaction graph's own rows, copied in node-id order.
+LevelGraph FromGraph(const TransactionGraph& graph) {
   LevelGraph lg;
   const size_t n = graph.num_nodes();
   lg.offsets.resize(n + 1, 0);
@@ -30,22 +31,21 @@ LevelGraph FromCsr(const CsrGraph& graph) {
   lg.degree.resize(n);
   size_t total = 0;
   for (size_t v = 0; v < n; ++v) {
-    total += graph.Degree(static_cast<NodeId>(v));
+    total += graph.Neighbors(static_cast<NodeId>(v)).size();
     lg.offsets[v + 1] = total;
   }
   lg.neighbors.resize(total);
   lg.weights.resize(total);
   for (size_t v = 0; v < n; ++v) {
-    auto ids = graph.NeighborIds(static_cast<NodeId>(v));
-    auto ws = graph.NeighborWeights(static_cast<NodeId>(v));
+    const auto id = static_cast<NodeId>(v);
     size_t pos = lg.offsets[v];
-    for (size_t i = 0; i < ids.size(); ++i) {
-      lg.neighbors[pos + i] = ids[i];
-      lg.weights[pos + i] = ws[i];
+    for (const Neighbor& nb : graph.Neighbors(id)) {
+      lg.neighbors[pos] = nb.node;
+      lg.weights[pos] = nb.weight;
+      ++pos;
     }
-    lg.self_loop[v] = graph.SelfLoop(static_cast<NodeId>(v));
-    lg.degree[v] =
-        graph.Strength(static_cast<NodeId>(v)) + 2.0 * lg.self_loop[v];
+    lg.self_loop[v] = graph.SelfLoop(id);
+    lg.degree[v] = graph.Strength(id) + 2.0 * lg.self_loop[v];
     lg.m2 += lg.degree[v];
   }
   return lg;
@@ -192,7 +192,7 @@ LevelGraph Aggregate(const LevelGraph& g,
 
 }  // namespace
 
-LouvainResult RunLouvain(const CsrGraph& graph,
+LouvainResult RunLouvain(const TransactionGraph& graph,
                          const std::vector<NodeId>& node_order,
                          const LouvainOptions& options) {
   LouvainResult result;
@@ -201,7 +201,7 @@ LouvainResult RunLouvain(const CsrGraph& graph,
   for (size_t v = 0; v < n; ++v) result.community[v] = static_cast<uint32_t>(v);
   if (n == 0) return result;
 
-  LevelGraph level = FromCsr(graph);
+  LevelGraph level = FromGraph(graph);
   std::vector<uint32_t> level_comm(n);
   for (size_t v = 0; v < n; ++v) level_comm[v] = static_cast<uint32_t>(v);
 
@@ -228,7 +228,7 @@ LouvainResult RunLouvain(const CsrGraph& graph,
   return result;
 }
 
-double Modularity(const CsrGraph& graph,
+double Modularity(const TransactionGraph& graph,
                   const std::vector<uint32_t>& community, double resolution) {
   const size_t n = graph.num_nodes();
   if (n == 0) return 0.0;
@@ -238,16 +238,14 @@ double Modularity(const CsrGraph& graph,
   std::vector<double> total(nc, 0.0);     // Σ_{v in c} k_v.
   double m2 = 0.0;
   for (size_t v = 0; v < n; ++v) {
+    const auto id = static_cast<NodeId>(v);
     const uint32_t cv = community[v];
-    const double k =
-        graph.Strength(static_cast<NodeId>(v)) + 2.0 * graph.SelfLoop(v);
+    const double k = graph.Strength(id) + 2.0 * graph.SelfLoop(id);
     total[cv] += k;
     m2 += k;
-    internal[cv] += 2.0 * graph.SelfLoop(v);
-    auto ids = graph.NeighborIds(static_cast<NodeId>(v));
-    auto ws = graph.NeighborWeights(static_cast<NodeId>(v));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (community[ids[i]] == cv) internal[cv] += ws[i];
+    internal[cv] += 2.0 * graph.SelfLoop(id);
+    for (const Neighbor& nb : graph.Neighbors(id)) {
+      if (community[nb.node] == cv) internal[cv] += nb.weight;
     }
   }
   if (m2 <= 0.0) return 0.0;

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "txallo/graph/csr.h"
+#include "txallo/graph/graph.h"
 
 namespace txallo::graph {
 
@@ -38,14 +38,18 @@ struct LouvainResult {
 
 /// Runs Louvain on `graph`, visiting nodes in `node_order` (a permutation of
 /// [0, num_nodes)). The same graph and order always yield the same result.
-LouvainResult RunLouvain(const CsrGraph& graph,
+/// Precondition: graph.consolidated(). A refrozen graph (every row in the
+/// CSR core) reads fastest.
+LouvainResult RunLouvain(const TransactionGraph& graph,
                          const std::vector<NodeId>& node_order,
                          const LouvainOptions& options = {});
 
 /// Modularity of an arbitrary partition of `graph` (for tests/diagnostics).
 /// Self-loops count once in community-internal weight and twice in degree,
 /// following the standard convention.
-double Modularity(const CsrGraph& graph, const std::vector<uint32_t>& community,
+/// Precondition: graph.consolidated().
+double Modularity(const TransactionGraph& graph,
+                  const std::vector<uint32_t>& community,
                   double resolution = 1.0);
 
 }  // namespace txallo::graph

@@ -5,7 +5,7 @@
 
 namespace txallo::graph {
 
-GraphStats ComputeGraphStats(const CsrGraph& graph) {
+GraphStats ComputeGraphStats(const TransactionGraph& graph) {
   GraphStats stats;
   stats.num_nodes = graph.num_nodes();
   stats.num_edges = graph.num_edges();
@@ -17,7 +17,7 @@ GraphStats ComputeGraphStats(const CsrGraph& graph) {
   std::vector<double> strengths(stats.num_nodes);
   for (size_t v = 0; v < stats.num_nodes; ++v) {
     const NodeId id = static_cast<NodeId>(v);
-    const size_t deg = graph.Degree(id);
+    const size_t deg = graph.Neighbors(id).size();
     degree_sum += static_cast<double>(deg);
     stats.max_degree = std::max(stats.max_degree, deg);
     if (deg <= 2) ++low_degree;
@@ -50,10 +50,10 @@ GraphStats ComputeGraphStats(const CsrGraph& graph) {
   return stats;
 }
 
-std::vector<uint64_t> DegreeHistogramLog2(const CsrGraph& graph) {
+std::vector<uint64_t> DegreeHistogramLog2(const TransactionGraph& graph) {
   std::vector<uint64_t> hist;
   for (size_t v = 0; v < graph.num_nodes(); ++v) {
-    size_t deg = graph.Degree(static_cast<NodeId>(v));
+    size_t deg = graph.Neighbors(static_cast<NodeId>(v)).size();
     size_t bucket = 0;
     while ((size_t{1} << (bucket + 1)) <= deg) ++bucket;
     if (bucket >= hist.size()) hist.resize(bucket + 1, 0);
@@ -62,7 +62,7 @@ std::vector<uint64_t> DegreeHistogramLog2(const CsrGraph& graph) {
   return hist;
 }
 
-size_t CountConnectedComponents(const CsrGraph& graph) {
+size_t CountConnectedComponents(const TransactionGraph& graph) {
   const size_t n = graph.num_nodes();
   std::vector<uint32_t> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
@@ -75,9 +75,9 @@ size_t CountConnectedComponents(const CsrGraph& graph) {
     return x;
   };
   for (size_t v = 0; v < n; ++v) {
-    for (NodeId u : graph.NeighborIds(static_cast<NodeId>(v))) {
+    for (const Neighbor& nb : graph.Neighbors(static_cast<NodeId>(v))) {
       uint32_t rv = find(static_cast<uint32_t>(v));
-      uint32_t ru = find(u);
+      uint32_t ru = find(nb.node);
       if (rv != ru) parent[std::max(rv, ru)] = std::min(rv, ru);
     }
   }

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "txallo/graph/csr.h"
+#include "txallo/graph/graph.h"
 
 namespace txallo::graph {
 
@@ -29,14 +29,15 @@ struct GraphStats {
   double strength_gini = 0.0;
 };
 
-/// Computes summary statistics.
-GraphStats ComputeGraphStats(const CsrGraph& graph);
+/// Computes summary statistics. Every function here requires
+/// graph.consolidated().
+GraphStats ComputeGraphStats(const TransactionGraph& graph);
 
 /// Degree histogram on a log2 scale: bucket i counts nodes with degree in
 /// [2^i, 2^(i+1)). Bucket 0 holds degrees 0 and 1.
-std::vector<uint64_t> DegreeHistogramLog2(const CsrGraph& graph);
+std::vector<uint64_t> DegreeHistogramLog2(const TransactionGraph& graph);
 
 /// Number of connected components (self-loops ignored).
-size_t CountConnectedComponents(const CsrGraph& graph);
+size_t CountConnectedComponents(const TransactionGraph& graph);
 
 }  // namespace txallo::graph

@@ -132,14 +132,15 @@ TEST_P(AllocatorConformance, OnlineRebalanceMatchesContract) {
 }
 
 TEST_P(AllocatorConformance, BeginRebalanceSplitIsSupportedAndEquivalent) {
-  // The snapshot/accumulate contract every registered strategy must honor
-  // so the engine's background allocator can rebalance it concurrently:
+  // Snapshot isolation of the one rebalance path, which the engine's
+  // background allocator relies on to rebalance concurrently. Rebalance()
+  // runs the same task in place, so the reference instance below sees no
+  // concurrent blocks:
   // (a) BeginRebalance() is supported (non-null task);
-  // (b) the task computes the same mapping the synchronous Rebalance()
-  //     produces at equal inputs, even when more blocks are absorbed
-  //     between the snapshot and Commit();
-  // (c) after Commit(), the allocator continues exactly like the
-  //     synchronous instance (the NEXT rebalance also agrees).
+  // (b) blocks absorbed between the snapshot and Commit() do not leak into
+  //     the task's mapping;
+  // (c) after Commit(), those blocks are not lost either: the allocator
+  //     continues exactly like the reference (the NEXT rebalance agrees).
   const Workload& w = SharedWorkload();
   const AllocatorOptions options = OptionsForWorkload(w);
   auto split = MakeAllocator(GetParam(), options);
@@ -169,11 +170,11 @@ TEST_P(AllocatorConformance, BeginRebalanceSplitIsSupportedAndEquivalent) {
   Result<alloc::Allocation> task_mapping = task->Run();
   ASSERT_TRUE(task_mapping.ok()) << task_mapping.status().ToString();
   ASSERT_TRUE(task->Commit().ok());
-  // (b) the synchronous instance rebalanced at the same point...
+  // (b) the reference rebalanced at the same point...
   Result<alloc::Allocation> sync_mapping = online_sync->Rebalance();
   ASSERT_TRUE(sync_mapping.ok()) << sync_mapping.status().ToString();
   EXPECT_TRUE(*task_mapping == *sync_mapping)
-      << "background task mapping diverged from synchronous Rebalance";
+      << "blocks absorbed after BeginRebalance() leaked into the task";
   // ...and absorbs the same tail afterwards.
   for (size_t b = half; b < blocks.size(); ++b) {
     online_sync->ApplyBlock(blocks[b]);
@@ -183,7 +184,7 @@ TEST_P(AllocatorConformance, BeginRebalanceSplitIsSupportedAndEquivalent) {
   Result<alloc::Allocation> next_sync = online_sync->Rebalance();
   ASSERT_TRUE(next_split.ok() && next_sync.ok());
   EXPECT_TRUE(*next_split == *next_sync)
-      << "state after Commit() diverged from the synchronous path";
+      << "state after Commit() diverged from the reference";
 }
 
 TEST_P(AllocatorConformance, BeginRebalanceTaskMatchesCurrentAllocation) {

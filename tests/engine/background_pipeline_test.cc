@@ -109,10 +109,6 @@ class LatchedAllocator : public allocator::OnlineAllocator {
     released_.wait(lock, [this] { return !running_; });
   }
 
-  Result<alloc::Allocation> Rebalance() override {
-    return CurrentAllocation();
-  }
-
   std::unique_ptr<allocator::RebalanceTask> BeginRebalance() override {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -242,30 +238,114 @@ TEST(BackgroundAllocatorTest, DroppedUncollectedTaskDoesNotWedgeAllocator) {
 }
 
 TEST(BackgroundAllocatorTest, AbandonedTaskMappingIsNeverFoldedIn) {
-  // Dropping a task must not apply its mapping: CurrentAllocation() stays
-  // whatever the last committed rebalance produced.
+  // Dropping a task — before or after its Run() — must not apply its
+  // mapping: while it is outstanding and after it is dropped,
+  // CurrentAllocation() is the pre-BeginRebalance() mapping, and the
+  // allocator then continues exactly like one that never launched it.
+  // TxAllo's task owns (and steps) the controller, so this pins its
+  // checkpoint restore and the replay of blocks buffered meanwhile.
   const PipelineFixture f = MakeFixture(16);
-  allocator::AllocatorOptions options;
-  options.params = alloc::AllocationParams::ForExperiment(
-      f.ledger.num_transactions(), 4, 2.0);
-  options.registry = &f.generator->registry();
-  auto made = allocator::MakeAllocator("metis", options);
-  ASSERT_TRUE(made.ok());
-  allocator::OnlineAllocator* online = (*made)->AsOnline();
-  const size_t half = f.ledger.blocks().size() / 2;
-  for (size_t b = 0; b < half; ++b) online->ApplyBlock(f.ledger.blocks()[b]);
-  auto committed = online->Rebalance();
-  ASSERT_TRUE(committed.ok());
-  for (size_t b = half; b < f.ledger.blocks().size(); ++b) {
-    online->ApplyBlock(f.ledger.blocks()[b]);
+  const auto& blocks = f.ledger.blocks();
+  const size_t third = blocks.size() / 3;
+  for (const std::string spec :
+       {"metis", "txallo-hybrid:global-every=3", "txallo-global"}) {
+    for (const bool run_before_drop : {false, true}) {
+      SCOPED_TRACE(spec + (run_before_drop ? " (dropped after Run)"
+                                           : " (dropped before Run)"));
+      allocator::AllocatorOptions options;
+      options.params = alloc::AllocationParams::ForExperiment(
+          f.ledger.num_transactions(), 4, 2.0);
+      options.registry = &f.generator->registry();
+      auto made = allocator::MakeAllocatorFromSpec(spec, options);
+      auto never = allocator::MakeAllocatorFromSpec(spec, options);
+      ASSERT_TRUE(made.ok() && never.ok());
+      allocator::OnlineAllocator* online = (*made)->AsOnline();
+      allocator::OnlineAllocator* reference = (*never)->AsOnline();
+      for (size_t b = 0; b < third; ++b) {
+        online->ApplyBlock(blocks[b]);
+        reference->ApplyBlock(blocks[b]);
+      }
+      ASSERT_TRUE(online->Rebalance().ok());
+      ASSERT_TRUE(reference->Rebalance().ok());
+      for (size_t b = third; b < 2 * third; ++b) {
+        online->ApplyBlock(blocks[b]);
+        reference->ApplyBlock(blocks[b]);
+      }
+      const alloc::Allocation before = online->CurrentAllocation();
+      {
+        std::unique_ptr<allocator::RebalanceTask> task =
+            online->BeginRebalance();
+        ASSERT_NE(task, nullptr);
+        if (run_before_drop) {
+          ASSERT_TRUE(task->Run().ok());
+        }
+        // Blocks absorbed while the task is outstanding.
+        online->ApplyBlock(blocks[2 * third]);
+        EXPECT_TRUE(online->CurrentAllocation() == before);
+        // Dropped without Commit().
+      }
+      EXPECT_TRUE(online->CurrentAllocation() == before);
+      for (size_t b = 2 * third + 1; b < blocks.size(); ++b) {
+        online->ApplyBlock(blocks[b]);
+      }
+      for (size_t b = 2 * third; b < blocks.size(); ++b) {
+        reference->ApplyBlock(blocks[b]);
+      }
+      Result<alloc::Allocation> next = online->Rebalance();
+      Result<alloc::Allocation> expected = reference->Rebalance();
+      ASSERT_TRUE(next.ok() && expected.ok());
+      EXPECT_TRUE(*next == *expected)
+          << "the abandoned task leaked into the next rebalance";
+    }
   }
-  {
+}
+
+TEST(BackgroundAllocatorTest, RebalanceWhileTaskOutstandingFails) {
+  // Rebalance() is BeginRebalance() → Run() → Commit(); with a task already
+  // outstanding there is no second task to run, so it must fail instead of
+  // stepping the allocator behind the outstanding task's back, and the
+  // refused call must not shift the hybrid global-every cadence.
+  const PipelineFixture f = MakeFixture(16);
+  const auto& blocks = f.ledger.blocks();
+  const size_t half = blocks.size() / 2;
+  for (const std::string spec :
+       {"txallo-global", "txallo-hybrid:global-every=3",
+        "broker:inner=txallo-hybrid"}) {
+    SCOPED_TRACE(spec);
+    allocator::AllocatorOptions options;
+    options.params = alloc::AllocationParams::ForExperiment(
+        f.ledger.num_transactions(), 4, 2.0);
+    options.registry = &f.generator->registry();
+    auto made = allocator::MakeAllocatorFromSpec(spec, options);
+    auto sync = allocator::MakeAllocatorFromSpec(spec, options);
+    ASSERT_TRUE(made.ok() && sync.ok());
+    allocator::OnlineAllocator* online = (*made)->AsOnline();
+    allocator::OnlineAllocator* reference = (*sync)->AsOnline();
+    for (size_t b = 0; b < half; ++b) {
+      online->ApplyBlock(blocks[b]);
+      reference->ApplyBlock(blocks[b]);
+    }
     std::unique_ptr<allocator::RebalanceTask> task = online->BeginRebalance();
     ASSERT_NE(task, nullptr);
-    ASSERT_TRUE(task->Run().ok());
-    // Dropped without Commit().
+    Result<alloc::Allocation> refused = online->Rebalance();
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    Result<alloc::Allocation> mapping = task->Run();
+    ASSERT_TRUE(mapping.ok());
+    ASSERT_TRUE(task->Commit().ok());
+    Result<alloc::Allocation> expected = reference->Rebalance();
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(*mapping == *expected);
+    for (size_t b = half; b < blocks.size(); ++b) {
+      online->ApplyBlock(blocks[b]);
+      reference->ApplyBlock(blocks[b]);
+    }
+    Result<alloc::Allocation> next = online->Rebalance();
+    Result<alloc::Allocation> next_expected = reference->Rebalance();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next_expected.ok());
+    EXPECT_TRUE(*next == *next_expected)
+        << "the refused Rebalance() shifted the schedule";
   }
-  EXPECT_TRUE(online->CurrentAllocation() == *committed);
 }
 
 TEST(BackgroundPipelineTest, BackgroundMatchesDeferredStepForStep) {
@@ -323,7 +403,7 @@ TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
 
 TEST(BackgroundPipelineTest, BackgroundRebalanceDuringParallelIngest) {
   // The full pipeline: N ingest producers ∥ shard execution ∥ background
-  // rebalances, across every strategy shape (controller clone, graph
+  // rebalances, across every strategy shape (controller handover, graph
   // double-buffer, scheduler copy, decorator). TSan covers the handoffs.
   const PipelineFixture f = MakeFixture();
   for (const std::string spec :

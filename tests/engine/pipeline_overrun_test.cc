@@ -38,10 +38,6 @@ class SlowAllocator : public allocator::OnlineAllocator {
 
   Result<alloc::Allocation> Allocate(
       const allocator::AllocationContext&) override {
-    return Rebalance();
-  }
-
-  Result<alloc::Allocation> Rebalance() override {
     return MappingFor(num_accounts_, params_.num_shards);
   }
 

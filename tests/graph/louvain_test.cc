@@ -18,7 +18,7 @@ std::vector<NodeId> IdentityOrder(size_t n) {
 
 // Two dense cliques joined by one weak edge: the canonical community
 // structure every community detector must find.
-CsrGraph TwoCliques() {
+TransactionGraph TwoCliques() {
   TransactionGraph g;
   for (NodeId u = 0; u < 5; ++u) {
     for (NodeId v = u + 1; v < 5; ++v) g.AddEdge(u, v, 1.0);
@@ -28,12 +28,12 @@ CsrGraph TwoCliques() {
   }
   g.AddEdge(4, 5, 0.1);
   g.Consolidate();
-  return CsrGraph::FromGraph(g);
+  return g;
 }
 
 TEST(LouvainTest, FindsTwoCliques) {
-  CsrGraph csr = TwoCliques();
-  LouvainResult result = RunLouvain(csr, IdentityOrder(csr.num_nodes()));
+  TransactionGraph g = TwoCliques();
+  LouvainResult result = RunLouvain(g, IdentityOrder(g.num_nodes()));
   EXPECT_EQ(result.num_communities, 2u);
   for (NodeId v = 1; v < 5; ++v) {
     EXPECT_EQ(result.community[v], result.community[0]);
@@ -46,10 +46,10 @@ TEST(LouvainTest, FindsTwoCliques) {
 }
 
 TEST(LouvainTest, DeterministicAcrossRuns) {
-  CsrGraph csr = TwoCliques();
-  auto order = IdentityOrder(csr.num_nodes());
-  LouvainResult a = RunLouvain(csr, order);
-  LouvainResult b = RunLouvain(csr, order);
+  TransactionGraph g = TwoCliques();
+  auto order = IdentityOrder(g.num_nodes());
+  LouvainResult a = RunLouvain(g, order);
+  LouvainResult b = RunLouvain(g, order);
   EXPECT_EQ(a.community, b.community);
   EXPECT_DOUBLE_EQ(a.modularity, b.modularity);
 }
@@ -57,8 +57,7 @@ TEST(LouvainTest, DeterministicAcrossRuns) {
 TEST(LouvainTest, EmptyGraph) {
   TransactionGraph g;
   g.Consolidate();
-  CsrGraph csr = CsrGraph::FromGraph(g);
-  LouvainResult result = RunLouvain(csr, {});
+  LouvainResult result = RunLouvain(g, {});
   EXPECT_EQ(result.num_communities, 0u);
 }
 
@@ -66,8 +65,7 @@ TEST(LouvainTest, SingletonNodesStaySeparate) {
   TransactionGraph g;
   g.EnsureNodeCount(4);  // No edges at all.
   g.Consolidate();
-  CsrGraph csr = CsrGraph::FromGraph(g);
-  LouvainResult result = RunLouvain(csr, IdentityOrder(4));
+  LouvainResult result = RunLouvain(g, IdentityOrder(4));
   EXPECT_EQ(result.num_communities, 4u);
 }
 
@@ -95,23 +93,22 @@ TEST(LouvainTest, ImprovesModularityOverSingletons) {
   }
   g.EnsureNodeCount(n);
   g.Consolidate();
-  CsrGraph csr = CsrGraph::FromGraph(g);
 
   std::vector<uint32_t> singletons(n);
   std::iota(singletons.begin(), singletons.end(), 0);
-  const double q_singletons = Modularity(csr, singletons);
+  const double q_singletons = Modularity(g, singletons);
 
-  LouvainResult result = RunLouvain(csr, IdentityOrder(n));
+  LouvainResult result = RunLouvain(g, IdentityOrder(n));
   EXPECT_GT(result.modularity, q_singletons);
   EXPECT_GT(result.modularity, 0.4);
   EXPECT_LE(result.num_communities, static_cast<uint32_t>(n));
 }
 
 TEST(LouvainTest, ModularityOfOneCommunityIsNearZero) {
-  CsrGraph csr = TwoCliques();
-  std::vector<uint32_t> one(csr.num_nodes(), 0);
+  TransactionGraph g = TwoCliques();
+  std::vector<uint32_t> one(g.num_nodes(), 0);
   // Q of the all-in-one partition is exactly 1*in/m - (1)^2 = 0.
-  EXPECT_NEAR(Modularity(csr, one), 0.0, 1e-12);
+  EXPECT_NEAR(Modularity(g, one), 0.0, 1e-12);
 }
 
 TEST(LouvainTest, SelfLoopsDoNotBreakDetection) {
@@ -128,21 +125,49 @@ TEST(LouvainTest, SelfLoopsDoNotBreakDetection) {
   }
   g.AddEdge(0, 4, 0.05);
   g.Consolidate();
-  CsrGraph csr = CsrGraph::FromGraph(g);
-  LouvainResult result = RunLouvain(csr, IdentityOrder(8));
+  LouvainResult result = RunLouvain(g, IdentityOrder(8));
   EXPECT_EQ(result.community[0], result.community[3]);
   EXPECT_EQ(result.community[4], result.community[7]);
   EXPECT_NE(result.community[0], result.community[4]);
 }
 
 TEST(LouvainTest, CommunityIdsAreCompact) {
-  CsrGraph csr = TwoCliques();
-  LouvainResult result = RunLouvain(csr, IdentityOrder(csr.num_nodes()));
+  TransactionGraph g = TwoCliques();
+  LouvainResult result = RunLouvain(g, IdentityOrder(g.num_nodes()));
   for (uint32_t c : result.community) {
     EXPECT_LT(c, result.num_communities);
   }
   // First-appearance ordering: node 0's community is 0.
   EXPECT_EQ(result.community[0], 0u);
+}
+
+TEST(LouvainTest, OverlaidAndRefrozenGraphsAgree) {
+  // RunLouvain reads the graph's rows directly, whether they sit in shadow
+  // rows over the frozen core or were folded into it by Refreeze().
+  TransactionGraph g;
+  Rng rng(7);
+  auto add_random_edges = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      NodeId u = static_cast<NodeId>(rng.NextBounded(60));
+      NodeId v = static_cast<NodeId>(rng.NextBounded(60));
+      g.AddEdge(u, v, 0.25 + 0.05 * static_cast<double>(i % 4));
+    }
+  };
+  add_random_edges(600);
+  g.Consolidate();
+  add_random_edges(12);
+  g.AddSelfLoop(3, 1.5);
+  g.Consolidate();
+  ASSERT_GT(g.overlay_rows(), 0u);
+  TransactionGraph refrozen = g;
+  refrozen.Refreeze();
+  ASSERT_EQ(refrozen.overlay_rows(), 0u);
+  const auto order = IdentityOrder(g.num_nodes());
+  const LouvainResult overlaid = RunLouvain(g, order);
+  const LouvainResult folded = RunLouvain(refrozen, order);
+  EXPECT_EQ(overlaid.community, folded.community);
+  EXPECT_EQ(overlaid.modularity, folded.modularity);
+  EXPECT_EQ(overlaid.levels, folded.levels);
 }
 
 TEST(LouvainTest, ResolutionParameterChangesGranularity) {
@@ -161,13 +186,12 @@ TEST(LouvainTest, ResolutionParameterChangesGranularity) {
     }
   }
   g.Consolidate();
-  CsrGraph csr = CsrGraph::FromGraph(g);
   LouvainOptions low, high;
   low.resolution = 0.2;
   high.resolution = 3.0;
-  auto order = IdentityOrder(csr.num_nodes());
-  LouvainResult coarse = RunLouvain(csr, order, low);
-  LouvainResult fine = RunLouvain(csr, order, high);
+  auto order = IdentityOrder(g.num_nodes());
+  LouvainResult coarse = RunLouvain(g, order, low);
+  LouvainResult fine = RunLouvain(g, order, high);
   EXPECT_LE(coarse.num_communities, fine.num_communities);
 }
 

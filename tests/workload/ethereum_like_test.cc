@@ -78,8 +78,7 @@ TEST(EthereumLikeTest, LongTailActivity) {
   EthereumLikeGenerator gen(TestConfig());
   chain::Ledger ledger = gen.GenerateLedger(100);
   graph::TransactionGraph g = graph::BuildTransactionGraph(ledger);
-  graph::GraphStats stats =
-      graph::ComputeGraphStats(graph::CsrGraph::FromGraph(g));
+  graph::GraphStats stats = graph::ComputeGraphStats(g);
   // Strong skew: most accounts barely transact, a few dominate.
   EXPECT_GT(stats.strength_gini, 0.5);
   EXPECT_GT(stats.low_degree_fraction, 0.3);
@@ -94,12 +93,11 @@ TEST(EthereumLikeTest, CommunityStructureIsDetectable) {
   EthereumLikeGenerator gen(config);
   chain::Ledger ledger = gen.GenerateLedger(100);
   graph::TransactionGraph g = graph::BuildTransactionGraph(ledger);
-  auto csr = graph::CsrGraph::FromGraph(g);
-  std::vector<graph::NodeId> order(csr.num_nodes());
+  std::vector<graph::NodeId> order(g.num_nodes());
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<graph::NodeId>(i);
   }
-  auto louvain = graph::RunLouvain(csr, order);
+  auto louvain = graph::RunLouvain(g, order);
   EXPECT_GT(louvain.modularity, 0.5);
 }
 
