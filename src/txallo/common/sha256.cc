@@ -104,18 +104,21 @@ void Sha256::Update(const void* data, size_t len) {
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bits = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  // bit_count_ was bumped by the pad; the length field uses the saved value.
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  // Padding: 0x80, zeros up to byte 56 of the last block, then the
+  // big-endian bit length. A buffer past byte 55 has no room for the
+  // length and spills into a second block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  Update(len_be, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
+  }
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
 
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -654,7 +654,11 @@ Status PipelineRun::Epilogue() {
     observed_.meta.ledger_blocks = ledger_.num_blocks();
     observed_.meta.ledger_transactions = ledger_.num_transactions();
     observed_.meta.ledger_fingerprint = ledger_fingerprint_;
-    observed_.meta.workload_spec = config_.workload_spec;
+    // A replay may omit the spec (it is only checked when given), so the
+    // observed run names the workload the trace recorded.
+    observed_.meta.workload_spec = replay_ != nullptr
+                                       ? replay_->meta.workload_spec
+                                       : config_.workload_spec;
     observed_.meta.ingest_mode = static_cast<uint8_t>(ingest_mode_);
     if (ingest_mode_ == IngestMode::kOpenLoop) {
       // Same normalization rule: closed-loop traces keep the open-loop

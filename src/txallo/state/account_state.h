@@ -13,8 +13,8 @@
 //                            ingest sequence tag (state/transfer_plan.h).
 //   * ShardStateDb         — one shard's records with commit-thunk staging
 //                            (state/shard_state_db.h).
-//   * MerkleTrie           — incremental per-shard fingerprint
-//                            (state/merkle.h).
+//   * MerkleTrie           — per-shard fingerprint, brought up to date
+//                            when a root is read (state/merkle.h).
 //   * StateDb              — the k-shard composite the engine drives
 //                            (state/state_db.h).
 #pragma once

@@ -9,9 +9,10 @@
 // count and hash-table seeds cannot perturb it.
 //
 // Updates mark only the root-to-leaf path dirty; Root() rehashes dirty
-// nodes lazily. A tick that touches m of n accounts therefore costs
-// O(m · depth) hashes, not O(n) — that is what makes a hash-per-tick
-// fingerprint affordable.
+// nodes lazily. A root read after m of n keys changed therefore costs
+// O(m · depth) hashes, not O(n). The shard DB goes one step further and
+// defers the Update/Remove calls themselves (and the leaf digests) to the
+// root read, so commits between two reads cost no hashing at all.
 #pragma once
 
 #include <array>

@@ -40,14 +40,13 @@ ShardStateDb::Records& ShardStateDb::MutableRecords() {
   return *records_;
 }
 
-void ShardStateDb::UpdateLeaf(chain::AccountId account,
-                              const AccountState& record) {
-  trie_.Update(account, LeafDigest(account, record));
+void ShardStateDb::MarkDirty(chain::AccountId account) {
+  dirty_.emplace(account, true);
 }
 
 void ShardStateDb::Put(chain::AccountId account, AccountState record) {
   MutableRecords()[account] = record;
-  UpdateLeaf(account, record);
+  MarkDirty(account);
 }
 
 std::optional<AccountState> ShardStateDb::Extract(chain::AccountId account) {
@@ -60,7 +59,7 @@ std::optional<AccountState> ShardStateDb::Extract(chain::AccountId account) {
   if (it == records.end()) return std::nullopt;
   const AccountState record = it->second;
   records.erase(it);
-  trie_.Remove(account);
+  MarkDirty(account);
   return record;
 }
 
@@ -116,7 +115,7 @@ size_t ShardStateDb::CommitStaged(uint64_t seq) {
       reserved->second -= op.debit;
       if (reserved->second == 0) reserved_.erase(reserved);
     }
-    UpdateLeaf(op.account, record);
+    MarkDirty(op.account);
     Unpin(op.account);
   }
   return ops.size();
@@ -136,6 +135,19 @@ size_t ShardStateDb::AbortStaged(uint64_t seq) {
     Unpin(op.account);
   }
   return ops.size();
+}
+
+const Sha256Digest& ShardStateDb::RootHash() {
+  for (const auto& [account, unused] : dirty_) {
+    const AccountState* record = Find(account);
+    if (record != nullptr) {
+      trie_.Update(account, LeafDigest(account, *record));
+    } else {
+      trie_.Remove(account);
+    }
+  }
+  dirty_.clear();
+  return trie_.Root();
 }
 
 const AccountState* ShardStateDb::View::Find(chain::AccountId account) const {

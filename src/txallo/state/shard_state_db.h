@@ -14,10 +14,13 @@
 // while the owning shard keeps executing. Reservations and staged thunks
 // live outside the shared map — a view always sees committed state only.
 //
-// Fingerprint: every committed-state mutation updates an incremental
-// MerkleTrie leaf (SHA256 over account id, balance, sequence), so
-// RootHash() is O(touched · depth) per tick and a pure function of the
-// committed records.
+// Fingerprint: a MerkleTrie whose leaves are SHA256 over (account id,
+// balance, sequence). Mutations hash nothing; they only add the account to
+// a deduplicated dirty set. RootHash() re-hashes the leaves of the dirty
+// accounts (removing the ones no longer held), clears the set and returns
+// the trie root, so its cost is O(accounts changed since the last root ·
+// depth), however many commits touched them. The root is a pure function
+// of the committed records: when it is read does not change it.
 //
 // Thread-safety: none. The engine drives every ShardStateDb from the
 // driver thread between tick barriers (see engine.cc); tests may use it
@@ -112,8 +115,9 @@ class ShardStateDb {
   };
   View Snapshot() const { return View(records_); }
 
-  /// Merkle root over the committed records (all-zero when empty).
-  const Sha256Digest& RootHash() { return trie_.Root(); }
+  /// Merkle root over the committed records (all-zero when empty). Hashes
+  /// the accounts changed since the previous call.
+  const Sha256Digest& RootHash();
 
   /// Committed records sorted by account id (tests, serial references).
   std::vector<std::pair<chain::AccountId, AccountState>> SortedRecords()
@@ -124,7 +128,8 @@ class ShardStateDb {
  private:
   // Clones the shared map iff a live View still references it.
   Records& MutableRecords();
-  void UpdateLeaf(chain::AccountId account, const AccountState& record);
+  // Queues `account`'s leaf for the next RootHash().
+  void MarkDirty(chain::AccountId account);
   // Drops one staged-op pin (precondition: the account is pinned).
   void Unpin(chain::AccountId account);
 
@@ -137,7 +142,11 @@ class ShardStateDb {
   // How many staged ops target each account (reservations only cover
   // debits; this pins credit-only participants against Extract too).
   common::FlatMap<chain::AccountId, uint32_t> pinned_;
+  // Leaves as of the last RootHash(), and the accounts whose committed
+  // record was written or removed since (a set: at most one entry per
+  // account the shard has held).
   MerkleTrie trie_;
+  common::FlatMap<chain::AccountId, bool> dirty_;
 };
 
 }  // namespace txallo::state

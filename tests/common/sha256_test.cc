@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace txallo {
 namespace {
@@ -28,6 +29,27 @@ TEST(Sha256Test, MillionAs) {
   std::string a_million(1'000'000, 'a');
   EXPECT_EQ(DigestToHex(Sha256::Hash(a_million)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Known answers around the padding boundaries: a 55-byte message is the
+// longest whose 0x80 and length fit in its own block; 56..63 spill the
+// length into a second block; 64 and 119/120 repeat that one block later.
+// Expected values from Python's hashlib.sha256(b"a" * n).
+TEST(Sha256Test, PaddingBoundaries) {
+  const std::pair<size_t, const char*> kCases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, hex] : kCases) {
+    EXPECT_EQ(DigestToHex(Sha256::Hash(std::string(n, 'a'))), hex)
+        << n << " bytes";
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {

@@ -39,7 +39,8 @@ engine::EngineConfig SmallEngineConfig() {
   return config;
 }
 
-engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger) {
+engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger,
+                                 const std::string& workload_spec = "") {
   allocator::AllocatorOptions options;
   options.params = alloc::AllocationParams::ForExperiment(
       ledger.num_transactions(), 4, 2.0);
@@ -49,6 +50,7 @@ engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger) {
   engine::ReplayLog log;
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 4;
+  pipeline.workload_spec = workload_spec;
   pipeline.record = &log;
   auto result = engine::RunReallocatedStream(ledger, (*made)->AsOnline(),
                                              &engine, pipeline);
@@ -221,6 +223,34 @@ TEST(ReplayLogTest, ReplayGuardsRejectWrongConfigWorkloadAndStaleEngine) {
                                                  &engine, pipeline);
     EXPECT_EQ(recorded.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(ReplayLogTest, WorkloadSpecIsCheckedOnlyWhenGiven) {
+  // The spec is descriptive: a replay that does not name one verifies
+  // against the recorded spec, one that names the recorded spec passes,
+  // and one that names another workload is refused up front.
+  const chain::Ledger ledger = MakeLedger();
+  const std::string spec = "ethereum-like:accounts=400,seed=5";
+  const engine::ReplayLog log = RecordSmallRun(ledger, spec);
+  ASSERT_EQ(log.meta.workload_spec, spec);
+  for (const std::string& replay_spec : {std::string(), spec}) {
+    engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+    engine::ReplayLog rerecorded;
+    engine::PipelineConfig pipeline;
+    pipeline.workload_spec = replay_spec;
+    pipeline.record = &rerecorded;
+    auto replayed =
+        engine::ReplayRecordedStream(ledger, log, &engine, pipeline);
+    EXPECT_TRUE(replayed.ok())
+        << "replay spec '" << replay_spec
+        << "': " << replayed.status().ToString();
+    EXPECT_EQ(rerecorded.meta.workload_spec, spec);
+  }
+  engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+  engine::PipelineConfig pipeline;
+  pipeline.workload_spec = "ethereum-like:accounts=400,seed=6";
+  auto replayed = engine::ReplayRecordedStream(ledger, log, &engine, pipeline);
+  EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
 }
 
 engine::EngineConfig StateEngineConfig() {
