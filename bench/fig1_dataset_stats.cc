@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   graph::LouvainResult louvain =
       graph::RunLouvain(g, fixture.node_order());
   std::printf("  Louvain communities        : %u\n", louvain.num_communities);
-  std::printf("  modularity Q               : %.3f\n", louvain.modularity);
+  std::printf("  modularity Q               : %.3f\n",
+              graph::Modularity(g, louvain.community));
   std::printf("  aggregation levels         : %d\n", louvain.levels);
   return 0;
 }

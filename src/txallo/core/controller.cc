@@ -1,6 +1,7 @@
 #include "txallo/core/controller.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "txallo/common/math.h"
@@ -102,29 +103,33 @@ void TxAlloController::RefreshCapacity() {
   }
 }
 
+namespace {
+
+// `nodes` sorted by (OrderKey, id), the deterministic node order. Sorts
+// (key, id) pairs looked up once, not two registry lookups per comparison;
+// the order is the same strict total order either way.
+std::vector<NodeId> InHashOrder(const chain::AccountRegistry& registry,
+                                const std::vector<NodeId>& nodes) {
+  std::vector<std::pair<uint64_t, NodeId>> keyed;
+  keyed.reserve(nodes.size());
+  for (NodeId v : nodes) keyed.emplace_back(registry.OrderKey(v), v);
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<NodeId> order;
+  order.reserve(keyed.size());
+  for (const auto& entry : keyed) order.push_back(entry.second);
+  return order;
+}
+
+}  // namespace
+
 std::vector<NodeId> TxAlloController::PendingTouchedNodes() const {
-  std::vector<NodeId> nodes = touched_;
-  std::sort(nodes.begin(), nodes.end(), [this](NodeId a, NodeId b) {
-    const uint64_t ka = registry_->OrderKey(a);
-    const uint64_t kb = registry_->OrderKey(b);
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-  return nodes;
+  return InHashOrder(*registry_, touched_);
 }
 
 std::vector<NodeId> TxAlloController::FullNodeOrder() const {
-  std::vector<NodeId> order(graph_.num_nodes());
-  for (size_t v = 0; v < order.size(); ++v) {
-    order[v] = static_cast<NodeId>(v);
-  }
-  std::sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-    const uint64_t ka = registry_->OrderKey(a);
-    const uint64_t kb = registry_->OrderKey(b);
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-  return order;
+  std::vector<NodeId> nodes(graph_.num_nodes());
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  return InHashOrder(*registry_, nodes);
 }
 
 Result<AdaptiveRunInfo> TxAlloController::StepAdaptive() {

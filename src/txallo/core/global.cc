@@ -32,37 +32,11 @@ std::vector<double> ClampedThroughputs(const CommunityState& state) {
   return before;
 }
 
-// The rows of a sweep's nodes, copied once into one array in visit order,
-// with each node's (ℓ, s). Entries keep Neighbors(v)'s order, so every
-// accumulation over a packed row adds the same weights in the same order
-// as over the graph's own row; the sweeps then read memory sequentially
-// instead of jumping to CSR offsets or probing the shadow-row map.
-class PackedRows {
- public:
-  PackedRows(const TransactionGraph& graph, const std::vector<NodeId>& nodes) {
-    offsets_.reserve(nodes.size() + 1);
-    offsets_.push_back(0);
-    profiles_.reserve(nodes.size());
-    for (NodeId v : nodes) {
-      offsets_.push_back(offsets_.back() + graph.Neighbors(v).size());
-      profiles_.push_back({graph.SelfLoop(v), graph.Strength(v)});
-    }
-    entries_.reserve(offsets_.back());
-    for (NodeId v : nodes) {
-      const std::span<const graph::Neighbor> row = graph.Neighbors(v);
-      entries_.insert(entries_.end(), row.begin(), row.end());
-    }
-  }
-
-  std::span<const graph::Neighbor> Row(size_t i) const {
-    return {entries_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-  }
-  const NodeProfile& Profile(size_t i) const { return profiles_[i]; }
-
- private:
-  std::vector<size_t> offsets_;
-  std::vector<graph::Neighbor> entries_;
-  std::vector<NodeProfile> profiles_;
+// One entry of a node's saved accumulation: a community of its touched
+// list and w{v, community}.
+struct CachedWeight {
+  ShardId community;
+  double weight;
 };
 
 // Scratch accumulator of w{v, community}, reset via a touched list so a
@@ -88,6 +62,23 @@ class WeightToCommunity {
       if (weight_[c] == 0.0) touched_.push_back(c);
       weight_[c] += nb.weight;
     }
+  }
+
+  /// Restores an accumulation saved from this scratch: the same touched
+  /// list, in the same order, with the same weights.
+  void Load(std::span<const CachedWeight> saved) {
+    for (const CachedWeight& entry : saved) {
+      touched_.push_back(entry.community);
+      weight_[entry.community] = entry.weight;
+    }
+  }
+
+  /// True when no community but `c` has weight from the node.
+  bool OnlyTouches(ShardId c) const {
+    for (ShardId q : touched_) {
+      if (q != c) return false;
+    }
+    return true;
   }
 
   /// Fills gains_[q] = join gain of the accumulated node into q. When the
@@ -125,6 +116,72 @@ class WeightToCommunity {
   std::vector<double> weight_;
   std::vector<double> gains_;
   std::vector<ShardId> touched_;
+};
+
+// The rows of a sweep's nodes, copied once into one array in visit order,
+// with each node's (ℓ, s). Entries keep Neighbors(v)'s order, so every
+// accumulation over a packed row adds the same weights in the same order
+// as over the graph's own row; the sweeps then read memory sequentially
+// instead of jumping to CSR offsets or probing the shadow-row map.
+//
+// Beside each row sits room for the node's saved accumulation: min(degree,
+// `cache_width`) slots. A touched list has at most one entry per neighbour
+// and, unless a partial sum hits exactly 0, one per community; a list
+// that does not fit is not saved. A `cache_width` of 0 saves nothing.
+class PackedRows {
+ public:
+  PackedRows(const TransactionGraph& graph, const std::vector<NodeId>& nodes,
+             uint32_t cache_width) {
+    offsets_.reserve(nodes.size() + 1);
+    offsets_.push_back(0);
+    cache_offsets_.reserve(nodes.size() + 1);
+    cache_offsets_.push_back(0);
+    profiles_.reserve(nodes.size());
+    for (NodeId v : nodes) {
+      const size_t degree = graph.Neighbors(v).size();
+      offsets_.push_back(offsets_.back() + degree);
+      cache_offsets_.push_back(cache_offsets_.back() +
+                               std::min<size_t>(degree, cache_width));
+      profiles_.push_back({graph.SelfLoop(v), graph.Strength(v)});
+    }
+    entries_.reserve(offsets_.back());
+    for (NodeId v : nodes) {
+      const std::span<const graph::Neighbor> row = graph.Neighbors(v);
+      entries_.insert(entries_.end(), row.begin(), row.end());
+    }
+    cache_.resize(cache_offsets_.back());
+    cache_size_.resize(nodes.size(), 0);
+  }
+
+  std::span<const graph::Neighbor> Row(size_t i) const {
+    return {entries_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  const NodeProfile& Profile(size_t i) const { return profiles_[i]; }
+
+  /// Node i's last saved accumulation.
+  std::span<const CachedWeight> Cached(size_t i) const {
+    return {cache_.data() + cache_offsets_[i], cache_size_[i]};
+  }
+  /// Saves `scratch`'s touched list and weights as node i's accumulation;
+  /// returns false, saving nothing, when they do not fit.
+  bool Save(size_t i, const WeightToCommunity& scratch) {
+    const std::vector<ShardId>& touched = scratch.touched();
+    if (touched.size() > cache_offsets_[i + 1] - cache_offsets_[i]) {
+      return false;
+    }
+    CachedWeight* out = cache_.data() + cache_offsets_[i];
+    for (ShardId c : touched) *out++ = {c, scratch.WeightTo(c)};
+    cache_size_[i] = static_cast<uint32_t>(touched.size());
+    return true;
+  }
+
+ private:
+  std::vector<size_t> offsets_;
+  std::vector<graph::Neighbor> entries_;
+  std::vector<NodeProfile> profiles_;
+  std::vector<size_t> cache_offsets_;
+  std::vector<CachedWeight> cache_;
+  std::vector<uint32_t> cache_size_;
 };
 
 // Phase 1a: Louvain + keep the k communities with the largest workload σ.
@@ -172,6 +229,14 @@ uint32_t LouvainInitialize(const TransactionGraph& graph,
   }
   return l;
 }
+
+// What a phase-2 visit to a node has to do. Kept per node id for one
+// OptimizeSweeps call; a move resets every neighbour to kAccumulate.
+enum class Visit : uint8_t {
+  kAccumulate,  // Sum w{v, ·} over the packed row.
+  kCached,      // No neighbour moved since the last sum: reload it.
+  kSettled,     // Every assigned neighbour is in v's shard: v cannot move.
+};
 
 }  // namespace
 
@@ -225,7 +290,17 @@ int OptimizeSweeps(const TransactionGraph& graph,
                    CommunityState* state) {
   WeightToCommunity scratch(params.num_shards);
   std::vector<double> before = ClampedThroughputs(*state);
-  const PackedRows rows(graph, sweep_nodes);
+  // Saved sums sit beside the rows, one per sweep position, so a node
+  // listed twice would reload another position's sum: then none is saved.
+  // The visit bytes double as the marks that find a repeat.
+  std::vector<Visit> visit(graph.num_nodes(), Visit::kAccumulate);
+  bool repeats = false;
+  for (NodeId v : sweep_nodes) {
+    repeats = repeats || visit[v] != Visit::kAccumulate;
+    visit[v] = Visit::kSettled;
+  }
+  for (NodeId v : sweep_nodes) visit[v] = Visit::kAccumulate;
+  PackedRows rows(graph, sweep_nodes, repeats ? 0 : params.num_shards);
   int sweeps = 0;
   for (; sweeps < options.max_sweeps; ++sweeps) {
     double sweep_gain = 0.0;
@@ -233,8 +308,15 @@ int OptimizeSweeps(const TransactionGraph& graph,
       const NodeId v = sweep_nodes[i];
       const ShardId p = allocation->shard_of(v);
       if (p == kUnassignedShard) continue;  // Defensive; phase 1 assigns all.
+      if (visit[v] == Visit::kSettled) continue;
       const NodeProfile& node = rows.Profile(i);
-      scratch.Accumulate(rows.Row(i), *allocation);
+      bool cached = visit[v] == Visit::kCached;
+      if (cached) {
+        scratch.Load(rows.Cached(i));
+      } else {
+        scratch.Accumulate(rows.Row(i), *allocation);
+        cached = rows.Save(i, scratch);
+      }
 
       const double w_to_p = scratch.WeightTo(p);
       const CommunityDelta leave =
@@ -267,13 +349,27 @@ int OptimizeSweeps(const TransactionGraph& graph,
           }
         }
       }
-      if (best != p && best_gain > 0.0) {
+      const bool moves = best != p && best_gain > 0.0;
+      if (moves) {
         ApplyLeave(state, p, node, w_to_p);
         ApplyJoin(state, best, node, scratch.WeightTo(best));
         before[p] = state->ThroughputOf(p);
         before[best] = state->ThroughputOf(best);
         allocation->Assign(v, best);
         sweep_gain += best_gain;
+      }
+      // Under search_all_communities every community is a candidate, so
+      // no node is ever settled.
+      if (!options.search_all_communities &&
+          scratch.OnlyTouches(allocation->shard_of(v))) {
+        visit[v] = Visit::kSettled;
+      } else {
+        visit[v] = cached ? Visit::kCached : Visit::kAccumulate;
+      }
+      if (moves) {
+        for (const graph::Neighbor& nb : rows.Row(i)) {
+          visit[nb.node] = Visit::kAccumulate;
+        }
       }
       scratch.Reset();
     }

@@ -10,7 +10,10 @@
 // each to the candidate community C_v (Eq. 9) with the largest positive
 // Δ(i,p,q)Λ (Eq. 8); repeat sweeps while the accumulated gain ≥ ε.
 //
-// Complexity: O(N log N) initialization + O(N·k) per optimization sweep.
+// Complexity: O(N log N) initialization + O(N·k) per optimization sweep at
+// worst. After the first sweep, a visit re-reads a node's row only when a
+// neighbour moved since its last visit, and a node whose assigned
+// neighbours all sit in its own shard is skipped outright.
 // Every step is deterministic given the node order (paper §V-B).
 #pragma once
 
@@ -89,6 +92,17 @@ void AssignUnassignedNodes(const graph::TransactionGraph& graph,
 /// refreshes only p and q after a move. Both live for this call only, and
 /// the moves, σ/Λ̂ and sweep count are bit-identical to evaluating the
 /// graph and the clamp afresh (tests/core/sweep_equivalence_test.cc).
+///
+/// Each node id also carries one visit state for the call. A node is
+/// *settled* when every assigned neighbour is in its own shard p: C_v holds
+/// p alone, so it cannot move whatever σ/Λ̂ are, and its visits are skipped
+/// (except under `search_all_communities`, where any shard is a candidate).
+/// Otherwise its touched list and each w{v, X} are saved in min(degree, k)
+/// slots beside its row, and a visit *reloads* them in the same order
+/// instead of re-reading the row. A move resets every neighbour of the
+/// moved node to re-accumulate. The results stay bit-identical: a skipped
+/// visit could not move, and a reloaded list is the list the row would
+/// give. When `sweep_nodes` lists a node twice, nothing is saved.
 int OptimizeSweeps(const graph::TransactionGraph& graph,
                    const std::vector<graph::NodeId>& sweep_nodes,
                    const alloc::AllocationParams& params,

@@ -64,6 +64,10 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
   std::vector<double> weight_to(n, 0.0);
   std::vector<uint32_t> touched;
   touched.reserve(256);
+  // settled[v]: at v's last visit every neighbour was in v's community,
+  // and none has moved since, so v has no candidate but staying put. A
+  // move clears the flag of every neighbour of the node that moved.
+  std::vector<uint8_t> settled(n, 0);
 
   const double inv_m2 = g.m2 > 0.0 ? 1.0 / g.m2 : 0.0;
   double total_gain = 0.0;
@@ -71,6 +75,13 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
     double sweep_gain = 0.0;
     for (uint32_t v : order) {
       const uint32_t from = (*community)[v];
+      if (settled[v] != 0) {
+        // The detach and re-attach of a visit that stays put: subtracting
+        // then adding k_v need not give back the same bits, so it runs.
+        comm_total[from] -= g.degree[v];
+        comm_total[from] += g.degree[v];
+        continue;
+      }
       // Accumulate edge weight from v to each adjacent community.
       touched.clear();
       for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
@@ -106,7 +117,15 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
         if (gain > 0.0) sweep_gain += gain;
         (*community)[v] = best;
       }
-      comm_total[(*community)[v]] += g.degree[v];
+      const uint32_t to = (*community)[v];
+      comm_total[to] += g.degree[v];
+      settled[v] = std::all_of(touched.begin(), touched.end(),
+                               [to](uint32_t c) { return c == to; });
+      if (to != from) {
+        for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+          settled[g.neighbors[e]] = 0;
+        }
+      }
       for (uint32_t c : touched) weight_to[c] = 0.0;
     }
     total_gain += sweep_gain;
@@ -128,6 +147,9 @@ uint32_t CompactCommunities(std::vector<uint32_t>* community) {
 }
 
 // Builds the aggregated graph whose nodes are the (compacted) communities.
+// Each community's inter-community entries go into one buffer in v-then-row
+// order, then each row is sorted by neighbour and its duplicates merged in
+// place, so every sort sees the same sequence a row of its own would.
 LevelGraph Aggregate(const LevelGraph& g,
                      const std::vector<uint32_t>& community,
                      uint32_t num_communities) {
@@ -136,10 +158,18 @@ LevelGraph Aggregate(const LevelGraph& g,
   out.self_loop.assign(nc, 0.0);
   out.degree.assign(nc, 0.0);
 
-  // Accumulate inter-community weights with a scratch row per community.
-  std::vector<std::vector<Neighbor>> rows(nc);
-  for (uint32_t c = 0; c < nc; ++c) rows[c].reserve(4);
+  // start[c]: where community c's unmerged entries begin.
+  std::vector<size_t> start(nc + 1, 0);
+  for (size_t v = 0; v < g.num_nodes(); ++v) {
+    const uint32_t cv = community[v];
+    for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      if (community[g.neighbors[e]] != cv) ++start[cv + 1];
+    }
+  }
+  for (size_t c = 0; c < nc; ++c) start[c + 1] += start[c];
 
+  std::vector<Neighbor> entries(start[nc]);
+  std::vector<size_t> fill(start.begin(), start.end() - 1);
   for (size_t v = 0; v < g.num_nodes(); ++v) {
     const uint32_t cv = community[v];
     out.self_loop[cv] += g.self_loop[v];
@@ -149,40 +179,39 @@ LevelGraph Aggregate(const LevelGraph& g,
         // Each intra-community pair is visited from both endpoints; halve.
         out.self_loop[cv] += 0.5 * g.weights[e];
       } else {
-        rows[cv].push_back({cu, g.weights[e]});
+        entries[fill[cv]++] = {cu, g.weights[e]};
       }
     }
   }
 
+  // Consolidate each row (sort by neighbour, merge duplicates), moving it
+  // down to its final offset; a merged row never outruns its unmerged one.
   out.offsets.resize(nc + 1, 0);
-  // Consolidate each row (sort by neighbor, merge duplicates).
   for (uint32_t c = 0; c < nc; ++c) {
-    std::vector<Neighbor>& row = rows[c];
-    std::sort(row.begin(), row.end(),
+    std::sort(entries.begin() + static_cast<std::ptrdiff_t>(start[c]),
+              entries.begin() + static_cast<std::ptrdiff_t>(start[c + 1]),
               [](const Neighbor& a, const Neighbor& b) {
                 return a.node < b.node;
               });
-    size_t w = 0;
-    for (size_t r = 0; r < row.size(); ++r) {
-      if (w > 0 && row[w - 1].node == row[r].node) {
-        row[w - 1].weight += row[r].weight;
+    const size_t first = out.offsets[c];
+    size_t w = first;
+    for (size_t r = start[c]; r < start[c + 1]; ++r) {
+      if (w > first && entries[w - 1].node == entries[r].node) {
+        entries[w - 1].weight += entries[r].weight;
       } else {
-        row[w++] = row[r];
+        entries[w++] = entries[r];
       }
     }
-    row.resize(w);
-    out.offsets[c + 1] = out.offsets[c] + w;
+    out.offsets[c + 1] = w;
   }
   out.neighbors.resize(out.offsets[nc]);
   out.weights.resize(out.offsets[nc]);
   for (uint32_t c = 0; c < nc; ++c) {
-    size_t pos = out.offsets[c];
     double strength = 0.0;
-    for (const Neighbor& nb : rows[c]) {
-      out.neighbors[pos] = nb.node;
-      out.weights[pos] = nb.weight;
-      strength += nb.weight;
-      ++pos;
+    for (size_t pos = out.offsets[c]; pos < out.offsets[c + 1]; ++pos) {
+      out.neighbors[pos] = entries[pos].node;
+      out.weights[pos] = entries[pos].weight;
+      strength += entries[pos].weight;
     }
     out.degree[c] = strength + 2.0 * out.self_loop[c];
     out.m2 += out.degree[c];
@@ -224,7 +253,6 @@ LouvainResult RunLouvain(const TransactionGraph& graph,
   }
 
   result.num_communities = CompactCommunities(&result.community);
-  result.modularity = Modularity(graph, result.community, options.resolution);
   return result;
 }
 

@@ -31,8 +31,6 @@ struct LouvainResult {
   /// are compacted and ordered by first appearance in node-id order.
   std::vector<uint32_t> community;
   uint32_t num_communities = 0;
-  /// Final modularity Q of the returned partition.
-  double modularity = 0.0;
   int levels = 0;
 };
 
@@ -40,6 +38,15 @@ struct LouvainResult {
 /// [0, num_nodes)). The same graph and order always yield the same result.
 /// Precondition: graph.consolidated(). A refrozen graph (every row in the
 /// CSR core) reads fastest.
+///
+/// Local moving skips the row of a *settled* node: one whose neighbours
+/// were all in its community at its last visit, none of which has moved
+/// since, so staying put is its only choice. The visit still detaches and
+/// re-attaches k_v to its community's total, because that FP round trip
+/// can change the total's last bit; the result is bit-identical to
+/// visiting every node in full (tests/graph/louvain_equivalence_test.cc).
+/// Each aggregation level is built in one CSR buffer. The partition's
+/// modularity is not computed here; call Modularity() for it.
 LouvainResult RunLouvain(const TransactionGraph& graph,
                          const std::vector<NodeId>& node_order,
                          const LouvainOptions& options = {});

@@ -1,11 +1,17 @@
 // The phase-2 sweep and the phase-1b assignment read packed row copies and
-// a per-call clamp cache instead of the graph and a fresh clamp per gain.
-// Both are pure speed changes: on seeded random graphs, the allocation
-// bytes, the σ/Λ̂ bits and the sweep counts must equal those of the
-// straightforward loops kept verbatim below as the reference. Cases cover
-// a refrozen graph swept in full (the G-TxAllo path), live shadow rows
-// swept over a V̂ subset (the A-TxAllo path), the all-communities
-// ablation, k in {1, 3, 16, 17}, and isolated and unassigned nodes.
+// a per-call clamp cache instead of the graph and a fresh clamp per gain,
+// and the sweep skips settled nodes (every assigned neighbour already in
+// the node's shard) and reloads the saved w{v, ·} of nodes none of whose
+// neighbours moved. All are pure speed changes: on seeded random graphs,
+// the allocation bytes, the σ/Λ̂ bits and the sweep counts must equal
+// those of the straightforward loops kept verbatim below as the reference.
+// Cases cover a refrozen graph swept in full (the G-TxAllo path), live
+// shadow rows swept over a V̂ subset (the A-TxAllo path), the
+// all-communities ablation, k in {1, 3, 16, 17}, isolated and unassigned
+// nodes, long runs of moves beside settled nodes, hubs whose touched list
+// fills its saved slots, V̂ subsets whose neighbours lie outside V̂,
+// near-tied gains whose winner depends on the touched-list order, and
+// nodes listed twice.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -386,6 +392,129 @@ TEST(SweepEquivalenceTest, SweepCapStopsBothAlike) {
     EXPECT_EQ(CheckBothPaths(g, order, Params(g, 16, 1.0), options, start,
                              /*assign=*/true),
               max_sweeps);
+  }
+}
+
+// Hubs: ids 0..3 trade with `fanout` random nodes each, so their rows are
+// far longer than k and their touched lists reach all k communities.
+void AddHubs(Rng* rng, int fanout, TransactionGraph* g) {
+  for (NodeId hub = 0; hub < 4; ++hub) {
+    for (int e = 0; e < fanout; ++e) {
+      const auto v =
+          static_cast<NodeId>(4 + rng->NextBounded(kNodes - kIsolated - 4));
+      g->AddEdge(hub, v, 1.0 / 3.0);
+    }
+  }
+}
+
+// Loners: half the isolated ids get a heavy self-loop and no edge. With
+// no assigned neighbour a loner is settled under Eq. 9, yet the
+// all-communities ablation moves it off a shard that capacity pressure
+// builds up around it.
+void AddLoners(TransactionGraph* g) {
+  for (NodeId v = kNodes - kIsolated; v < kNodes; v += 2) {
+    g->AddSelfLoop(v, 4.0);
+  }
+}
+
+TEST(SweepEquivalenceTest, LongRunsOfMovesBesideSettledNodes) {
+  // A near-zero ε keeps sweeping while any move pays, and capacity
+  // pressure keeps nodes moving for many sweeps after most of their
+  // neighbours have settled: every move must wake the neighbours it
+  // changed, settled or cached.
+  int total_sweeps = 0;
+  for (const uint32_t k : {1u, 16u, 17u}) {
+    for (const double capacity_factor : {0.9, 1.3}) {
+      for (const bool search_all : {false, true}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " capacity_factor=" +
+                     std::to_string(capacity_factor) +
+                     " search_all=" + std::to_string(search_all));
+        Rng rng(5000 + k);
+        TransactionGraph g = RandomGraph(&rng, 4000);
+        AddHubs(&rng, 200, &g);
+        AddLoners(&g);
+        g.Consolidate();
+        g.Refreeze();
+        const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+        AllocationParams params = Params(g, k, capacity_factor);
+        params.epsilon = 1e-300;
+        GlobalOptions options;
+        options.search_all_communities = search_all;
+        total_sweeps += CheckBothPaths(g, order, params, options,
+                                       RandomAllocation(&rng, kNodes, k),
+                                       /*assign=*/true);
+      }
+    }
+  }
+  EXPECT_GT(total_sweeps, 60);
+}
+
+TEST(SweepEquivalenceTest, SubsetWithNeighboursOutsideIt) {
+  // V̂ holds every third planted community plus the hubs: most rows lead
+  // out of V̂ to nodes that never move, while moves inside V̂ must still
+  // wake the V̂ nodes next to them.
+  for (const uint32_t k : {1u, 16u, 17u}) {
+    for (const bool search_all : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " search_all=" + std::to_string(search_all));
+      Rng rng(6000 + k);
+      TransactionGraph g = RandomGraph(&rng, 4000);
+      AddHubs(&rng, 100, &g);
+      g.Consolidate();
+      std::vector<NodeId> subset;
+      for (NodeId v : ShuffledOrder(&rng, g.num_nodes())) {
+        if (v < 4 || v % kPlanted % 3 == 0) subset.push_back(v);
+      }
+      AllocationParams params = Params(g, k, 0.7);
+      params.epsilon = 1e-300;
+      GlobalOptions options;
+      options.search_all_communities = search_all;
+      CheckBothPaths(g, subset, params, options,
+                     RandomAllocation(&rng, kNodes, k), /*assign=*/true);
+    }
+  }
+}
+
+TEST(SweepEquivalenceTest, NearTiedGainsFollowTouchedOrder) {
+  // Light edges and no capacity pressure: a move changes Λ only by
+  // rounding, so candidate gains sit within a few ulps of each other and
+  // of the 1e-15 tie band, and a near-zero ε keeps such moves sweeping.
+  // Which candidate wins then depends on the order the touched list holds
+  // them in, so a reloaded list must keep the order its accumulation
+  // produced. About one seed in eight has a visit where the order decides.
+  int total_sweeps = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    for (const uint32_t k : {16u, 17u}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " k=" + std::to_string(k));
+      Rng rng(7000 + seed);
+      TransactionGraph g = RandomGraph(&rng, 400);
+      g.Refreeze();
+      const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+      AllocationParams params = Params(g, k, 8.0);
+      params.epsilon = 1e-300;
+      total_sweeps += CheckBothPaths(g, order, params, GlobalOptions{},
+                                     RandomAllocation(&rng, kNodes, k),
+                                     /*assign=*/true);
+    }
+  }
+  EXPECT_GT(total_sweeps, 240);
+}
+
+TEST(SweepEquivalenceTest, RepeatedNodesAreSweptEachTime) {
+  // A node listed twice is visited twice per sweep, like in the reference,
+  // and neither visit may reload the other position's saved sum.
+  for (const uint32_t k : {3u, 16u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng rng(8000 + k);
+    TransactionGraph g = RandomGraph(&rng, 3000);
+    g.Refreeze();
+    std::vector<NodeId> nodes = ShuffledOrder(&rng, g.num_nodes());
+    const std::vector<NodeId> again = ShuffledOrder(&rng, g.num_nodes());
+    nodes.insert(nodes.end(), again.begin(), again.begin() + 200);
+    const AllocationParams params = Params(g, k, 0.9);
+    CheckBothPaths(g, nodes, params, GlobalOptions{},
+                   RandomAllocation(&rng, kNodes, k), /*assign=*/true);
   }
 }
 

@@ -98,7 +98,7 @@ TEST(EthereumLikeTest, CommunityStructureIsDetectable) {
     order[i] = static_cast<graph::NodeId>(i);
   }
   auto louvain = graph::RunLouvain(g, order);
-  EXPECT_GT(louvain.modularity, 0.5);
+  EXPECT_GT(graph::Modularity(g, louvain.community), 0.5);
 }
 
 TEST(EthereumLikeTest, SelfLoopsAppearAtConfiguredRate) {
