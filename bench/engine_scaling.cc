@@ -1,8 +1,8 @@
 // Engine scaling: committed transactions per second vs. worker thread
 // count, at k in {8, 16, 32, 64} shards.
 //
-// The serial ShardSimulator is the baseline the parallel engine must beat:
-// logical results are identical (parity tests), so the win is wall-clock.
+// The engine's own 1-thread row is the baseline: logical results do not
+// depend on the worker count, so the win from more threads is wall-clock.
 // Synthetic per-unit execution cost (--spin, LCG iterations per work unit)
 // stands in for real transaction execution; with --spin=0 the bench mostly
 // measures barrier overhead, which is also worth seeing.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bench_common.h"
+#include "txallo/alloc/metrics.h"
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/sim/work_model.h"
@@ -97,17 +98,11 @@ int Main(int argc, char** argv) {
     // Provision each shard with ~1.3x the average per-block work so queues
     // stay shallow but shards are busy every tick.
     double total_work = 0.0;
-    std::vector<alloc::ShardId> shards;
     sim::WorkModel model{eta, 0.0, 1};
     ledger.ForEachTransaction([&](const chain::Transaction& tx) {
-      if (!sim::RouteTransaction(tx, allocation,
-                                 sim::UnassignedPolicy::kReject, &shards)
-               .ok()) {
-        std::abort();
-      }
-      const bool cross = shards.size() > 1;
-      total_work +=
-          model.PartWork(cross) * static_cast<double>(shards.size());
+      const uint32_t parts = alloc::ShardsTouched(tx, allocation);
+      if (parts == 0) std::abort();  // Hash placement covers every account.
+      total_work += model.PartWork(parts > 1) * static_cast<double>(parts);
     });
     const double capacity =
         1.3 * total_work /

@@ -12,7 +12,7 @@
 // like TxAllo.
 //
 // Shards execute on real worker threads with cross-shard two-phase commits;
-// reports carry both the simulator-compatible metrics and the engine-only
+// reports carry both the cost model's logical metrics and the engine-only
 // ones (queue depth, worker stall, reallocation pause).
 //
 //   ./build/examples/parallel_engine [--blocks=N] [--k=K] [--threads=T]

@@ -48,6 +48,18 @@ class Allocation {
     return shard_of(account) != kUnassignedShard;
   }
 
+  /// The shard a live chain executes `account` on: its assigned shard, or,
+  /// with `hash_fallback`, account id mod k for an account the mapping has
+  /// not placed (one created since this allocation was snapshotted).
+  /// kUnassignedShard when the account is unplaced and the fallback is off.
+  ShardId RouteOf(chain::AccountId account, bool hash_fallback) const {
+    const ShardId assigned = shard_of(account);
+    if (assigned != kUnassignedShard || !hash_fallback || num_shards_ == 0) {
+      return assigned;
+    }
+    return static_cast<ShardId>(account % num_shards_);
+  }
+
   /// Assigns (or reassigns) an account. Preconditions: shard < num_shards()
   /// and account < num_accounts() — unlike the read path, writing to an
   /// out-of-domain account is a bug; call GrowAccounts() first.

@@ -31,16 +31,6 @@ uint32_t ResolveWorkerCount(const EngineConfig& config) {
   return std::max(1u, std::min(n, config.num_shards));
 }
 
-// The per-account half of sim::RouteTransaction's rule: which shard one
-// account's op executes on at ingest time. Must stay in lockstep with it —
-// the part routed to shard s must carry exactly the ops of the accounts
-// that routed to s.
-alloc::ShardId RouteAccount(chain::AccountId account,
-                            const alloc::Allocation& routing) {
-  if (routing.IsAssigned(account)) return routing.shard_of(account);
-  return static_cast<alloc::ShardId>(account % routing.num_shards());
-}
-
 }  // namespace
 
 ParallelEngine::ParallelEngine(EngineConfig config,
@@ -213,25 +203,36 @@ Status ParallelEngine::SubmitTransactions(
               : snapshot_error_);
     }
   }
-  const sim::UnassignedPolicy policy =
-      config_.hash_route_unassigned ? sim::UnassignedPolicy::kHashFallback
-                                    : sim::UnassignedPolicy::kReject;
   const uint64_t arrival_block = now_.load(std::memory_order_relaxed);
-  // Per-call scratch keeps this path producer-thread-safe (the old member
-  // buffer was the last driver-only piece of ingest).
+  // Per-call scratch keeps this path producer-thread-safe. account_shards[j]
+  // is the shard of tx.accounts()[j]; shards lists the distinct ones in
+  // order of first appearance (the lanes' queueing order).
+  std::vector<alloc::ShardId> account_shards;
   std::vector<alloc::ShardId> shards;
   for (size_t i = 0; i < count; ++i) {
     const chain::Transaction& tx = transactions[i];
-    TXALLO_RETURN_NOT_OK(sim::RouteTransaction(tx, *routing, policy, &shards));
-    if (shards.empty()) continue;
-    for (alloc::ShardId s : shards) {
+    account_shards.clear();
+    shards.clear();
+    for (chain::AccountId a : tx.accounts()) {
+      const alloc::ShardId s =
+          routing->RouteOf(a, config_.hash_route_unassigned);
+      if (s == alloc::kUnassignedShard) {
+        return Status::FailedPrecondition("unassigned account " +
+                                          std::to_string(a) +
+                                          " submitted to executor");
+      }
       if (s >= config_.num_shards) {
         return Status::FailedPrecondition(
             "allocation snapshot routed account to shard " +
             std::to_string(s) + " outside the engine's " +
             std::to_string(config_.num_shards) + " shards");
       }
+      account_shards.push_back(s);
+      if (std::find(shards.begin(), shards.end(), s) == shards.end()) {
+        shards.push_back(s);
+      }
     }
+    if (shards.empty()) continue;
     const bool cross = shards.size() > 1;
     const uint64_t seq = first_seq + i;
     const uint64_t tx_index = coordinator_.Register(
@@ -239,17 +240,17 @@ Status ParallelEngine::SubmitTransactions(
     const double work = config_.work.PartWork(cross);
     // With the state backend on, the transaction's deterministic transfer
     // plan is sliced across its parts: each part carries the ops of the
-    // accounts that routed to its shard.
+    // accounts that routed to its shard. The plan has one op per account of
+    // tx.accounts(), in the same order, so ops[j] goes where account j did.
     std::vector<state::Op> ops;
-    if (state_ != nullptr) ops = state::BuildTransferOps(tx, seq);
+    if (state_ != nullptr) {
+      ops = state::BuildTransferOps(tx, seq);
+      assert(ops.size() == account_shards.size());
+    }
     for (alloc::ShardId s : shards) {
       WorkItem item{tx_index, seq, work, {}};
-      if (state_ != nullptr) {
-        for (const state::Op& op : ops) {
-          if (RouteAccount(op.account, *routing) == s) {
-            item.ops.push_back(op);
-          }
-        }
+      for (size_t j = 0; j < ops.size(); ++j) {
+        if (account_shards[j] == s) item.ops.push_back(ops[j]);
       }
       lanes_[s]->inbox.Push(std::move(item));
     }

@@ -1,16 +1,17 @@
 // Parallel sharded execution engine.
 //
-// Where sim::ShardSimulator executes every shard serially on the caller's
-// thread, ParallelEngine models the paper's actual system shape: shards are
-// independent processors. The pieces:
+// ParallelEngine executes the paper's cost model (§III-B; sim/work_model.h)
+// in the paper's system shape: shards are independent processors. The
+// pieces:
 //
 //   * Ingest/mempool: SubmitBlock() routes each transaction by the current
-//     alloc::Allocation snapshot into one bounded MPSC queue per shard.
+//     alloc::Allocation snapshot (Allocation::RouteOf, the one account->shard
+//     rule) into one bounded MPSC queue per shard.
 //   * Shard workers: a fixed pool of threads, shards striped across them
 //     (worker w owns shards s with s % num_workers == w — one worker per
 //     shard when threads >= shards). Each worker drains its shards' ingest
 //     queues into local FIFOs and, once per tick, executes one block of work
-//     per owned shard under the shared sim::WorkModel cost semantics
+//     per owned shard under the sim::WorkModel cost semantics
 //     (η per cross part, λ capacity per block).
 //   * Cross-shard commits: workers vote PREPARED part-by-part into a
 //     TwoPhaseCoordinator; cross-shard transactions pay the extra commit
@@ -23,9 +24,8 @@
 //
 // Time is logical, in blocks: Tick() advances every shard by one block in
 // parallel and barriers before commit decisions are flushed, so for a given
-// submission sequence the engine's SimReport-compatible numbers match the
-// serial simulator's (the parity tests assert this within tolerance; only
-// floating-point summation order differs).
+// submission sequence the SimReport numbers do not depend on the worker
+// count.
 //
 // Determinism: every submitted transaction carries an ingest *sequence tag*
 // (a position in a per-engine reservation counter; see
@@ -65,7 +65,6 @@
 #include "txallo/common/sync.h"
 #include "txallo/engine/mpsc_queue.h"
 #include "txallo/engine/two_phase.h"
-#include "txallo/sim/shard_sim.h"
 #include "txallo/sim/work_model.h"
 #include "txallo/state/state_db.h"
 
@@ -73,7 +72,7 @@ namespace txallo::engine {
 
 struct EngineConfig {
   uint32_t num_shards = 8;
-  /// Shared η/λ/commit-round cost semantics.
+  /// η/λ/commit-round cost semantics.
   sim::WorkModel work;
   /// Account-state backend (state/). Disabled by default: the engine then
   /// executes the pure cost model — every vote is PREPARED and installs
@@ -95,8 +94,8 @@ struct EngineConfig {
   bool hash_route_unassigned = false;
   /// Synthetic CPU cost per work unit (iterations of an LCG spin),
   /// emulating real transaction execution so thread scaling is measurable.
-  /// 0 (default) keeps execution pure bookkeeping — required for exact
-  /// parity timing against the serial simulator in tests.
+  /// 0 (default) keeps execution pure bookkeeping, so tests and logical
+  /// snapshots pay no synthetic cost.
   uint64_t spin_iterations_per_unit = 0;
 };
 
@@ -123,10 +122,27 @@ struct TickStateRoot {
   bool operator==(const TickStateRoot&) const = default;
 };
 
+/// Aggregated logical results of a run, in blocks and work units.
+struct SimReport {
+  uint64_t submitted = 0;
+  uint64_t committed = 0;
+  uint64_t cross_shard_submitted = 0;
+  /// Committed transactions per elapsed block.
+  double throughput_per_block = 0.0;
+  /// Mean commit latency in blocks (arrival block -> commit block).
+  double avg_latency_blocks = 0.0;
+  double max_latency_blocks = 0.0;
+  /// Mean over shards of (work processed / (capacity * blocks)).
+  double mean_utilization = 0.0;
+  /// Work still queued when the report was taken.
+  double residual_work = 0.0;
+  uint64_t blocks_elapsed = 0;
+};
+
 /// SimReport plus engine-only observability.
 struct EngineReport {
-  /// Same fields/semantics as the serial simulator's report.
-  sim::SimReport sim;
+  /// The cost model's logical results.
+  SimReport sim;
   uint32_t num_workers = 0;
   /// Per-shard ingest-queue high-water mark (backpressure indicator).
   std::vector<uint64_t> max_queue_depth;

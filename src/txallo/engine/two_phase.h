@@ -5,11 +5,11 @@
 // issues the decision. A unanimously-PREPARED intra-shard transaction
 // commits in place; a cross-shard one pays the extra consensus round(s) of
 // §I — the decision lands `cross_shard_commit_rounds` blocks after the
-// last prepare — matching sim::ShardSimulator's semantics exactly, which
-// is what the engine/simulator parity tests pin down. A transaction with
-// any failed vote (insufficient balance / bad nonce against the state
-// backend) ABORTS at the last-vote block: an abort needs no extra
-// consensus round — participants simply drop their staged thunks.
+// last prepare (sim::WorkModel::CommitBlock), and its latency is charged at
+// the block the decision is flushed. A transaction with any failed vote
+// (insufficient balance / bad nonce against the state backend) ABORTS at
+// the last-vote block: an abort needs no extra consensus round —
+// participants simply drop their staged thunks.
 //
 // Thread-safety: PartExecuted() is called concurrently by shard workers
 // mid-tick; Register()/FlushDelayed()/stats() are driver-side. Everything is

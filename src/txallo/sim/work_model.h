@@ -1,25 +1,18 @@
-// Shared per-transaction work accounting for the execution backends.
+// Per-transaction work accounting of the paper's execution model.
 //
-// The serial ShardSimulator and the parallel engine (txallo::engine) are two
-// executors of the same cost semantics from the paper: an intra-shard
-// transaction costs 1 work unit on its one shard, a cross-shard transaction
-// costs η on every involved shard (§III-B's workload factor), each shard
-// processes λ work units per block, and a cross-shard transaction pays extra
-// commit round(s) after its last part finishes (the additional round of
-// consensus §I describes). Keeping the accounting in one place means the two
-// backends cannot drift.
+// An intra-shard transaction costs 1 work unit on its one shard, a
+// cross-shard transaction costs η on every involved shard (§III-B's workload
+// factor), each shard processes λ work units per block, and a cross-shard
+// transaction pays extra commit round(s) after its last part finishes (the
+// additional round of consensus §I describes). engine::ParallelEngine
+// executes these semantics; benches use the same struct to provision λ.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "txallo/alloc/allocation.h"
-#include "txallo/chain/transaction.h"
-#include "txallo/common/status.h"
 
 namespace txallo::sim {
 
-/// The η/λ/commit-round cost model both executors share.
+/// The η/λ/commit-round cost model.
 struct WorkModel {
   /// Workload factor of a cross-shard transaction part.
   double eta = 2.0;
@@ -39,23 +32,5 @@ struct WorkModel {
                        : last_part_block;
   }
 };
-
-/// Routing policy for accounts the current allocation has not placed.
-enum class UnassignedPolicy {
-  /// Reject the transaction (the simulator's historical behaviour).
-  kReject,
-  /// Deterministically hash-route (account id mod k) — what a live chain
-  /// does for accounts created since the last allocation epoch.
-  kHashFallback,
-};
-
-/// Computes the distinct shards `tx` touches under `allocation` into
-/// `*shards` (cleared first, order of first appearance preserved — the
-/// executors' queueing order). Returns FailedPrecondition on an unassigned
-/// account under kReject.
-Status RouteTransaction(const chain::Transaction& tx,
-                        const alloc::Allocation& allocation,
-                        UnassignedPolicy policy,
-                        std::vector<alloc::ShardId>* shards);
 
 }  // namespace txallo::sim

@@ -76,10 +76,10 @@ size_t StateDb::Abort(uint64_t seq) {
 }
 
 uint32_t StateDb::EffectiveShard(chain::AccountId account) const {
-  const alloc::ShardId assigned = target_->shard_of(account);
-  if (assigned != alloc::kUnassignedShard) return assigned;
-  if (target_hash_fallback_) return account % num_shards();
-  return ResidencyOf(account);  // Unassigned, no fallback: stay put.
+  const alloc::ShardId routed =
+      target_->RouteOf(account, target_hash_fallback_);
+  // Left unplaced by the rule (no fallback): stay put.
+  return routed != alloc::kUnassignedShard ? routed : ResidencyOf(account);
 }
 
 MigrationReport StateDb::MoveRecords(
@@ -114,6 +114,7 @@ MigrationReport StateDb::BeginMigration(
     std::shared_ptr<const alloc::Allocation> allocation,
     bool hash_route_unassigned) {
   assert(allocation != nullptr);
+  assert(allocation->num_shards() == num_shards());
   target_ = std::move(allocation);
   target_hash_fallback_ = hash_route_unassigned;
   std::vector<chain::AccountId> candidates;

@@ -81,10 +81,9 @@ class StateDb {
   size_t Abort(uint64_t seq);
 
   /// Starts migrating to `allocation` (replacing any migration still in
-  /// progress). Effective shard: the mapping's assignment, or — when
-  /// `hash_route_unassigned` — account id mod k for unassigned accounts
-  /// (the engine's routing fallback); without the fallback, unassigned
-  /// records stay where they are.
+  /// progress; its shard count must equal this DB's). Effective shard:
+  /// allocation->RouteOf(account, hash_route_unassigned), the engine's
+  /// ingest rule; a record the rule leaves unplaced stays where it is.
   MigrationReport BeginMigration(
       std::shared_ptr<const alloc::Allocation> allocation,
       bool hash_route_unassigned);

@@ -1,79 +1,70 @@
-// Engine/simulator parity (the acceptance criterion of the parallel-engine
-// issue): for seed workloads, the engine's throughput-per-block and mean
-// latency must agree with the serial ShardSimulator within 5%. Both run the
-// same shared sim::WorkModel semantics, so agreement should in fact be
-// exact up to floating-point summation order.
+// Engine parity across worker counts on seed workloads: the serial run
+// (one worker) is the reference, and runs with 2 and 4 workers must report
+// the same logical results, because blocks are the engine's unit of time
+// and every shard's work per block is fixed by the mapping alone.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "txallo/alloc/params.h"
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/core/global.h"
 #include "txallo/engine/engine.h"
 #include "txallo/graph/builder.h"
-#include "txallo/sim/shard_sim.h"
 #include "txallo/workload/ethereum_like.h"
 
 namespace txallo {
 namespace {
 
-struct ParityRun {
-  sim::SimReport serial;
-  engine::EngineReport parallel;
-};
-
-ParityRun RunBoth(const chain::Ledger& ledger, const alloc::Allocation& alloc,
-                  uint32_t k, double eta, double capacity,
-                  uint32_t num_threads) {
-  sim::SimConfig sim_config;
-  sim_config.num_shards = k;
-  sim_config.eta = eta;
-  sim_config.capacity_per_block = capacity;
-  sim::ShardSimulator simulator(sim_config);
-  for (const chain::Block& block : ledger.blocks()) {
-    EXPECT_TRUE(simulator.SubmitBlock(block.transactions(), alloc).ok());
-    simulator.Tick();
-  }
-
-  engine::EngineConfig engine_config;
-  engine_config.num_shards = k;
-  engine_config.work = sim_config.work_model();
-  engine_config.num_threads = num_threads;
+engine::EngineReport RunEngine(const chain::Ledger& ledger,
+                               const alloc::Allocation& alloc, uint32_t k,
+                               double eta, double capacity,
+                               uint32_t num_threads) {
+  engine::EngineConfig config;
+  config.num_shards = k;
+  config.work.eta = eta;
+  config.work.capacity_per_block = capacity;
+  config.num_threads = num_threads;
   engine::ParallelEngine engine(
-      engine_config, std::make_shared<alloc::Allocation>(alloc));
+      config, std::make_shared<alloc::Allocation>(alloc));
   for (const chain::Block& block : ledger.blocks()) {
     EXPECT_TRUE(engine.SubmitBlock(block.transactions()).ok());
     engine.Tick();
   }
-
-  ParityRun run;
-  run.serial = simulator.DrainAndReport();
-  run.parallel = engine.DrainAndReport();
-  return run;
+  engine::EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.num_workers, num_threads);
+  return report;
 }
 
-void ExpectParity(const ParityRun& run) {
-  const sim::SimReport& s = run.serial;
-  const sim::SimReport& e = run.parallel.sim;
-  EXPECT_EQ(e.submitted, s.submitted);
-  EXPECT_EQ(e.cross_shard_submitted, s.cross_shard_submitted);
-  EXPECT_EQ(e.committed, s.committed);
-  EXPECT_EQ(e.blocks_elapsed, s.blocks_elapsed);
-  // The 5%-agreement acceptance bound; in practice the two executors agree
-  // to summation order.
-  EXPECT_NEAR(e.throughput_per_block, s.throughput_per_block,
-              0.05 * s.throughput_per_block);
-  EXPECT_NEAR(e.avg_latency_blocks, s.avg_latency_blocks,
-              0.05 * s.avg_latency_blocks);
-  EXPECT_DOUBLE_EQ(e.max_latency_blocks, s.max_latency_blocks);
-  EXPECT_NEAR(e.mean_utilization, s.mean_utilization,
-              0.05 * s.mean_utilization + 1e-12);
-  EXPECT_NEAR(e.residual_work, s.residual_work, 1e-6);
-}
-
-chain::Ledger SeedWorkload(workload::EthereumLikeGenerator& gen,
-                           uint64_t blocks) {
-  return gen.GenerateLedger(blocks);
+// Runs with 1, 2 and 4 workers and checks the threaded runs against the
+// serial one. Returns the serial report.
+engine::EngineReport ExpectParity(const chain::Ledger& ledger,
+                                  const alloc::Allocation& alloc, uint32_t k,
+                                  double eta, double capacity) {
+  const engine::EngineReport serial =
+      RunEngine(ledger, alloc, k, eta, capacity, 1);
+  const engine::SimReport& s = serial.sim;
+  EXPECT_EQ(s.committed, s.submitted);
+  EXPECT_DOUBLE_EQ(s.residual_work, 0.0);
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    const engine::EngineReport parallel =
+        RunEngine(ledger, alloc, k, eta, capacity, threads);
+    const engine::SimReport& e = parallel.sim;
+    EXPECT_EQ(e.submitted, s.submitted);
+    EXPECT_EQ(e.cross_shard_submitted, s.cross_shard_submitted);
+    EXPECT_EQ(e.committed, s.committed);
+    EXPECT_EQ(parallel.cross_shard_committed, serial.cross_shard_committed);
+    EXPECT_EQ(e.blocks_elapsed, s.blocks_elapsed);
+    EXPECT_NEAR(e.throughput_per_block, s.throughput_per_block, 1e-9);
+    EXPECT_NEAR(e.avg_latency_blocks, s.avg_latency_blocks, 1e-9);
+    EXPECT_DOUBLE_EQ(e.max_latency_blocks, s.max_latency_blocks);
+    EXPECT_NEAR(e.mean_utilization, s.mean_utilization, 1e-12);
+    EXPECT_DOUBLE_EQ(e.residual_work, s.residual_work);
+  }
+  return serial;
 }
 
 TEST(EngineParityTest, HashAllocationSeedWorkload) {
@@ -84,18 +75,16 @@ TEST(EngineParityTest, HashAllocationSeedWorkload) {
   config.num_communities = 40;
   config.seed = 42;
   workload::EthereumLikeGenerator gen(config);
-  chain::Ledger ledger = SeedWorkload(gen, config.num_blocks);
+  const chain::Ledger ledger = gen.GenerateLedger(config.num_blocks);
   const uint32_t k = 8;
-  const double eta = 2.0;
-  auto allocation = baselines::AllocateByHash(gen.registry(), k);
+  const auto allocation = baselines::AllocateByHash(gen.registry(), k);
   // Mildly under-provisioned so queues build and latency is non-trivial.
   const double capacity =
       1.1 * static_cast<double>(config.txs_per_block) / k;
-  for (uint32_t threads : {1u, 4u}) {
-    ParityRun run =
-        RunBoth(ledger, allocation, k, eta, capacity, threads);
-    ExpectParity(run);
-  }
+  const engine::EngineReport serial =
+      ExpectParity(ledger, allocation, k, 2.0, capacity);
+  EXPECT_GT(serial.sim.max_latency_blocks, 1.0);
+  EXPECT_GT(serial.sim.cross_shard_submitted, 0u);
 }
 
 TEST(EngineParityTest, TxAlloAllocationSeedWorkload) {
@@ -106,26 +95,26 @@ TEST(EngineParityTest, TxAlloAllocationSeedWorkload) {
   config.num_communities = 30;
   config.seed = 7;
   workload::EthereumLikeGenerator gen(config);
-  chain::Ledger ledger = SeedWorkload(gen, config.num_blocks);
+  const chain::Ledger ledger = gen.GenerateLedger(config.num_blocks);
   const uint32_t k = 8;
   const double eta = 2.0;
   graph::TransactionGraph graph = graph::BuildTransactionGraph(ledger);
   graph.EnsureNodeCount(gen.registry().size());
   graph.Consolidate();
-  alloc::AllocationParams params = alloc::AllocationParams::ForExperiment(
-      ledger.num_transactions(), k, eta);
+  const alloc::AllocationParams params =
+      alloc::AllocationParams::ForExperiment(ledger.num_transactions(), k,
+                                             eta);
   auto result = core::RunGlobalTxAllo(graph, gen.registry().IdsInHashOrder(),
                                       params);
   ASSERT_TRUE(result.ok());
   const double capacity =
       1.05 * static_cast<double>(config.txs_per_block) / k;
-  ParityRun run = RunBoth(ledger, *result, k, eta, capacity, 4);
-  ExpectParity(run);
-  // TxAllo keeps most traffic intra-shard on this workload; sanity-check
-  // that the parity harness exercised cross-shard commits anyway.
-  EXPECT_GT(run.parallel.sim.cross_shard_submitted, 0u);
-  EXPECT_EQ(run.parallel.cross_shard_committed,
-            run.parallel.sim.cross_shard_submitted);
+  const engine::EngineReport serial =
+      ExpectParity(ledger, *result, k, eta, capacity);
+  // TxAllo keeps most traffic intra-shard on this workload; check that the
+  // harness exercised cross-shard commits anyway.
+  EXPECT_GT(serial.sim.cross_shard_submitted, 0u);
+  EXPECT_EQ(serial.cross_shard_committed, serial.sim.cross_shard_submitted);
 }
 
 }  // namespace

@@ -136,6 +136,44 @@ TEST(EngineStateTest, TraceRecordsOneStateRootPerTick) {
   EXPECT_NE(trace.state_roots.front().root, trace.state_roots.back().root);
 }
 
+// One routing rule for ingest and migration (Allocation::RouteOf): an
+// account born after the snapshot executes on account % k, its record stays
+// there while installs leave it unplaced, and moves once one places it.
+TEST(EngineStateTest, UnplacedAccountLivesOnItsHashShardUntilAssigned) {
+  EngineConfig config = StateConfigured(4, 2, /*funding=*/100);
+  config.hash_route_unassigned = true;
+  ParallelEngine engine(config, MakeAllocation(4, 4, {0, 0, 0, 0}));
+  engine.EnableTraceRecording();
+  // Account 9 is outside the snapshot's domain: 9 % 4 == 1.
+  ASSERT_TRUE(engine.SubmitBlock({chain::Transaction::Simple(0, 9)}).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.committed, 1u);
+  EXPECT_EQ(report.sim.cross_shard_submitted, 1u);
+  const ParallelEngine::Trace trace = engine.ExtractTrace();
+  ASSERT_EQ(trace.prepares.size(), 2u);
+  EXPECT_EQ(trace.prepares[0].shard, 0u);
+  EXPECT_EQ(trace.prepares[1].shard, 1u);
+  state::StateDb* db = engine.state();
+  EXPECT_EQ(db->ResidencyOf(9), 1u);
+  EXPECT_EQ(db->Find(9)->balance, 100 + 1);
+
+  // A wider mapping that still leaves account 9 unplaced moves nothing.
+  ASSERT_TRUE(engine.InstallAllocation(MakeAllocation(10, 4, {0, 0, 0, 0}))
+                  .ok());
+  engine.Tick();
+  EXPECT_EQ(engine.Snapshot().accounts_migrated, 0u);
+  EXPECT_EQ(db->ResidencyOf(9), 1u);
+
+  // Once a mapping places it, the record migrates to the assigned shard.
+  auto placed = MakeAllocation(10, 4, {0, 0, 0, 0});
+  placed->Assign(9, 3);
+  ASSERT_TRUE(engine.InstallAllocation(placed).ok());
+  engine.Tick();
+  EXPECT_EQ(engine.Snapshot().accounts_migrated, 1u);
+  EXPECT_EQ(db->ResidencyOf(9), 3u);
+  EXPECT_EQ(db->Find(9)->balance, 100 + 1);
+}
+
 // With the backend off the engine is the pure cost model: no aborts, no
 // migration charge, no roots, and no StateDb at all.
 TEST(EngineStateTest, DisabledBackendKeepsThePureCostModel) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace txallo::engine {
@@ -133,9 +134,86 @@ TEST(ParallelEngineTest, CapacityBacklogCarriesAcrossTicks) {
   EXPECT_DOUBLE_EQ(report.sim.residual_work, 0.0);
 }
 
+TEST(ParallelEngineTest, IdleShardHalvesMeanUtilization) {
+  // All work on shard 0 (10 intra txs = one full block of λ = 10); shard 1
+  // idles, so the mean over shards is exactly 0.5.
+  auto alloc = MakeAllocation(2, 2, {0, 0});
+  ParallelEngine engine(SmallConfig(2, 2), alloc);
+  std::vector<chain::Transaction> txs(10, chain::Transaction::Simple(0, 1));
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  engine.Tick();
+  EXPECT_NEAR(engine.Snapshot().sim.mean_utilization, 0.5, 1e-9);
+}
+
+TEST(ParallelEngineTest, SlowestShardGatesAThreeShardCommit) {
+  // Shard 2 is pre-loaded with six intra txs (6 work at λ = 2, three
+  // blocks); a transaction over shards 0, 1 and 2 then queues behind them
+  // and commits only once its shard-2 part is done, plus the 2PC round.
+  EngineConfig config = SmallConfig(3, 3);
+  config.work.capacity_per_block = 2.0;
+  ParallelEngine engine(config, MakeAllocation(3, 3, {2, 2, 2}));
+  std::vector<chain::Transaction> filler(6, chain::Transaction::Simple(0, 1));
+  ASSERT_TRUE(engine.SubmitBlock(filler).ok());
+  ASSERT_TRUE(engine.InstallAllocation(MakeAllocation(3, 3, {0, 1, 2})).ok());
+  ASSERT_TRUE(engine.SubmitBlock({chain::Transaction({0, 1}, {2})}).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.committed, 7u);
+  EXPECT_EQ(report.cross_shard_committed, 1u);
+  // Parts on shards 0 and 1 finish in block 1; shard 2's (η = 2 work)
+  // finishes in block 4, and the commit round lands it in block 5.
+  EXPECT_DOUBLE_EQ(report.sim.max_latency_blocks, 5.0);
+}
+
+TEST(ParallelEngineTest, ZeroCommitRoundsDropTheCrossShardRound) {
+  auto alloc = MakeAllocation(2, 2, {0, 1});
+  EngineConfig config = SmallConfig(2, 2);
+  config.work.cross_shard_commit_rounds = 0;
+  ParallelEngine engine(config, alloc);
+  ASSERT_TRUE(engine.SubmitBlock({chain::Transaction::Simple(0, 1)}).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.cross_shard_committed, 1u);
+  EXPECT_DOUBLE_EQ(report.sim.avg_latency_blocks, 1.0);
+  EXPECT_EQ(report.sim.blocks_elapsed, 1u);
+}
+
+TEST(ParallelEngineTest, ThroughputSaturatesAtCapacity) {
+  // Twice λ of intra work offered every block: committed throughput is λ,
+  // not the demand.
+  EngineConfig config = SmallConfig(1, 1);
+  config.work.capacity_per_block = 5.0;
+  ParallelEngine engine(config, MakeAllocation(2, 1, {0, 0}));
+  std::vector<chain::Transaction> txs(10, chain::Transaction::Simple(0, 1));
+  for (int block = 0; block < 20; ++block) {
+    ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+    engine.Tick();
+  }
+  EXPECT_NEAR(engine.Snapshot().sim.throughput_per_block, 5.0, 0.5);
+}
+
+TEST(ParallelEngineTest, EverySubmittedTransactionCommits) {
+  // Mixed cross/intra traffic at a capacity that is no multiple of η:
+  // parts straddle block boundaries, yet the drain commits everything and
+  // leaves no work behind.
+  EngineConfig config = SmallConfig(2, 2);
+  config.work.eta = 3.0;
+  config.work.capacity_per_block = 4.0;
+  ParallelEngine engine(config, MakeAllocation(4, 2, {0, 0, 1, 1}));
+  std::vector<chain::Transaction> txs;
+  for (int i = 0; i < 20; ++i) {
+    txs.push_back(chain::Transaction::Simple(i % 2, 2 + (i % 2)));  // Cross.
+    txs.push_back(chain::Transaction::Simple(0, 1));                // Intra.
+  }
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.submitted, 40u);
+  EXPECT_EQ(report.sim.committed, report.sim.submitted);
+  EXPECT_DOUBLE_EQ(report.sim.residual_work, 0.0);
+}
+
 TEST(ParallelEngineTest, ThreadCountDoesNotChangeResults) {
   // Logical-block semantics are thread-count invariant: run the same
   // workload under 1, 2, and 4 workers and demand identical reports.
+  // EngineParityTest does the same on two generated seed workloads.
   std::vector<chain::Transaction> txs;
   for (int i = 0; i < 40; ++i) {
     txs.push_back(chain::Transaction::Simple(
@@ -152,10 +230,15 @@ TEST(ParallelEngineTest, ThreadCountDoesNotChangeResults) {
     }
     EngineReport report = engine.DrainAndReport();
     EXPECT_EQ(report.num_workers, threads);
+    EXPECT_EQ(report.sim.committed, report.sim.submitted);
+    EXPECT_EQ(report.cross_shard_committed, report.sim.cross_shard_submitted);
     if (threads == 1) {
       reference = report;
       continue;
     }
+    EXPECT_EQ(report.sim.submitted, reference.sim.submitted);
+    EXPECT_EQ(report.sim.cross_shard_submitted,
+              reference.sim.cross_shard_submitted);
     EXPECT_EQ(report.sim.committed, reference.sim.committed);
     EXPECT_EQ(report.sim.blocks_elapsed, reference.sim.blocks_elapsed);
     EXPECT_NEAR(report.sim.avg_latency_blocks,
@@ -164,7 +247,9 @@ TEST(ParallelEngineTest, ThreadCountDoesNotChangeResults) {
                      reference.sim.max_latency_blocks);
     EXPECT_NEAR(report.sim.mean_utilization, reference.sim.mean_utilization,
                 1e-12);
+    EXPECT_DOUBLE_EQ(report.sim.residual_work, reference.sim.residual_work);
   }
+  EXPECT_GT(reference.sim.cross_shard_submitted, 0u);
 }
 
 TEST(ParallelEngineTest, MoreThreadsThanShardsIsClamped) {

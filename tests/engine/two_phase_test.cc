@@ -62,9 +62,9 @@ TEST(TwoPhaseTest, ZeroCommitRoundsCommitsCrossShardImmediately) {
   EXPECT_DOUBLE_EQ(stats.latency_sum_blocks, 2.0);  // 3 - 1.
 }
 
-TEST(TwoPhaseTest, MatchesSerialSimulatorLatencyConvention) {
+TEST(TwoPhaseTest, DelayedCommitLatencyIsChargedAtFlush) {
   // Commit-at-flush semantics: a delayed commit flushed at `now` is charged
-  // now - arrival, exactly like ShardSimulator's delayed_commits_ path.
+  // now - arrival.
   TwoPhaseCoordinator c(Model(1));
   const uint64_t tx = c.Register(2, 2, true, /*seq=*/0);
   c.PartPrepared(tx, 5);

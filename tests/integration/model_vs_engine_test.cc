@@ -1,11 +1,14 @@
 // Integration: the paper's closed-form performance model (§III-B) against
-// the operational discrete-block simulator. The two are independent
-// implementations of the same semantics; steady-state numbers must agree.
+// the parallel engine that executes it block by block on worker threads.
+// The two are independent implementations of the same semantics;
+// steady-state numbers must agree.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "txallo/alloc/metrics.h"
 #include "txallo/baselines/hash_allocator.h"
-#include "txallo/sim/shard_sim.h"
+#include "txallo/engine/engine.h"
 #include "txallo/workload/ethereum_like.h"
 
 namespace txallo {
@@ -13,9 +16,21 @@ namespace {
 
 using alloc::AllocationParams;
 
-TEST(ModelVsSimTest, AllIntraUnderCapacityBothIdeal) {
+// Two workers, so the threaded lanes and the tick barrier are exercised.
+engine::ParallelEngine MakeEngine(uint32_t k, double eta, double capacity,
+                                  const alloc::Allocation& allocation) {
+  engine::EngineConfig config;
+  config.num_shards = k;
+  config.work.eta = eta;
+  config.work.capacity_per_block = capacity;
+  config.num_threads = 2;
+  return engine::ParallelEngine(
+      config, std::make_shared<alloc::Allocation>(allocation));
+}
+
+TEST(ModelVsEngineTest, AllIntraUnderCapacityBothIdeal) {
   // k=2, perfectly split intra traffic, ample capacity: the model says
-  // Λ = |T|, ζ = 1; the simulator must commit everything in one block
+  // Λ = |T|, ζ = 1; the engine must commit everything in one block
   // (+0 cross rounds).
   alloc::Allocation a(4, 2);
   a.Assign(0, 0);
@@ -37,19 +52,15 @@ TEST(ModelVsSimTest, AllIntraUnderCapacityBothIdeal) {
   EXPECT_DOUBLE_EQ(model->throughput, 100.0);
   EXPECT_DOUBLE_EQ(model->avg_latency_blocks, 1.0);
 
-  sim::SimConfig config;
-  config.num_shards = 2;
-  config.eta = 2.0;
-  config.capacity_per_block = 50.0;
-  sim::ShardSimulator sim(config);
-  ASSERT_TRUE(sim.SubmitBlock(txs, a).ok());
-  sim::SimReport report = sim.DrainAndReport();
+  engine::ParallelEngine engine = MakeEngine(2, 2.0, 50.0, a);
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  engine::SimReport report = engine.DrainAndReport().sim;
   EXPECT_EQ(report.committed, 100u);
   EXPECT_DOUBLE_EQ(report.avg_latency_blocks, 1.0);
   EXPECT_EQ(report.blocks_elapsed, 1u);
 }
 
-TEST(ModelVsSimTest, OverloadedShardLatencyMatchesIntegralModel) {
+TEST(ModelVsEngineTest, OverloadedShardLatencyMatchesIntegralModel) {
   // One shard, σ̂ = 4: model mean latency = (4+1)/2 = 2.5 blocks.
   alloc::Allocation a(2, 1);
   a.Assign(0, 0);
@@ -65,46 +76,38 @@ TEST(ModelVsSimTest, OverloadedShardLatencyMatchesIntegralModel) {
   EXPECT_NEAR(model->avg_latency_blocks, 2.5, 1e-12);
   EXPECT_DOUBLE_EQ(model->worst_latency_blocks, 4.0);
 
-  sim::SimConfig config;
-  config.num_shards = 1;
-  config.eta = 2.0;
-  config.capacity_per_block = 25.0;
-  sim::ShardSimulator sim(config);
-  ASSERT_TRUE(sim.SubmitBlock(txs, a).ok());
-  sim::SimReport report = sim.DrainAndReport();
+  engine::ParallelEngine engine = MakeEngine(1, 2.0, 25.0, a);
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  engine::SimReport report = engine.DrainAndReport().sim;
   EXPECT_NEAR(report.avg_latency_blocks, 2.5, 1e-9);
   EXPECT_DOUBLE_EQ(report.max_latency_blocks, 4.0);
 }
 
-TEST(ModelVsSimTest, CrossShardWorkloadInflatesDrainTime) {
-  // All-cross traffic at η=3: the simulator must take ~η times longer to
+TEST(ModelVsEngineTest, CrossShardWorkloadInflatesDrainTime) {
+  // All-cross traffic at η=3: the engine must take ~η times longer to
   // drain than the same volume of intra traffic — σ's η factor made real.
   alloc::Allocation a(2, 2);
   a.Assign(0, 0);
   a.Assign(1, 1);
   std::vector<chain::Transaction> cross_txs(
       60, chain::Transaction::Simple(0, 1));
-  sim::SimConfig config;
-  config.num_shards = 2;
-  config.eta = 3.0;
-  config.capacity_per_block = 10.0;
-  sim::ShardSimulator cross_sim(config);
-  ASSERT_TRUE(cross_sim.SubmitBlock(cross_txs, a).ok());
-  sim::SimReport cross_report = cross_sim.DrainAndReport();
+  engine::ParallelEngine cross_engine = MakeEngine(2, 3.0, 10.0, a);
+  ASSERT_TRUE(cross_engine.SubmitBlock(cross_txs).ok());
+  engine::SimReport cross_report = cross_engine.DrainAndReport().sim;
   // Each shard: 60 parts * 3 work / 10 capacity = 18 blocks (+1 commit).
   EXPECT_NEAR(static_cast<double>(cross_report.blocks_elapsed), 19.0, 1.0);
 
   alloc::Allocation same(2, 2);
   same.Assign(0, 0);
   same.Assign(1, 0);
-  sim::ShardSimulator intra_sim(config);
-  ASSERT_TRUE(intra_sim.SubmitBlock(cross_txs, same).ok());
-  sim::SimReport intra_report = intra_sim.DrainAndReport();
+  engine::ParallelEngine intra_engine = MakeEngine(2, 3.0, 10.0, same);
+  ASSERT_TRUE(intra_engine.SubmitBlock(cross_txs).ok());
+  engine::SimReport intra_report = intra_engine.DrainAndReport().sim;
   EXPECT_NEAR(static_cast<double>(intra_report.blocks_elapsed), 6.0, 1.0);
 }
 
-TEST(ModelVsSimTest, SteadyStateThroughputAgreesOnRealisticWorkload) {
-  // Stream a generated workload through both the model and the simulator
+TEST(ModelVsEngineTest, SteadyStateThroughputAgreesOnRealisticWorkload) {
+  // Stream a generated workload through both the model and the engine
   // under the same hash allocation; per-block committed throughput must be
   // within 15% of the model's capacity-clamped Λ per block.
   workload::EthereumLikeConfig gen_config;
@@ -131,16 +134,13 @@ TEST(ModelVsSimTest, SteadyStateThroughputAgreesOnRealisticWorkload) {
   const double model_throughput_per_block =
       model->throughput / static_cast<double>(gen_config.num_blocks);
 
-  sim::SimConfig config;
-  config.num_shards = k;
-  config.eta = eta;
-  config.capacity_per_block = per_block_capacity;
-  sim::ShardSimulator sim(config);
+  engine::ParallelEngine engine =
+      MakeEngine(k, eta, per_block_capacity, allocation);
   for (const chain::Block& block : ledger.blocks()) {
-    ASSERT_TRUE(sim.SubmitBlock(block.transactions(), allocation).ok());
-    sim.Tick();
+    ASSERT_TRUE(engine.SubmitBlock(block.transactions()).ok());
+    engine.Tick();
   }
-  sim::SimReport report = sim.Snapshot();
+  engine::SimReport report = engine.Snapshot().sim;
   EXPECT_NEAR(report.throughput_per_block, model_throughput_per_block,
               0.15 * model_throughput_per_block);
 }
