@@ -23,11 +23,8 @@ void SpinWork(double units, uint64_t iterations_per_unit) {
 }
 
 uint32_t ResolveWorkerCount(const EngineConfig& config) {
-  uint32_t n = config.num_threads;
-  if (n == 0) {
-    // txallo-lint: allow(raw-thread) capacity query, not thread creation
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
+  const uint32_t n = config.num_threads == 0 ? common::HardwareThreads()
+                                             : config.num_threads;
   return std::max(1u, std::min(n, config.num_shards));
 }
 
@@ -41,14 +38,13 @@ ParallelEngine::ParallelEngine(EngineConfig config,
                  ? std::make_unique<state::StateDb>(config.num_shards,
                                                     config.state)
                  : nullptr),
-      num_workers_(ResolveWorkerCount(config)) {
+      num_workers_(ResolveWorkerCount(config)),
+      pool_(num_workers_) {
   assert(config_.num_shards > 0);
   if (state_ != nullptr) coordinator_.EnableDecisionCollection();
-  const size_t queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   lanes_.reserve(config_.num_shards);
   for (uint32_t s = 0; s < config_.num_shards; ++s) {
-    lanes_.push_back(std::make_unique<ShardLane>(queue_capacity));
-    lanes_.back()->inbox.SetFullHandler([this] { RequestService(); });
+    lanes_.push_back(std::make_unique<ShardLane>());
   }
   // Same shard-count invariant InstallAllocation enforces; a constructor
   // cannot return Status, so a mismatched snapshot is rejected here and
@@ -66,84 +62,28 @@ ParallelEngine::ParallelEngine(EngineConfig config,
                         "; snapshot rejected";
     }
   }
-  {
-    // Size every per-worker slot before the first thread spawns: worker
-    // threads index these vectors from the moment they start.
-    common::MutexLock lock(mu_);
-    worker_ticks_done_.assign(num_workers_, 0);
-    worker_services_done_.assign(num_workers_, 0);
-    worker_stall_seconds_.assign(num_workers_, 0.0);
-  }
-  worker_threads_.reserve(num_workers_);
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    worker_threads_.emplace_back(&ParallelEngine::WorkerMain, this, w);
-  }
 }
 
-ParallelEngine::~ParallelEngine() {
-  {
-    common::MutexLock lock(mu_);
-    stopping_ = true;
-    cv_workers_.NotifyAll();
-  }
-  for (std::thread& thread : worker_threads_) {  // txallo-lint: allow(raw-thread)
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void ParallelEngine::RequestService() {
-  common::MutexLock lock(mu_);
-  ++service_generation_;
-  cv_workers_.NotifyAll();
-}
-
-void ParallelEngine::WorkerMain(uint32_t worker_index) {
-  const uint32_t stride = num_workers_;
-  mu_.Lock();
-  for (;;) {
-    Stopwatch stall;
-    while (!(stopping_ || tick_generation_ > worker_ticks_done_[worker_index] ||
-             service_generation_ > worker_services_done_[worker_index])) {
-      cv_workers_.Wait(mu_);
-    }
-    worker_stall_seconds_[worker_index] += stall.ElapsedSeconds();
-    if (stopping_) {
-      mu_.Unlock();
-      return;
-    }
-    const uint64_t tick_target = tick_generation_;
-    const uint64_t service_target = service_generation_;
-    const bool run_tick = tick_target > worker_ticks_done_[worker_index];
-    const bool record = record_trace_;
-    mu_.Unlock();
-    for (uint32_t s = worker_index; s < config_.num_shards; s += stride) {
-      ShardLane& lane = *lanes_[s];
-      lane.inbox.DrainTo(lane.staging);
-      if (run_tick) ExecuteBlock(s, lane, tick_target, record);
-    }
-    mu_.Lock();
-    worker_services_done_[worker_index] =
-        std::max(worker_services_done_[worker_index], service_target);
-    if (run_tick) worker_ticks_done_[worker_index] = tick_target;
-    cv_driver_.NotifyAll();
-  }
-}
+ParallelEngine::~ParallelEngine() = default;
 
 void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
                                   uint64_t block, bool record) {
-  // Stable merge: all submissions of the phase have returned (the tick
-  // barrier follows the driver contract), so staging holds the complete
-  // arrival set — appending it in sequence order makes the lane FIFO
-  // independent of producer interleaving. Tags are unique per lane, so a
-  // plain sort is canonical.
-  if (!lane.staging.empty()) {
-    std::sort(lane.staging.begin(), lane.staging.end(),
-              [](const WorkItem& a, const WorkItem& b) {
-                return a.seq < b.seq;
-              });
-    lane.fifo.insert(lane.fifo.end(), lane.staging.begin(),
-                     lane.staging.end());
-    lane.staging.clear();
+  // Stable merge: all submissions of the phase have returned (ticks
+  // never overlap ingest, by the driver contract), so staging holds the
+  // complete arrival set — appending it in sequence order makes the lane
+  // FIFO independent of producer interleaving. Tags are unique per lane,
+  // so a plain sort is canonical.
+  {
+    common::MutexLock lock(lane.mu);
+    if (!lane.staging.empty()) {
+      std::sort(lane.staging.begin(), lane.staging.end(),
+                [](const WorkItem& a, const WorkItem& b) {
+                  return a.seq < b.seq;
+                });
+      lane.fifo.insert(lane.fifo.end(), lane.staging.begin(),
+                       lane.staging.end());
+      lane.staging.clear();
+    }
   }
   double budget = config_.work.capacity_per_block;
   // Migration debt (account records this shard sent/received at the last
@@ -167,10 +107,10 @@ void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
       if (record) {
         lane.prepare_log.push_back(PrepareEvent{block, shard, item.seq});
       }
-      // The vote is cast by the driver after the barrier (stage + vote in
+      // The vote is cast by the driver after the join (stage + vote in
       // canonical lane order), not here: state mutation must not race
-      // across workers, and a migrated record may live on a lane another
-      // worker owns.
+      // across lanes, and a migrated record may live on a shard another
+      // lane owns.
       lane.finished.push_back(
           FinishedPart{item.tx_index, item.seq, std::move(item.ops)});
       lane.fifo.pop_front();
@@ -252,7 +192,11 @@ Status ParallelEngine::SubmitTransactions(
       for (size_t j = 0; j < ops.size(); ++j) {
         if (account_shards[j] == s) item.ops.push_back(ops[j]);
       }
-      lanes_[s]->inbox.Push(std::move(item));
+      ShardLane& lane = *lanes_[s];
+      common::MutexLock lock(lane.mu);
+      lane.staging.push_back(std::move(item));
+      lane.staging_high_water =
+          std::max<uint64_t>(lane.staging_high_water, lane.staging.size());
     }
   }
   return Status::OK();
@@ -282,16 +226,6 @@ std::shared_ptr<const alloc::Allocation> ParallelEngine::allocation_snapshot()
     const {
   common::MutexLock lock(routing_mu_);
   return routing_;
-}
-
-bool ParallelEngine::WorkersCaughtUpLocked(bool and_services) const {
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    if (worker_ticks_done_[w] != tick_generation_) return false;
-    if (and_services && worker_services_done_[w] != service_generation_) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void ParallelEngine::SyncStateResidency() {
@@ -328,26 +262,22 @@ void ParallelEngine::SyncStateResidency() {
 }
 
 void ParallelEngine::Tick() {
-  // State residency syncs before the tick's workers run: the migration
-  // debt it charges must be visible to this tick's ExecuteBlock (the mu_
-  // handshake below publishes the lane writes).
+  // State residency syncs before the tick's lanes run: the migration debt
+  // it charges must be visible to this tick's ExecuteBlock (the pool's
+  // fork publishes the lane writes).
   if (state_ != nullptr) SyncStateResidency();
-  now_.fetch_add(1, std::memory_order_relaxed);
-  bool record = false;
-  {
-    common::MutexLock lock(mu_);
-    record = record_trace_;
-    ++tick_generation_;
-    cv_workers_.NotifyAll();
-    while (!WorkersCaughtUpLocked(/*and_services=*/false)) {
-      cv_driver_.Wait(mu_);
+  const uint64_t block = now_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const bool record = record_trace_;
+  pool_.Run([this, block, record](uint32_t lane) {
+    for (uint32_t s = lane; s < config_.num_shards; s += num_workers_) {
+      ExecuteBlock(s, *lanes_[s], block, record);
     }
-  }
-  // Workers have barriered; only the driver touches lane state and the
+  });
+  // The lanes have joined; only the driver touches lane state and the
   // coordinator now. Stage + vote the tick's finished parts in canonical
   // (shard, lane-position) order — driver-side so the state DB is mutated
-  // by exactly one thread, in an order independent of worker striping.
-  const uint64_t now = now_.load(std::memory_order_relaxed);
+  // by exactly one thread, in an order independent of lane striping.
+  const uint64_t now = block;
   for (uint32_t s = 0; s < config_.num_shards; ++s) {
     ShardLane& lane = *lanes_[s];
     for (FinishedPart& part : lane.finished) {
@@ -381,23 +311,9 @@ void ParallelEngine::Tick() {
   }
 }
 
-void ParallelEngine::QuiesceLocked() {
-  while (!WorkersCaughtUpLocked(/*and_services=*/true)) {
-    cv_driver_.Wait(mu_);
-  }
-}
-
 EngineReport ParallelEngine::Snapshot() {
   EngineReport report;
-  {
-    common::MutexLock lock(mu_);
-    QuiesceLocked();
-    for (double stall : worker_stall_seconds_) {
-      report.worker_stall_seconds += stall;
-    }
-  }
-  // After the quiesce, no worker touches lane state until the driver
-  // publishes another tick/service generation.
+  report.worker_stall_seconds = pool_.parked_seconds();
   report.num_workers = num_workers_;
   const CommitStats stats = coordinator_.stats();
   const uint64_t now = now_.load(std::memory_order_relaxed);
@@ -430,10 +346,9 @@ EngineReport ParallelEngine::Snapshot() {
                                              static_cast<double>(now));
     }
     for (const WorkItem& item : lane->fifo) residual += item.work_remaining;
+    common::MutexLock lock(lane->mu);
     for (const WorkItem& item : lane->staging) residual += item.work_remaining;
-    lane->inbox.ForEach(
-        [&](const WorkItem& item) { residual += item.work_remaining; });
-    report.max_queue_depth.push_back(lane->inbox.high_water());
+    report.max_queue_depth.push_back(lane->staging_high_water);
   }
   report.sim.mean_utilization =
       utilization / static_cast<double>(config_.num_shards);
@@ -447,7 +362,6 @@ EngineReport ParallelEngine::Snapshot() {
 }
 
 void ParallelEngine::EnableTraceRecording() {
-  common::MutexLock lock(mu_);
   record_trace_ = true;
   coordinator_.EnableEventRecording();
 }
@@ -463,10 +377,6 @@ ParallelEngine::TakeObservedCommits() {
 }
 
 ParallelEngine::Trace ParallelEngine::ExtractTrace() {
-  {
-    common::MutexLock lock(mu_);
-    QuiesceLocked();
-  }
   Trace trace;
   // Lanes are concatenated in shard order, each already in execution order
   // with non-decreasing blocks; the stable sort interleaves them into the

@@ -4,49 +4,52 @@
 // in the paper's system shape: shards are independent processors. The
 // pieces:
 //
-//   * Ingest/mempool: SubmitBlock() routes each transaction by the current
+//   * Ingest: SubmitBlock() routes each transaction by the current
 //     alloc::Allocation snapshot (Allocation::RouteOf, the one account->shard
-//     rule) into one bounded MPSC queue per shard.
-//   * Shard workers: a fixed pool of threads, shards striped across them
-//     (worker w owns shards s with s % num_workers == w — one worker per
-//     shard when threads >= shards). Each worker drains its shards' ingest
-//     queues into local FIFOs and, once per tick, executes one block of work
-//     per owned shard under the sim::WorkModel cost semantics
+//     rule) into one staging buffer per shard, each behind its own mutex.
+//   * Shard lanes: each Tick() is one fork-join over a common::ForkJoinPool
+//     of W lanes, shards striped across them (lane w owns shards s with
+//     s % W == w — one lane per shard when threads >= shards). Lane 0 runs
+//     on the driver, lanes 1..W-1 on W-1 helper threads. Each lane merges
+//     its shards' staged arrivals into their FIFOs and executes one block
+//     of work per owned shard under the sim::WorkModel cost semantics
 //     (η per cross part, λ capacity per block).
-//   * Cross-shard commits: workers vote PREPARED part-by-part into a
-//     TwoPhaseCoordinator; cross-shard transactions pay the extra commit
-//     round(s) of §I.
+//   * Cross-shard commits: after the fork-join the driver votes each
+//     finished part PREPARED into a TwoPhaseCoordinator; cross-shard
+//     transactions pay the extra commit round(s) of §I.
 //   * Online reallocation: InstallAllocation() swaps in a new copy-on-write
 //     std::shared_ptr<const Allocation> snapshot between block boundaries.
-//     Workers never read the allocation (routing happens at ingest), so the
+//     Lanes never read the allocation (routing happens at ingest), so the
 //     swap never stops them — the epoch hook in engine/pipeline.h drives it
 //     from core::TxAlloController.
 //
 // Time is logical, in blocks: Tick() advances every shard by one block in
-// parallel and barriers before commit decisions are flushed, so for a given
-// submission sequence the SimReport numbers do not depend on the worker
+// parallel and joins before commit decisions are flushed, so for a given
+// submission sequence the SimReport numbers do not depend on the lane
 // count.
 //
 // Determinism: every submitted transaction carries an ingest *sequence tag*
 // (a position in a per-engine reservation counter; see
-// ReserveSequenceRange). Producers may push into a shard's inbox in any
-// interleaving — the lane stages arrivals and merges them into its FIFO in
+// ReserveSequenceRange). Producers may push into a shard's staging buffer in
+// any interleaving — the lane sorts it and appends it to its FIFO in
 // sequence order at the next tick, after all in-flight submissions have
 // returned (the driver contract). Per-lane execution order is therefore a
 // pure function of the submitted blocks and installed snapshots,
-// independent of worker threads, producer count and λ; with trace recording
+// independent of lane count, producer count and λ; with trace recording
 // on (EnableTraceRecording), ExtractTrace() returns the canonical per-tick,
 // per-shard prepare order and 2PC outcome stream that engine/replay.h
 // serializes and replays bit-identically.
 //
-// Threading contract (relaxed since the ingest router): ingest is
-// multi-producer — SubmitBlock/SubmitTransactions may be called from any
-// number of threads concurrently (the per-shard MPSC queues and the 2PC
-// registry are shared-state safe; engine/ingest_router.h is the fan-out
-// driver). Tick/Snapshot/DrainAndReport remain driver API — one thread at a
-// time, and they must not overlap in-flight submissions (the logical clock
-// advances between ingest phases, exactly like a block boundary).
-// InstallAllocation is safe from any thread at any time.
+// Threading contract: ingest is multi-producer — SubmitBlock/
+// SubmitTransactions may be called from any number of threads concurrently
+// (the per-shard staging buffers are mutex-guarded, and so is the 2PC
+// registry; engine/ingest_router.h is the fan-out driver). Tick/Snapshot/
+// DrainAndReport/ExtractTrace and the Enable* switches are driver API — one
+// thread at a time, and they must not overlap in-flight submissions (the
+// logical clock advances between ingest phases, exactly like a block
+// boundary). Everything a lane writes during a tick is the driver's again
+// when Tick()'s fork-join returns. InstallAllocation is safe from any
+// thread at any time.
 #pragma once
 
 #include <atomic>
@@ -54,16 +57,15 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>  // txallo-lint: allow(raw-thread) worker pool
 #include <vector>
 
 #include "txallo/alloc/allocation.h"
 #include "txallo/chain/transaction.h"
+#include "txallo/common/fork_join.h"
 #include "txallo/common/histogram.h"
 #include "txallo/common/sha256.h"
 #include "txallo/common/status.h"
 #include "txallo/common/sync.h"
-#include "txallo/engine/mpsc_queue.h"
 #include "txallo/engine/two_phase.h"
 #include "txallo/sim/work_model.h"
 #include "txallo/state/state_db.h"
@@ -81,12 +83,10 @@ struct EngineConfig {
   /// account records between shard DBs (charged against λ), and each tick
   /// fingerprints the committed state with a Merkle root.
   state::StateConfig state;
-  /// Worker threads; 0 = min(hardware_concurrency, num_shards). Clamped to
-  /// [1, num_shards].
+  /// Execution lanes W; 0 = min(hardware threads, num_shards). Clamped to
+  /// [1, num_shards]. Lane 0 runs on the thread that calls Tick(), so the
+  /// engine spawns W-1 helper threads (none at W = 1).
   uint32_t num_threads = 0;
-  /// Bound of each shard's ingest queue (transaction parts). Producers
-  /// block — after waking the consumer — when a queue is full.
-  size_t queue_capacity = 4096;
   /// Route accounts the snapshot has not placed by hash (account id mod k)
   /// instead of rejecting the block. What a live chain does for accounts
   /// created since the last allocation epoch; the reallocation pipeline
@@ -144,9 +144,10 @@ struct EngineReport {
   /// The cost model's logical results.
   SimReport sim;
   uint32_t num_workers = 0;
-  /// Per-shard ingest-queue high-water mark (backpressure indicator).
+  /// Per-shard high-water mark of arrivals staged between two ticks.
   std::vector<uint64_t> max_queue_depth;
-  /// Total seconds workers spent parked waiting for work or ticks.
+  /// Total seconds the engine's W-1 helper threads spent parked between
+  /// ticks (0 with one lane).
   double worker_stall_seconds = 0.0;
   /// Allocation snapshots installed while running.
   uint64_t reallocations = 0;
@@ -170,30 +171,30 @@ struct EngineReport {
 
 class ParallelEngine {
  public:
-  /// Starts the worker pool. `initial` may be null — SubmitBlock then
+  /// Starts the lane pool. `initial` may be null — SubmitBlock then
   /// fails until InstallAllocation() provides a snapshot. An `initial`
   /// whose shard count differs from the engine's is rejected the same way
   /// InstallAllocation would reject it; SubmitBlock reports the mismatch.
   ParallelEngine(EngineConfig config,
                  std::shared_ptr<const alloc::Allocation> initial);
 
-  /// Stops and joins the workers. Pending (unticked) work is discarded.
+  /// Stops and joins the helper threads. Pending (unticked) work is
+  /// discarded.
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   /// Routes one block of transactions by the current allocation snapshot
-  /// into the shard queues. Blocks for backpressure when a queue is full.
-  /// Safe from multiple producer threads concurrently (see the threading
+  /// into the shards' staging buffers. Safe from multiple producer threads concurrently (see the threading
   /// contract above); equivalent to SubmitTransactions over the whole span.
   Status SubmitBlock(const std::vector<chain::Transaction>& transactions);
 
   /// Multi-producer ingest primitive: routes `count` transactions starting
   /// at `transactions` by the current allocation snapshot. Any number of
   /// producers may call this concurrently — per-transaction routing reads
-  /// one copy-on-write snapshot, the 2PC registry is mutex-guarded, and the
-  /// per-shard inboxes are MPSC. Must not overlap Tick()/Snapshot()/
+  /// one copy-on-write snapshot, and the 2PC registry and the per-shard
+  /// staging buffers are mutex-guarded. Must not overlap Tick()/Snapshot()/
   /// DrainAndReport() (driver API). Reserves this call's sequence range
   /// internally, so tags across *concurrent* callers follow reservation
   /// interleaving; coordinate with ReserveSequenceRange + the three-arg
@@ -234,8 +235,8 @@ class ParallelEngine {
   std::vector<TwoPhaseCoordinator::Decision> TakeObservedCommits();
 
   /// The canonical recorded trace so far: prepares in (block, shard,
-  /// lane-position) order, commits in (block, seq) order. Driver-side;
-  /// quiesces workers first. Empty unless EnableTraceRecording() ran.
+  /// lane-position) order, commits in (block, seq) order. Driver-side.
+  /// Empty unless EnableTraceRecording() ran.
   struct Trace {
     std::vector<PrepareEvent> prepares;
     std::vector<CommitEvent> commits;
@@ -245,19 +246,19 @@ class ParallelEngine {
   Trace ExtractTrace();
 
   /// Publishes a new allocation snapshot; takes effect from the next
-  /// SubmitBlock(). Safe from any thread, never stops the workers. Fails if
+  /// SubmitBlock(). Safe from any thread, never stops the lanes. Fails if
   /// the snapshot is null or its shard count differs from the engine's.
   Status InstallAllocation(std::shared_ptr<const alloc::Allocation> next);
 
   /// Advances one block: every shard executes up to λ work in parallel;
-  /// after the barrier, due cross-shard commit decisions are flushed.
+  /// after the join, due cross-shard commit decisions are flushed.
   void Tick();
 
   /// Ticks until all queues drain and all commits land (bounded by
   /// `max_extra_blocks`), then reports.
   EngineReport DrainAndReport(uint64_t max_extra_blocks = 1'000'000);
 
-  /// Report without draining. Quiesces in-flight ingest drains first.
+  /// Report without draining.
   EngineReport Snapshot();
 
   uint64_t current_block() const {
@@ -283,8 +284,8 @@ class ParallelEngine {
     /// This part's staged effects (state backend on; empty otherwise).
     std::vector<state::Op> ops;
   };
-  /// A part that finished executing this tick, parked by the owning worker
-  /// for the driver to stage + vote after the barrier (in canonical lane
+  /// A part that finished executing this tick, parked by the owning lane
+  /// for the driver to stage + vote after the join (in canonical lane
   /// order — which is what keeps state mutation deterministic and the
   /// state DB single-threaded).
   struct FinishedPart {
@@ -292,44 +293,36 @@ class ParallelEngine {
     uint64_t seq;
     std::vector<state::Op> ops;
   };
-  // Per-shard execution state. The inbox is shared (producers push, owner
-  // worker drains); everything below it is owned by the shard's worker
-  // between barriers and read by the driver only after quiescing.
+  // Per-shard execution state. The staging buffer is shared (producers
+  // push under `mu`); everything below it is owned by the shard's lane
+  // during a tick's fork-join and by the driver outside it.
   struct ShardLane {
-    explicit ShardLane(size_t queue_capacity) : inbox(queue_capacity) {}
-    MpscQueue<WorkItem> inbox;
-    // Arrivals drained from the inbox in push (interleaving-dependent)
-    // order; merged into the FIFO in sequence order at the next tick, once
-    // every in-flight submission has returned. This staging step is what
-    // makes per-lane order producer-schedule independent.
-    std::vector<WorkItem> staging;
+    common::Mutex mu;
+    // Arrivals in push (interleaving-dependent) order; sorted by sequence
+    // tag into the FIFO at the next tick, once every in-flight submission
+    // has returned. This step is what makes per-lane order
+    // producer-schedule independent.
+    std::vector<WorkItem> staging TXALLO_GUARDED_BY(mu);
+    // Largest staging size seen (EngineReport::max_queue_depth).
+    uint64_t staging_high_water TXALLO_GUARDED_BY(mu) = 0;
     std::deque<WorkItem> fifo;
     double processed_work = 0.0;
-    // Prepare votes in execution order (only when recording; owner-written).
+    // Prepare votes in execution order (only when recording; lane-written).
     std::vector<PrepareEvent> prepare_log;
-    // Parts finished this tick; owner-written during the tick, drained by
-    // the driver after the barrier (stage + vote), before the next tick.
+    // Parts finished this tick; lane-written during the tick, drained by
+    // the driver after the join (stage + vote), before the next tick.
     std::vector<FinishedPart> finished;
     // λ units still owed for account-record migration (state backend).
-    // Driver-written before workers are notified of a tick; owner-consumed
-    // off the top of that tick's budget.
+    // Driver-written before the tick's fork-join; lane-consumed off the top
+    // of that tick's budget.
     double migration_debt = 0.0;
   };
-  void WorkerMain(uint32_t worker_index);
   void ExecuteBlock(uint32_t shard, ShardLane& lane, uint64_t block,
                     bool record);
-  // Driver-side, before notifying workers of a tick: applies any pending
+  // Driver-side, before the tick's fork-join: applies any pending
   // allocation install to state residency (migrating records) and charges
   // the moved records as migration debt against the involved lanes' λ.
   void SyncStateResidency();
-  // Wakes workers to drain their inboxes (called by full queues' handler).
-  void RequestService();
-  // Driver-side: waits until every worker has observed the latest tick and
-  // service generations, so lane state is safe to read.
-  void QuiesceLocked() TXALLO_REQUIRES(mu_);
-  // True when every worker has caught up with tick_generation_ (and, when
-  // `and_services`, with service_generation_ too).
-  bool WorkersCaughtUpLocked(bool and_services) const TXALLO_REQUIRES(mu_);
 
   const EngineConfig config_;
   TwoPhaseCoordinator coordinator_;
@@ -350,35 +343,19 @@ class ParallelEngine {
   bool state_pending_sync_ TXALLO_GUARDED_BY(routing_mu_) = false;
 
   // Account-state backend. Allocated once in the constructor (null when
-  // disabled); mutated by the driver only, between tick barriers — workers
-  // never touch it, which is why it needs no lock.
+  // disabled); mutated by the driver only, outside the tick's fork-join —
+  // lanes never touch it, which is why it needs no lock.
   const std::unique_ptr<state::StateDb> state_;
   // Driver-only state observability (same ownership as state_).
   uint64_t accounts_migrated_ = 0;
   std::vector<TickStateRoot> tick_roots_;
   // Driver-only commit observation (EnableCommitObservation): decisions the
-  // driver has not collected yet. Touched only between tick barriers.
+  // driver has not collected yet. Touched only outside the tick's fork-join.
   bool observe_commits_ = false;
   std::vector<TwoPhaseCoordinator::Decision> observed_commits_;
 
-  // Tick/service protocol. Per-worker progress lives in parallel vectors
-  // (index = worker) rather than a per-worker struct so the counters can be
-  // annotated against mu_ and the analysis sees every access.
-  mutable common::Mutex mu_;
-  common::CondVar cv_workers_;
-  common::CondVar cv_driver_;
-  uint64_t tick_generation_ TXALLO_GUARDED_BY(mu_) = 0;
-  uint64_t service_generation_ TXALLO_GUARDED_BY(mu_) = 0;
-  bool stopping_ TXALLO_GUARDED_BY(mu_) = false;
-  // Workers sample it under mu_ at the top of each loop iteration and pass
-  // the value into ExecuteBlock.
-  bool record_trace_ TXALLO_GUARDED_BY(mu_) = false;
-  std::vector<uint64_t> worker_ticks_done_ TXALLO_GUARDED_BY(mu_);
-  std::vector<uint64_t> worker_services_done_ TXALLO_GUARDED_BY(mu_);
-  std::vector<double> worker_stall_seconds_ TXALLO_GUARDED_BY(mu_);
-  // Sized before any thread spawns, then joined in the destructor; only the
-  // constructor/destructor touch the vector itself.
-  std::vector<std::thread> worker_threads_;  // txallo-lint: allow(raw-thread)
+  // Driver-only (EnableTraceRecording), read into each tick's lanes.
+  bool record_trace_ = false;
   const uint32_t num_workers_;
 
   // Logical clock. Written by the driver in Tick(); read (relaxed) by
@@ -387,6 +364,8 @@ class ParallelEngine {
   std::atomic<uint64_t> now_{0};
   // Ingest sequence-tag reservation counter (ReserveSequenceRange).
   std::atomic<uint64_t> ingest_seq_{0};
+  // Declared last so its helpers are joined before any lane is destroyed.
+  common::ForkJoinPool pool_;
 };
 
 }  // namespace txallo::engine

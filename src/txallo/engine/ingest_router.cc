@@ -1,88 +1,27 @@
 #include "txallo/engine/ingest_router.h"
 
-#include <algorithm>
-
 namespace txallo::engine {
 
 IngestRouter::IngestRouter(ParallelEngine* engine, uint32_t num_producers)
-    : engine_(engine), num_producers_(std::max(1u, num_producers)) {
-  {
-    // Size every per-producer slot before the first thread spawns: producer
-    // threads index these vectors from the moment they start.
-    common::MutexLock lock(mu_);
-    done_generation_.assign(num_producers_, 0);
-    statuses_.assign(num_producers_, Status::OK());
-  }
-  threads_.reserve(num_producers_);
-  for (uint32_t p = 0; p < num_producers_; ++p) {
-    threads_.emplace_back(&IngestRouter::ProducerMain, this, p);
-  }
-}
-
-IngestRouter::~IngestRouter() {
-  {
-    common::MutexLock lock(mu_);
-    stopping_ = true;
-    cv_producers_.NotifyAll();
-  }
-  for (std::thread& thread : threads_) {  // txallo-lint: allow(raw-thread)
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void IngestRouter::ProducerMain(uint32_t producer_index) {
-  const size_t n = num_producers_;
-  mu_.Lock();
-  for (;;) {
-    while (!(stopping_ || generation_ > done_generation_[producer_index])) {
-      cv_producers_.Wait(mu_);
-    }
-    if (stopping_) {
-      mu_.Unlock();
-      return;
-    }
-    const uint64_t target = generation_;
-    // Contiguous slice [begin, end) of the current block; the slice's
-    // sequence tags are its global positions offset by the block's base.
-    const size_t begin = block_size_ * producer_index / n;
-    const size_t end = block_size_ * (producer_index + 1) / n;
-    const chain::Transaction* base = block_;
-    const uint64_t seq_base = block_seq_base_;
-    mu_.Unlock();
-    Status status = Status::OK();
-    if (end > begin) {
-      status = engine_->SubmitTransactions(base + begin, end - begin,
-                                           seq_base + begin);
-    }
-    mu_.Lock();
-    statuses_[producer_index] = std::move(status);
-    done_generation_[producer_index] = target;
-    cv_driver_.NotifyAll();
-  }
-}
+    : engine_(engine), pool_(num_producers) {}
 
 Status IngestRouter::SubmitBlock(
     const std::vector<chain::Transaction>& transactions) {
-  common::MutexLock lock(mu_);
-  block_ = transactions.data();
-  block_size_ = transactions.size();
-  block_seq_base_ = engine_->ReserveSequenceRange(transactions.size());
-  const uint64_t target = ++generation_;
-  cv_producers_.NotifyAll();
-  for (;;) {
-    bool all_done = true;
-    for (uint64_t done : done_generation_) {
-      if (done != target) {
-        all_done = false;
-        break;
-      }
+  const size_t n = transactions.size();
+  const size_t producers = pool_.lanes();
+  const uint64_t seq_base = engine_->ReserveSequenceRange(n);
+  std::vector<Status> statuses(producers, Status::OK());
+  pool_.Run([&](uint32_t p) {
+    // Contiguous slice [begin, end); its sequence tags are its positions
+    // in the block offset by the block's base.
+    const size_t begin = n * p / producers;
+    const size_t end = n * (p + 1) / producers;
+    if (end > begin) {
+      statuses[p] = engine_->SubmitTransactions(
+          transactions.data() + begin, end - begin, seq_base + begin);
     }
-    if (all_done) break;
-    cv_driver_.Wait(mu_);
-  }
-  block_ = nullptr;
-  block_size_ = 0;
-  for (const Status& status : statuses_) {
+  });
+  for (const Status& status : statuses) {
     TXALLO_RETURN_NOT_OK(status);
   }
   return Status::OK();

@@ -1,75 +1,56 @@
-// Sharded ingest router: N producer threads routing one block of
-// transactions into the engine's per-shard MPSC queues in parallel.
+// Sharded ingest router: one block of transactions routed into the engine's
+// per-shard staging buffers by N producer lanes in parallel.
 //
 // ParallelEngine::SubmitTransactions is multi-producer safe (routing reads
-// one copy-on-write allocation snapshot, the 2PC registry is mutex-guarded,
-// the inboxes are MPSC) — the router is the fan-out driver on top of it: a
-// persistent pool of producer threads, each taking one contiguous slice of
-// the submitted block. The ingest phase is still bracketed by the engine's
-// logical clock: SubmitBlock() returns only when every producer has drained
-// its slice, so Tick() never overlaps in-flight submissions (the same
-// driver contract SubmitBlock always had, with the parallelism inside).
+// one copy-on-write allocation snapshot, the 2PC registry and the staging
+// buffers are mutex-guarded) — the router is the fan-out on top of it: a
+// common::ForkJoinPool of N lanes, each taking one contiguous slice of the
+// submitted block. Lane 0 is the calling driver thread, so N producers cost
+// N-1 helper threads. The ingest phase is still bracketed by the engine's
+// logical clock: SubmitBlock() returns only when every lane has routed its
+// slice, so Tick() never overlaps in-flight submissions (the same driver
+// contract SubmitBlock always had, with the parallelism inside).
 //
 // Determinism: SubmitBlock reserves the block's ingest sequence range once
 // on the driver (engine::ParallelEngine::ReserveSequenceRange), and every
-// producer submits its slice with explicit tags — transaction i of the
-// block always carries tag base + i, whatever the producer interleaving.
-// Combined with the engine's lane-side stable merge, per-lane FIFO order —
-// and therefore which transactions fit a tight λ budget first — is
-// byte-identical to the single-driver path, so the whole report matches
-// exactly at any λ and producer count (the router stress and the
-// ingest-order property tests pin this).
+// lane submits its slice with explicit tags — transaction i of the block
+// always carries tag base + i, whatever the lane interleaving. Combined
+// with the engine's lane-side sort, per-lane FIFO order — and therefore
+// which transactions fit a tight λ budget first — is byte-identical to the
+// single-driver path, so the whole report matches exactly at any λ and
+// producer count (the router stress and the ingest-order property tests
+// pin this).
 #pragma once
 
 #include <cstdint>
-#include <thread>  // txallo-lint: allow(raw-thread) producer pool
 #include <vector>
 
 #include "txallo/chain/transaction.h"
+#include "txallo/common/fork_join.h"
 #include "txallo/common/status.h"
-#include "txallo/common/sync.h"
 #include "txallo/engine/engine.h"
 
 namespace txallo::engine {
 
 class IngestRouter {
  public:
-  /// Starts `num_producers` (clamped to >= 1) producer threads submitting
-  /// into `engine`, which must outlive the router.
+  /// Routes through `num_producers` (clamped to >= 1) lanes into `engine`,
+  /// which must outlive the router.
   IngestRouter(ParallelEngine* engine, uint32_t num_producers);
-
-  /// Joins the producers. Any in-flight SubmitBlock must have returned.
-  ~IngestRouter();
 
   IngestRouter(const IngestRouter&) = delete;
   IngestRouter& operator=(const IngestRouter&) = delete;
 
-  /// Splits `transactions` into contiguous slices, one per producer, and
-  /// blocks until every slice is routed. One caller at a time (the driver);
-  /// must not overlap the engine's Tick/Snapshot/DrainAndReport.
+  /// Splits `transactions` into contiguous slices, one per producer lane,
+  /// and blocks until every slice is routed. One caller at a time (the
+  /// driver); must not overlap the engine's Tick/Snapshot/DrainAndReport.
   Status SubmitBlock(const std::vector<chain::Transaction>& transactions);
 
-  uint32_t num_producers() const { return num_producers_; }
+  uint32_t num_producers() const { return pool_.lanes(); }
 
  private:
-  void ProducerMain(uint32_t producer_index);
-
-  ParallelEngine* engine_;
-  const uint32_t num_producers_;
-
-  common::Mutex mu_;
-  common::CondVar cv_producers_;
-  common::CondVar cv_driver_;
-  // One submission = one generation; producers chase it and report back.
-  uint64_t generation_ TXALLO_GUARDED_BY(mu_) = 0;
-  bool stopping_ TXALLO_GUARDED_BY(mu_) = false;
-  const chain::Transaction* block_ TXALLO_GUARDED_BY(mu_) = nullptr;
-  size_t block_size_ TXALLO_GUARDED_BY(mu_) = 0;
-  uint64_t block_seq_base_ TXALLO_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> done_generation_ TXALLO_GUARDED_BY(mu_);
-  std::vector<Status> statuses_ TXALLO_GUARDED_BY(mu_);
-  // Sized before any thread spawns, joined in the destructor.
-  std::vector<std::thread> threads_;  // txallo-lint: allow(raw-thread)
+  ParallelEngine* const engine_;
+  common::ForkJoinPool pool_;
 };
 
 }  // namespace txallo::engine

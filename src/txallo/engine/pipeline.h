@@ -33,8 +33,9 @@
 //                        tests assert bit-equality).
 //
 // Ingest can fan out too: `ingest_producers >= 2` routes every block
-// through an IngestRouter (N producer threads into the per-shard MPSC
-// queues) instead of the driver thread.
+// through an IngestRouter — N producer lanes, the driver plus N-1 helper
+// threads of a common::ForkJoinPool, each routing one slice into the
+// engine's per-shard staging buffers — instead of the driver alone.
 //
 // Ingest modes: the classic driver is *closed-loop* — it feeds one ledger
 // block per tick, so the arrival rate automatically tracks the service rate
@@ -125,8 +126,9 @@ struct PipelineConfig {
   /// historical single-driver loop.
   AllocatorMode allocator_mode = AllocatorMode::kDriverSync;
   /// Ingest fan-out: >= 2 routes blocks through an IngestRouter with this
-  /// many producer threads; 0/1 submits from the driver. In kOpenLoop the
-  /// same count also sizes the mempool's SubmitRouter producer pool.
+  /// many producer lanes (lane 0 is the driver); 0/1 submits from the
+  /// driver. In kOpenLoop the same count also sizes the mempool's
+  /// SubmitRouter.
   uint32_t ingest_producers = 0;
   /// Closed-loop (feed one ledger block per tick) or open-loop (offered
   /// load through the mempool; see file header). On replay the recorded

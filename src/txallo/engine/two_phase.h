@@ -1,6 +1,6 @@
 // Cross-shard two-phase commit coordinator.
 //
-// Each shard worker executes its part of a transaction and then votes
+// Each shard executes its part of a transaction and then votes
 // part-by-part; once every participant shard has voted, the coordinator
 // issues the decision. A unanimously-PREPARED intra-shard transaction
 // commits in place; a cross-shard one pays the extra consensus round(s) of
@@ -11,8 +11,9 @@
 // the last-vote block: an abort needs no extra consensus round —
 // participants simply drop their staged thunks.
 //
-// Thread-safety: PartExecuted() is called concurrently by shard workers
-// mid-tick; Register()/FlushDelayed()/stats() are driver-side. Everything is
+// Thread-safety: Register() is called concurrently by ingest producers;
+// PartExecuted()/FlushDelayed()/stats() are driver-side, after each tick's
+// lanes have joined. Everything is
 // guarded by one annotated mutex (common/sync.h; Clang -Wthread-safety
 // checks the discipline) — the coordinator is touched once per transaction
 // part, not per work unit, so contention is bounded by routing fan-out.
@@ -70,7 +71,7 @@ class TwoPhaseCoordinator {
   /// Registers a transaction entering execution at `arrival_block` with
   /// `participants` distinct shards. `seq` is the transaction's ingest
   /// sequence tag, carried into recorded CommitEvents. Returns its
-  /// transaction index (the handle shard workers vote with).
+  /// transaction index (the handle the shard votes are cast with).
   uint64_t Register(uint64_t arrival_block, uint32_t participants,
                     bool cross_shard, uint64_t seq);
 
@@ -85,8 +86,8 @@ class TwoPhaseCoordinator {
 
   /// The recorded outcome stream in canonical order: (block, seq)
   /// ascending — registration and voting interleavings across
-  /// producer/worker threads do not change it. Driver-side, workers
-  /// quiesced.
+  /// producer threads and engine lanes do not change it. Driver-side,
+  /// between ticks.
   std::vector<CommitEvent> CanonicalCommitEvents() const;
 
   /// One participant's vote, cast at block `block`: ok = PREPARED, !ok =
@@ -101,7 +102,7 @@ class TwoPhaseCoordinator {
     PartExecuted(tx_index, block, /*ok=*/true);
   }
 
-  /// Driver-side, once per block after workers quiesce: commits every
+  /// Driver-side, once per block after the lanes join: commits every
   /// scheduled cross-shard transaction whose decision round has arrived.
   void FlushDelayed(uint64_t now);
 

@@ -1,94 +1,32 @@
 #include "txallo/mempool/submit_router.h"
 
-#include <algorithm>
+#include <vector>
 
 namespace txallo::mempool {
 
 SubmitRouter::SubmitRouter(Mempool* pool, uint32_t num_producers)
-    : pool_(pool), num_producers_(std::max(1u, num_producers)) {
-  {
-    // Size every per-producer slot before the first thread spawns: producer
-    // threads index these vectors from the moment they start.
-    common::MutexLock lock(mu_);
-    done_generation_.assign(num_producers_, 0);
-    accepted_.assign(num_producers_, 0);
-  }
-  threads_.reserve(num_producers_);
-  for (uint32_t p = 0; p < num_producers_; ++p) {
-    threads_.emplace_back(&SubmitRouter::ProducerMain, this, p);
-  }
-}
-
-SubmitRouter::~SubmitRouter() {
-  {
-    common::MutexLock lock(mu_);
-    stopping_ = true;
-    cv_producers_.NotifyAll();
-  }
-  for (std::thread& thread : threads_) {  // txallo-lint: allow(raw-thread)
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void SubmitRouter::ProducerMain(uint32_t producer_index) {
-  const size_t n = num_producers_;
-  mu_.Lock();
-  for (;;) {
-    while (!(stopping_ || generation_ > done_generation_[producer_index])) {
-      cv_producers_.Wait(mu_);
-    }
-    if (stopping_) {
-      mu_.Unlock();
-      return;
-    }
-    const uint64_t target = generation_;
-    // Contiguous slice [begin, end) of the current batch; the slice's
-    // sequence tags are its global positions offset by the batch's base.
-    const size_t begin = batch_size_ * producer_index / n;
-    const size_t end = batch_size_ * (producer_index + 1) / n;
-    const chain::Transaction* txs = batch_;
-    const uint64_t* fees = fees_;
-    const uint64_t seq_base = batch_seq_base_;
-    const uint64_t tick = batch_tick_;
-    mu_.Unlock();
-    size_t accepted = 0;
-    for (size_t i = begin; i < end; ++i) {
-      if (pool_->TrySubmit(txs[i], fees[i], tick, seq_base + i)) ++accepted;
-    }
-    mu_.Lock();
-    accepted_[producer_index] = accepted;
-    done_generation_[producer_index] = target;
-    cv_driver_.NotifyAll();
-  }
-}
+    : pool_(pool), lanes_(num_producers) {}
 
 size_t SubmitRouter::SubmitBatch(const chain::Transaction* transactions,
                                  const uint64_t* fees, size_t count,
                                  uint64_t submit_tick, uint64_t seq_base) {
-  common::MutexLock lock(mu_);
-  batch_ = transactions;
-  fees_ = fees;
-  batch_size_ = count;
-  batch_seq_base_ = seq_base;
-  batch_tick_ = submit_tick;
-  const uint64_t target = ++generation_;
-  cv_producers_.NotifyAll();
-  for (;;) {
-    bool all_done = true;
-    for (uint64_t done : done_generation_) {
-      if (done != target) {
-        all_done = false;
-        break;
+  const size_t producers = lanes_.lanes();
+  std::vector<size_t> accepted(producers, 0);
+  lanes_.Run([&](uint32_t p) {
+    // Contiguous slice [begin, end); its sequence tags are its positions
+    // in the batch offset by the batch's base.
+    const size_t end = count * (p + 1) / producers;
+    size_t n = 0;
+    for (size_t i = count * p / producers; i < end; ++i) {
+      if (pool_->TrySubmit(transactions[i], fees[i], submit_tick,
+                           seq_base + i)) {
+        ++n;
       }
     }
-    if (all_done) break;
-    cv_driver_.Wait(mu_);
-  }
-  batch_ = nullptr;
-  fees_ = nullptr;
-  batch_size_ = 0;
+    accepted[p] = n;
+  });
   size_t total_accepted = 0;
-  for (size_t accepted : accepted_) total_accepted += accepted;
+  for (size_t n : accepted) total_accepted += n;
   return total_accepted;
 }
 

@@ -1,78 +1,56 @@
-// Multi-producer submit fan-out for the mempool, mirroring the engine's
-// IngestRouter: a persistent pool of producer threads, each taking one
-// contiguous slice of the batch the driver offers per tick.
+// Multi-producer submit fan-out for the mempool: the batch the driver
+// offers per tick, split into contiguous slices over a common::ForkJoinPool
+// of N producer lanes (lane 0 is the calling driver thread) — the same
+// slicing loop as engine::IngestRouter.
 //
 // Determinism: the driver reserves the batch's pool sequence range once
-// (Mempool::ReserveSequenceRange) and every producer submits its slice with
+// (Mempool::ReserveSequenceRange) and every lane submits its slice with
 // explicit tags — transaction i of the batch always carries seq base + i,
-// whatever the producer interleaving. Since the pool orders each seal by
-// seq, the admitted stream is byte-identical to the single-producer path.
+// whatever the lane interleaving. Since the pool orders each seal by seq,
+// the admitted stream is byte-identical to the single-producer path.
 //
-// Producers use TrySubmit (non-blocking): an arrival refused by a full
-// staging buffer is an open-loop loss, counted by the pool as a
-// backpressure drop. Note that *which* arrivals hit a full buffer depends
-// on thread timing — a deterministic open-loop run must size staging to
-// hold a whole tick's offer (the pipeline does; see pipeline.cc), so the
-// buffer never fills and every drop decision moves to the seal, which is
-// deterministic. Blocking Submit() is exercised directly by the unit tests
-// with an independent sealing thread; it cannot be used here because the
-// driver seals only after SubmitBatch returns.
+// Lanes use TrySubmit (non-blocking): an arrival refused by a full staging
+// buffer is an open-loop loss, counted by the pool as a backpressure drop.
+// Note that *which* arrivals hit a full buffer depends on thread timing — a
+// deterministic open-loop run must size staging to hold a whole tick's
+// offer (the pipeline does; see pipeline.cc), so the buffer never fills and
+// every drop decision moves to the seal, which is deterministic. Blocking
+// Submit() is exercised directly by the unit tests with an independent
+// sealing thread; it cannot be used here because the driver seals only
+// after SubmitBatch returns.
 #pragma once
 
 #include <cstdint>
-#include <thread>  // txallo-lint: allow(raw-thread) producer pool
-#include <vector>
 
 #include "txallo/chain/transaction.h"
-#include "txallo/common/sync.h"
+#include "txallo/common/fork_join.h"
 #include "txallo/mempool/mempool.h"
 
 namespace txallo::mempool {
 
 class SubmitRouter {
  public:
-  /// Starts `num_producers` (clamped to >= 1) producer threads submitting
-  /// into `pool`, which must outlive the router.
+  /// Submits through `num_producers` (clamped to >= 1) lanes into `pool`,
+  /// which must outlive the router.
   SubmitRouter(Mempool* pool, uint32_t num_producers);
-
-  /// Joins the producers. Any in-flight SubmitBatch must have returned.
-  ~SubmitRouter();
 
   SubmitRouter(const SubmitRouter&) = delete;
   SubmitRouter& operator=(const SubmitRouter&) = delete;
 
   /// Splits `count` transactions (with parallel `fees`) into contiguous
-  /// slices, one per producer; transaction i is TrySubmit-ted with sequence
-  /// tag `seq_base + i` at tick `submit_tick`. Blocks until every slice is
-  /// offered; returns how many the staging buffer accepted. One caller at
-  /// a time (the driver).
+  /// slices, one per producer lane; transaction i is TrySubmit-ted with
+  /// sequence tag `seq_base + i` at tick `submit_tick`. Blocks until every
+  /// slice is offered; returns how many the staging buffer accepted. One
+  /// caller at a time (the driver).
   size_t SubmitBatch(const chain::Transaction* transactions,
                      const uint64_t* fees, size_t count, uint64_t submit_tick,
                      uint64_t seq_base);
 
-  uint32_t num_producers() const { return num_producers_; }
+  uint32_t num_producers() const { return lanes_.lanes(); }
 
  private:
-  void ProducerMain(uint32_t producer_index);
-
   Mempool* const pool_;
-  const uint32_t num_producers_;
-
-  common::Mutex mu_;
-  common::CondVar cv_producers_;
-  common::CondVar cv_driver_;
-  // One submission = one generation; producers chase it and report back.
-  uint64_t generation_ TXALLO_GUARDED_BY(mu_) = 0;
-  bool stopping_ TXALLO_GUARDED_BY(mu_) = false;
-  const chain::Transaction* batch_ TXALLO_GUARDED_BY(mu_) = nullptr;
-  const uint64_t* fees_ TXALLO_GUARDED_BY(mu_) = nullptr;
-  size_t batch_size_ TXALLO_GUARDED_BY(mu_) = 0;
-  uint64_t batch_seq_base_ TXALLO_GUARDED_BY(mu_) = 0;
-  uint64_t batch_tick_ TXALLO_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> done_generation_ TXALLO_GUARDED_BY(mu_);
-  std::vector<size_t> accepted_ TXALLO_GUARDED_BY(mu_);
-  // Sized before any thread spawns, joined in the destructor.
-  std::vector<std::thread> threads_;  // txallo-lint: allow(raw-thread)
+  common::ForkJoinPool lanes_;
 };
 
 }  // namespace txallo::mempool

@@ -1,7 +1,7 @@
 // Multi-producer ingest: the IngestRouter fanning one block across N
-// producer threads into the engine's per-shard MPSC queues. The stress
+// producer lanes into the engine's per-shard staging buffers. The stress
 // tests are what the TSan CI job runs — routing reads, 2PC registration and
-// queue pushes all race across producers by design.
+// staging pushes all race across producers by design.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,6 +94,7 @@ TEST(IngestRouterTest, AmpleCapacityYieldsIdenticalLogicalBlockMetrics) {
                    single.sim.max_latency_blocks);
   EXPECT_EQ(routed.cross_shard_committed, single.cross_shard_committed);
   EXPECT_EQ(routed.prepares_received, single.prepares_received);
+  EXPECT_EQ(routed.max_queue_depth, single.max_queue_depth);
 }
 
 TEST(IngestRouterTest, MoreProducersThanTransactionsHandlesEmptySlices) {

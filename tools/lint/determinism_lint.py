@@ -21,9 +21,12 @@ Rules (ids are what `allow(...)` escapes name):
                 discipline.
 
   raw-thread    std::thread / std::jthread and <thread> are forbidden.
-                Thread pools are structural in three engine files; each
-                use carries an explicit escape, keeping every spawn site
-                enumerable.
+                Threads are spawned in exactly three places, each use
+                carrying an explicit escape so every spawn site stays
+                enumerable: txallo/common/fork_join (the one fan-out pool
+                behind the engine's tick and both producer routers),
+                txallo/engine/background_allocator and
+                txallo/mempool/cleaner (long single background tasks).
 
   wall-clock    std::rand / srand / std::random_device /
                 std::chrono::system_clock / high_resolution_clock (and
