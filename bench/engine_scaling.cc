@@ -4,8 +4,11 @@
 // The engine's own 1-thread row is the baseline: logical results do not
 // depend on the worker count, so the win from more threads is wall-clock.
 // Synthetic per-unit execution cost (--spin, LCG iterations per work unit)
-// stands in for real transaction execution; with --spin=0 the bench mostly
-// measures barrier overhead, which is also worth seeing.
+// stands in for real transaction execution. A tick whose parts, weighted
+// by the spin, fall below common::kInlineWorkThreshold runs every lane on
+// the driver: at --spin=0 the ~1,000-part ticks here all do, so every
+// thread count runs inline and the speedup stays near 1. This sweep is how
+// the threshold was calibrated: it sits where two lanes start to beat one.
 //
 //   ./build/bench/engine_scaling [--threads=N] [--spin=2000] [--txs=...]
 //
@@ -19,6 +22,7 @@
 
 #include "common/bench_common.h"
 #include "txallo/alloc/metrics.h"
+#include "txallo/common/fork_join.h"
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/sim/work_model.h"
@@ -129,9 +133,12 @@ int Main(int argc, char** argv) {
     table.WriteCsv(csv_dir, "engine_scaling_k" + std::to_string(k) + ".csv");
   }
   std::printf(
-      "\nExpected: committed/s grows from 1 -> 8 threads (speedup > 1) at\n"
-      "k >= 32; past the shard count extra threads are clamped. CSV series\n"
-      "written to %s/engine_scaling_k*.csv\n",
+      "\nExpected: with enough spin that ticks reach the fork-join inline\n"
+      "threshold (%" PRIu64 " work items), committed/s grows from 1 -> 8\n"
+      "threads (speedup > 1); below it every lane runs on the driver and\n"
+      "the speedup stays near 1. Past the shard count extra threads are\n"
+      "clamped. CSV series written to %s/engine_scaling_k*.csv\n",
+      common::kInlineWorkThreshold,
       csv_dir.c_str());
   std::printf("peak rss: %.1f MiB (%zu accounts; TXALLO_ACCOUNTS to sweep)\n",
               PeakRssMegabytes(), generator.registry().size());

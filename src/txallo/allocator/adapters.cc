@@ -24,13 +24,18 @@ size_t SeenDomain(const chain::AccountRegistry* registry, size_t seen) {
   return registry != nullptr ? std::max(registry->size(), seen) : seen;
 }
 
-// Hash mapping over `domain` accounts: address hash for ids the registry
-// knows, id hash for the synthetic tail beyond it. Keeps registry-known
-// accounts' placement stable as the domain grows — no global reshard when
-// one synthetic id appears.
+size_t KnownAccounts(const chain::AccountRegistry* registry) {
+  return registry != nullptr ? registry->size() : 0;
+}
+
+// Hash mapping over `domain` accounts: address hash for the first `known`
+// ids (registry-known), id hash for the synthetic tail beyond them. Keeps
+// registry-known accounts' placement stable as the domain grows — no global
+// reshard when one synthetic id appears. A pure function of its arguments:
+// the registry only appends, so the first `known` order keys never change.
 alloc::Allocation HashOverDomain(const chain::AccountRegistry* registry,
-                                 size_t domain, uint32_t num_shards) {
-  const size_t known = registry != nullptr ? registry->size() : 0;
+                                 size_t known, size_t domain,
+                                 uint32_t num_shards) {
   alloc::Allocation allocation(domain, num_shards);
   for (size_t a = 0; a < domain; ++a) {
     const auto id = static_cast<chain::AccountId>(a);
@@ -151,8 +156,8 @@ HashStrategy::HashStrategy(std::string name,
 
 Result<alloc::Allocation> HashStrategy::Allocate(
     const AllocationContext& context) {
-  return HashOverDomain(context.registry, DomainSize(context),
-                        context.params.num_shards);
+  return HashOverDomain(context.registry, KnownAccounts(context.registry),
+                        DomainSize(context), context.params.num_shards);
 }
 
 void HashStrategy::ApplyBlock(const chain::Block& block) {
@@ -164,20 +169,42 @@ void HashStrategy::ApplyBlock(const chain::Block& block) {
   }
 }
 
+bool HashStrategy::LastCovers(size_t domain, size_t known) const {
+  return last_ != nullptr && last_domain_ == domain && last_known_ == known;
+}
+
 std::unique_ptr<RebalanceTask> HashStrategy::BeginRebalance() {
-  // Freeze the domain width; the hash mapping itself is stateless, so the
-  // (cheap) recompute runs off-thread against the immutable registry.
+  const size_t domain = SeenDomain(registry_, num_accounts_seen_);
+  const size_t known = KnownAccounts(registry_);
+  if (LastCovers(domain, known)) {
+    // Same registry, same domain: the mapping cannot have changed.
+    return std::make_unique<ClosureRebalanceTask>(
+        [mapping = last_]() -> Result<alloc::Allocation> { return *mapping; },
+        nullptr);
+  }
+  // Freeze the domain width and registry size; the recompute runs
+  // off-thread against the registry's (append-only) first `known` keys, and
+  // Commit() keeps its result for the next rebalance.
   return std::make_unique<ClosureRebalanceTask>(
-      [registry = registry_, domain = SeenDomain(registry_, num_accounts_seen_),
+      [registry = registry_, known, domain,
        k = params_.num_shards]() -> Result<alloc::Allocation> {
-        return HashOverDomain(registry, domain, k);
+        return HashOverDomain(registry, known, domain, k);
       },
-      nullptr);
+      [this, domain, known](const Result<alloc::Allocation>& result) -> Status {
+        if (result.ok()) {
+          last_ = std::make_shared<const alloc::Allocation>(result.value());
+          last_domain_ = domain;
+          last_known_ = known;
+        }
+        return result.status();
+      });
 }
 
 alloc::Allocation HashStrategy::CurrentAllocation() const {
-  return HashOverDomain(registry_, SeenDomain(registry_, num_accounts_seen_),
-                        params_.num_shards);
+  const size_t domain = SeenDomain(registry_, num_accounts_seen_);
+  const size_t known = KnownAccounts(registry_);
+  if (LastCovers(domain, known)) return *last_;
+  return HashOverDomain(registry_, known, domain, params_.num_shards);
 }
 
 // ---------------------------------------------------------------------------

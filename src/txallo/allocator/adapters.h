@@ -68,6 +68,16 @@ class TxAlloAllocator : public OnlineAllocator {
 /// paper §II-C). History-oblivious: online mode only tracks the account
 /// domain. With a registry the address hash routes; without one the id
 /// hash does.
+///
+/// The mapping is a pure function of (registry size, domain width, k), so
+/// the strategy keeps the one its last committed rebalance produced,
+/// together with the registry size and domain width it covers. While
+/// neither has grown, BeginRebalance() and CurrentAllocation() return that
+/// mapping instead of hashing every account again; after a growth the task
+/// recomputes it off-thread and its Commit() replaces the kept one. A task
+/// hashes the registry size and domain frozen at BeginRebalance(), so it
+/// returns the pre-growth mapping whatever grows before its Run(). The
+/// registry must not grow while a Run() is in flight on another thread.
 class HashStrategy : public OnlineAllocator {
  public:
   HashStrategy(std::string name, const chain::AccountRegistry* registry,
@@ -79,8 +89,16 @@ class HashStrategy : public OnlineAllocator {
   alloc::Allocation CurrentAllocation() const override;
 
  private:
+  // Whether last_ was built for exactly this domain and registry size.
+  bool LastCovers(size_t domain, size_t known) const;
+
   const chain::AccountRegistry* registry_;
   size_t num_accounts_seen_ = 0;
+  // The last committed rebalance's mapping (immutable: tasks share it) and
+  // the domain width and registry size it was hashed over.
+  std::shared_ptr<const alloc::Allocation> last_;
+  size_t last_domain_ = 0;
+  size_t last_known_ = 0;
 };
 
 /// The from-scratch METIS-style multilevel partitioner (paper §II-C's

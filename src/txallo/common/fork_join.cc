@@ -53,11 +53,23 @@ void ForkJoinPool::HelperMain(uint32_t lane) {
   mu_.Unlock();
 }
 
-void ForkJoinPool::Run(const std::function<void(uint32_t lane)>& fn) {
-  if (lanes_ == 1) {
-    fn(0);
+void ForkJoinPool::Run(uint64_t work,
+                       const std::function<void(uint32_t lane)>& fn) {
+  if (lanes_ == 1 || work < kInlineWorkThreshold) {
+    // The fan-out's contract: every lane runs, and an exception surfaces
+    // only after the last lane.
+    std::exception_ptr error;
+    for (uint32_t lane = 0; lane < lanes_; ++lane) {
+      try {
+        fn(lane);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
+  ++fan_outs_;
   {
     MutexLock lock(mu_);
     fn_ = &fn;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 #include "txallo/common/stopwatch.h"
@@ -21,6 +22,13 @@ void SpinWork(double units, uint64_t iterations_per_unit) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
   }
 }
+
+// Weight of the synthetic spin in a tick's work estimate: a part counts
+// 1 + spin / kSpinIterationsPerItem fork-join work items
+// (common/fork_join.h). Fitted together with common::kInlineWorkThreshold
+// on bench/engine_scaling, whose ~1,000-part ticks start to gain from a
+// second lane at about 50 iterations per work unit.
+constexpr double kSpinIterationsPerItem = 16.0;
 
 uint32_t ResolveWorkerCount(const EngineConfig& config) {
   const uint32_t n = config.num_threads == 0 ? common::HardwareThreads()
@@ -261,6 +269,27 @@ void ParallelEngine::SyncStateResidency() {
   }
 }
 
+uint64_t ParallelEngine::TickWorkEstimate() {
+  // A one-lane pool runs inline whatever the estimate: skip the locks.
+  if (num_workers_ == 1) return 0;
+  // A shard runs what is queued, up to one block of λ: every part costs at
+  // least one work unit, plus at most one partly-run part at the front.
+  const double max_parts = std::floor(config_.work.capacity_per_block) + 1.0;
+  double parts = 0.0;
+  for (const std::unique_ptr<ShardLane>& lane : lanes_) {
+    size_t queued = lane->fifo.size();
+    {
+      common::MutexLock lock(lane->mu);
+      queued += lane->staging.size();
+    }
+    parts += std::min(static_cast<double>(queued), max_parts);
+  }
+  const double items =
+      parts * (1.0 + static_cast<double>(config_.spin_iterations_per_unit) /
+                         kSpinIterationsPerItem);
+  return static_cast<uint64_t>(std::min(items, 1e18));
+}
+
 void ParallelEngine::Tick() {
   // State residency syncs before the tick's lanes run: the migration debt
   // it charges must be visible to this tick's ExecuteBlock (the pool's
@@ -268,7 +297,7 @@ void ParallelEngine::Tick() {
   if (state_ != nullptr) SyncStateResidency();
   const uint64_t block = now_.fetch_add(1, std::memory_order_relaxed) + 1;
   const bool record = record_trace_;
-  pool_.Run([this, block, record](uint32_t lane) {
+  pool_.Run(TickWorkEstimate(), [this, block, record](uint32_t lane) {
     for (uint32_t s = lane; s < config_.num_shards; s += num_workers_) {
       ExecuteBlock(s, *lanes_[s], block, record);
     }
@@ -314,6 +343,7 @@ void ParallelEngine::Tick() {
 EngineReport ParallelEngine::Snapshot() {
   EngineReport report;
   report.worker_stall_seconds = pool_.parked_seconds();
+  report.fanned_out_ticks = pool_.fan_outs();
   report.num_workers = num_workers_;
   const CommitStats stats = coordinator_.stats();
   const uint64_t now = now_.load(std::memory_order_relaxed);

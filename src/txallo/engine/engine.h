@@ -9,11 +9,13 @@
 //     rule) into one staging buffer per shard, each behind its own mutex.
 //   * Shard lanes: each Tick() is one fork-join over a common::ForkJoinPool
 //     of W lanes, shards striped across them (lane w owns shards s with
-//     s % W == w — one lane per shard when threads >= shards). Lane 0 runs
-//     on the driver, lanes 1..W-1 on W-1 helper threads. Each lane merges
-//     its shards' staged arrivals into their FIFOs and executes one block
-//     of work per owned shard under the sim::WorkModel cost semantics
-//     (η per cross part, λ capacity per block).
+//     s % W == w — one lane per shard when threads >= shards). A tick
+//     whose queued parts (weighted by the synthetic spin) fall below the
+//     pool's inline threshold runs every lane on the driver; a larger one
+//     runs lane 0 on the driver and lanes 1..W-1 on W-1 helper threads.
+//     Each lane merges its shards' staged arrivals into their FIFOs and
+//     executes one block of work per owned shard under the sim::WorkModel
+//     cost semantics (η per cross part, λ capacity per block).
 //   * Cross-shard commits: after the fork-join the driver votes each
 //     finished part PREPARED into a TwoPhaseCoordinator; cross-shard
 //     transactions pay the extra commit round(s) of §I.
@@ -84,8 +86,10 @@ struct EngineConfig {
   /// fingerprints the committed state with a Merkle root.
   state::StateConfig state;
   /// Execution lanes W; 0 = min(hardware threads, num_shards). Clamped to
-  /// [1, num_shards]. Lane 0 runs on the thread that calls Tick(), so the
-  /// engine spawns W-1 helper threads (none at W = 1).
+  /// [1, num_shards]. The engine spawns W-1 helper threads (none at W = 1).
+  /// A tick with less work than common::kInlineWorkThreshold runs all W
+  /// lanes on the thread that calls Tick() and leaves the helpers parked;
+  /// a larger one runs lane 0 there and the rest on the helpers.
   uint32_t num_threads = 0;
   /// Route accounts the snapshot has not placed by hash (account id mod k)
   /// instead of rejecting the block. What a live chain does for accounts
@@ -147,8 +151,16 @@ struct EngineReport {
   /// Per-shard high-water mark of arrivals staged between two ticks.
   std::vector<uint64_t> max_queue_depth;
   /// Total seconds the engine's W-1 helper threads spent parked between
-  /// ticks (0 with one lane).
+  /// fanned-out ticks (0 with one lane). Only parks that have ended count:
+  /// helpers stay parked through ticks that run inline on the driver, so
+  /// the park in progress, which is the whole run when no tick reaches
+  /// common::kInlineWorkThreshold, is not included. fanned_out_ticks says
+  /// whether the helpers ran at all.
   double worker_stall_seconds = 0.0;
+  /// Ticks whose lanes ran on the helper threads; every other tick ran
+  /// inline on the driver (common::kInlineWorkThreshold). Always 0 with
+  /// one lane.
+  uint64_t fanned_out_ticks = 0;
   /// Allocation snapshots installed while running.
   uint64_t reallocations = 0;
   /// Total seconds ingest was blocked installing snapshots (the
@@ -319,6 +331,11 @@ class ParallelEngine {
   };
   void ExecuteBlock(uint32_t shard, ShardLane& lane, uint64_t block,
                     bool record);
+  // Driver-side, before the tick's fork-join: the parts the tick's lanes
+  // will execute, weighted by the synthetic spin, in fork-join work items
+  // (common/fork_join.h). Below kInlineWorkThreshold the lanes run on the
+  // driver.
+  uint64_t TickWorkEstimate();
   // Driver-side, before the tick's fork-join: applies any pending
   // allocation install to state residency (migrating records) and charges
   // the moved records as migration debt against the involved lanes' λ.

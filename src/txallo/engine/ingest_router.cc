@@ -11,7 +11,9 @@ Status IngestRouter::SubmitBlock(
   const size_t producers = pool_.lanes();
   const uint64_t seq_base = engine_->ReserveSequenceRange(n);
   std::vector<Status> statuses(producers, Status::OK());
-  pool_.Run([&](uint32_t p) {
+  // A block below the pool's inline threshold is routed on the caller,
+  // lane by lane.
+  pool_.Run(n * kItemsPerRoutedTx, [&](uint32_t p) {
     // Contiguous slice [begin, end); its sequence tags are its positions
     // in the block offset by the block's base.
     const size_t begin = n * p / producers;

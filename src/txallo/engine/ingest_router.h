@@ -6,10 +6,12 @@
 // buffers are mutex-guarded) — the router is the fan-out on top of it: a
 // common::ForkJoinPool of N lanes, each taking one contiguous slice of the
 // submitted block. Lane 0 is the calling driver thread, so N producers cost
-// N-1 helper threads. The ingest phase is still bracketed by the engine's
-// logical clock: SubmitBlock() returns only when every lane has routed its
-// slice, so Tick() never overlaps in-flight submissions (the same driver
-// contract SubmitBlock always had, with the parallelism inside).
+// N-1 helper threads; a block smaller than common::kInlineWorkThreshold
+// transactions runs every lane on the driver and wakes none. The ingest
+// phase is still bracketed by the engine's logical clock: SubmitBlock()
+// returns only when every lane has routed its slice, so Tick() never
+// overlaps in-flight submissions (the same driver contract SubmitBlock
+// always had, with the parallelism inside).
 //
 // Determinism: SubmitBlock reserves the block's ingest sequence range once
 // on the driver (engine::ParallelEngine::ReserveSequenceRange), and every
@@ -34,6 +36,12 @@ namespace txallo::engine {
 
 class IngestRouter {
  public:
+  /// Fork-join work items (common/fork_join.h) one routed transaction
+  /// counts for: the block size times this is the Run() estimate. One
+  /// producer routes a transaction in about one item's time (76–145 ns a
+  /// transaction on the calibration host, bench/router_scaling).
+  static constexpr uint64_t kItemsPerRoutedTx = 1;
+
   /// Routes through `num_producers` (clamped to >= 1) lanes into `engine`,
   /// which must outlive the router.
   IngestRouter(ParallelEngine* engine, uint32_t num_producers);

@@ -12,7 +12,9 @@ size_t SubmitRouter::SubmitBatch(const chain::Transaction* transactions,
                                  uint64_t submit_tick, uint64_t seq_base) {
   const size_t producers = lanes_.lanes();
   std::vector<size_t> accepted(producers, 0);
-  lanes_.Run([&](uint32_t p) {
+  // A batch below the pool's inline threshold is offered on the caller,
+  // lane by lane.
+  lanes_.Run(count * kItemsPerRoutedTx, [&](uint32_t p) {
     // Contiguous slice [begin, end); its sequence tags are its positions
     // in the batch offset by the batch's base.
     const size_t end = count * (p + 1) / producers;

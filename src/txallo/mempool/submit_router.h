@@ -1,6 +1,7 @@
 // Multi-producer submit fan-out for the mempool: the batch the driver
 // offers per tick, split into contiguous slices over a common::ForkJoinPool
-// of N producer lanes (lane 0 is the calling driver thread) — the same
+// of N producer lanes (lane 0 is the calling driver thread; a batch smaller
+// than common::kInlineWorkThreshold runs every lane there) — the same
 // slicing loop as engine::IngestRouter.
 //
 // Determinism: the driver reserves the batch's pool sequence range once
@@ -30,6 +31,12 @@ namespace txallo::mempool {
 
 class SubmitRouter {
  public:
+  /// Fork-join work items (common/fork_join.h) one offered transaction
+  /// counts for: the batch size times this is the Run() estimate. One
+  /// producer offers a transaction in about two items' time (116–228 ns a
+  /// transaction on the calibration host, bench/router_scaling).
+  static constexpr uint64_t kItemsPerRoutedTx = 2;
+
   /// Submits through `num_producers` (clamped to >= 1) lanes into `pool`,
   /// which must outlive the router.
   SubmitRouter(Mempool* pool, uint32_t num_producers);

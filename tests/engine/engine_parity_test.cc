@@ -1,9 +1,12 @@
 // Engine parity across worker counts on seed workloads: the serial run
 // (one worker) is the reference, and runs with 2 and 4 workers must report
 // the same logical results, because blocks are the engine's unit of time
-// and every shard's work per block is fixed by the mapping alone.
+// and every shard's work per block is fixed by the mapping alone. The seed
+// workloads' ticks are small enough to run inline; the straddle case mixes
+// inline ticks with ticks that fan out to the helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -115,6 +118,78 @@ TEST(EngineParityTest, TxAlloAllocationSeedWorkload) {
   // harness exercised cross-shard commits anyway.
   EXPECT_GT(serial.sim.cross_shard_submitted, 0u);
   EXPECT_EQ(serial.cross_shard_committed, serial.sim.cross_shard_submitted);
+}
+
+TEST(EngineParityTest, TicksStraddlingTheInlineThresholdMatchOneLane) {
+  // Every third submitted block concatenates six generated blocks. With the
+  // synthetic spin below, those ticks' work estimate is above
+  // common::kInlineWorkThreshold and the lanes fan out to the helpers; the
+  // small ticks in between run inline on the driver. The mix must report
+  // and trace exactly what one lane does.
+  workload::EthereumLikeConfig config;
+  config.num_blocks = 160;
+  config.txs_per_block = 50;
+  config.num_accounts = 4'000;
+  config.num_communities = 40;
+  config.seed = 5;
+  workload::EthereumLikeGenerator gen(config);
+  const chain::Ledger ledger = gen.GenerateLedger(config.num_blocks);
+  std::vector<std::vector<chain::Transaction>> submitted;
+  for (size_t b = 0; b < ledger.num_blocks();) {
+    const size_t take = submitted.size() % 3 == 0 ? 6 : 1;
+    std::vector<chain::Transaction>& block = submitted.emplace_back();
+    for (size_t end = std::min(b + take, ledger.num_blocks()); b < end; ++b) {
+      const auto& txs = ledger.blocks()[b].transactions();
+      block.insert(block.end(), txs.begin(), txs.end());
+    }
+  }
+  const uint32_t k = 8;
+  const auto allocation = std::make_shared<alloc::Allocation>(
+      baselines::AllocateByHash(gen.registry(), k));
+
+  const auto run = [&](uint32_t threads) {
+    engine::EngineConfig engine_config;
+    engine_config.num_shards = k;
+    engine_config.work.eta = 2.0;
+    // Ample: every block drains within its own tick, so each tick's
+    // estimate is its own block's parts.
+    engine_config.work.capacity_per_block = 400.0;
+    engine_config.num_threads = threads;
+    engine_config.spin_iterations_per_unit = 256;
+    engine::ParallelEngine engine(engine_config, allocation);
+    engine.EnableTraceRecording();
+    for (const std::vector<chain::Transaction>& block : submitted) {
+      EXPECT_TRUE(engine.SubmitBlock(block).ok());
+      engine.Tick();
+    }
+    engine::EngineReport report = engine.DrainAndReport();
+    return std::make_pair(std::move(report), engine.ExtractTrace());
+  };
+  const auto [serial, serial_trace] = run(1);
+  const auto [mixed, mixed_trace] = run(4);
+  EXPECT_EQ(serial.fanned_out_ticks, 0u);
+  EXPECT_GT(mixed.fanned_out_ticks, 0u);
+  EXPECT_LT(mixed.fanned_out_ticks, mixed.sim.blocks_elapsed / 2);
+
+  EXPECT_EQ(mixed.sim.submitted, serial.sim.submitted);
+  EXPECT_EQ(mixed.sim.committed, serial.sim.committed);
+  EXPECT_EQ(mixed.sim.cross_shard_submitted, serial.sim.cross_shard_submitted);
+  EXPECT_EQ(mixed.sim.blocks_elapsed, serial.sim.blocks_elapsed);
+  EXPECT_EQ(mixed.sim.throughput_per_block, serial.sim.throughput_per_block);
+  EXPECT_EQ(mixed.sim.avg_latency_blocks, serial.sim.avg_latency_blocks);
+  EXPECT_EQ(mixed.sim.max_latency_blocks, serial.sim.max_latency_blocks);
+  EXPECT_EQ(mixed.sim.mean_utilization, serial.sim.mean_utilization);
+  EXPECT_EQ(mixed.sim.residual_work, serial.sim.residual_work);
+  EXPECT_EQ(mixed.max_queue_depth, serial.max_queue_depth);
+  EXPECT_EQ(mixed.prepares_received, serial.prepares_received);
+  EXPECT_EQ(mixed.cross_shard_committed, serial.cross_shard_committed);
+  EXPECT_EQ(mixed.aborted, serial.aborted);
+  EXPECT_EQ(mixed.commit_latency_blocks, serial.commit_latency_blocks);
+  EXPECT_EQ(serial.sim.committed, serial.sim.submitted);
+
+  EXPECT_FALSE(serial_trace.prepares.empty());
+  EXPECT_EQ(mixed_trace.prepares, serial_trace.prepares);
+  EXPECT_EQ(mixed_trace.commits, serial_trace.commits);
 }
 
 }  // namespace

@@ -47,6 +47,8 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
   // An allocator thread hammering InstallAllocation while the driver
   // submits and ticks: no data race (TSan), no lost traffic, and every
   // snapshot routes consistently because routing reads one shared_ptr.
+  // The synthetic spin puts every tick's 64 parts above the pool's inline
+  // threshold, so the installs race ticks that run on the helper too.
   const uint32_t k = 4;
   const size_t accounts = 64;
   auto initial = std::make_shared<alloc::Allocation>(accounts, k);
@@ -58,6 +60,7 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
   config.num_shards = k;
   config.num_threads = 2;
   config.work.capacity_per_block = 1000.0;
+  config.spin_iterations_per_unit = 2'048;
   engine::ParallelEngine engine(config, initial);
 
   std::atomic<bool> stop{false};
@@ -83,6 +86,9 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
         static_cast<chain::AccountId>(a),
         static_cast<chain::AccountId>(a + 1)));
   }
+  // The ticks start once the installer is running, so they overlap its
+  // installs however fast they are.
+  while (installs.load() == 0) std::this_thread::yield();
   constexpr int kBlocks = 50;
   for (int b = 0; b < kBlocks; ++b) {
     ASSERT_TRUE(engine.SubmitBlock(txs).ok());
@@ -96,6 +102,7 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
   EXPECT_EQ(report.sim.committed, report.sim.submitted);
   EXPECT_EQ(report.reallocations, installs.load());
   EXPECT_GE(report.reallocations, 1u);
+  EXPECT_EQ(report.fanned_out_ticks, static_cast<uint64_t>(kBlocks));
 }
 
 TEST(EngineReallocTest, HybridAllocatorPipelineReallocatesPerEpoch) {

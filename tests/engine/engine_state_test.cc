@@ -38,6 +38,11 @@ EngineConfig StateConfigured(uint32_t shards, uint32_t threads,
   config.state.enabled = true;
   config.state.initial_balance = funding;
   config.state.migration_work_per_account = 1.0;
+  // Enough synthetic spin that one queued part reaches the fork-join inline
+  // threshold: with 2 lanes every tick that has work runs shard 1 on the
+  // helper, so these cases race ExecuteBlock against the shared StateDb.
+  // The spin changes no logical result.
+  config.spin_iterations_per_unit = 1 << 16;
   return config;
 }
 
@@ -57,6 +62,7 @@ TEST(EngineStateTest, InsufficientBalanceAbortsAndRevertsThroughTwoPhase) {
   ASSERT_TRUE(engine.SubmitBlock(txs).ok());
   EngineReport report = engine.DrainAndReport();
 
+  EXPECT_GT(report.fanned_out_ticks, 0u);
   EXPECT_EQ(report.sim.submitted, 2u);
   EXPECT_EQ(report.sim.cross_shard_submitted, 2u);
   EXPECT_EQ(report.sim.committed, 1u);
@@ -94,6 +100,7 @@ TEST(EngineStateTest, InstallMigratesRecordsAndChargesTheMoveCount) {
                                       chain::Transaction::Simple(2, 3)};
   ASSERT_TRUE(engine.SubmitBlock(txs).ok());
   EngineReport before = engine.DrainAndReport();
+  EXPECT_GT(before.fanned_out_ticks, 0u);
   EXPECT_EQ(before.sim.committed, 2u);
   EXPECT_EQ(before.accounts_migrated, 0u);
 
@@ -147,6 +154,7 @@ TEST(EngineStateTest, UnplacedAccountLivesOnItsHashShardUntilAssigned) {
   // Account 9 is outside the snapshot's domain: 9 % 4 == 1.
   ASSERT_TRUE(engine.SubmitBlock({chain::Transaction::Simple(0, 9)}).ok());
   EngineReport report = engine.DrainAndReport();
+  EXPECT_GT(report.fanned_out_ticks, 0u);
   EXPECT_EQ(report.sim.committed, 1u);
   EXPECT_EQ(report.sim.cross_shard_submitted, 1u);
   const ParallelEngine::Trace trace = engine.ExtractTrace();

@@ -1,7 +1,9 @@
 // Multi-producer ingest: the IngestRouter fanning one block across N
 // producer lanes into the engine's per-shard staging buffers. The stress
 // tests are what the TSan CI job runs — routing reads, 2PC registration and
-// staging pushes all race across producers by design.
+// staging pushes all race across producers by design. Blocks whose
+// estimate is below common::kInlineWorkThreshold route inline, so the
+// concurrent-install case submits blocks at the threshold to race them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,13 +134,15 @@ TEST(IngestRouterTest, ProducerErrorsSurfaceToTheCaller) {
 TEST(IngestRouterTest, ConcurrentInstallsRaceParallelIngest) {
   // The full concurrency surface at once: N producers routing while an
   // allocator thread hammers InstallAllocation. TSan validates the
-  // copy-on-write snapshot handoff against parallel ingest.
+  // copy-on-write snapshot handoff against parallel ingest. Blocks that
+  // reach kInlineWorkThreshold make both the router and the tick fan out
+  // to their helpers.
   const uint32_t k = 4;
   const size_t accounts = 256;
   engine::EngineConfig config;
   config.num_shards = k;
   config.num_threads = 2;
-  config.work.capacity_per_block = 1'000.0;
+  config.work.capacity_per_block = 5'000.0;
   engine::ParallelEngine engine(config, RoundRobin(accounts, k));
   engine::IngestRouter router(&engine, 3);
 
@@ -158,10 +162,13 @@ TEST(IngestRouterTest, ConcurrentInstallsRaceParallelIngest) {
   });
 
   std::vector<chain::Transaction> txs;
-  for (size_t a = 0; a + 1 < accounts; a += 2) {
-    txs.push_back(chain::Transaction::Simple(
-        static_cast<chain::AccountId>(a),
-        static_cast<chain::AccountId>(a + 1)));
+  while (txs.size() * engine::IngestRouter::kItemsPerRoutedTx <
+         common::kInlineWorkThreshold) {
+    for (size_t a = 0; a + 1 < accounts; a += 2) {
+      txs.push_back(chain::Transaction::Simple(
+          static_cast<chain::AccountId>(a),
+          static_cast<chain::AccountId>(a + 1)));
+    }
   }
   constexpr int kBlocks = 40;
   for (int b = 0; b < kBlocks; ++b) {
@@ -174,6 +181,7 @@ TEST(IngestRouterTest, ConcurrentInstallsRaceParallelIngest) {
   EXPECT_EQ(report.sim.submitted,
             static_cast<uint64_t>(kBlocks) * txs.size());
   EXPECT_EQ(report.sim.committed, report.sim.submitted);
+  EXPECT_EQ(report.fanned_out_ticks, static_cast<uint64_t>(kBlocks));
 }
 
 }  // namespace

@@ -29,8 +29,12 @@ Result<engine::PipelineResult> Replay(const chain::Ledger& ledger,
                                       const engine::ReplayLog& log,
                                       uint32_t threads, uint32_t producers,
                                       engine::ReplayLog* rerecord = nullptr) {
-  engine::ParallelEngine engine(testing::GoldenEngineConfig(threads),
-                                nullptr);
+  // Synthetic spin (not part of the trace) so that ticks with 16 or more
+  // queued parts reach the fork-join inline threshold: the multi-lane
+  // replays run most ticks on the helpers, the 1-lane replay none.
+  engine::EngineConfig config = testing::GoldenEngineConfig(threads);
+  config.spin_iterations_per_unit = 1 << 12;
+  engine::ParallelEngine engine(config, nullptr);
   engine::PipelineConfig pipeline;
   pipeline.ingest_producers = producers;
   pipeline.record = rerecord;
@@ -66,6 +70,9 @@ TEST(ReplayGoldenTest, FreshRecordingReplaysAcrossThreadsAndProducers) {
       // means: the prepare stream, 2PC outcomes and step series are equal
       // event for event.
       ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      if (threads > 1) {
+        EXPECT_GT(replayed->report.fanned_out_ticks, 0u);
+      }
       EXPECT_EQ(engine::DescribeTraceDivergence(*recorded, rerecorded), "");
       // Structural state verification: the per-tick Merkle roots — not
       // just the event streams — reproduce bit-identically whatever the
@@ -103,6 +110,9 @@ TEST(ReplayGoldenTest, CommittedFixtureReplaysBitIdentically) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto replayed = Replay(ledger, *fixture, threads, /*producers=*/2);
     ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    if (threads > 1) {
+      EXPECT_GT(replayed->report.fanned_out_ticks, 0u);
+    }
   }
 }
 

@@ -10,7 +10,8 @@
 //    SubmitRouter with 1, 2, 4 and 7 producer threads yields byte-identical
 //    dispatch streams and identical AdmissionStats — the determinism claim
 //    the open-loop pipeline is built on, exercised at the component level
-//    with real thread interleavings.
+//    with real thread interleavings (batches whose estimate reaches
+//    common::kInlineWorkThreshold; smaller ones are offered inline).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "txallo/chain/transaction.h"
+#include "txallo/common/fork_join.h"
 #include "txallo/common/rng.h"
 #include "txallo/mempool/mempool.h"
 #include "txallo/mempool/submit_router.h"
@@ -204,6 +206,40 @@ TEST(MempoolPropertyTest, DispatchStreamIndependentOfProducerCount) {
                                 &direct_stats);
   EXPECT_EQ(direct, base);
   EXPECT_EQ(direct_stats, base_stats);
+}
+
+TEST(MempoolPropertyTest, StreamMatchesReferenceOnBothSidesOfInlineThreshold) {
+  // Batches up to twice the size from which the router fans out: the
+  // smaller ones are offered inline on the driver, the larger ones fan out
+  // to the router's helpers, and both must dispatch exactly what the
+  // serial reference does.
+  constexpr size_t kThreshold =
+      (common::kInlineWorkThreshold + SubmitRouter::kItemsPerRoutedTx - 1) /
+      SubmitRouter::kItemsPerRoutedTx;
+  MempoolConfig config;
+  config.capacity = 3 * kThreshold / 2;
+  config.account_pending_limit = 64;
+  config.staging_capacity = 2 * kThreshold;  // >= max batch
+  const Schedule schedule =
+      MakeSchedule(2024, /*num_ticks=*/12, /*max_per_tick=*/2 * kThreshold,
+                   /*num_accounts=*/400, /*fee_levels=*/9,
+                   /*dispatch_cap=*/kThreshold / 2);
+  size_t fanned_out = 0;
+  for (const auto& tick : schedule.ticks) {
+    if (tick.size() >= kThreshold) ++fanned_out;
+  }
+  ASSERT_GT(fanned_out, 0u) << "no batch reaches the threshold";
+  ASSERT_LT(fanned_out, schedule.ticks.size()) << "every batch fans out";
+
+  AdmissionStats expected_stats;
+  const Stream expected = ReferenceRun(schedule, config, &expected_stats);
+  EXPECT_GT(expected_stats.dropped_capacity, 0u);
+  for (uint32_t producers : {2u, 4u}) {
+    AdmissionStats stats;
+    const Stream stream = PoolRun(schedule, config, producers, &stats);
+    ASSERT_EQ(stream, expected) << producers << " producers";
+    EXPECT_EQ(stats, expected_stats) << producers << " producers";
+  }
 }
 
 TEST(MempoolPropertyTest, BlockPolicyStreamIndependentOfProducerCount) {

@@ -230,6 +230,11 @@ engine::EngineConfig PropertyEngineConfig(uint32_t threads) {
   config.state.enabled = true;
   config.state.initial_balance = kFunding;
   config.state.migration_work_per_account = 1.0;
+  // Enough synthetic spin that a tick with 16 or more queued parts reaches
+  // the fork-join inline threshold: the multi-lane runs fan most ticks out
+  // and run the small drain ticks inline, while the 1-lane run is always
+  // inline. The spin changes no logical result.
+  config.spin_iterations_per_unit = 1 << 12;
   return config;
 }
 
@@ -239,6 +244,7 @@ struct EngineOutcome {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   uint64_t migrated = 0;
+  uint64_t fanned_out_ticks = 0;
 };
 
 EngineOutcome RunEngine(uint32_t threads,
@@ -262,6 +268,7 @@ EngineOutcome RunEngine(uint32_t threads,
   outcome.committed = report.sim.committed;
   outcome.aborted = report.aborted;
   outcome.migrated = report.accounts_migrated;
+  outcome.fanned_out_ticks = report.fanned_out_ticks;
   return outcome;
 }
 
@@ -279,6 +286,7 @@ TEST(StatePropertyTest, EngineStateIsIndependentOfWorkerThreads) {
   for (uint32_t threads : {2u, 4u}) {
     SCOPED_TRACE(threads);
     const EngineOutcome parallel = RunEngine(threads, blocks);
+    EXPECT_GT(parallel.fanned_out_ticks, 0u);
     EXPECT_EQ(parallel.records, serial.records);
     EXPECT_EQ(parallel.root, serial.root);
     EXPECT_EQ(parallel.committed, serial.committed);
