@@ -33,9 +33,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", alloc_mode.status().ToString().c_str());
     return 1;
   }
-  const uint32_t producers =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
-
   std::vector<uint32_t> k_list;
   for (const std::string& item :
        bench::SplitList(flags.GetString("k-list", "4,8"))) {
@@ -133,7 +130,6 @@ int main(int argc, char** argv) {
       pipeline.blocks_per_epoch =
           static_cast<uint32_t>(std::max(5, engine_blocks / 6));
       pipeline.allocator_mode = *alloc_mode;
-      pipeline.ingest_producers = producers;
       auto result =
           engine::RunReallocatedStream(ledger, online, &engine, pipeline);
       if (!result.ok()) {

@@ -9,9 +9,9 @@
 //
 // Every reported number is a function of the logical clock (tick-based
 // latency, counter deltas, Merkle roots), so the table is bit-identical
-// across --threads and --producers counts. --json-out writes the
-// integer-only snapshot committed as BENCH_gauntlet.json; CI regenerates it
-// under non-default thread/producer counts and byte-diffs it.
+// across --threads counts. --json-out writes the integer-only snapshot
+// committed as BENCH_gauntlet.json; CI regenerates it under a non-default
+// thread count and byte-diffs it.
 //
 // Record/replay (engine/replay.h): --record=PATH saves the first cell's
 // trace — the trace meta names its scenario spec (workload_spec), which is
@@ -24,7 +24,7 @@
 //       [--k=8] [--eta=2] [--blocks=48] [--txs-per-block=96]
 //       [--accounts=4000] [--communities=40] [--balance=48] [--seed=42]
 //       [--epoch-blocks=12] [--service-rate=120] [--offered-load=X]
-//       [--producers=N] [--state=0|1] [--json-out=PATH]
+//       [--state=0|1] [--json-out=PATH]
 //       [--csv-dir=DIR] [--record=PATH | --replay=PATH]
 //
 // --scenario=help prints the scenario catalog, --allocator=help the
@@ -102,8 +102,6 @@ int main(int argc, char** argv) {
   const uint32_t epoch_blocks =
       static_cast<uint32_t>(flags.GetInt("epoch-blocks", 12));
   const double service_rate = flags.GetDouble("service-rate", 120.0);
-  const uint32_t producers =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
   const bool state_on = flags.GetInt("state", 1) != 0;
   const std::string json_out = flags.GetString("json-out", "");
 
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
   const auto make_pipeline = [&](const std::string& scenario_spec) {
     engine::PipelineConfig pipeline;
     pipeline.blocks_per_epoch = epoch_blocks;
-    pipeline.ingest_producers = producers;
     pipeline.workload_spec = scenario_spec;
     pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
     pipeline.open_loop.offered_load = *offered;
@@ -344,6 +341,6 @@ int main(int argc, char** argv) {
       "\ncross%% = cross-shard share of submitted transactions; p50/p99/max "
       "are end-to-end\nlatency in ticks (commit tick - submit tick). Every "
       "column is a function of the\nlogical clock: identical across "
-      "--threads and --producers.\n");
+      "--threads.\n");
   return 0;
 }

@@ -8,7 +8,7 @@
 //
 // The arrival schedule, fee ordering, admission decisions and latency
 // histograms are all functions of the logical clock, so every number here
-// is bit-identical across --threads and --producers counts; the committed
+// is bit-identical across --threads counts; the committed
 // BENCH_open_loop.json snapshot is diffed byte-for-byte in CI against a
 // fresh run to pin that property.
 //
@@ -21,8 +21,8 @@
 //
 // Record/replay (engine/replay.h): --record=PATH saves the first
 // (load, method) run's deterministic trace — including the open-loop meta —
-// and --replay=PATH re-executes it (same workload flags; threads/producers
-// free to differ) verifying bit-identity.
+// and --replay=PATH re-executes it (same workload flags; the thread count
+// is free to differ) verifying bit-identity.
 //
 //   ./build/bench/open_loop_latency [--methods=a;b] [--loads=60,100,140]
 //       [--scenario=SPEC] (workload/scenario_registry.h; --scenario=help)
@@ -30,7 +30,7 @@
 //       [--blocks=64] [--txs-per-block=96] [--epoch-blocks=16]
 //       [--service-rate=120] [--dispatch-per-tick=N] [--capacity=N]
 //       [--pending-limit=N] [--rate-limit=N] [--ttl=N]
-//       [--policy=reject|block] [--producers=N] [--no-cleaner]
+//       [--policy=reject|block] [--no-cleaner]
 //       [--json-out=PATH] [--record=PATH | --replay=PATH]
 #include <cerrno>
 #include <cmath>
@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
   const double service_rate = flags.GetDouble("service-rate", 120.0);
   const uint32_t dispatch_per_tick = static_cast<uint32_t>(flags.GetInt(
       "dispatch-per-tick", static_cast<int64_t>(std::ceil(service_rate))));
-  const uint32_t producers =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
   const std::string json_out = flags.GetString("json-out", "");
 
   mempool::MempoolConfig mempool_config;
@@ -160,11 +158,11 @@ int main(int argc, char** argv) {
   std::printf("==============================================================\n");
   std::printf("Open-loop latency vs offered load (k=%u, eta=%g, %llu txs,\n"
               "service ~%g tx/tick, dispatch cap %u/tick, epochs of %u "
-              "ticks, producers=%u, policy=%s)\nscenario: %s\n",
+              "ticks, policy=%s)\nscenario: %s\n",
               k, eta,
               static_cast<unsigned long long>(ledger.num_transactions()),
-              service_rate, dispatch_per_tick, epoch_blocks, producers,
-              policy.c_str(), scenario_spec.c_str());
+              service_rate, dispatch_per_tick, epoch_blocks, policy.c_str(),
+              scenario_spec.c_str());
   std::printf("==============================================================\n");
 
   bench::SeriesTable table(
@@ -193,7 +191,7 @@ int main(int argc, char** argv) {
                   bench::Fmt(latency.Mean(), 2)});
     if (json_out.empty()) return;
     // Integer-only fields: the snapshot must diff byte-identically across
-    // machines, thread counts and producer counts.
+    // machines and thread counts.
     std::string entry = "    {\n";
     entry += "      \"allocator\": \"" + label + "\",\n";
     entry += "      \"offered_load_x10\": " +
@@ -249,7 +247,6 @@ int main(int argc, char** argv) {
   const auto make_pipeline = [&](double load) {
     engine::PipelineConfig pipeline;
     pipeline.blocks_per_epoch = epoch_blocks;
-    pipeline.ingest_producers = producers;
     pipeline.workload_spec = scenario_spec;
     pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
     pipeline.open_loop.offered_load = load;

@@ -8,12 +8,12 @@
 // (default) computes each epoch's rebalance on the BackgroundAllocator
 // worker while the next epoch executes (install deferred one boundary, the
 // deterministic software-pipelining schedule); sync/deferred run it on the
-// driver. --producers=N fans ingest out through the IngestRouter.
+// driver.
 //
 // Record/replay (engine/replay.h): --record=PATH saves the first method's
 // run as a deterministic trace; --replay=PATH re-executes a saved trace on
 // the same generated workload (pass identical workload flags) and verifies
-// bit-identity — threads/producers/alloc-mode may differ from the recorded
+// bit-identity — threads/alloc-mode may differ from the recorded
 // run. The CI smoke records and replays a tiny trace this way to catch
 // trace-format or determinism drift.
 //
@@ -36,7 +36,7 @@
 //   ./build/bench/timeline_series [--methods=a;b] [--k=8] [--eta=2]
 //       [--scenario=SPEC]
 //       [--blocks=96] [--txs-per-block=120] [--epoch-blocks=12]
-//       [--alloc-mode=background|deferred|sync] [--producers=N]
+//       [--alloc-mode=background|deferred|sync]
 //       [--state=0|1] [--state-balance=N] [--migration-work=X]
 //       [--overrun=0|1] [--json-out=PATH]
 //       [--record=PATH | --replay=PATH]
@@ -65,8 +65,6 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("txs-per-block", 120));
   const uint32_t epoch_blocks = static_cast<uint32_t>(
       flags.GetInt("epoch-blocks", std::max(4, blocks / 8)));
-  const uint32_t producers =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
   const bool state_on = flags.GetInt("state", 0) != 0;
   // Tight default: roughly a dozen transfers per account before funds run
   // out, so the abort column is exercised, not identically zero.
@@ -119,12 +117,11 @@ int main(int argc, char** argv) {
 
   std::printf("==============================================================\n");
   std::printf("Timeline series: per-step engine metrics (k=%u, eta=%g, %d "
-              "blocks x %llu txs,\nepochs of %u blocks, alloc-mode=%s, "
-              "ingest producers=%u)\nscenario: %s\n",
+              "blocks x %llu txs,\nepochs of %u blocks, alloc-mode=%s)\n"
+              "scenario: %s\n",
               k, eta, blocks,
               static_cast<unsigned long long>(txs_per_block), epoch_blocks,
-              engine::AllocatorModeName(*mode), producers,
-              scenario_spec.c_str());
+              engine::AllocatorModeName(*mode), scenario_spec.c_str());
   std::printf("==============================================================\n");
 
   bench::SeriesTable series(
@@ -210,7 +207,7 @@ int main(int argc, char** argv) {
   if (!trace.replay_path.empty()) {
     // Replay mode: the saved trace stands in for the allocator; the
     // workload flags must regenerate the recorded stream (the trace's
-    // ledger fingerprint is verified) while threads/producers are free to
+    // ledger fingerprint is verified) while the thread count is free to
     // differ — that is the point of the drift check.
     auto loaded = engine::LoadReplayLog(trace.replay_path);
     if (!loaded.ok()) {
@@ -226,7 +223,6 @@ int main(int argc, char** argv) {
     engine_config.state.migration_work_per_account = migration_work;
     engine::ParallelEngine engine(engine_config, nullptr);
     engine::PipelineConfig pipeline;
-    pipeline.ingest_producers = producers;
     // Only enforced when --scenario was given explicitly: the trace's own
     // ledger fingerprint is always checked, but a recorded spec from an
     // older flag set need not match this binary's default spec rendering.
@@ -283,7 +279,6 @@ int main(int argc, char** argv) {
     engine::PipelineConfig pipeline;
     pipeline.blocks_per_epoch = epoch_blocks;
     pipeline.allocator_mode = *mode;
-    pipeline.ingest_producers = producers;
     pipeline.allow_epoch_overrun = overrun;
     pipeline.workload_spec = scenario_spec;
     if (!trace.record_path.empty()) pipeline.record = &log;

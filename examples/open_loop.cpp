@@ -1,7 +1,7 @@
 // Open-loop latency scenario: the same transaction stream offered at a
 // fixed rate (transactions per engine tick) to two allocation strategies —
-// naive hash sharding vs TxAllo's hybrid schedule — through the concurrent
-// mempool front-end. Arrivals the engine cannot keep up with queue in the
+// naive hash sharding vs TxAllo's hybrid schedule — through the mempool
+// front-end. Arrivals the engine cannot keep up with queue in the
 // pool, so the tail latency difference between the mappings becomes
 // directly visible as p99 end-to-end ticks, something closed-loop driving
 // (one block per tick, arrivals tracking service) can never show.
@@ -9,11 +9,10 @@
 // Every number printed is a pure function of (workload seed, flags): the
 // offered-load schedule, fees, admission decisions and latency histograms
 // live on the engine's logical clock, so reruns — with any engine thread
-// count or --producers fan-out — print byte-identical output.
+// count — print byte-identical output.
 //
 //   ./build/examples/open_loop [--load=9] [--service=12] [--k=6] [--eta=2]
-//       [--blocks=48] [--dispatch-per-tick=N] [--producers=N]
-//       [--hybrid=SPEC]
+//       [--blocks=48] [--dispatch-per-tick=N] [--hybrid=SPEC]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,8 +30,6 @@ int main(int argc, char** argv) {
   const double eta = flags.GetDouble("eta", 2.0);
   const double load = flags.GetDouble("load", 9.0);
   const uint64_t blocks = static_cast<uint64_t>(flags.GetInt("blocks", 48));
-  const uint32_t producers =
-      static_cast<uint32_t>(flags.GetInt("producers", 2));
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 40;
@@ -55,9 +52,9 @@ int main(int argc, char** argv) {
   engine_config.hash_route_unassigned = true;
 
   std::printf("open-loop ingest: %llu txs offered at %.1f tx/tick, k=%u, "
-              "raw engine service %.1f tx/tick, %u submit producers\n\n",
+              "raw engine service %.1f tx/tick\n\n",
               static_cast<unsigned long long>(ledger.num_transactions()),
-              load, k, service, producers);
+              load, k, service);
   std::printf("%-30s %8s %8s %8s %8s %8s\n", "allocator", "ticks", "p50",
               "p99", "p99.9", "dropped");
 
@@ -79,7 +76,6 @@ int main(int argc, char** argv) {
     engine::PipelineConfig pipeline;
     pipeline.blocks_per_epoch = 12;
     pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
-    pipeline.ingest_producers = producers;
     pipeline.open_loop.offered_load = load;
     pipeline.open_loop.dispatch_per_tick =
         static_cast<uint32_t>(flags.GetInt("dispatch-per-tick", 0));

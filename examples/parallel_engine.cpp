@@ -17,12 +17,10 @@
 //
 //   ./build/examples/parallel_engine [--blocks=N] [--k=K] [--threads=T]
 //       [--allocator=SPEC] [--alloc-mode=background|deferred|sync]
-//       [--producers=N]
 //
 // --alloc-mode=background (the default) computes each epoch's rebalance on
 // a background worker while the next epoch executes — the engine reports
-// how much allocation latency the overlap hid; --producers=N fans ingest
-// out over N router threads.
+// how much allocation latency the overlap hid.
 #include <cstdio>
 #include <memory>
 
@@ -49,8 +47,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", alloc_mode.status().ToString().c_str());
     return 1;
   }
-  const uint32_t producers =
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 100;
@@ -154,7 +150,6 @@ int main(int argc, char** argv) {
   pipeline.blocks_per_epoch =
       static_cast<uint32_t>(std::max(10, blocks / 10));
   pipeline.allocator_mode = *alloc_mode;
-  pipeline.ingest_producers = producers;
   auto online =
       engine::RunReallocatedStream(live, learner, &online_engine, pipeline);
   if (!online.ok()) {
@@ -164,11 +159,11 @@ int main(int argc, char** argv) {
   }
   print_row("online", online->report, online->accounts_moved);
   std::printf(
-      "\nonline reallocation (alloc-mode=%s, ingest producers=%u): %llu "
-      "epochs,\n%.3fs allocator compute (%.3fs stalled the driver — "
-      "%.0f%% overlapped with execution),\n%.6fs total ingest pause across "
-      "snapshot swaps (copy-on-write), %.2fs worker stall\n",
-      engine::AllocatorModeName(*alloc_mode), producers,
+      "\nonline reallocation (alloc-mode=%s): %llu epochs,\n%.3fs allocator "
+      "compute (%.3fs stalled the driver — %.0f%% overlapped with "
+      "execution),\n%.6fs total ingest pause across snapshot swaps "
+      "(copy-on-write), %.2fs worker stall\n",
+      engine::AllocatorModeName(*alloc_mode),
       static_cast<unsigned long long>(online->epochs), online->alloc_seconds,
       online->alloc_wait_seconds, 100.0 * online->alloc_overlap_ratio,
       online->report.realloc_pause_seconds,

@@ -1,17 +1,17 @@
 // Deterministic record/replay walkthrough: the debugging workflow the
 // engine's determinism contract buys.
 //
-//   1. Record: a background-mode reallocation pipeline (parallel ingest,
-//      worker pool, online TxAllo rebalances) streams a drifting workload
+//   1. Record: a background-mode reallocation pipeline (worker pool,
+//      online TxAllo rebalances) streams a drifting workload
 //      while every deterministic event — per-tick per-shard prepare order,
 //      2PC outcomes, install boundaries, the per-step metrics series — is
 //      captured into an engine::ReplayLog.
 //   2. Persist: the trace round-trips through the compact binary format
 //      (plus a CSV dump for eyeballing).
-//   3. Replay: the loaded trace re-executes bit-identically under several
-//      *different* execution shapes (1 thread / no router, 4 threads / 3
-//      producers) — a failing run can be re-run under a debugger
-//      single-threaded without changing what happens.
+//   3. Replay: the loaded trace re-executes bit-identically under
+//      *different* execution shapes (1 thread, 4 threads) — a failing run
+//      can be re-run under a debugger single-threaded without changing
+//      what happens.
 //   4. Guard: replaying against the wrong workload is refused up front via
 //      the trace's ledger fingerprint instead of diverging quietly.
 //
@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
       0.5 * static_cast<double>(config.txs_per_block) / k;
   engine_config.hash_route_unassigned = true;
 
-  // 1. Record under the full pipeline: 2 workers, 2 ingest producers,
-  //    background rebalances.
+  // 1. Record under the full pipeline: 2 workers, background rebalances.
   engine::ReplayLog log;
   {
     engine::EngineConfig recording_config = engine_config;
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
     engine::PipelineConfig pipeline;
     pipeline.blocks_per_epoch = static_cast<uint32_t>(blocks / 4);
     pipeline.allocator_mode = engine::AllocatorMode::kBackground;
-    pipeline.ingest_producers = 2;
     pipeline.record = &log;
     auto recorded = engine::RunReallocatedStream(ledger, (*made)->AsOnline(),
                                                  &engine, pipeline);
@@ -114,28 +112,20 @@ int main(int argc, char** argv) {
 
   // 3. Replay under different execution shapes; every one must be
   //    bit-identical (prepare order, 2PC outcomes, step series).
-  struct Shape {
-    const char* name;
-    uint32_t threads;
-    uint32_t producers;
-  };
-  const Shape shapes[] = {{"1 thread, driver ingest", 1, 0},
-                          {"4 threads, 3 producers", 4, 3}};
-  for (const Shape& shape : shapes) {
+  for (const uint32_t threads : {1u, 4u}) {
     engine::EngineConfig replay_config = engine_config;
-    replay_config.num_threads = shape.threads;
+    replay_config.num_threads = threads;
     engine::ParallelEngine engine(replay_config, nullptr);
-    engine::PipelineConfig pipeline;
-    pipeline.ingest_producers = shape.producers;
-    auto replayed =
-        engine::ReplayRecordedStream(ledger, *loaded, &engine, pipeline);
+    auto replayed = engine::ReplayRecordedStream(ledger, *loaded, &engine,
+                                                 engine::PipelineConfig{});
     if (!replayed.ok()) {
-      std::fprintf(stderr, "replay (%s): %s\n", shape.name,
+      std::fprintf(stderr, "replay (%u threads): %s\n", threads,
                    replayed.status().ToString().c_str());
       return 1;
     }
-    std::printf("replay under %-24s -> bit-identical (%llu committed)\n",
-                shape.name,
+    std::printf("replay under %u thread(s) -> bit-identical (%llu "
+                "committed)\n",
+                threads,
                 static_cast<unsigned long long>(
                     replayed->report.sim.committed));
   }

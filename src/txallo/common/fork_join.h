@@ -1,14 +1,13 @@
-// Fork-join over a fixed set of lanes: the one fan-out primitive behind the
-// engine's tick and both producer routers.
+// Fork-join over a fixed set of lanes: the fan-out primitive behind the
+// engine's tick (engine::ParallelEngine, its only user).
 //
 // A pool of `lanes` runs `fn(lane)` once per lane per Run(), and Run()
 // returns only when every lane has finished. Each Run() takes the caller's
 // estimate of the fork's work, in items of about 100 ns on the calibration
-// host: one transaction part executed with no synthetic spin, or one
-// transaction routed by engine::IngestRouter (mempool::SubmitRouter counts
-// two). Below kInlineWorkThreshold items, waking the helpers costs more
-// than the work they would spread, so Run() calls every lane in lane order
-// on the calling thread and the helpers stay parked. At or above it, lane
+// host: one transaction part executed with no synthetic spin. Below
+// kInlineWorkThreshold items, waking the helpers costs more than the work
+// they would spread, so Run() calls every lane in lane order on the calling
+// thread and the helpers stay parked. At or above it, lane
 // 0 runs on the caller and lanes 1..lanes-1 on persistent helper threads.
 // A one-lane pool spawns no thread at all and always runs inline. Which
 // path a Run() takes never changes what the lanes compute, only where.
@@ -39,13 +38,7 @@ uint32_t HardwareThreads();
 
 /// Work estimate, in items (see above), from which a Run() fans out to the
 /// helpers. Calibrated with bench/engine_scaling: on a 4-vCPU x86-64 host a
-/// two-lane tick first beats one lane at about this much work. For the
-/// routers, bench/router_scaling on the same host found no batch (32 to
-/// 65,536 transactions) at which two producers clearly beat one: below the
-/// threshold they ran at 0.34–1.01x one producer's speed, at or above it
-/// at 0.68–1.13x, as they contend on the staging mutexes. So the threshold
-/// keeps every router batch a benchmark submits inline, but the router
-/// fan-out above it is not a measured gain.
+/// two-lane tick first beats one lane at about this much work.
 inline constexpr uint64_t kInlineWorkThreshold = 4'096;
 
 class ForkJoinPool {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "txallo/common/stopwatch.h"
@@ -76,23 +77,11 @@ ParallelEngine::~ParallelEngine() = default;
 
 void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
                                   uint64_t block, bool record) {
-  // Stable merge: all submissions of the phase have returned (ticks
-  // never overlap ingest, by the driver contract), so staging holds the
-  // complete arrival set — appending it in sequence order makes the lane
-  // FIFO independent of producer interleaving. Tags are unique per lane,
-  // so a plain sort is canonical.
-  {
-    common::MutexLock lock(lane.mu);
-    if (!lane.staging.empty()) {
-      std::sort(lane.staging.begin(), lane.staging.end(),
-                [](const WorkItem& a, const WorkItem& b) {
-                  return a.seq < b.seq;
-                });
-      lane.fifo.insert(lane.fifo.end(), lane.staging.begin(),
-                       lane.staging.end());
-      lane.staging.clear();
-    }
-  }
+  // Staging is already in sequence order: the driver submitted it.
+  lane.fifo.insert(lane.fifo.end(),
+                   std::make_move_iterator(lane.staging.begin()),
+                   std::make_move_iterator(lane.staging.end()));
+  lane.staging.clear();
   double budget = config_.work.capacity_per_block;
   // Migration debt (account records this shard sent/received at the last
   // install) is paid off the top of the budget: moving state is work the
@@ -128,18 +117,10 @@ void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
 
 Status ParallelEngine::SubmitBlock(
     const std::vector<chain::Transaction>& transactions) {
-  return SubmitTransactions(transactions.data(), transactions.size());
-}
-
-Status ParallelEngine::SubmitTransactions(
-    const chain::Transaction* transactions, size_t count) {
-  return SubmitTransactions(transactions, count,
-                            ReserveSequenceRange(count));
-}
-
-Status ParallelEngine::SubmitTransactions(
-    const chain::Transaction* transactions, size_t count,
-    uint64_t first_seq) {
+  // Transaction i of the block takes tag base_seq + i, whether or not the
+  // block routes.
+  const uint64_t base_seq = next_seq_;
+  next_seq_ += transactions.size();
   std::shared_ptr<const alloc::Allocation> routing;
   {
     common::MutexLock lock(routing_mu_);
@@ -151,13 +132,11 @@ Status ParallelEngine::SubmitTransactions(
               : snapshot_error_);
     }
   }
-  const uint64_t arrival_block = now_.load(std::memory_order_relaxed);
-  // Per-call scratch keeps this path producer-thread-safe. account_shards[j]
-  // is the shard of tx.accounts()[j]; shards lists the distinct ones in
-  // order of first appearance (the lanes' queueing order).
+  // account_shards[j] is the shard of tx.accounts()[j]; shards lists the
+  // distinct ones in order of first appearance (the lanes' queueing order).
   std::vector<alloc::ShardId> account_shards;
   std::vector<alloc::ShardId> shards;
-  for (size_t i = 0; i < count; ++i) {
+  for (size_t i = 0; i < transactions.size(); ++i) {
     const chain::Transaction& tx = transactions[i];
     account_shards.clear();
     shards.clear();
@@ -182,9 +161,9 @@ Status ParallelEngine::SubmitTransactions(
     }
     if (shards.empty()) continue;
     const bool cross = shards.size() > 1;
-    const uint64_t seq = first_seq + i;
+    const uint64_t seq = base_seq + i;
     const uint64_t tx_index = coordinator_.Register(
-        arrival_block, static_cast<uint32_t>(shards.size()), cross, seq);
+        now_, static_cast<uint32_t>(shards.size()), cross, seq);
     const double work = config_.work.PartWork(cross);
     // With the state backend on, the transaction's deterministic transfer
     // plan is sliced across its parts: each part carries the ops of the
@@ -201,7 +180,6 @@ Status ParallelEngine::SubmitTransactions(
         if (account_shards[j] == s) item.ops.push_back(ops[j]);
       }
       ShardLane& lane = *lanes_[s];
-      common::MutexLock lock(lane.mu);
       lane.staging.push_back(std::move(item));
       lane.staging_high_water =
           std::max<uint64_t>(lane.staging_high_water, lane.staging.size());
@@ -270,18 +248,14 @@ void ParallelEngine::SyncStateResidency() {
 }
 
 uint64_t ParallelEngine::TickWorkEstimate() {
-  // A one-lane pool runs inline whatever the estimate: skip the locks.
+  // A one-lane pool runs inline whatever the estimate.
   if (num_workers_ == 1) return 0;
   // A shard runs what is queued, up to one block of λ: every part costs at
   // least one work unit, plus at most one partly-run part at the front.
   const double max_parts = std::floor(config_.work.capacity_per_block) + 1.0;
   double parts = 0.0;
   for (const std::unique_ptr<ShardLane>& lane : lanes_) {
-    size_t queued = lane->fifo.size();
-    {
-      common::MutexLock lock(lane->mu);
-      queued += lane->staging.size();
-    }
+    const size_t queued = lane->fifo.size() + lane->staging.size();
     parts += std::min(static_cast<double>(queued), max_parts);
   }
   const double items =
@@ -295,7 +269,7 @@ void ParallelEngine::Tick() {
   // it charges must be visible to this tick's ExecuteBlock (the pool's
   // fork publishes the lane writes).
   if (state_ != nullptr) SyncStateResidency();
-  const uint64_t block = now_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t block = ++now_;
   const bool record = record_trace_;
   pool_.Run(TickWorkEstimate(), [this, block, record](uint32_t lane) {
     for (uint32_t s = lane; s < config_.num_shards; s += num_workers_) {
@@ -346,7 +320,7 @@ EngineReport ParallelEngine::Snapshot() {
   report.fanned_out_ticks = pool_.fan_outs();
   report.num_workers = num_workers_;
   const CommitStats stats = coordinator_.stats();
-  const uint64_t now = now_.load(std::memory_order_relaxed);
+  const uint64_t now = now_;
   report.sim.submitted = stats.submitted;
   report.sim.committed = stats.committed;
   report.sim.cross_shard_submitted = stats.cross_shard_submitted;
@@ -376,7 +350,6 @@ EngineReport ParallelEngine::Snapshot() {
                                              static_cast<double>(now));
     }
     for (const WorkItem& item : lane->fifo) residual += item.work_remaining;
-    common::MutexLock lock(lane->mu);
     for (const WorkItem& item : lane->staging) residual += item.work_remaining;
     report.max_queue_depth.push_back(lane->staging_high_water);
   }

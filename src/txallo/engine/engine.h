@@ -6,7 +6,7 @@
 //
 //   * Ingest: SubmitBlock() routes each transaction by the current
 //     alloc::Allocation snapshot (Allocation::RouteOf, the one account->shard
-//     rule) into one staging buffer per shard, each behind its own mutex.
+//     rule) into one staging buffer per shard.
 //   * Shard lanes: each Tick() is one fork-join over a common::ForkJoinPool
 //     of W lanes, shards striped across them (lane w owns shards s with
 //     s % W == w — one lane per shard when threads >= shards). A tick
@@ -30,31 +30,24 @@
 // submission sequence the SimReport numbers do not depend on the lane
 // count.
 //
-// Determinism: every submitted transaction carries an ingest *sequence tag*
-// (a position in a per-engine reservation counter; see
-// ReserveSequenceRange). Producers may push into a shard's staging buffer in
-// any interleaving — the lane sorts it and appends it to its FIFO in
-// sequence order at the next tick, after all in-flight submissions have
-// returned (the driver contract). Per-lane execution order is therefore a
-// pure function of the submitted blocks and installed snapshots,
-// independent of lane count, producer count and λ; with trace recording
-// on (EnableTraceRecording), ExtractTrace() returns the canonical per-tick,
+// Determinism: every submitted transaction carries an ingest *sequence tag*,
+// its position in the submission order. The driver is the only producer, so
+// each shard's staging buffer fills in tag order and the lane appends it
+// unchanged to its FIFO at the next tick. Per-lane execution order is therefore
+// a pure function of the submitted blocks and installed snapshots,
+// independent of lane count and λ; with trace recording on
+// (EnableTraceRecording), ExtractTrace() returns the canonical per-tick,
 // per-shard prepare order and 2PC outcome stream that engine/replay.h
 // serializes and replays bit-identically.
 //
-// Threading contract: ingest is multi-producer — SubmitBlock/
-// SubmitTransactions may be called from any number of threads concurrently
-// (the per-shard staging buffers are mutex-guarded, and so is the 2PC
-// registry; engine/ingest_router.h is the fan-out driver). Tick/Snapshot/
-// DrainAndReport/ExtractTrace and the Enable* switches are driver API — one
-// thread at a time, and they must not overlap in-flight submissions (the
-// logical clock advances between ingest phases, exactly like a block
-// boundary). Everything a lane writes during a tick is the driver's again
-// when Tick()'s fork-join returns. InstallAllocation is safe from any
-// thread at any time.
+// Threading contract: everything except InstallAllocation is driver API —
+// SubmitBlock, Tick, Snapshot, DrainAndReport, ExtractTrace and the Enable*
+// switches are called by one thread at a time, so the staging buffers, the
+// 2PC coordinator and the logical clock need no lock. Everything a lane
+// writes during a tick is the driver's again when Tick()'s fork-join
+// returns. InstallAllocation is safe from any thread at any time.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -141,6 +134,7 @@ struct SimReport {
   /// Work still queued when the report was taken.
   double residual_work = 0.0;
   uint64_t blocks_elapsed = 0;
+  bool operator==(const SimReport&) const = default;
 };
 
 /// SimReport plus engine-only observability.
@@ -176,7 +170,7 @@ struct EngineReport {
   /// (state backend only; the migration cost charged against λ).
   uint64_t accounts_migrated = 0;
   /// Exact commit-latency histogram in blocks (decision − arrival), commits
-  /// only. Deterministic across thread/producer counts; p50/p99/p99.9 come
+  /// only. Deterministic across thread counts; p50/p99/p99.9 come
   /// straight out of it.
   common::Histogram commit_latency_blocks;
 };
@@ -198,37 +192,11 @@ class ParallelEngine {
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   /// Routes one block of transactions by the current allocation snapshot
-  /// into the shards' staging buffers. Safe from multiple producer threads concurrently (see the threading
-  /// contract above); equivalent to SubmitTransactions over the whole span.
+  /// into the shards' staging buffers. Transaction i carries sequence tag
+  /// n + i, where n counts the transactions of every earlier call. Driver
+  /// API (see the threading contract above). Stops at the first transaction
+  /// it cannot route and returns why; the ones before it stay submitted.
   Status SubmitBlock(const std::vector<chain::Transaction>& transactions);
-
-  /// Multi-producer ingest primitive: routes `count` transactions starting
-  /// at `transactions` by the current allocation snapshot. Any number of
-  /// producers may call this concurrently — per-transaction routing reads
-  /// one copy-on-write snapshot, and the 2PC registry and the per-shard
-  /// staging buffers are mutex-guarded. Must not overlap Tick()/Snapshot()/
-  /// DrainAndReport() (driver API). Reserves this call's sequence range
-  /// internally, so tags across *concurrent* callers follow reservation
-  /// interleaving; coordinate with ReserveSequenceRange + the three-arg
-  /// overload when deterministic order matters.
-  Status SubmitTransactions(const chain::Transaction* transactions,
-                            size_t count);
-
-  /// Deterministic multi-producer ingest: transaction i carries sequence
-  /// tag `first_seq + i`. Callers reserve tags up front (one
-  /// ReserveSequenceRange per logical block, driver-side) and may then
-  /// submit disjoint slices from any number of threads in any interleaving
-  /// — per-lane execution order depends only on the tags, not the
-  /// schedule. This is what IngestRouter does.
-  Status SubmitTransactions(const chain::Transaction* transactions,
-                            size_t count, uint64_t first_seq);
-
-  /// Reserves `count` consecutive ingest sequence tags and returns the
-  /// first. Safe from any thread; call once per logical block from the
-  /// driver so sliced submissions stay deterministic.
-  uint64_t ReserveSequenceRange(size_t count) {
-    return ingest_seq_.fetch_add(count, std::memory_order_relaxed);
-  }
 
   /// Starts recording the deterministic execution trace (per-lane prepare
   /// events and 2PC commit events). Driver-side, before the first
@@ -273,9 +241,7 @@ class ParallelEngine {
   /// Report without draining.
   EngineReport Snapshot();
 
-  uint64_t current_block() const {
-    return now_.load(std::memory_order_relaxed);
-  }
+  uint64_t current_block() const { return now_; }
   const EngineConfig& config() const { return config_; }
   uint32_t num_workers() const { return num_workers_; }
   /// The snapshot ingest currently routes by (null before the first
@@ -305,18 +271,14 @@ class ParallelEngine {
     uint64_t seq;
     std::vector<state::Op> ops;
   };
-  // Per-shard execution state. The staging buffer is shared (producers
-  // push under `mu`); everything below it is owned by the shard's lane
-  // during a tick's fork-join and by the driver outside it.
+  // Per-shard execution state, owned by the shard's lane during a tick's
+  // fork-join and by the driver outside it.
   struct ShardLane {
-    common::Mutex mu;
-    // Arrivals in push (interleaving-dependent) order; sorted by sequence
-    // tag into the FIFO at the next tick, once every in-flight submission
-    // has returned. This step is what makes per-lane order
-    // producer-schedule independent.
-    std::vector<WorkItem> staging TXALLO_GUARDED_BY(mu);
+    // Arrivals since the last tick, in sequence-tag order (the driver
+    // submits in tag order); appended to the FIFO at the next tick.
+    std::vector<WorkItem> staging;
     // Largest staging size seen (EngineReport::max_queue_depth).
-    uint64_t staging_high_water TXALLO_GUARDED_BY(mu) = 0;
+    uint64_t staging_high_water = 0;
     std::deque<WorkItem> fifo;
     double processed_work = 0.0;
     // Prepare votes in execution order (only when recording; lane-written).
@@ -375,12 +337,10 @@ class ParallelEngine {
   bool record_trace_ = false;
   const uint32_t num_workers_;
 
-  // Logical clock. Written by the driver in Tick(); read (relaxed) by
-  // concurrent producers in SubmitTransactions — stable there because
-  // submissions never overlap ticks (threading contract).
-  std::atomic<uint64_t> now_{0};
-  // Ingest sequence-tag reservation counter (ReserveSequenceRange).
-  std::atomic<uint64_t> ingest_seq_{0};
+  // Driver-only logical clock (advanced by Tick()) and the next ingest
+  // sequence tag (advanced by SubmitBlock()).
+  uint64_t now_ = 0;
+  uint64_t next_seq_ = 0;
   // Declared last so its helpers are joined before any lane is destroyed.
   common::ForkJoinPool pool_;
 };

@@ -12,11 +12,9 @@
 #include "txallo/chain/block.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/engine/background_allocator.h"
-#include "txallo/engine/ingest_router.h"
 #include "txallo/engine/replay.h"
 #include "txallo/mempool/cleaner.h"
 #include "txallo/mempool/offered_load.h"
-#include "txallo/mempool/submit_router.h"
 #include "txallo/sim/reconfig.h"
 #include "txallo/workload/stream.h"
 
@@ -62,7 +60,7 @@ const char* IngestModeName(IngestMode mode) {
 namespace {
 
 /// Admission drops chargeable to the window series (capacity, per-account
-/// limits, producer backpressure). TTL expiries are a lifetime property of
+/// limits, staging backpressure). TTL expiries are a lifetime property of
 /// already-admitted transactions, not an admission decision — they stay in
 /// AdmissionStats only.
 uint64_t AdmissionDrops(const mempool::AdmissionStats& stats) {
@@ -143,10 +141,8 @@ class PipelineRun {
   PipelineResult result_;
   ReplayLog observed_;  // Built along the run when recording.
   std::shared_ptr<const alloc::Allocation> current_;
-  // Pipeline stages: optional parallel-ingest fan-out and optional
-  // background allocation worker (never needed on replay — the recorded
-  // install stream stands in for the allocator entirely).
-  std::optional<IngestRouter> router_;
+  // Optional background allocation worker (never needed on replay — the
+  // recorded install stream stands in for the allocator entirely).
   std::optional<BackgroundAllocator> background_;
   // kDriverDeferred: the mapping computed at the previous boundary,
   // awaiting its install at this one.
@@ -156,8 +152,7 @@ class PipelineRun {
   uint64_t step_ = 0;
 
   // Open-loop state. Engine sequence tags are assigned contiguously in
-  // dispatch order (driver SubmitBlock and IngestRouter slices alike), so
-  // a dense vector maps seq -> submit tick.
+  // dispatch order, so a dense vector maps seq -> submit tick.
   std::vector<uint64_t> submit_tick_of_seq_;
   uint64_t offered_prev_ = 0;
   mempool::AdmissionStats admission_prev_;
@@ -443,11 +438,7 @@ Status PipelineRun::RunClosedLoop() {
     for (size_t b = window.first_block_index; b < window.last_block_index;
          ++b) {
       const chain::Block& block = ledger_.blocks()[b];
-      if (router_) {
-        TXALLO_RETURN_NOT_OK(router_->SubmitBlock(block.transactions()));
-      } else {
-        TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block.transactions()));
-      }
+      TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block.transactions()));
       engine_->Tick();
       if (replay_ == nullptr) alloc_->ApplyBlock(block);
     }
@@ -499,9 +490,8 @@ Status PipelineRun::RunOpenLoop() {
   engine_->EnableCommitObservation();
 
   mempool::MempoolConfig pool_config = open_loop_.mempool;
-  // Deterministic drops: staging must hold any single tick's offer so
-  // TrySubmit never races producers against a full buffer — every drop
-  // decision then happens at the seal, in pool_seq order (submit_router.h).
+  // Staging holds any single tick's offer, so TrySubmit never refuses an
+  // arrival and every drop decision happens at the seal, in pool_seq order.
   const size_t tick_offer =
       static_cast<size_t>(std::ceil(open_loop_.offered_load)) + 1;
   pool_config.staging_capacity =
@@ -509,10 +499,6 @@ Status PipelineRun::RunOpenLoop() {
   mempool::Mempool pool(pool_config);
   std::optional<mempool::MempoolCleaner> cleaner;
   if (open_loop_.cleaner) cleaner.emplace(&pool);
-  std::optional<mempool::SubmitRouter> submitters;
-  if (config_.ingest_producers >= 2) {
-    submitters.emplace(&pool, config_.ingest_producers);
-  }
   mempool::OfferedLoadGenerator generator(
       ledger_,
       mempool::OfferedLoadConfig{open_loop_.offered_load,
@@ -522,8 +508,6 @@ Status PipelineRun::RunOpenLoop() {
                                   : open_loop_.dispatch_per_tick;
 
   std::vector<mempool::OfferedTx> released;
-  std::vector<chain::Transaction> tx_buf;
-  std::vector<uint64_t> fee_buf;
   common::Histogram window_hist;
   uint64_t window_first = engine_->current_block();
   uint32_t ticks_in_window = 0;
@@ -539,19 +523,8 @@ Status PipelineRun::RunOpenLoop() {
     generator.ReleaseTick(&released);
     if (!released.empty()) {
       const uint64_t seq_base = pool.ReserveSequenceRange(released.size());
-      if (submitters) {
-        tx_buf.clear();
-        fee_buf.clear();
-        for (const mempool::OfferedTx& offer : released) {
-          tx_buf.push_back(*offer.tx);
-          fee_buf.push_back(offer.fee);
-        }
-        submitters->SubmitBatch(tx_buf.data(), fee_buf.data(), tx_buf.size(),
-                                now, seq_base);
-      } else {
-        for (size_t i = 0; i < released.size(); ++i) {
-          pool.TrySubmit(*released[i].tx, released[i].fee, now, seq_base + i);
-        }
+      for (size_t i = 0; i < released.size(); ++i) {
+        pool.TrySubmit(*released[i].tx, released[i].fee, now, seq_base + i);
       }
     }
 
@@ -566,11 +539,7 @@ Status PipelineRun::RunOpenLoop() {
       submit_tick_of_seq_.push_back(pending.submit_tick);
       block_txs.push_back(std::move(pending.tx));
     }
-    if (router_) {
-      TXALLO_RETURN_NOT_OK(router_->SubmitBlock(block_txs));
-    } else {
-      TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block_txs));
-    }
+    TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block_txs));
     engine_->Tick();
 
     // 4. End-to-end latency of every commit this tick decided.
@@ -730,9 +699,6 @@ Result<PipelineResult> PipelineRun::Run() {
   if (recording_) engine_->EnableTraceRecording();
 
   current_ = engine_->allocation_snapshot();
-  if (config_.ingest_producers >= 2) {
-    router_.emplace(engine_, config_.ingest_producers);
-  }
   if (replay_ == nullptr &&
       config_.allocator_mode == AllocatorMode::kBackground) {
     background_.emplace();

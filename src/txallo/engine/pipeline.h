@@ -1,6 +1,6 @@
 // Epoch-based online reallocation: any allocator::OnlineAllocator driving
-// the parallel engine, as a three-stage pipeline (ingest ∥ execution ∥
-// allocation).
+// the parallel engine, with execution fanned out over the engine's lanes
+// and allocation optionally overlapped on a background worker.
 //
 // The allocator absorbs committed blocks (ApplyBlock); every
 // `blocks_per_epoch` blocks its mapping refreshes and the result is
@@ -32,10 +32,10 @@
 //                        to kDriverDeferred at equal inputs (the parity
 //                        tests assert bit-equality).
 //
-// Ingest can fan out too: `ingest_producers >= 2` routes every block
-// through an IngestRouter — N producer lanes, the driver plus N-1 helper
-// threads of a common::ForkJoinPool, each routing one slice into the
-// engine's per-shard staging buffers — instead of the driver alone.
+// Ingest runs on the driver: it submits every block (and, open-loop, every
+// mempool arrival) itself, in order, so sequence tags are block positions.
+// `ingest_producers` has no effect; it stays until the perf ledger's traced
+// driver, which still reads it, goes.
 //
 // Ingest modes: the classic driver is *closed-loop* — it feeds one ledger
 // block per tick, so the arrival rate automatically tracks the service rate
@@ -47,7 +47,7 @@
 // (commit tick − submit tick) lands in exact histograms: per-window
 // p50/p99/p99.9 in StepMetrics, the full distribution in PipelineResult.
 // The clock stays logical, so latency ticks, admission drops and queue
-// depths are bit-identical across thread and producer counts, and
+// depths are bit-identical across thread counts, and
 // record/replay covers open-loop runs exactly like closed-loop ones (the
 // trace meta carries the offered-load and mempool parameters).
 //
@@ -109,8 +109,8 @@ struct OpenLoopConfig {
   uint32_t fee_levels = 16;
   uint64_t fee_seed = 0x9e3779b97f4a7c15ULL;
   /// Admission-control parameters. staging_capacity is raised to hold a
-  /// whole tick's offer so every drop decision happens at the
-  /// deterministic seal, never in producer timing.
+  /// whole tick's offer so every drop decision happens at the seal, in
+  /// pool_seq order.
   mempool::MempoolConfig mempool;
   /// Run a background MempoolCleaner (physical compaction only — outputs
   /// are identical with it on, off, or racing).
@@ -125,10 +125,9 @@ struct PipelineConfig {
   /// Allocation schedule (see file header). kDriverSync reproduces the
   /// historical single-driver loop.
   AllocatorMode allocator_mode = AllocatorMode::kDriverSync;
-  /// Ingest fan-out: >= 2 routes blocks through an IngestRouter with this
-  /// many producer lanes (lane 0 is the driver); 0/1 submits from the
-  /// driver. In kOpenLoop the same count also sizes the mempool's
-  /// SubmitRouter.
+  /// No effect: the driver is the only ingest producer at any value. Kept
+  /// because the perf ledger's traced driver (bench/perf) still reads it;
+  /// it goes together with that driver copy.
   uint32_t ingest_producers = 0;
   /// Closed-loop (feed one ledger block per tick) or open-loop (offered
   /// load through the mempool; see file header). On replay the recorded
@@ -157,7 +156,7 @@ struct PipelineConfig {
   ReplayLog* record = nullptr;
   /// When set, re-executes the recorded trace instead of running the
   /// allocator: `alloc` may be null, blocks_per_epoch and allocator_mode
-  /// come from the log, and threads/ingest_producers are free to differ —
+  /// come from the log, and the engine's thread count is free to differ —
   /// the run is verified bit-identical to the log (prepare order, 2PC
   /// outcomes, step series) and diverging returns an Internal error.
   const ReplayLog* replay = nullptr;
@@ -205,7 +204,7 @@ struct StepMetrics {
   /// Transactions the mempool admitted in the window.
   uint64_t admitted = 0;
   /// Admission drops in the window (capacity + per-account pending +
-  /// per-account rate + producer backpressure; TTL expiries are separate,
+  /// per-account rate + staging backpressure; TTL expiries are separate,
   /// see PipelineResult::admission).
   uint64_t admission_dropped = 0;
   /// Mempool live depth at window close.
@@ -248,7 +247,7 @@ struct PipelineResult {
   mempool::AdmissionStats admission;
   /// Open-loop only: exact end-to-end latency distribution (commit tick −
   /// submit tick) over every committed transaction. Empty in closed-loop
-  /// runs. Bit-identical across thread and producer counts.
+  /// runs. Bit-identical across thread counts.
   common::Histogram e2e_latency_ticks;
   /// Per-step timeline series, one entry per epoch window.
   std::vector<StepMetrics> steps;

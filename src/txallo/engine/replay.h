@@ -6,7 +6,7 @@
 //   * the canonical per-tick, per-shard prepare order (PrepareEvent stream)
 //     and the 2PC outcome stream (CommitEvent, (block, seq)-sorted, commits
 //     and aborts alike), both keyed by ingest sequence tags so they survive
-//     thread/producer-count changes;
+//     thread-count changes;
 //   * with the account-state backend on, the per-tick global Merkle root
 //     (TickStateRoot stream) — the structural fingerprint replay verifies
 //     bit-identically, which pins not just *which* transactions committed
@@ -146,11 +146,12 @@ std::string DescribeLaneDivergence(const ReplayLog& recorded,
 
 /// Re-executes `log` on `engine` against `ledger`: same windows, recorded
 /// installs at their recorded blocks, no allocator. `config` contributes
-/// the execution shape only (ingest_producers; blocks_per_epoch /
-/// allocator_mode / replay are ignored, record is honoured). The engine
-/// must be fresh and configured compatibly (shard count, work model,
-/// hash_route_unassigned). Returns the re-executed run's PipelineResult;
-/// fails with Internal if any deterministic field diverged from the log.
+/// no logical input (blocks_per_epoch / allocator_mode / replay are
+/// ignored, record is honoured); the execution shape is the engine's
+/// thread count. The engine must be fresh and configured compatibly (shard
+/// count, work model, hash_route_unassigned). Returns the re-executed run's
+/// PipelineResult; fails with Internal if any deterministic field diverged
+/// from the log.
 Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
                                             const ReplayLog& log,
                                             ParallelEngine* engine,

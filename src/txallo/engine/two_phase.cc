@@ -8,7 +8,6 @@ namespace txallo::engine {
 uint64_t TwoPhaseCoordinator::Register(uint64_t arrival_block,
                                        uint32_t participants,
                                        bool cross_shard, uint64_t seq) {
-  common::MutexLock lock(mu_);
   const uint64_t tx_index = txs_.size();
   txs_.push_back(
       TxEntry{arrival_block, seq, participants, cross_shard, false});
@@ -18,9 +17,8 @@ uint64_t TwoPhaseCoordinator::Register(uint64_t arrival_block,
   return tx_index;
 }
 
-void TwoPhaseCoordinator::DecideLocked(uint64_t tx_index,
-                                       uint64_t decision_block,
-                                       bool aborted) {
+void TwoPhaseCoordinator::Decide(uint64_t tx_index, uint64_t decision_block,
+                                 bool aborted) {
   const TxEntry& tx = txs_[tx_index];
   if (aborted) {
     ++stats_.aborted;
@@ -43,22 +41,14 @@ void TwoPhaseCoordinator::DecideLocked(uint64_t tx_index,
   }
 }
 
-void TwoPhaseCoordinator::EnableEventRecording() {
-  common::MutexLock lock(mu_);
-  record_events_ = true;
-}
+void TwoPhaseCoordinator::EnableEventRecording() { record_events_ = true; }
 
 void TwoPhaseCoordinator::EnableDecisionCollection() {
-  common::MutexLock lock(mu_);
   collect_decisions_ = true;
 }
 
 std::vector<CommitEvent> TwoPhaseCoordinator::CanonicalCommitEvents() const {
-  std::vector<CommitEvent> events;
-  {
-    common::MutexLock lock(mu_);
-    events = events_;
-  }
+  std::vector<CommitEvent> events = events_;
   // Decisions of one block land in PartExecuted/FlushDelayed interleaving
   // order; the sequence tag is the canonical tiebreak.
   std::sort(events.begin(), events.end(),
@@ -70,7 +60,6 @@ std::vector<CommitEvent> TwoPhaseCoordinator::CanonicalCommitEvents() const {
 
 void TwoPhaseCoordinator::PartExecuted(uint64_t tx_index, uint64_t block,
                                        bool ok) {
-  common::MutexLock lock(mu_);
   TxEntry& tx = txs_[tx_index];
   ++stats_.prepares_received;
   if (!ok) tx.abort_pending = true;
@@ -79,7 +68,7 @@ void TwoPhaseCoordinator::PartExecuted(uint64_t tx_index, uint64_t block,
   if (tx.abort_pending) {
     // Aborts resolve at the last-vote block: there is no commit round to
     // pay — participants drop their staged thunks and move on.
-    DecideLocked(tx_index, block, /*aborted=*/true);
+    Decide(tx_index, block, /*aborted=*/true);
     return;
   }
   const uint64_t commit_block = model_.CommitBlock(block, tx.cross_shard);
@@ -88,38 +77,21 @@ void TwoPhaseCoordinator::PartExecuted(uint64_t tx_index, uint64_t block,
     ++stats_.awaiting_commit_round;
     return;
   }
-  DecideLocked(tx_index, block, /*aborted=*/false);
+  Decide(tx_index, block, /*aborted=*/false);
 }
 
 void TwoPhaseCoordinator::FlushDelayed(uint64_t now) {
-  common::MutexLock lock(mu_);
   while (!delayed_.empty() && delayed_.front().first <= now) {
     const uint64_t tx_index = delayed_.front().second;
     delayed_.pop_front();
     --stats_.awaiting_commit_round;
-    DecideLocked(tx_index, now, /*aborted=*/false);
+    Decide(tx_index, now, /*aborted=*/false);
   }
 }
 
 std::vector<TwoPhaseCoordinator::Decision>
 TwoPhaseCoordinator::TakeDecisions() {
-  common::MutexLock lock(mu_);
   return std::exchange(decisions_, {});
-}
-
-bool TwoPhaseCoordinator::Idle() const {
-  common::MutexLock lock(mu_);
-  return stats_.in_flight == 0 && delayed_.empty();
-}
-
-CommitStats TwoPhaseCoordinator::stats() const {
-  common::MutexLock lock(mu_);
-  return stats_;
-}
-
-common::Histogram TwoPhaseCoordinator::LatencyHistogram() const {
-  common::MutexLock lock(mu_);
-  return latency_hist_;
 }
 
 }  // namespace txallo::engine

@@ -11,12 +11,10 @@
 // the last-vote block: an abort needs no extra consensus round —
 // participants simply drop their staged thunks.
 //
-// Thread-safety: Register() is called concurrently by ingest producers;
-// PartExecuted()/FlushDelayed()/stats() are driver-side, after each tick's
-// lanes have joined. Everything is
-// guarded by one annotated mutex (common/sync.h; Clang -Wthread-safety
-// checks the discipline) — the coordinator is touched once per transaction
-// part, not per work unit, so contention is bounded by routing fan-out.
+// Thread-safety: none, and none needed. Only the engine's driver thread
+// calls in: Register() from SubmitBlock, the votes, flushes and reads
+// between ticks, after the tick's lanes have joined. Lanes never touch the
+// coordinator.
 #pragma once
 
 #include <cstdint>
@@ -24,14 +22,13 @@
 #include <vector>
 
 #include "txallo/common/histogram.h"
-#include "txallo/common/sync.h"
 #include "txallo/sim/work_model.h"
 
 namespace txallo::engine {
 
 /// One 2PC decision, keyed by the transaction's ingest sequence tag (the
-/// stable identity that survives producer-count changes; the runtime
-/// tx_index handle does not). Recorded by the coordinator when event
+/// stable identity a replay matches on; the runtime tx_index handle is
+/// not recorded). Recorded by the coordinator when event
 /// recording is on — the "2PC outcome stream" of a replay trace
 /// (engine/replay.h). `aborted` decisions exist only with the state
 /// backend on; the pure cost model never fails a vote.
@@ -85,9 +82,8 @@ class TwoPhaseCoordinator {
   void EnableDecisionCollection();
 
   /// The recorded outcome stream in canonical order: (block, seq)
-  /// ascending — registration and voting interleavings across
-  /// producer threads and engine lanes do not change it. Driver-side,
-  /// between ticks.
+  /// ascending, whatever order the decisions of one block were issued in.
+  /// Driver-side, between ticks.
   std::vector<CommitEvent> CanonicalCommitEvents() const;
 
   /// One participant's vote, cast at block `block`: ok = PREPARED, !ok =
@@ -117,14 +113,14 @@ class TwoPhaseCoordinator {
   std::vector<Decision> TakeDecisions();
 
   /// True when nothing is in flight or awaiting a commit round.
-  bool Idle() const;
+  bool Idle() const { return stats_.in_flight == 0 && delayed_.empty(); }
 
-  CommitStats stats() const;
+  CommitStats stats() const { return stats_; }
 
   /// Exact histogram of commit latency (decision block − arrival block) in
   /// blocks, commits only — an abort never served anyone. Built from
   /// per-decision integers, so it is bit-identical across thread counts.
-  common::Histogram LatencyHistogram() const;
+  const common::Histogram& LatencyHistogram() const { return latency_hist_; }
 
  private:
   struct TxEntry {
@@ -136,22 +132,20 @@ class TwoPhaseCoordinator {
     bool abort_pending;
   };
 
-  void DecideLocked(uint64_t tx_index, uint64_t decision_block, bool aborted)
-      TXALLO_REQUIRES(mu_);
+  void Decide(uint64_t tx_index, uint64_t decision_block, bool aborted);
 
   const sim::WorkModel model_;
-  mutable common::Mutex mu_;
-  std::vector<TxEntry> txs_ TXALLO_GUARDED_BY(mu_);
+  std::vector<TxEntry> txs_;
   // (commit_block, tx) pairs. All prepares of one tick land at the same
   // block and ticks advance monotonically, so commit blocks are
   // non-decreasing front to back and flushing pops from the front.
-  std::deque<std::pair<uint64_t, uint64_t>> delayed_ TXALLO_GUARDED_BY(mu_);
-  CommitStats stats_ TXALLO_GUARDED_BY(mu_);
-  bool record_events_ TXALLO_GUARDED_BY(mu_) = false;
-  std::vector<CommitEvent> events_ TXALLO_GUARDED_BY(mu_);
-  bool collect_decisions_ TXALLO_GUARDED_BY(mu_) = false;
-  std::vector<Decision> decisions_ TXALLO_GUARDED_BY(mu_);
-  common::Histogram latency_hist_ TXALLO_GUARDED_BY(mu_);
+  std::deque<std::pair<uint64_t, uint64_t>> delayed_;
+  CommitStats stats_;
+  bool record_events_ = false;
+  std::vector<CommitEvent> events_;
+  bool collect_decisions_ = false;
+  std::vector<Decision> decisions_;
+  common::Histogram latency_hist_;
 };
 
 }  // namespace txallo::engine

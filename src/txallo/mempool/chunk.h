@@ -26,7 +26,7 @@ namespace txallo::mempool {
 /// A transaction resident in the mempool, carrying the timestamps the
 /// open-loop latency measurement needs. All ticks are logical blocks of the
 /// engine clock — never wall time — so every latency derived from them is
-/// bit-identical across thread and producer counts.
+/// bit-identical across thread counts.
 struct PendingTx {
   chain::Transaction tx;
   /// Priority fee: higher dispatches first (ties broken by pool_seq).
@@ -35,7 +35,7 @@ struct PendingTx {
   /// deterministic tie-break and the stable identity of the transaction
   /// inside the pool.
   uint64_t pool_seq = 0;
-  /// Tick at which the producer submitted it.
+  /// Tick at which the driver submitted it.
   uint64_t submit_tick = 0;
   /// Tick at which admission control accepted it (>= submit_tick; the gap
   /// is queueing delay spent in staging/deferral).

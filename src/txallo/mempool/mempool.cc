@@ -20,64 +20,31 @@ MempoolConfig Sanitize(MempoolConfig config) {
 
 Mempool::Mempool(MempoolConfig config) : config_(Sanitize(config)) {}
 
-Mempool::~Mempool() { Shutdown(); }
-
 chain::AccountId Mempool::PayerOf(const chain::Transaction& tx) {
   if (!tx.inputs().empty()) return tx.inputs().front();
   if (!tx.accounts().empty()) return tx.accounts().front();
   return chain::AccountId{0};
 }
 
-Status Mempool::Submit(chain::Transaction tx, uint64_t fee,
-                       uint64_t submit_tick, uint64_t pool_seq) {
-  common::MutexLock lock(staging_mu_);
-  ++submitted_;
-  while (staging_.size() >= config_.staging_capacity && !shutdown_) {
-    staging_cv_.Wait(staging_mu_);
-  }
-  if (shutdown_) {
-    return Status::FailedPrecondition("mempool is shut down");
-  }
-  staging_.push_back(
-      Staged{PendingTx{std::move(tx), fee, pool_seq, submit_tick, 0}});
-  return Status::OK();
-}
-
 bool Mempool::TrySubmit(chain::Transaction tx, uint64_t fee,
                         uint64_t submit_tick, uint64_t pool_seq) {
-  common::MutexLock lock(staging_mu_);
   ++submitted_;
-  if (shutdown_ || staging_.size() >= config_.staging_capacity) {
+  if (staging_.size() >= config_.staging_capacity) {
     ++dropped_backpressure_;
     return false;
   }
-  staging_.push_back(
-      Staged{PendingTx{std::move(tx), fee, pool_seq, submit_tick, 0}});
+  staging_.push_back(PendingTx{std::move(tx), fee, pool_seq, submit_tick, 0});
   return true;
 }
 
-void Mempool::Shutdown() {
-  {
-    common::MutexLock lock(staging_mu_);
-    shutdown_ = true;
-  }
-  staging_cv_.NotifyAll();
-}
-
 size_t Mempool::SealTick(uint64_t tick) {
-  std::vector<Staged> arrivals;
-  {
-    common::MutexLock lock(staging_mu_);
-    arrivals.swap(staging_);
-  }
-  // Staging drained: wake every producer blocked on a full buffer.
-  staging_cv_.NotifyAll();
-
-  // Producer interleaving ends here — everything downstream sees arrivals
-  // in pool_seq order, whatever the thread timing was.
+  std::vector<PendingTx> arrivals;
+  arrivals.swap(staging_);
+  // Everything downstream sees arrivals in pool_seq order, whatever order
+  // they were submitted in.
   std::sort(arrivals.begin(), arrivals.end(),
-            [](const Staged& a, const Staged& b) {
-              return a.tx.pool_seq < b.tx.pool_seq;
+            [](const PendingTx& a, const PendingTx& b) {
+              return a.pool_seq < b.pool_seq;
             });
 
   size_t admitted_now = 0;
@@ -112,9 +79,8 @@ size_t Mempool::SealTick(uint64_t tick) {
         ++admitted_now;
       }
     }
-    for (auto& staged : arrivals) {
-      if (AdmitLocked(std::move(staged.tx), tick, rate_this_tick,
-                      still_deferred)) {
+    for (PendingTx& tx : arrivals) {
+      if (AdmitLocked(std::move(tx), tick, rate_this_tick, still_deferred)) {
         ++admitted_now;
       }
     }
@@ -226,11 +192,6 @@ size_t Mempool::live_size() const {
   return live_by_seq_.size();
 }
 
-size_t Mempool::staged_size() const {
-  common::MutexLock lock(staging_mu_);
-  return staging_.size();
-}
-
 size_t Mempool::deferred_size() const {
   common::MutexLock lock(mu_);
   return overflow_.size();
@@ -247,11 +208,8 @@ AdmissionStats Mempool::stats() const {
     common::MutexLock lock(mu_);
     s = stats_;
   }
-  {
-    common::MutexLock lock(staging_mu_);
-    s.submitted = submitted_;
-    s.dropped_backpressure = dropped_backpressure_;
-  }
+  s.submitted = submitted_;
+  s.dropped_backpressure = dropped_backpressure_;
   return s;
 }
 

@@ -1,21 +1,20 @@
-// Concurrent mempool with admission control, sitting between transaction
-// producers and the engine's ingest router.
+// Mempool with admission control, sitting between the offered load and the
+// engine's ingest.
 //
-// Two-sided design, mirroring the engine's producer/driver split:
+// Two stages, both driven by one thread (the driver) — only the background
+// MempoolCleaner runs beside it, and it touches chunk storage alone:
 //
-//   * Producer side ("staging"): any number of threads call Submit() /
-//     TrySubmit() concurrently. Arrivals land in a bounded staging buffer
-//     guarded by its own mutex; when staging is full, Submit() blocks until
-//     the driver seals (explicit backpressure, policy "block at the door")
-//     and TrySubmit() returns false (policy "reject at the door"). Producers
-//     tag each arrival with a pool sequence number reserved up front
-//     (ReserveSequenceRange), exactly like the engine's ingest tags.
+//   * Staging: TrySubmit() appends an arrival to a bounded staging buffer,
+//     or returns false when the buffer is full (backpressure, policy
+//     "reject at the door"). Each arrival carries a pool sequence number
+//     the driver reserved up front (ReserveSequenceRange), like the
+//     engine's ingest tags.
 //
-//   * Driver side ("admitted"): once per tick the single driver calls
-//     SealTick(), which drains staging, orders arrivals by pool_seq — making
-//     everything downstream independent of producer interleaving — and runs
-//     admission control: capacity bound, per-account pending limit, and
-//     per-account per-tick rate limit. Rejected arrivals are dropped with
+//   * Admission: once per tick the driver calls SealTick(), which drains
+//     staging, orders arrivals by pool_seq — so everything downstream
+//     depends on the tags, not on submission order — and runs admission
+//     control: capacity bound, per-account pending limit, and per-account
+//     per-tick rate limit. Rejected arrivals are dropped with
 //     per-reason counters (AdmissionPolicy::kReject) or deferred to a FIFO
 //     retried at the next seal (AdmissionPolicy::kBlock; the deferral queue
 //     is bounded by the pool capacity, beyond which even kBlock sheds load —
@@ -24,10 +23,10 @@
 //     prefix of the pool to the engine.
 //
 // Ordering: dispatch order is (fee descending, pool_seq ascending) — highest
-// bid first, FIFO within a bid. Both keys are producer-interleaving
-// independent, so the dispatched stream, every admission counter, and every
-// latency histogram downstream are bit-identical across thread and producer
-// counts. That property is pinned by tests/mempool/.
+// bid first, FIFO within a bid. Both keys are fixed at submission, so the
+// dispatched stream, every admission counter, and every latency histogram
+// downstream are bit-identical across engine thread counts and with the
+// cleaner on or off. tests/mempool/ pins this against a serial reference.
 //
 // Storage is chunked (chunk.h): append-only slabs, tombstone removal, and
 // wholesale chunk reclamation by the background MempoolCleaner (cleaner.h)
@@ -36,7 +35,6 @@
 // changing any output.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -46,7 +44,6 @@
 
 #include "txallo/chain/account.h"
 #include "txallo/chain/transaction.h"
-#include "txallo/common/status.h"
 #include "txallo/common/sync.h"
 #include "txallo/mempool/chunk.h"
 
@@ -67,8 +64,8 @@ enum class AdmissionPolicy : uint8_t {
 struct MempoolConfig {
   /// Maximum live (admitted, undispatched) transactions. 0 = unlimited.
   size_t capacity = 1 << 16;
-  /// Producer-side staging bound: Submit() blocks / TrySubmit() fails when
-  /// this many arrivals await the next seal. Must be >= 1.
+  /// Staging bound: TrySubmit() fails when this many arrivals await the
+  /// next seal. Must be >= 1.
   size_t staging_capacity = 1 << 12;
   /// Max live transactions per paying account. 0 = unlimited.
   uint32_t account_pending_limit = 0;
@@ -84,11 +81,11 @@ struct MempoolConfig {
   size_t dead_compact_threshold = 2048;
 };
 
-/// Monotonic admission counters. Deterministic for a deterministic arrival
-/// order: every counter except `submitted` and `dropped_backpressure` (which
-/// count producer-side attempts) is driver-side, updated only under seal.
+/// Monotonic admission counters, deterministic for a deterministic arrival
+/// order. `submitted` and `dropped_backpressure` count TrySubmit calls; the
+/// rest are updated at the seal.
 struct AdmissionStats {
-  /// Submit/TrySubmit calls, successful or not.
+  /// TrySubmit calls, successful or not.
   uint64_t submitted = 0;
   /// TrySubmit calls refused because staging was full.
   uint64_t dropped_backpressure = 0;
@@ -109,7 +106,6 @@ struct AdmissionStats {
 class Mempool {
  public:
   explicit Mempool(MempoolConfig config);
-  ~Mempool();
 
   Mempool(const Mempool&) = delete;
   Mempool& operator=(const Mempool&) = delete;
@@ -117,30 +113,23 @@ class Mempool {
   const MempoolConfig& config() const { return config_; }
 
   /// Reserves `count` consecutive pool sequence numbers and returns the
-  /// first. Thread-safe; typically the driver reserves one range per tick
-  /// and hands disjoint sub-ranges to producers (SubmitRouter).
+  /// first. Driver-side; the driver reserves one range per tick and tags
+  /// its arrivals from it.
   uint64_t ReserveSequenceRange(size_t count) {
-    return seq_counter_.fetch_add(count, std::memory_order_relaxed);
+    const uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
   }
 
-  /// Producer-side blocking submit: waits while staging is full, until the
-  /// driver seals or Shutdown() is called (then FailedPrecondition).
-  Status Submit(chain::Transaction tx, uint64_t fee, uint64_t submit_tick,
-                uint64_t pool_seq) TXALLO_EXCLUDES(staging_mu_);
-
-  /// Producer-side non-blocking submit: false when staging is full (counted
-  /// as a backpressure drop) or after Shutdown().
+  /// Driver-side: stages an arrival for the next seal. False when staging
+  /// is full (counted as a backpressure drop).
   bool TrySubmit(chain::Transaction tx, uint64_t fee, uint64_t submit_tick,
-                 uint64_t pool_seq) TXALLO_EXCLUDES(staging_mu_);
-
-  /// Unblocks every blocked Submit() with a failure; subsequent submits
-  /// fail immediately. Driver-side, for teardown.
-  void Shutdown() TXALLO_EXCLUDES(staging_mu_);
+                 uint64_t pool_seq);
 
   /// Driver-side, once per tick: drains staging (sorted by pool_seq),
   /// retries deferred arrivals, expires TTL-stale entries, and runs
   /// admission control at tick `tick`. Returns the number admitted.
-  size_t SealTick(uint64_t tick) TXALLO_EXCLUDES(staging_mu_, mu_);
+  size_t SealTick(uint64_t tick) TXALLO_EXCLUDES(mu_);
 
   /// Driver-side: removes and returns up to `max_txs` live transactions in
   /// dispatch order (fee descending, pool_seq ascending).
@@ -149,13 +138,13 @@ class Mempool {
   /// Admitted, undispatched, unexpired transactions.
   size_t live_size() const TXALLO_EXCLUDES(mu_);
   /// Arrivals awaiting the next seal (staging only, not deferrals).
-  size_t staged_size() const TXALLO_EXCLUDES(staging_mu_);
+  size_t staged_size() const { return staging_.size(); }
   /// Deferred arrivals awaiting retry (kBlock policy).
   size_t deferred_size() const TXALLO_EXCLUDES(mu_);
   /// Tombstoned entries not yet physically reclaimed.
   size_t dead_count() const TXALLO_EXCLUDES(mu_);
 
-  AdmissionStats stats() const TXALLO_EXCLUDES(staging_mu_, mu_);
+  AdmissionStats stats() const TXALLO_EXCLUDES(mu_);
 
   /// One physical compaction pass: reclaims every chunk whose entries are
   /// all dead. Logically invisible — safe to call from a background thread
@@ -169,10 +158,6 @@ class Mempool {
   void SetCleanerHook(std::function<void(size_t dead_count)> hook);
 
  private:
-  struct Staged {
-    PendingTx tx;
-  };
-
   /// A live entry and the chunk that owns it (needed to keep the chunk's
   /// live count in step when tombstoning).
   struct LiveRef {
@@ -196,17 +181,14 @@ class Mempool {
   static chain::AccountId PayerOf(const chain::Transaction& tx);
 
   const MempoolConfig config_;
-  std::atomic<uint64_t> seq_counter_{0};
 
-  // ---- Producer side -----------------------------------------------------
-  mutable common::Mutex staging_mu_;
-  common::CondVar staging_cv_;
-  std::vector<Staged> staging_ TXALLO_GUARDED_BY(staging_mu_);
-  bool shutdown_ TXALLO_GUARDED_BY(staging_mu_) = false;
-  uint64_t submitted_ TXALLO_GUARDED_BY(staging_mu_) = 0;
-  uint64_t dropped_backpressure_ TXALLO_GUARDED_BY(staging_mu_) = 0;
+  // ---- Staging (driver only) ---------------------------------------------
+  uint64_t next_seq_ = 0;
+  std::vector<PendingTx> staging_;
+  uint64_t submitted_ = 0;
+  uint64_t dropped_backpressure_ = 0;
 
-  // ---- Driver side -------------------------------------------------------
+  // ---- Admitted pool (shared with the cleaner's CompactOnce) -------------
   mutable common::Mutex mu_;
   std::vector<std::unique_ptr<MempoolChunk>> chunks_ TXALLO_GUARDED_BY(mu_);
   /// Live entries by pool_seq; erased on dispatch/expiry. std::map for

@@ -13,7 +13,7 @@
 // Everything is a pure function of (ledger, config): the release schedule
 // comes from the tick counter and the fee of transaction i from a SplitMix64
 // hash of (fee_seed, i) — no wall clock, no RNG state shared across
-// threads — so two runs with any thread/producer counts offer byte-identical
+// threads — so two runs with any thread counts offer byte-identical
 // streams.
 #pragma once
 

@@ -52,7 +52,6 @@ alloc::AllocationParams FixtureParams(const PipelineFixture& f) {
 Result<engine::PipelineResult> RunWith(const PipelineFixture& f,
                                        allocator::OnlineAllocator* online,
                                        engine::AllocatorMode mode,
-                                       uint32_t producers,
                                        uint32_t epoch_blocks) {
   const uint32_t k = kShards;
   engine::EngineConfig config;
@@ -65,14 +64,12 @@ Result<engine::PipelineResult> RunWith(const PipelineFixture& f,
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = epoch_blocks;
   pipeline.allocator_mode = mode;
-  pipeline.ingest_producers = producers;
   return engine::RunReallocatedStream(f.ledger, online, &engine, pipeline);
 }
 
 Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
                                        const std::string& spec,
                                        engine::AllocatorMode mode,
-                                       uint32_t producers = 0,
                                        uint32_t epoch_blocks = 8) {
   allocator::AllocatorOptions options;
   options.params = FixtureParams(f);
@@ -83,7 +80,7 @@ Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
   if (online == nullptr) {
     return Status::InvalidArgument(spec + " is one-shot only");
   }
-  return RunWith(f, online, mode, producers, epoch_blocks);
+  return RunWith(f, online, mode, epoch_blocks);
 }
 
 // Hash-routes everything (an empty mapping), but orders its own timeline:
@@ -391,7 +388,7 @@ TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
   const PipelineFixture f = MakeFixture(60, 31);
   LatchedAllocator latched(FixtureParams(f));
   auto result = RunWith(f, &latched, engine::AllocatorMode::kBackground,
-                        /*producers=*/0, /*epoch_blocks=*/6);
+                        /*epoch_blocks=*/6);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->epochs, 5u);
   const double min_run_seconds =
@@ -402,16 +399,16 @@ TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
 }
 
 TEST(BackgroundPipelineTest, BackgroundRebalanceDuringParallelIngest) {
-  // The full pipeline: N ingest producers ∥ shard execution ∥ background
-  // rebalances, across every strategy shape (controller handover, graph
-  // double-buffer, scheduler copy, decorator). TSan covers the handoffs.
+  // The full pipeline: driver ingest ∥ two-lane shard execution ∥
+  // background rebalances, across every strategy shape (controller
+  // handover, graph double-buffer, scheduler copy, decorator). TSan covers
+  // the handoffs.
   const PipelineFixture f = MakeFixture();
   for (const std::string spec :
        {"txallo-hybrid:global-every=3", "shard-scheduler",
         "broker:inner=contrib"}) {
     SCOPED_TRACE(spec);
-    auto result = RunMode(f, spec, engine::AllocatorMode::kBackground,
-                          /*producers=*/3);
+    auto result = RunMode(f, spec, engine::AllocatorMode::kBackground);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->report.sim.submitted, f.ledger.num_transactions());
     EXPECT_EQ(result->report.sim.committed, f.ledger.num_transactions());

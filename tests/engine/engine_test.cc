@@ -112,6 +112,8 @@ TEST(ParallelEngineTest, NoSnapshotFailsUntilInstalled) {
   ASSERT_TRUE(
       engine.InstallAllocation(MakeAllocation(2, 2, {0, 1})).ok());
   EXPECT_TRUE(engine.SubmitBlock(txs).ok());
+  // An empty block is fine too.
+  EXPECT_TRUE(engine.SubmitBlock({}).ok());
   EngineReport report = engine.DrainAndReport();
   EXPECT_EQ(report.sim.committed, 1u);
   EXPECT_EQ(report.reallocations, 1u);

@@ -65,7 +65,7 @@ inline engine::EngineConfig GoldenEngineConfig(uint32_t threads) {
 }
 
 /// Records the canonical run: txallo-hybrid under the background
-/// allocation schedule with 2 ingest producers on 2 worker threads.
+/// allocation schedule on 2 worker threads.
 inline Result<engine::ReplayLog> RecordGoldenTrace() {
   const workload::EthereumLikeConfig workload_config = GoldenWorkloadConfig();
   workload::EthereumLikeGenerator generator(workload_config);
@@ -89,7 +89,6 @@ inline Result<engine::ReplayLog> RecordGoldenTrace() {
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = kGoldenEpochBlocks;
   pipeline.allocator_mode = engine::AllocatorMode::kBackground;
-  pipeline.ingest_producers = 2;
   pipeline.record = &log;
   auto result = engine::RunReallocatedStream(ledger, online, &engine,
                                              pipeline);

@@ -1,8 +1,8 @@
 // Golden-trace replay: the determinism acceptance bar of the record/replay
 // subsystem. A 3-epoch background-mode run is recorded once and must
 // replay bit-identically — prepare order, 2PC outcome stream, per-step
-// metrics series, alloc_overlap_ratio — under every thread count and
-// ingest fan-out, and the committed fixture in testdata/ pins today's
+// metrics series, alloc_overlap_ratio — under every thread count, and the
+// committed fixture in testdata/ pins today's
 // canonical execution against silent behaviour drift (regenerate it
 // deliberately with the `regen-golden-trace` target).
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@ chain::Ledger GoldenLedger() {
 
 Result<engine::PipelineResult> Replay(const chain::Ledger& ledger,
                                       const engine::ReplayLog& log,
-                                      uint32_t threads, uint32_t producers,
+                                      uint32_t threads,
                                       engine::ReplayLog* rerecord = nullptr) {
   // Synthetic spin (not part of the trace) so that ticks with 16 or more
   // queued parts reach the fork-join inline threshold: the multi-lane
@@ -36,7 +36,6 @@ Result<engine::PipelineResult> Replay(const chain::Ledger& ledger,
   config.spin_iterations_per_unit = 1 << 12;
   engine::ParallelEngine engine(config, nullptr);
   engine::PipelineConfig pipeline;
-  pipeline.ingest_producers = producers;
   pipeline.record = rerecord;
   return engine::ReplayRecordedStream(ledger, log, &engine, pipeline);
 }
@@ -59,38 +58,33 @@ TEST(ReplayGoldenTest, FreshRecordingReplaysAcrossThreadsAndProducers) {
   EXPECT_GT(aborted, 0u) << "golden funding no longer exercises aborts";
 
   for (const uint32_t threads : {1u, 2u, 8u}) {
-    for (const uint32_t producers : {1u, 4u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " producers=" + std::to_string(producers));
-      engine::ReplayLog rerecorded;
-      auto replayed =
-          Replay(ledger, *recorded, threads, producers, &rerecorded);
-      // ReplayRecordedStream verifies bit-identity internally; ok() IS the
-      // assertion. The explicit re-compare below documents what that
-      // means: the prepare stream, 2PC outcomes and step series are equal
-      // event for event.
-      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-      if (threads > 1) {
-        EXPECT_GT(replayed->report.fanned_out_ticks, 0u);
-      }
-      EXPECT_EQ(engine::DescribeTraceDivergence(*recorded, rerecorded), "");
-      // Structural state verification: the per-tick Merkle roots — not
-      // just the event streams — reproduce bit-identically whatever the
-      // thread count and ingest fan-out.
-      EXPECT_EQ(rerecorded.state_roots, recorded->state_roots);
-      ASSERT_EQ(replayed->steps.size(), recorded->steps.size());
-      for (size_t i = 0; i < recorded->steps.size(); ++i) {
-        EXPECT_EQ(replayed->steps[i], recorded->steps[i])
-            << "step " << i << " diverged";
-      }
-      // Wall-clock observations are preserved verbatim, so even the
-      // overlap ratio is bit-identical across replays.
-      EXPECT_EQ(replayed->alloc_overlap_ratio,
-                recorded->alloc_overlap_ratio);
-      EXPECT_EQ(replayed->alloc_seconds, recorded->alloc_seconds);
-      EXPECT_EQ(replayed->accounts_moved, recorded->accounts_moved);
-      EXPECT_EQ(replayed->epochs, recorded->epochs);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    engine::ReplayLog rerecorded;
+    auto replayed = Replay(ledger, *recorded, threads, &rerecorded);
+    // ReplayRecordedStream verifies bit-identity internally; ok() IS the
+    // assertion. The explicit re-compare below documents what that
+    // means: the prepare stream, 2PC outcomes and step series are equal
+    // event for event.
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    if (threads > 1) {
+      EXPECT_GT(replayed->report.fanned_out_ticks, 0u);
     }
+    EXPECT_EQ(engine::DescribeTraceDivergence(*recorded, rerecorded), "");
+    // Structural state verification: the per-tick Merkle roots — not
+    // just the event streams — reproduce bit-identically whatever the
+    // thread count.
+    EXPECT_EQ(rerecorded.state_roots, recorded->state_roots);
+    ASSERT_EQ(replayed->steps.size(), recorded->steps.size());
+    for (size_t i = 0; i < recorded->steps.size(); ++i) {
+      EXPECT_EQ(replayed->steps[i], recorded->steps[i])
+          << "step " << i << " diverged";
+    }
+    // Wall-clock observations are preserved verbatim, so even the
+    // overlap ratio is bit-identical across replays.
+    EXPECT_EQ(replayed->alloc_overlap_ratio, recorded->alloc_overlap_ratio);
+    EXPECT_EQ(replayed->alloc_seconds, recorded->alloc_seconds);
+    EXPECT_EQ(replayed->accounts_moved, recorded->accounts_moved);
+    EXPECT_EQ(replayed->epochs, recorded->epochs);
   }
 }
 
@@ -108,7 +102,7 @@ TEST(ReplayGoldenTest, CommittedFixtureReplaysBitIdentically) {
       << "the golden workload drifted; the fixture no longer matches";
   for (const uint32_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto replayed = Replay(ledger, *fixture, threads, /*producers=*/2);
+    auto replayed = Replay(ledger, *fixture, threads);
     ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
     if (threads > 1) {
       EXPECT_GT(replayed->report.fanned_out_ticks, 0u);

@@ -1,10 +1,10 @@
-// Trace recording under the full concurrency surface: raw
-// SubmitTransactions producers racing each other and a BackgroundAllocator
-// rebalance whose result installs mid-run, all while the engine records.
+// Trace recording under the full concurrency surface: the driver submits
+// and ticks a two-lane engine while a BackgroundAllocator rebalance runs
+// beside it, and the result installs mid-run, all while the engine records.
 // TSan (the "engine"/"replay" labels) proves the log is written race-free;
 // the assertions prove it is *complete* (totals match) and *canonical*
-// (byte-identical to a single-threaded reference run that used the same
-// sequence tags and install schedule).
+// (byte-identical to a single-threaded reference run with the same install
+// schedule).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,6 @@ namespace {
 
 constexpr uint32_t kShards = 4;
 constexpr uint64_t kBlocks = 30;
-constexpr int kProducers = 4;
 // The block at whose boundary the background rebalance result installs.
 constexpr uint64_t kInstallBoundary = 15;
 
@@ -84,12 +83,10 @@ alloc::Allocation ComputeMidRunMapping(const chain::Ledger& ledger,
   return std::move(outcome->mapping.value());
 }
 
-// One run of the scenario. `producers` > 1 slices every block across that
-// many concurrent SubmitTransactions threads (sequence ranges reserved
-// driver-side, so tags are schedule-independent); `background` computes
-// the mid-run mapping on the worker, racing blocks [0, kInstallBoundary).
-// With producers == 1 and background == nullptr the same mapping must be
-// passed via `install`, replicating the install schedule synchronously.
+// One run of the scenario. `use_background` computes the mid-run mapping
+// on the worker, racing blocks [0, kInstallBoundary). Without it the same
+// mapping must be passed via `install`, replicating the install schedule
+// synchronously.
 struct StressRun {
   engine::ParallelEngine::Trace trace;
   engine::EngineReport report;
@@ -97,7 +94,7 @@ struct StressRun {
 };
 
 StressRun RunScenario(const chain::Ledger& ledger, uint32_t threads,
-                      int producers, bool use_background,
+                      bool use_background,
                       const alloc::Allocation* install = nullptr) {
   engine::ParallelEngine engine(StressEngineConfig(threads),
                                 RoundRobin(1'200));
@@ -124,32 +121,7 @@ StressRun RunScenario(const chain::Ledger& ledger, uint32_t threads,
                           run.installed))
                       .ok());
     }
-    const std::vector<chain::Transaction>& txs =
-        ledger.blocks()[b].transactions();
-    // Driver-side range reservation: tags are global block positions, the
-    // same for every producer count.
-    const uint64_t base = engine.ReserveSequenceRange(txs.size());
-    if (producers <= 1) {
-      EXPECT_TRUE(engine.SubmitTransactions(txs.data(), txs.size(), base)
-                      .ok());
-    } else {
-      std::vector<std::thread> workers;
-      for (int p = 0; p < producers; ++p) {
-        const size_t begin = txs.size() * static_cast<size_t>(p) /
-                             static_cast<size_t>(producers);
-        const size_t end = txs.size() * static_cast<size_t>(p + 1) /
-                           static_cast<size_t>(producers);
-        workers.emplace_back([&, begin, end] {
-          if (end > begin) {
-            EXPECT_TRUE(engine
-                            .SubmitTransactions(txs.data() + begin,
-                                                end - begin, base + begin)
-                            .ok());
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
+    EXPECT_TRUE(engine.SubmitBlock(ledger.blocks()[b].transactions()).ok());
     engine.Tick();
   }
   run.report = engine.DrainAndReport();
@@ -159,13 +131,12 @@ StressRun RunScenario(const chain::Ledger& ledger, uint32_t threads,
 
 TEST(ReplayRecordStressTest, RacingProducersAndBackgroundInstallStayCanonical) {
   const chain::Ledger ledger = StressLedger();
-  // Stressed: 4 producer threads × 2 engine workers × a background
-  // rebalance install, recording throughout.
-  StressRun stressed = RunScenario(ledger, /*threads=*/2, kProducers,
-                                   /*use_background=*/true);
-  // Reference: single producer, single worker, same mapping installed at
-  // the same boundary.
-  StressRun reference = RunScenario(ledger, /*threads=*/1, /*producers=*/1,
+  // Stressed: 2 engine workers × a background rebalance install,
+  // recording throughout.
+  StressRun stressed =
+      RunScenario(ledger, /*threads=*/2, /*use_background=*/true);
+  // Reference: single worker, same mapping installed at the same boundary.
+  StressRun reference = RunScenario(ledger, /*threads=*/1,
                                     /*use_background=*/false,
                                     &stressed.installed);
 

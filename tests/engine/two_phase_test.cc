@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 namespace txallo::engine {
@@ -99,32 +98,6 @@ TEST(TwoPhaseTest, EventRecordingOffByDefault) {
   const uint64_t tx = c.Register(0, 1, false, 0);
   c.PartPrepared(tx, 1);
   EXPECT_TRUE(c.CanonicalCommitEvents().empty());
-}
-
-TEST(TwoPhaseTest, ConcurrentVotesFromManyWorkers) {
-  TwoPhaseCoordinator c(Model(1));
-  constexpr int kThreads = 8;
-  constexpr int kTxPerThread = 500;
-  // Each "transaction" has kThreads participants; every thread votes once
-  // per transaction, concurrently.
-  std::vector<uint64_t> txs;
-  txs.reserve(kTxPerThread);
-  for (int i = 0; i < kTxPerThread; ++i) {
-    txs.push_back(c.Register(0, kThreads, true, static_cast<uint64_t>(i)));
-  }
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&c, &txs] {
-      for (uint64_t tx : txs) c.PartPrepared(tx, 1);
-    });
-  }
-  for (auto& w : workers) w.join();
-  c.FlushDelayed(2);
-  const CommitStats stats = c.stats();
-  EXPECT_EQ(stats.prepares_received,
-            static_cast<uint64_t>(kThreads) * kTxPerThread);
-  EXPECT_EQ(stats.committed, static_cast<uint64_t>(kTxPerThread));
-  EXPECT_TRUE(c.Idle());
 }
 
 }  // namespace

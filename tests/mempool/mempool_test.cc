@@ -1,13 +1,11 @@
 // Mempool unit tests: seal/dispatch ordering, every admission-control
-// check and policy, producer-side backpressure (blocking and rejecting),
+// check and policy, staging backpressure (TrySubmit rejecting at the door),
 // TTL expiry, and physical compaction (direct and via MempoolCleaner)
 // being logically invisible.
 #include "txallo/mempool/mempool.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -25,7 +23,7 @@ chain::Transaction Tx(chain::AccountId from, chain::AccountId to) {
 // Submits with explicit tags; payer (admission identity) is `from`.
 void Put(Mempool& pool, uint64_t seq, uint64_t fee, chain::AccountId from = 1,
          uint64_t tick = 0) {
-  ASSERT_TRUE(pool.Submit(Tx(from, from + 100), fee, tick, seq).ok());
+  ASSERT_TRUE(pool.TrySubmit(Tx(from, from + 100), fee, tick, seq));
 }
 
 std::vector<uint64_t> Seqs(const std::vector<PendingTx>& batch) {
@@ -172,40 +170,6 @@ TEST(MempoolTest, TrySubmitBackpressureWhenStagingFull) {
   // Sealing makes room again.
   pool.SealTick(0);
   EXPECT_TRUE(pool.TrySubmit(Tx(1, 2), 5, 1, 3));
-}
-
-TEST(MempoolTest, BlockingSubmitWaitsForSealAndShutdownUnblocks) {
-  MempoolConfig config;
-  config.staging_capacity = 1;
-  Mempool pool(config);
-  ASSERT_TRUE(pool.Submit(Tx(1, 2), 5, 0, 0).ok());
-
-  // A second submit must block until the driver seals.
-  std::atomic<bool> second_done{false};
-  std::thread blocked([&] {
-    EXPECT_TRUE(pool.Submit(Tx(1, 2), 5, 0, 1).ok());
-    second_done.store(true);
-  });
-  // Give the thread a moment to reach the wait; even if the seal wins the
-  // race the submit lands in the drained staging buffer and the test still
-  // converges at the next seal.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pool.SealTick(0);
-  blocked.join();
-  EXPECT_TRUE(second_done.load());
-  pool.SealTick(1);
-  EXPECT_EQ(pool.live_size(), 2u);
-
-  // Fill staging again, then Shutdown: the blocked submit fails instead of
-  // hanging, and later submits fail immediately.
-  ASSERT_TRUE(pool.Submit(Tx(1, 2), 5, 2, 2).ok());
-  std::thread doomed([&] {
-    EXPECT_FALSE(pool.Submit(Tx(1, 2), 5, 2, 3).ok());
-  });
-  pool.Shutdown();
-  doomed.join();
-  EXPECT_FALSE(pool.Submit(Tx(1, 2), 5, 2, 4).ok());
-  EXPECT_FALSE(pool.TrySubmit(Tx(1, 2), 5, 2, 5));
 }
 
 TEST(MempoolTest, ReserveSequenceRangeIsContiguous) {

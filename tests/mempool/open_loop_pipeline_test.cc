@@ -1,20 +1,20 @@
 // Open-loop pipeline integration: the mempool front-end driving the
 // parallel engine through engine::IngestMode::kOpenLoop. Pins the
 // determinism contract end-to-end — byte-identical traces, step metrics,
-// admission counters and latency histograms across engine thread counts
-// and producer fan-outs — plus trace save/load/replay round-trips and the
-// open-loop input validation.
+// admission counters and latency histograms across engine thread counts —
+// plus trace save/load/replay round-trips and the open-loop input
+// validation.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "txallo/allocator/registry.h"
 #include "txallo/engine/engine.h"
 #include "txallo/engine/pipeline.h"
 #include "txallo/engine/replay.h"
 #include "txallo/workload/ethereum_like.h"
+#include "txallo/workload/scenario_registry.h"
 
 namespace txallo {
 namespace {
@@ -49,12 +49,10 @@ std::unique_ptr<allocator::Allocator> MakeAllocator(
   return std::move(*made);
 }
 
-engine::PipelineConfig OpenLoopPipeline(double offered_load,
-                                        uint32_t producers = 0) {
+engine::PipelineConfig OpenLoopPipeline(double offered_load) {
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 8;
   pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
-  pipeline.ingest_producers = producers;
   pipeline.open_loop.offered_load = offered_load;
   return pipeline;
 }
@@ -107,7 +105,7 @@ TEST(OpenLoopPipelineTest, TraceBitIdenticalAcrossThreadsAndProducers) {
   {
     auto alloc = MakeAllocator(ledger);
     engine::ParallelEngine engine(SmallEngineConfig(1), nullptr);
-    engine::PipelineConfig pipeline = OpenLoopPipeline(30.0, /*producers=*/0);
+    engine::PipelineConfig pipeline = OpenLoopPipeline(30.0);
     pipeline.record = &base;
     auto result = engine::RunReallocatedStream(ledger, alloc->AsOnline(),
                                                &engine, pipeline);
@@ -117,12 +115,11 @@ TEST(OpenLoopPipelineTest, TraceBitIdenticalAcrossThreadsAndProducers) {
   EXPECT_EQ(base.meta.ingest_mode, 1u);
   EXPECT_EQ(base.meta.offered_load, 30.0);
 
-  const std::vector<std::pair<uint32_t, uint32_t>> shapes = {{4, 4}, {2, 1}};
-  for (const auto& [threads, producers] : shapes) {
+  for (const uint32_t threads : {4u, 2u}) {
     auto alloc = MakeAllocator(ledger);
     engine::ParallelEngine engine(SmallEngineConfig(threads), nullptr);
     engine::ReplayLog log;
-    engine::PipelineConfig pipeline = OpenLoopPipeline(30.0, producers);
+    engine::PipelineConfig pipeline = OpenLoopPipeline(30.0);
     pipeline.record = &log;
     auto result = engine::RunReallocatedStream(ledger, alloc->AsOnline(),
                                                &engine, pipeline);
@@ -131,7 +128,7 @@ TEST(OpenLoopPipelineTest, TraceBitIdenticalAcrossThreadsAndProducers) {
     // (wall-clock allocation timings excluded — the only fields allowed
     // to differ between two live runs).
     EXPECT_EQ(engine::DescribeTraceDivergence(base, log), "")
-        << threads << " threads, " << producers << " producers";
+        << threads << " threads";
   }
 }
 
@@ -141,7 +138,7 @@ TEST(OpenLoopPipelineTest, SaveLoadReplayRoundTripSelfVerifies) {
   {
     auto alloc = MakeAllocator(ledger);
     engine::ParallelEngine engine(SmallEngineConfig(2), nullptr);
-    engine::PipelineConfig pipeline = OpenLoopPipeline(24.0, /*producers=*/2);
+    engine::PipelineConfig pipeline = OpenLoopPipeline(24.0);
     pipeline.open_loop.dispatch_per_tick = 20;
     pipeline.open_loop.fee_levels = 4;
     pipeline.open_loop.mempool.capacity = 200;
@@ -179,10 +176,10 @@ TEST(OpenLoopPipelineTest, SaveLoadReplayRoundTripSelfVerifies) {
 
 TEST(OpenLoopPipelineTest, AdmissionSheddingIsDeterministicUnderOverload) {
   const chain::Ledger ledger = MakeLedger();
-  const auto run = [&](uint32_t threads, uint32_t producers) {
+  const auto run = [&](uint32_t threads) {
     auto alloc = MakeAllocator(ledger);
     engine::ParallelEngine engine(SmallEngineConfig(threads), nullptr);
-    engine::PipelineConfig pipeline = OpenLoopPipeline(60.0, producers);
+    engine::PipelineConfig pipeline = OpenLoopPipeline(60.0);
     pipeline.open_loop.dispatch_per_tick = 10;
     pipeline.open_loop.mempool.capacity = 40;
     pipeline.open_loop.mempool.account_rate_limit = 8;
@@ -191,7 +188,7 @@ TEST(OpenLoopPipelineTest, AdmissionSheddingIsDeterministicUnderOverload) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(*result);
   };
-  const engine::PipelineResult base = run(1, 0);
+  const engine::PipelineResult base = run(1);
   EXPECT_GT(TotalDrops(base.admission), 0u);
   EXPECT_EQ(base.admission.dropped_backpressure, 0u)
       << "all shedding must happen at the deterministic seal";
@@ -199,10 +196,84 @@ TEST(OpenLoopPipelineTest, AdmissionSheddingIsDeterministicUnderOverload) {
   EXPECT_EQ(base.report.sim.committed, base.admission.admitted);
   EXPECT_EQ(base.e2e_latency_ticks.count(), base.report.sim.committed);
 
-  const engine::PipelineResult other = run(4, 3);
+  const engine::PipelineResult other = run(4);
   EXPECT_EQ(other.admission, base.admission);
   EXPECT_TRUE(other.e2e_latency_ticks == base.e2e_latency_ticks);
   EXPECT_EQ(other.report.sim.committed, base.report.sim.committed);
+}
+
+TEST(OpenLoopPipelineTest, IngestProducersHaveNoEffect) {
+  // The perf ledger's open-loop shape in small: a stress scenario with
+  // account state on, background allocation and two engine lanes.
+  // `ingest_producers` must change neither the result nor the trace.
+  workload::ScenarioShape shape;
+  shape.num_blocks = 24;
+  shape.txs_per_block = 40;
+  shape.num_accounts = 600;
+  shape.num_communities = 8;
+  // Tight funding, so insufficient-balance aborts are part of the
+  // compared run.
+  shape.initial_balance = 24;
+  auto scenario =
+      workload::MakeScenarioFromSpec("stress:shards=4,target=1", shape);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const chain::Ledger ledger =
+      (*scenario)->GenerateLedger((*scenario)->num_blocks());
+  const auto run = [&](uint32_t producers, engine::ReplayLog* log) {
+    allocator::AllocatorOptions options;
+    options.params = alloc::AllocationParams::ForExperiment(
+        ledger.num_transactions(), 4, 2.0);
+    options.registry = &(*scenario)->registry();
+    auto made = allocator::MakeAllocatorFromSpec(
+        "txallo-hybrid:global-every=4", options);
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    engine::EngineConfig config = SmallEngineConfig(2);
+    config.state.enabled = true;
+    config.state.initial_balance = (*scenario)->initial_balance();
+    engine::ParallelEngine engine(config, nullptr);
+    engine::PipelineConfig pipeline = OpenLoopPipeline(30.0);
+    pipeline.blocks_per_epoch = 6;
+    pipeline.allocator_mode = engine::AllocatorMode::kBackground;
+    pipeline.ingest_producers = producers;
+    pipeline.record = log;
+    auto result = engine::RunReallocatedStream(ledger, (*made)->AsOnline(),
+                                               &engine, pipeline);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    engine::PipelineResult r = std::move(*result);
+    // Wall-clock fields are the only ones two live runs may differ in.
+    r.alloc_seconds = r.alloc_wait_seconds = r.alloc_overlap_ratio = 0.0;
+    r.report.worker_stall_seconds = r.report.realloc_pause_seconds = 0.0;
+    for (engine::StepMetrics& step : r.steps) {
+      step.alloc_seconds = step.alloc_wait_seconds = 0.0;
+    }
+    return r;
+  };
+  engine::ReplayLog direct_log, producers_log;
+  const engine::PipelineResult direct = run(0, &direct_log);
+  const engine::PipelineResult two = run(2, &producers_log);
+  EXPECT_GT(direct.report.aborted, 0u) << "the run no longer aborts";
+  EXPECT_GT(direct.report.reallocations, 1u);
+
+  EXPECT_EQ(engine::DescribeTraceDivergence(direct_log, producers_log), "");
+  EXPECT_EQ(two.report.sim, direct.report.sim);
+  EXPECT_EQ(two.report.max_queue_depth, direct.report.max_queue_depth);
+  EXPECT_EQ(two.report.fanned_out_ticks, direct.report.fanned_out_ticks);
+  EXPECT_EQ(two.report.reallocations, direct.report.reallocations);
+  EXPECT_EQ(two.report.prepares_received, direct.report.prepares_received);
+  EXPECT_EQ(two.report.cross_shard_committed,
+            direct.report.cross_shard_committed);
+  EXPECT_EQ(two.report.aborted, direct.report.aborted);
+  EXPECT_EQ(two.report.cross_shard_aborted,
+            direct.report.cross_shard_aborted);
+  EXPECT_EQ(two.report.accounts_migrated, direct.report.accounts_migrated);
+  EXPECT_TRUE(two.report.commit_latency_blocks ==
+              direct.report.commit_latency_blocks);
+  EXPECT_EQ(two.epochs, direct.epochs);
+  EXPECT_EQ(two.accounts_moved, direct.accounts_moved);
+  EXPECT_EQ(two.overrun_boundaries, direct.overrun_boundaries);
+  EXPECT_EQ(two.admission, direct.admission);
+  EXPECT_TRUE(two.e2e_latency_ticks == direct.e2e_latency_ticks);
+  EXPECT_EQ(two.steps, direct.steps);
 }
 
 TEST(OpenLoopPipelineTest, RejectsNonPositiveOfferedLoad) {

@@ -1,9 +1,9 @@
 // Property: sequence-tagged ingest makes the pipeline's observable
 // behaviour a pure function of the submitted stream — for random shard
-// counts, λ budgets, epoch cadences, producer fan-outs and worker counts,
-// the routed run's per-lane execution order (the recorded prepare stream),
-// 2PC outcome stream and per-step StepMetrics are byte-identical to the
-// single-producer, single-worker reference. Tight λ budgets are the
+// counts, λ budgets, epoch cadences and worker counts, the multi-lane run's
+// per-lane execution order (the recorded prepare stream), 2PC outcome
+// stream and per-step StepMetrics are byte-identical to the single-worker
+// reference. Tight λ budgets are the
 // interesting regime: the backlog spills across ticks, so any arrival-
 // order divergence becomes an execution-order divergence.
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@ struct TrialShape {
   uint32_t epoch_blocks;
   uint64_t blocks;
   uint64_t txs_per_block;
-  uint32_t producers;
   uint32_t threads;
   uint64_t seed;
   std::string spec;
@@ -45,7 +44,6 @@ TrialShape SampleShape(Rng* rng, uint64_t trial) {
                          static_cast<double>(shape.shards);
   shape.capacity = offered * (0.15 + 1.5 * rng->NextDouble());
   shape.epoch_blocks = 3 + static_cast<uint32_t>(rng->NextBounded(6));
-  shape.producers = 2 + static_cast<uint32_t>(rng->NextBounded(4));
   shape.threads = 1 + static_cast<uint32_t>(rng->NextBounded(4));
   shape.seed = 1000 + trial;
   shape.spec = rng->NextBernoulli(0.5) ? "hash" : "contrib";
@@ -55,7 +53,7 @@ TrialShape SampleShape(Rng* rng, uint64_t trial) {
 Result<engine::PipelineResult> RunShape(const TrialShape& shape,
                                         const chain::Ledger& ledger,
                                         const chain::AccountRegistry* registry,
-                                        uint32_t producers, uint32_t threads,
+                                        uint32_t threads,
                                         engine::ReplayLog* record) {
   allocator::AllocatorOptions options;
   options.params = alloc::AllocationParams::ForExperiment(
@@ -73,7 +71,6 @@ Result<engine::PipelineResult> RunShape(const TrialShape& shape,
   pipeline.blocks_per_epoch = shape.epoch_blocks;
   // Deferred: the deterministic driver-side schedule both runs share.
   pipeline.allocator_mode = engine::AllocatorMode::kDriverDeferred;
-  pipeline.ingest_producers = producers;
   pipeline.record = record;
   return engine::RunReallocatedStream(ledger, (*made)->AsOnline(), &engine,
                                       pipeline);
@@ -87,8 +84,7 @@ TEST(IngestOrderPropertyTest, RoutedRunsMatchSingleProducerReference) {
     SCOPED_TRACE("trial " + std::to_string(trial) + ": k=" +
                  std::to_string(shape.shards) + " capacity=" +
                  std::to_string(shape.capacity) + " epoch=" +
-                 std::to_string(shape.epoch_blocks) + " producers=" +
-                 std::to_string(shape.producers) + " threads=" +
+                 std::to_string(shape.epoch_blocks) + " threads=" +
                  std::to_string(shape.threads) + " spec=" + shape.spec);
 
     workload::EthereumLikeConfig workload_config;
@@ -102,37 +98,36 @@ TEST(IngestOrderPropertyTest, RoutedRunsMatchSingleProducerReference) {
 
     engine::ReplayLog reference_log;
     auto reference = RunShape(shape, ledger, &generator.registry(),
-                              /*producers=*/0, /*threads=*/1,
-                              &reference_log);
+                              /*threads=*/1, &reference_log);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    engine::ReplayLog routed_log;
-    auto routed = RunShape(shape, ledger, &generator.registry(),
-                           shape.producers, shape.threads, &routed_log);
-    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    engine::ReplayLog threaded_log;
+    auto threaded = RunShape(shape, ledger, &generator.registry(),
+                             shape.threads, &threaded_log);
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
 
     // Byte-identical per-lane order and 2PC outcomes (the trace compares
     // every PrepareEvent/CommitEvent), identical install schedule, and an
     // identical per-step metrics series.
-    EXPECT_EQ(engine::DescribeTraceDivergence(reference_log, routed_log),
+    EXPECT_EQ(engine::DescribeTraceDivergence(reference_log, threaded_log),
               "");
-    ASSERT_EQ(routed->steps.size(), reference->steps.size());
+    ASSERT_EQ(threaded->steps.size(), reference->steps.size());
     for (size_t i = 0; i < reference->steps.size(); ++i) {
       SCOPED_TRACE("step " + std::to_string(i));
       // Full StepMetrics equality minus wall-clock alloc timings.
       engine::StepMetrics a = reference->steps[i];
-      engine::StepMetrics b = routed->steps[i];
+      engine::StepMetrics b = threaded->steps[i];
       a.alloc_seconds = b.alloc_seconds = 0.0;
       a.alloc_wait_seconds = b.alloc_wait_seconds = 0.0;
       EXPECT_EQ(a, b);
     }
-    EXPECT_EQ(routed->report.sim.submitted, reference->report.sim.submitted);
-    EXPECT_EQ(routed->report.sim.committed, reference->report.sim.committed);
-    EXPECT_DOUBLE_EQ(routed->report.sim.avg_latency_blocks,
+    EXPECT_EQ(threaded->report.sim.submitted, reference->report.sim.submitted);
+    EXPECT_EQ(threaded->report.sim.committed, reference->report.sim.committed);
+    EXPECT_DOUBLE_EQ(threaded->report.sim.avg_latency_blocks,
                      reference->report.sim.avg_latency_blocks);
-    EXPECT_DOUBLE_EQ(routed->report.sim.max_latency_blocks,
+    EXPECT_DOUBLE_EQ(threaded->report.sim.max_latency_blocks,
                      reference->report.sim.max_latency_blocks);
-    EXPECT_EQ(routed->accounts_moved, reference->accounts_moved);
+    EXPECT_EQ(threaded->accounts_moved, reference->accounts_moved);
   }
 }
 

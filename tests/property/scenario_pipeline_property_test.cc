@@ -1,10 +1,9 @@
 // Property: every registered scenario is a deterministic stream all the
-// way through the open-loop pipeline — for each name in
-// RegisteredScenarioNames(), the routed multi-producer multi-threaded run's
-// per-lane execution order, 2PC outcome stream, and per-step metrics are
-// byte-identical to the single-producer single-worker reference. This is
-// the contract that makes gauntlet snapshots byte-reproducible under
-// --threads/--producers: the adversarial overlays must not introduce any
+// way through the pipeline — for each name in RegisteredScenarioNames(),
+// the multi-threaded run's per-lane execution order, 2PC outcome stream,
+// and per-step metrics are byte-identical to the single-worker reference.
+// This is the contract that makes gauntlet snapshots byte-reproducible
+// under --threads: the adversarial overlays must not introduce any
 // schedule-dependent behavior the ethereum background does not have.
 #include <gtest/gtest.h>
 
@@ -23,8 +22,7 @@ namespace {
 
 Result<engine::PipelineResult> RunScenario(const chain::Ledger& ledger,
                                            const chain::AccountRegistry* registry,
-                                           uint32_t shards,
-                                           uint32_t producers, uint32_t threads,
+                                           uint32_t shards, uint32_t threads,
                                            engine::ReplayLog* record) {
   allocator::AllocatorOptions options;
   options.params = alloc::AllocationParams::ForExperiment(
@@ -43,7 +41,6 @@ Result<engine::PipelineResult> RunScenario(const chain::Ledger& ledger,
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 4;
   pipeline.allocator_mode = engine::AllocatorMode::kDriverDeferred;
-  pipeline.ingest_producers = producers;
   pipeline.record = record;
   return engine::RunReallocatedStream(ledger, (*made)->AsOnline(), &engine,
                                       pipeline);
@@ -58,8 +55,7 @@ TEST(ScenarioPipelinePropertyTest, EveryScenarioIsScheduleInvariant) {
   shape.seed = 20260808;
 
   constexpr uint32_t kShards = 4;
-  const std::pair<uint32_t, uint32_t> schedules[] = {
-      {2, 2}, {4, 3}, {6, 4}};  // {producers, threads}
+  const uint32_t thread_counts[] = {2, 3, 4};
 
   for (const std::string& name : workload::RegisteredScenarioNames()) {
     SCOPED_TRACE("scenario " + name);
@@ -77,30 +73,30 @@ TEST(ScenarioPipelinePropertyTest, EveryScenarioIsScheduleInvariant) {
     engine::ReplayLog reference_log;
     auto reference =
         RunScenario(ledger, &(*scenario)->registry(), kShards,
-                    /*producers=*/0, /*threads=*/1, &reference_log);
+                    /*threads=*/1, &reference_log);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    for (const auto& [producers, threads] : schedules) {
-      SCOPED_TRACE("producers=" + std::to_string(producers) +
-                   " threads=" + std::to_string(threads));
-      engine::ReplayLog routed_log;
-      auto routed = RunScenario(ledger, &(*scenario)->registry(), kShards,
-                                producers, threads, &routed_log);
-      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    for (const uint32_t threads : thread_counts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      engine::ReplayLog threaded_log;
+      auto threaded = RunScenario(ledger, &(*scenario)->registry(), kShards,
+                                  threads, &threaded_log);
+      ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
 
-      EXPECT_EQ(engine::DescribeTraceDivergence(reference_log, routed_log),
+      EXPECT_EQ(engine::DescribeTraceDivergence(reference_log, threaded_log),
                 "");
-      ASSERT_EQ(routed->steps.size(), reference->steps.size());
+      ASSERT_EQ(threaded->steps.size(), reference->steps.size());
       for (size_t i = 0; i < reference->steps.size(); ++i) {
         SCOPED_TRACE("step " + std::to_string(i));
         engine::StepMetrics a = reference->steps[i];
-        engine::StepMetrics b = routed->steps[i];
+        engine::StepMetrics b = threaded->steps[i];
         a.alloc_seconds = b.alloc_seconds = 0.0;
         a.alloc_wait_seconds = b.alloc_wait_seconds = 0.0;
         EXPECT_EQ(a, b);
       }
-      EXPECT_EQ(routed->report.sim.committed, reference->report.sim.committed);
-      EXPECT_EQ(routed->accounts_moved, reference->accounts_moved);
+      EXPECT_EQ(threaded->report.sim.committed,
+                reference->report.sim.committed);
+      EXPECT_EQ(threaded->accounts_moved, reference->accounts_moved);
     }
   }
 }

@@ -3,8 +3,8 @@
 
 The parallel engine guarantees bit-identical record/replay (see README
 "Determinism contract"): per-lane execution order is a pure function of the
-submitted blocks and installed snapshots, independent of thread count,
-producer fan-out and wall-clock time. Those guarantees are easy to break
+submitted blocks and installed snapshots, independent of thread count and
+wall-clock time. Those guarantees are easy to break
 silently — one `std::unordered_map` range-for in a trace-affecting path, or
 one wall-clock read folded into a committed counter, and replay diverges
 only on *some* machines. This linter encodes the contract as source-level
@@ -23,8 +23,8 @@ Rules (ids are what `allow(...)` escapes name):
   raw-thread    std::thread / std::jthread and <thread> are forbidden.
                 Threads are spawned in exactly three places, each use
                 carrying an explicit escape so every spawn site stays
-                enumerable: txallo/common/fork_join (the one fan-out pool
-                behind the engine's tick and both producer routers),
+                enumerable: txallo/common/fork_join (the one fan-out pool,
+                behind the engine's tick),
                 txallo/engine/background_allocator and
                 txallo/mempool/cleaner (long single background tasks).
 
