@@ -4,11 +4,13 @@
 //
 // Mappings are derived once under the paper's uniform η, then re-evaluated
 // under role-asymmetric (input shards costlier than output shards) and
-// size-aware (per-extra-account surcharge) workload models.
+// size-aware (per-extra-account surcharge) workload models. Every row goes
+// through the same §III-B evaluator as the paper's figures
+// (alloc::EvaluateAllocation); only the WorkloadModel pricing σ_i changes.
 #include <cstdio>
 
 #include "common/bench_common.h"
-#include "txallo/alloc/workload_model.h"
+#include "txallo/alloc/metrics.h"
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/core/global.h"
 
@@ -54,10 +56,10 @@ int main(int argc, char** argv) {
       {"cost model", "TxAllo", "Random"});
   auto txs = fixture.ledger().AllTransactions();
   for (const NamedModel& named : models) {
-    auto r_txallo = alloc::EvaluateAllocationExtended(
-        txs, txallo_result.value(), k, params.capacity, named.model);
-    auto r_hash = alloc::EvaluateAllocationExtended(
-        txs, hash_alloc, k, params.capacity, named.model);
+    auto r_txallo = alloc::EvaluateAllocation(txs, txallo_result.value(),
+                                              params, named.model);
+    auto r_hash =
+        alloc::EvaluateAllocation(txs, hash_alloc, params, named.model);
     if (!r_txallo.ok() || !r_hash.ok()) return 1;
     table.AddRow({named.name,
                   bench::Fmt(r_txallo->normalized_throughput, 2),

@@ -36,48 +36,74 @@ uint32_t ShardsTouched(const chain::Transaction& tx,
   return static_cast<uint32_t>(n);
 }
 
+Status WorkloadModel::Validate() const {
+  if (intra <= 0.0) {
+    return Status::InvalidArgument("intra workload must be positive");
+  }
+  if (cross_input < intra || cross_output < intra) {
+    return Status::InvalidArgument(
+        "cross-shard work cannot be cheaper than intra-shard work");
+  }
+  if (per_extra_account < 0.0) {
+    return Status::InvalidArgument("per_extra_account must be >= 0");
+  }
+  return Status::OK();
+}
+
 namespace {
 
+// The one §III-B accumulator. Per shard it counts the parts of each kind
+// and sums the throughput credit in transaction order; σ_i is priced from
+// the counts once, in Finish().
 class Accumulator {
  public:
-  Accumulator(const Allocation& allocation, const AllocationParams& params)
+  Accumulator(const Allocation& allocation, uint32_t num_shards,
+              const std::vector<chain::AccountId>& replicated)
       : allocation_(allocation),
-        intra_(params.num_shards, 0.0),
-        cross_(params.num_shards, 0.0),
-        uncapped_(params.num_shards, 0.0) {}
+        replicated_(replicated),
+        intra_(num_shards, 0),
+        cross_(num_shards, 0),
+        cross_input_(num_shards, 0),
+        extra_(num_shards, 0),
+        uncapped_(num_shards, 0.0) {}
 
   /// Returns false on the first unassigned account (records the offender).
   bool Add(const chain::Transaction& tx) {
     ++total_;
-    shards_touched_.clear();
-    for (chain::AccountId a : tx.accounts()) {
-      ShardId s = allocation_.shard_of(a);
-      if (s == kUnassignedShard) {
-        bad_account_ = a;
-        return false;
-      }
-      if (std::find(shards_touched_.begin(), shards_touched_.end(), s) ==
-          shards_touched_.end()) {
-        shards_touched_.push_back(s);
-      }
-    }
-    const uint32_t mu = static_cast<uint32_t>(shards_touched_.size());
+    shards_.clear();
+    // Input shards first: shards_[0, num_input_shards) hold an input.
+    if (!Collect(tx.inputs())) return false;
+    const size_t num_input_shards = shards_.size();
+    if (!Collect(tx.outputs())) return false;
+    if (shards_.empty()) shards_.push_back(0);  // Only replicated accounts.
+    const size_t accounts = tx.NumDistinctAccounts();
+    const uint64_t extra = accounts > 2 ? accounts - 2 : 0;
+    const uint32_t mu = static_cast<uint32_t>(shards_.size());
     mu_sum_ += mu;
-    if (mu <= 1) {
-      intra_[shards_touched_[0]] += 1.0;
-      uncapped_[shards_touched_[0]] += 1.0;
-    } else {
-      ++cross_count_;
-      const double share = 1.0 / static_cast<double>(mu);
-      for (ShardId s : shards_touched_) {
-        cross_[s] += 1.0;
-        uncapped_[s] += share;
-      }
+    if (mu == 1) {
+      ++intra_[shards_[0]];
+      extra_[shards_[0]] += extra;
+      uncapped_[shards_[0]] += 1.0;
+      return true;
+    }
+    ++cross_count_;
+    const double share = 1.0 / static_cast<double>(mu);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      const ShardId s = shards_[i];
+      ++cross_[s];
+      if (i < num_input_shards) ++cross_input_[s];
+      extra_[s] += extra;
+      uncapped_[s] += share;
     }
     return true;
   }
 
-  EvaluationReport Finish(const AllocationParams& params) const {
+  // σ_s = intra·n_intra + cross_output·n_cross
+  //       + (cross_input − cross_output)·n_cross_in + per_extra·n_extra.
+  // Under Uniform(η) the ×1.0 and +0.0 terms are exact, so this is
+  // n_intra + η·n_cross to the bit.
+  EvaluationReport Finish(const AllocationParams& params,
+                          const WorkloadModel& model) const {
     EvaluationReport report;
     report.total_transactions = total_;
     report.cross_shard_transactions = cross_count_;
@@ -94,7 +120,12 @@ class Accumulator {
     double latency_sum = 0.0;
     double throughput = 0.0;
     for (uint32_t s = 0; s < params.num_shards; ++s) {
-      const double sigma = intra_[s] + params.eta * cross_[s];
+      const double sigma =
+          model.intra * static_cast<double>(intra_[s]) +
+          model.cross_output * static_cast<double>(cross_[s]) +
+          (model.cross_input - model.cross_output) *
+              static_cast<double>(cross_input_[s]) +
+          model.per_extra_account * static_cast<double>(extra_[s]);
       report.shard_workloads[s] = sigma;
       report.normalized_workloads[s] = lambda > 0.0 ? sigma / lambda : 0.0;
       throughput += ClampThroughput(uncapped_[s], sigma, lambda);
@@ -115,26 +146,48 @@ class Accumulator {
   chain::AccountId bad_account() const { return bad_account_; }
 
  private:
+  // Adds the distinct shards of the non-replicated `accounts` to shards_.
+  bool Collect(const std::vector<chain::AccountId>& accounts) {
+    for (chain::AccountId a : accounts) {
+      if (!replicated_.empty() &&
+          std::binary_search(replicated_.begin(), replicated_.end(), a)) {
+        continue;  // Held by every shard: pins none.
+      }
+      const ShardId s = allocation_.shard_of(a);
+      if (s == kUnassignedShard) {
+        bad_account_ = a;
+        return false;
+      }
+      if (std::find(shards_.begin(), shards_.end(), s) == shards_.end()) {
+        shards_.push_back(s);
+      }
+    }
+    return true;
+  }
+
   const Allocation& allocation_;
-  std::vector<double> intra_;
-  std::vector<double> cross_;
+  const std::vector<chain::AccountId>& replicated_;
+  std::vector<uint64_t> intra_;
+  std::vector<uint64_t> cross_;
+  std::vector<uint64_t> cross_input_;
+  std::vector<uint64_t> extra_;
   std::vector<double> uncapped_;
-  std::vector<ShardId> shards_touched_;
+  std::vector<ShardId> shards_;
   uint64_t total_ = 0;
   uint64_t cross_count_ = 0;
   double mu_sum_ = 0.0;
   chain::AccountId bad_account_ = chain::kInvalidAccount;
 };
 
-}  // namespace
-
-Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
-                                            const Allocation& allocation,
-                                            const AllocationParams& params) {
-  TXALLO_RETURN_NOT_OK(params.Validate());
-  Accumulator acc(allocation, params);
+// Runs the accumulator over `for_each`'s transactions.
+template <typename ForEach>
+Result<EvaluationReport> Evaluate(
+    const ForEach& for_each, const Allocation& allocation,
+    const AllocationParams& params, const WorkloadModel& model,
+    const std::vector<chain::AccountId>& replicated) {
+  Accumulator acc(allocation, params.num_shards, replicated);
   bool ok = true;
-  ledger.ForEachTransaction([&](const chain::Transaction& tx) {
+  for_each([&](const chain::Transaction& tx) {
     if (ok) ok = acc.Add(tx);
   });
   if (!ok) {
@@ -142,22 +195,59 @@ Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
         "transaction references unassigned account " +
         std::to_string(acc.bad_account()));
   }
-  return acc.Finish(params);
+  return acc.Finish(params, model);
+}
+
+auto Over(const chain::Ledger& ledger) {
+  return [&ledger](const auto& fn) { ledger.ForEachTransaction(fn); };
+}
+
+auto Over(const std::vector<chain::Transaction>& transactions) {
+  return [&transactions](const auto& fn) {
+    for (const chain::Transaction& tx : transactions) fn(tx);
+  };
+}
+
+}  // namespace
+
+Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
+                                            const Allocation& allocation,
+                                            const AllocationParams& params) {
+  return EvaluateAllocation(ledger, allocation, params,
+                            WorkloadModel::Uniform(params.eta));
 }
 
 Result<EvaluationReport> EvaluateAllocation(
     const std::vector<chain::Transaction>& transactions,
     const Allocation& allocation, const AllocationParams& params) {
+  return EvaluateAllocation(transactions, allocation, params,
+                            WorkloadModel::Uniform(params.eta));
+}
+
+Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
+                                            const Allocation& allocation,
+                                            const AllocationParams& params,
+                                            const WorkloadModel& model) {
   TXALLO_RETURN_NOT_OK(params.Validate());
-  Accumulator acc(allocation, params);
-  for (const chain::Transaction& tx : transactions) {
-    if (!acc.Add(tx)) {
-      return Status::FailedPrecondition(
-          "transaction references unassigned account " +
-          std::to_string(acc.bad_account()));
-    }
-  }
-  return acc.Finish(params);
+  TXALLO_RETURN_NOT_OK(model.Validate());
+  return Evaluate(Over(ledger), allocation, params, model, {});
+}
+
+Result<EvaluationReport> EvaluateAllocation(
+    const std::vector<chain::Transaction>& transactions,
+    const Allocation& allocation, const AllocationParams& params,
+    const WorkloadModel& model) {
+  TXALLO_RETURN_NOT_OK(params.Validate());
+  TXALLO_RETURN_NOT_OK(model.Validate());
+  return Evaluate(Over(transactions), allocation, params, model, {});
+}
+
+Result<EvaluationReport> EvaluateWithReplicas(
+    const std::vector<chain::Transaction>& transactions,
+    const Allocation& allocation, const AllocationParams& params,
+    const WorkloadModel& model,
+    const std::vector<chain::AccountId>& replicated) {
+  return Evaluate(Over(transactions), allocation, params, model, replicated);
 }
 
 }  // namespace txallo::alloc

@@ -7,6 +7,15 @@
 //   Λ  capacity-clamped system throughput   Eq. (2)/(3)
 //   ζ  average confirmation latency         Eq. (4)
 // plus the worst-case latency ⌈σ_max/λ⌉ used in Fig. 7.
+//
+// One evaluator serves three cost shapes. Per shard it counts intra parts,
+// cross parts, cross parts holding an input account, and accounts beyond
+// the first two; σ_i is priced from those counts once, by a WorkloadModel:
+//   - the paper's single η (WorkloadModel::Uniform, the default);
+//   - §III-A's extension, where input and output shards may cost different
+//     amounts and large transactions pay per extra account;
+//   - the broker overlay (baselines/broker.h), whose replicated accounts
+//     pin no shard and whose split transactions are priced below η.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +27,30 @@
 #include "txallo/common/status.h"
 
 namespace txallo::alloc {
+
+/// Per-role workload parameters: the σ_i price of each kind of part.
+struct WorkloadModel {
+  /// Workload of an intra-shard transaction for its (single) shard.
+  double intra = 1.0;
+  /// Workload for a shard holding at least one input account of a
+  /// cross-shard transaction (it must validate and debit — the expensive
+  /// side of the two-phase protocol).
+  double cross_input = 2.0;
+  /// Workload for a shard holding only output accounts (credit-only).
+  double cross_output = 2.0;
+  /// Extra workload per distinct account beyond the first two (state
+  /// touches scale with |A_Tx|).
+  double per_extra_account = 0.0;
+
+  /// The paper's single-η model: intra 1, both cross roles η.
+  static WorkloadModel Uniform(double eta) {
+    return WorkloadModel{1.0, eta, eta, 0.0};
+  }
+
+  /// Rejects non-positive intra work, cross work cheaper than intra work
+  /// and a negative surcharge.
+  Status Validate() const;
+};
 
 /// Full evaluation of one allocation against one transaction set.
 struct EvaluationReport {
@@ -51,8 +84,9 @@ struct EvaluationReport {
   double worst_latency_blocks = 0.0;
 };
 
-/// Evaluates `allocation` over every transaction of `ledger`.
-/// Fails if any involved account is unassigned or parameters are invalid.
+/// Evaluates `allocation` over every transaction of `ledger` under the
+/// paper's single-η model. Fails if any involved account is unassigned or
+/// parameters are invalid.
 Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
                                             const Allocation& allocation,
                                             const AllocationParams& params);
@@ -61,6 +95,31 @@ Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
 Result<EvaluationReport> EvaluateAllocation(
     const std::vector<chain::Transaction>& transactions,
     const Allocation& allocation, const AllocationParams& params);
+
+/// Evaluates under `model` instead of params.eta (params supplies k and λ).
+/// Throughput credit per shard stays 1/µ(Tx): completion shares are
+/// role-independent, only σ_i changes.
+Result<EvaluationReport> EvaluateAllocation(const chain::Ledger& ledger,
+                                            const Allocation& allocation,
+                                            const AllocationParams& params,
+                                            const WorkloadModel& model);
+
+/// Same, over an explicit transaction list.
+Result<EvaluationReport> EvaluateAllocation(
+    const std::vector<chain::Transaction>& transactions,
+    const Allocation& allocation, const AllocationParams& params,
+    const WorkloadModel& model);
+
+/// The shared evaluator behind every overload above, for overlays that
+/// replicate accounts. `replicated` (sorted ascending) lists accounts every
+/// shard holds: they pin no shard, and a transaction of only replicated
+/// accounts lands intra on shard 0. Validates neither `params` nor `model`;
+/// the caller does.
+Result<EvaluationReport> EvaluateWithReplicas(
+    const std::vector<chain::Transaction>& transactions,
+    const Allocation& allocation, const AllocationParams& params,
+    const WorkloadModel& model,
+    const std::vector<chain::AccountId>& replicated);
 
 /// µ(Tx): number of distinct shards maintaining the transaction's accounts.
 /// Unassigned accounts make the result 0 (invalid).

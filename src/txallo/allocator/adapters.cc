@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "txallo/common/sha256.h"
+#include "txallo/baselines/hash_allocator.h"
 #include "txallo/core/global.h"
 
 namespace txallo::allocator {
@@ -26,24 +26,6 @@ size_t SeenDomain(const chain::AccountRegistry* registry, size_t seen) {
 
 size_t KnownAccounts(const chain::AccountRegistry* registry) {
   return registry != nullptr ? registry->size() : 0;
-}
-
-// Hash mapping over `domain` accounts: address hash for the first `known`
-// ids (registry-known), id hash for the synthetic tail beyond them. Keeps
-// registry-known accounts' placement stable as the domain grows — no global
-// reshard when one synthetic id appears. A pure function of its arguments:
-// the registry only appends, so the first `known` order keys never change.
-alloc::Allocation HashOverDomain(const chain::AccountRegistry* registry,
-                                 size_t known, size_t domain,
-                                 uint32_t num_shards) {
-  alloc::Allocation allocation(domain, num_shards);
-  for (size_t a = 0; a < domain; ++a) {
-    const auto id = static_cast<chain::AccountId>(a);
-    const uint64_t key = a < known ? registry->OrderKey(id)
-                                   : Sha256::Hash64(static_cast<uint64_t>(a));
-    allocation.Assign(id, static_cast<alloc::ShardId>(key % num_shards));
-  }
-  return allocation;
 }
 
 Status RequireGraph(const AllocationContext& context, const char* who) {
@@ -156,8 +138,10 @@ HashStrategy::HashStrategy(std::string name,
 
 Result<alloc::Allocation> HashStrategy::Allocate(
     const AllocationContext& context) {
-  return HashOverDomain(context.registry, KnownAccounts(context.registry),
-                        DomainSize(context), context.params.num_shards);
+  return baselines::AllocateByHash(context.registry,
+                                   KnownAccounts(context.registry),
+                                   DomainSize(context),
+                                   context.params.num_shards);
 }
 
 void HashStrategy::ApplyBlock(const chain::Block& block) {
@@ -188,7 +172,7 @@ std::unique_ptr<RebalanceTask> HashStrategy::BeginRebalance() {
   return std::make_unique<ClosureRebalanceTask>(
       [registry = registry_, known, domain,
        k = params_.num_shards]() -> Result<alloc::Allocation> {
-        return HashOverDomain(registry, known, domain, k);
+        return baselines::AllocateByHash(registry, known, domain, k);
       },
       [this, domain, known](const Result<alloc::Allocation>& result) -> Status {
         if (result.ok()) {
@@ -204,7 +188,8 @@ alloc::Allocation HashStrategy::CurrentAllocation() const {
   const size_t domain = SeenDomain(registry_, num_accounts_seen_);
   const size_t known = KnownAccounts(registry_);
   if (LastCovers(domain, known)) return *last_;
-  return HashOverDomain(registry_, known, domain, params_.num_shards);
+  return baselines::AllocateByHash(registry_, known, domain,
+                                   params_.num_shards);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "txallo/allocator/registry.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "txallo/allocator/adapters.h"
@@ -12,65 +11,10 @@ namespace txallo::allocator {
 
 namespace {
 
-using OptionMap = std::map<std::string, std::string>;
-
-// Strict typed readers: the whole value must parse, otherwise the caller
-// gets an InvalidArgument naming key and value.
-Status ReadUint32(const OptionMap& options, const std::string& key,
-                  uint32_t* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || v > UINT32_MAX) {
-    return Status::InvalidArgument("option '" + key + "' expects a "
-                                   "non-negative integer, got '" +
-                                   it->second + "'");
-  }
-  *out = static_cast<uint32_t>(v);
-  return Status::OK();
-}
-
-Status ReadDouble(const OptionMap& options, const std::string& key,
-                  double* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key +
-                                   "' expects a number, got '" + it->second +
-                                   "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-// Rejects any key outside the strategy's known set, so a typo'd option
-// never silently falls back to its default.
-Status ExpectOnly(const std::string& name, const OptionMap& options,
-                  std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : options) {
-    bool found = false;
-    for (const char* k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string list;
-      for (const char* k : known) {
-        if (!list.empty()) list += ", ";
-        list += k;
-      }
-      return Status::InvalidArgument(
-          "unknown option '" + key + "' for allocator '" + name +
-          "' (known: " + (list.empty() ? "<none>" : list) + ")");
-    }
-  }
-  return Status::OK();
-}
+using common::ExpectOnly;
+using common::OptionMap;
+using common::ReadDouble;
+using common::ReadUint32;
 
 Status RequireRegistry(const std::string& name,
                        const AllocatorOptions& options) {
@@ -88,7 +32,7 @@ using Factory = Result<std::unique_ptr<Allocator>> (*)(
 
 Result<std::unique_ptr<Allocator>> MakeTxAlloGlobal(
     const std::string& name, const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra, {}));
+  TXALLO_RETURN_NOT_OK(ExpectOnly("allocator", name, options.extra, {}));
   TXALLO_RETURN_NOT_OK(RequireRegistry(name, options));
   return std::unique_ptr<Allocator>(new TxAlloAllocator(
       name, options.registry, options.params, /*global_every=*/1));
@@ -96,7 +40,8 @@ Result<std::unique_ptr<Allocator>> MakeTxAlloGlobal(
 
 Result<std::unique_ptr<Allocator>> MakeTxAlloHybrid(
     const std::string& name, const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra, {"global-every"}));
+  TXALLO_RETURN_NOT_OK(
+      ExpectOnly("allocator", name, options.extra, {"global-every"}));
   TXALLO_RETURN_NOT_OK(RequireRegistry(name, options));
   uint32_t global_every = 0;  // Adaptive-only after the global bootstrap.
   TXALLO_RETURN_NOT_OK(ReadUint32(options.extra, "global-every",
@@ -107,14 +52,15 @@ Result<std::unique_ptr<Allocator>> MakeTxAlloHybrid(
 
 Result<std::unique_ptr<Allocator>> MakeHash(const std::string& name,
                                             const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra, {}));
+  TXALLO_RETURN_NOT_OK(ExpectOnly("allocator", name, options.extra, {}));
   return std::unique_ptr<Allocator>(
       new HashStrategy(name, options.registry, options.params));
 }
 
 Result<std::unique_ptr<Allocator>> MakeMetis(const std::string& name,
                                              const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra, {"imbalance"}));
+  TXALLO_RETURN_NOT_OK(
+      ExpectOnly("allocator", name, options.extra, {"imbalance"}));
   baselines::metis::PartitionOptions metis_options;
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options.extra, "imbalance", &metis_options.imbalance));
@@ -128,7 +74,8 @@ Result<std::unique_ptr<Allocator>> MakeMetis(const std::string& name,
 
 Result<std::unique_ptr<Allocator>> MakeLouvain(
     const std::string& name, const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra, {"resolution"}));
+  TXALLO_RETURN_NOT_OK(
+      ExpectOnly("allocator", name, options.extra, {"resolution"}));
   graph::LouvainOptions louvain_options;
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options.extra, "resolution", &louvain_options.resolution));
@@ -142,7 +89,7 @@ Result<std::unique_ptr<Allocator>> MakeLouvain(
 
 Result<std::unique_ptr<Allocator>> MakeShardScheduler(
     const std::string& name, const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra,
+  TXALLO_RETURN_NOT_OK(ExpectOnly("allocator", name, options.extra,
                                   {"buffer-ratio", "migration-benefit"}));
   baselines::ShardSchedulerOptions scheduler_options;
   TXALLO_RETURN_NOT_OK(ReadDouble(options.extra, "buffer-ratio",
@@ -158,7 +105,7 @@ Result<std::unique_ptr<Allocator>> MakeBroker(const std::string& name,
 
 Result<std::unique_ptr<Allocator>> MakeContrib(
     const std::string& name, const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra,
+  TXALLO_RETURN_NOT_OK(ExpectOnly("allocator", name, options.extra,
                                   {"imbalance", "stress-weight"}));
   ContribOptions contrib_options;
   TXALLO_RETURN_NOT_OK(
@@ -271,7 +218,7 @@ constexpr Entry kEntries[] = {
 
 Result<std::unique_ptr<Allocator>> MakeBroker(const std::string& name,
                                               const AllocatorOptions& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(name, options.extra,
+  TXALLO_RETURN_NOT_OK(ExpectOnly("allocator", name, options.extra,
                                   {"inner", "brokers", "cross-cost"}));
   baselines::BrokerOptions broker_options;
   TXALLO_RETURN_NOT_OK(

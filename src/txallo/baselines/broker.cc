@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "txallo/common/math.h"
-
 namespace txallo::baselines {
 
-using alloc::kUnassignedShard;
-using alloc::ShardId;
 using chain::AccountId;
 
 std::vector<AccountId> SelectBrokersByActivity(
@@ -40,82 +36,22 @@ Result<alloc::EvaluationReport> EvaluateWithBrokers(
     return Status::InvalidArgument("broker_cross_cost must be >= 0");
   }
 
-  auto is_broker = [&brokers](AccountId a) {
-    return std::binary_search(brokers.begin(), brokers.end(), a);
-  };
-
-  std::vector<double> sigma(params.num_shards, 0.0);
-  std::vector<double> uncapped(params.num_shards, 0.0);
-  std::vector<ShardId> shards;
-  uint64_t total = 0, brokered = 0;
-  double mu_sum = 0.0;
-  double extra_latency_weight = 0.0;  // Σ over txs of broker hop latency.
-
-  for (const chain::Transaction& tx : transactions) {
-    ++total;
-    shards.clear();
-    for (AccountId a : tx.accounts()) {
-      if (is_broker(a)) continue;  // Replicated everywhere: no routing pin.
-      const ShardId s = a < allocation.num_accounts()
-                            ? allocation.shard_of(a)
-                            : kUnassignedShard;
-      if (s == kUnassignedShard) {
-        return Status::FailedPrecondition(
-            "transaction references unassigned account " +
-            std::to_string(a));
-      }
-      if (std::find(shards.begin(), shards.end(), s) == shards.end()) {
-        shards.push_back(s);
-      }
-    }
-    if (shards.empty()) shards.push_back(0);  // All-broker transaction.
-    const uint32_t mu = static_cast<uint32_t>(shards.size());
-    mu_sum += mu;
-    if (mu <= 1) {
-      sigma[shards[0]] += 1.0;
-      uncapped[shards[0]] += 1.0;
-    } else {
-      ++brokered;
-      const double share = 1.0 / static_cast<double>(mu);
-      for (ShardId s : shards) {
-        sigma[s] += options.broker_cross_cost;
-        uncapped[s] += share;
-      }
-      extra_latency_weight += options.broker_latency_blocks;
-    }
-  }
-
-  alloc::EvaluationReport report;
-  report.total_transactions = total;
-  report.cross_shard_transactions = brokered;
-  report.num_shards = params.num_shards;
-  if (total > 0) {
-    report.cross_shard_ratio =
-        static_cast<double>(brokered) / static_cast<double>(total);
-    report.mean_shards_per_tx = mu_sum / static_cast<double>(total);
-  }
-  report.shard_workloads = sigma;
-  report.normalized_workloads.resize(params.num_shards);
-  double latency_sum = 0.0, throughput = 0.0, worst = 1.0;
-  for (uint32_t s = 0; s < params.num_shards; ++s) {
-    report.normalized_workloads[s] =
-        params.capacity > 0.0 ? sigma[s] / params.capacity : 0.0;
-    throughput += ClampThroughput(uncapped[s], sigma[s], params.capacity);
-    latency_sum += AverageLatencyBlocks(sigma[s], params.capacity);
-    worst = std::max(worst, WorstCaseLatencyBlocks(sigma[s], params.capacity));
-  }
-  report.workload_stddev = PopulationStdDev(report.shard_workloads);
-  report.normalized_workload_stddev =
-      params.capacity > 0.0 ? report.workload_stddev / params.capacity : 0.0;
-  report.throughput = throughput;
-  report.normalized_throughput =
-      params.capacity > 0.0 ? throughput / params.capacity : 0.0;
+  // Brokers are replicated accounts; a brokered part is priced
+  // broker_cross_cost whichever role its shard plays.
+  const alloc::WorkloadModel model{1.0, options.broker_cross_cost,
+                                   options.broker_cross_cost, 0.0};
+  Result<alloc::EvaluationReport> report = alloc::EvaluateWithReplicas(
+      transactions, allocation, params, model, brokers);
+  if (!report.ok()) return report;
   // Queueing latency plus the brokered transactions' extra relay hop,
   // amortized over all transactions.
-  report.avg_latency_blocks =
-      latency_sum / static_cast<double>(params.num_shards) +
-      (total > 0 ? extra_latency_weight / static_cast<double>(total) : 0.0);
-  report.worst_latency_blocks = worst + options.broker_latency_blocks;
+  if (report->total_transactions > 0) {
+    report->avg_latency_blocks +=
+        options.broker_latency_blocks *
+        static_cast<double>(report->cross_shard_transactions) /
+        static_cast<double>(report->total_transactions);
+  }
+  report->worst_latency_blocks += options.broker_latency_blocks;
   return report;
 }
 

@@ -55,6 +55,9 @@ std::vector<chain::AccountId> SelectBrokersByActivity(
 ///                       gains broker_latency_blocks.
 /// The reported cross_shard_ratio counts transactions with µ' > 1 — the
 /// ones that would have required cross-shard consensus without brokers.
+/// Runs the shared §III-B evaluator (alloc::EvaluateWithReplicas) with the
+/// brokers as replicated accounts; only the relay-hop latency is added here.
+/// `brokers` must be sorted ascending, as SelectBrokersByActivity returns.
 Result<alloc::EvaluationReport> EvaluateWithBrokers(
     const std::vector<chain::Transaction>& transactions,
     const alloc::Allocation& allocation, const alloc::AllocationParams& params,

@@ -11,6 +11,17 @@
 
 namespace txallo::baselines {
 
+/// Hash mapping over `domain` accounts: the address hash (registry
+/// OrderKey) for the first `known` ids, SHA256(little-endian id) for the
+/// synthetic tail beyond them. Keeps registry-known accounts' placement
+/// stable as the domain grows — no global reshard when one synthetic id
+/// appears. A pure function of its arguments: the registry only appends, so
+/// the first `known` order keys never change. `registry` may be null when
+/// `known` is 0.
+alloc::Allocation AllocateByHash(const chain::AccountRegistry* registry,
+                                 size_t known, size_t domain,
+                                 uint32_t num_shards);
+
 /// Allocates every account of `registry` by SHA256(address) mod k.
 /// (The implementation uses the first 64 bits of the digest, which is
 /// equivalent modulo the truncation and what OrderKey already caches.)

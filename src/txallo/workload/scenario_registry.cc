@@ -1,7 +1,6 @@
 #include "txallo/workload/scenario_registry.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "txallo/common/spec.h"
@@ -11,77 +10,12 @@ namespace txallo::workload {
 
 namespace {
 
-using OptionMap = std::map<std::string, std::string>;
-
-// Strict typed readers (same contract as the allocator registry's): the
-// whole value must parse, otherwise InvalidArgument naming key and value.
-Status ReadUint64(const OptionMap& options, const std::string& key,
-                  uint64_t* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key + "' expects a "
-                                   "non-negative integer, got '" +
-                                   it->second + "'");
-  }
-  *out = static_cast<uint64_t>(v);
-  return Status::OK();
-}
-
-Status ReadUint32(const OptionMap& options, const std::string& key,
-                  uint32_t* out) {
-  uint64_t v = *out;
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, key, &v));
-  if (v > UINT32_MAX) {
-    return Status::InvalidArgument("option '" + key + "' out of range: " +
-                                   std::to_string(v));
-  }
-  *out = static_cast<uint32_t>(v);
-  return Status::OK();
-}
-
-Status ReadInt64(const OptionMap& options, const std::string& key,
-                 int64_t* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key +
-                                   "' expects an integer, got '" +
-                                   it->second + "'");
-  }
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
-}
-
-Status ReadDouble(const OptionMap& options, const std::string& key,
-                  double* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key +
-                                   "' expects a number, got '" + it->second +
-                                   "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status ReadFraction(const OptionMap& options, const std::string& key,
-                    double* out) {
-  TXALLO_RETURN_NOT_OK(ReadDouble(options, key, out));
-  if (!(*out >= 0.0 && *out <= 1.0)) {
-    return Status::InvalidArgument("option '" + key +
-                                   "' must be in [0, 1], got " +
-                                   std::to_string(*out));
-  }
-  return Status::OK();
-}
+using common::OptionMap;
+using common::ReadDouble;
+using common::ReadFraction;
+using common::ReadInt64;
+using common::ReadUint32;
+using common::ReadUint64;
 
 // Shape keys every scenario accepts (applied before the specific keys).
 constexpr const char* kCommonKeys[] = {
@@ -104,36 +38,10 @@ Status ApplyCommonKeys(const OptionMap& options, ScenarioShape* shape) {
 // Rejects any key outside the common + scenario-specific set.
 Status ExpectOnly(const std::string& name, const OptionMap& options,
                   std::initializer_list<const char*> specific) {
-  for (const auto& [key, value] : options) {
-    bool found = false;
-    for (const char* k : kCommonKeys) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    for (const char* k : specific) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string list;
-      for (const char* k : kCommonKeys) {
-        if (!list.empty()) list += ", ";
-        list += k;
-      }
-      for (const char* k : specific) {
-        list += ", ";
-        list += k;
-      }
-      return Status::InvalidArgument("unknown option '" + key +
-                                     "' for scenario '" + name +
-                                     "' (known: " + list + ")");
-    }
-  }
-  return Status::OK();
+  std::vector<std::string> known(std::begin(kCommonKeys),
+                                 std::end(kCommonKeys));
+  known.insert(known.end(), specific.begin(), specific.end());
+  return common::ExpectOnly("scenario", name, options, known);
 }
 
 using Factory = Result<std::unique_ptr<Scenario>> (*)(

@@ -118,6 +118,29 @@ TEST(RegistryTest, MalformedOptionValueIsRejected) {
   EXPECT_NE(made.status().message().find("global-every"), std::string::npos);
 }
 
+TEST(RegistryTest, NegativeUnsignedOptionValueIsRejected) {
+  chain::AccountRegistry registry;
+  for (const char* spec :
+       {"txallo-hybrid:global-every=-1", "broker:brokers=-8"}) {
+    SCOPED_TRACE(spec);
+    auto made = MakeAllocatorFromSpec(spec, BaseOptions(&registry));
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(made.status().message().find("'-"), std::string::npos);
+  }
+}
+
+TEST(RegistryTest, NonFiniteOptionValueIsRejected) {
+  // "nan" used to pass both the reader and the broker's `cost < 0` check
+  // and evaluate every shard's workload to nan.
+  for (const char* spec : {"broker:cross-cost=nan", "metis:imbalance=inf"}) {
+    SCOPED_TRACE(spec);
+    auto made = MakeAllocatorFromSpec(spec, BaseOptions());
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(RegistryTest, OutOfRangeOptionValueIsRejected) {
   EXPECT_FALSE(MakeAllocatorFromSpec("metis:imbalance=0.5",
                                      BaseOptions()).ok());

@@ -112,6 +112,48 @@ TEST(BrokerEvalTest, BrokersReduceWorkloadVsPlainEvaluation) {
   EXPECT_LT(broker_total, plain_total / 2.0);
 }
 
+TEST(BrokerEvalTest, LedgerAllBrokerTransactionLandsIntraOnShardZero) {
+  // Through the shared evaluator: an all-broker transaction pins no shard
+  // and is priced intra on shard 0; a non-broker cross pair is brokered.
+  alloc::Allocation a = TwoShards();
+  chain::Ledger ledger;
+  ASSERT_TRUE(ledger
+                  .Append(chain::Block(0, {Transaction::Simple(1, 2),
+                                           Transaction::Simple(0, 3)}))
+                  .ok());
+  BrokerOptions options;
+  options.broker_cross_cost = 1.5;
+  options.broker_latency_blocks = 2.0;
+  auto report =
+      EvaluateWithBrokers(ledger, a, Params(2, 2.0, 100.0), {1, 2}, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->cross_shard_transactions, 1u);
+  EXPECT_EQ(report->shard_workloads[0], 1.0 + 1.5);
+  EXPECT_EQ(report->shard_workloads[1], 1.5);
+  EXPECT_EQ(report->mean_shards_per_tx, 1.5);
+  // Queueing 1 block + the relay hop on half the transactions.
+  EXPECT_EQ(report->avg_latency_blocks, 1.0 + 2.0 / 2.0);
+  EXPECT_EQ(report->worst_latency_blocks, 1.0 + 2.0);
+}
+
+TEST(BrokerEvalTest, CrossCostBelowIntraIsAccepted) {
+  // A broker split may be cheaper than an intra transaction; only a
+  // negative cost is rejected.
+  alloc::Allocation a = TwoShards();
+  std::vector<Transaction> txs{Transaction::Simple(0, 2)};
+  BrokerOptions options;
+  options.broker_cross_cost = 0.5;
+  auto report = EvaluateWithBrokers(txs, a, Params(2, 2.0, 100.0), {}, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->shard_workloads[0], 0.5);
+  EXPECT_EQ(report->shard_workloads[1], 0.5);
+  options.broker_cross_cost = -0.1;
+  EXPECT_EQ(EvaluateWithBrokers(txs, a, Params(2, 2.0, 100.0), {}, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(BrokerEvalTest, UnassignedNonBrokerFails) {
   alloc::Allocation partial(3, 2);
   partial.Assign(0, 0);

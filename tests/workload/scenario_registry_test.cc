@@ -99,6 +99,23 @@ TEST(ScenarioRegistryTest, MalformedNumbersAreRejectedNotTruncated) {
   EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ScenarioRegistryTest, NegativeUnsignedValuesAreRejected) {
+  // strtoull would wrap these to ~2^64: blocks=-3 used to abort in the
+  // generator's allocation and accounts=-1 to run without end.
+  for (const char* spec :
+       {"ethereum:blocks=-3", "ethereum:accounts=-1", "ethereum:seed=-1",
+        "ethereum:communities=-2", "diurnal:width=-1", "churn:pool=-5"}) {
+    SCOPED_TRACE(spec);
+    auto scenario = MakeScenarioFromSpec(spec, SmallShape());
+    ASSERT_FALSE(scenario.ok());
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+    const std::string value = std::string(spec).substr(
+        std::string(spec).find('=') + 1);
+    EXPECT_NE(scenario.status().message().find("'" + value + "'"),
+              std::string::npos);
+  }
+}
+
 TEST(ScenarioRegistryTest, OutOfRangeValuesFailValidation) {
   const char* bad_specs[] = {
       "ethereum:intra=1.5",        // Fraction above 1.
