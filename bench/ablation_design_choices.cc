@@ -45,7 +45,7 @@ RunOutcome Run(const bench::Fixture& fixture, uint32_t k, double eta,
 
 int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
-  bench::BenchScale scale = bench::ResolveBenchScale(flags);
+  bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner("Ablations: TxAllo design choices", scale, fixture,

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace txallo;
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   if (bench::HandleAllocatorHelp(flags)) return 0;
-  bench::BenchScale scale = bench::ResolveBenchScale(flags);
+  bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const double eta = flags.GetDouble("eta", 2.0);
   const int engine_blocks =

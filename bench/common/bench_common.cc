@@ -18,6 +18,15 @@
 
 namespace txallo::bench {
 
+BenchScale ResolveBenchScaleOrExit(const Flags& flags) {
+  Result<BenchScale> scale = ResolveBenchScale(flags);
+  if (!scale.ok()) {
+    std::fprintf(stderr, "%s\n", scale.status().ToString().c_str());
+    std::exit(1);
+  }
+  return *scale;
+}
+
 std::vector<std::string> DefaultMethodSpecs() {
   return {"txallo-global", "hash", "metis", "shard-scheduler"};
 }
@@ -493,7 +502,7 @@ int RunStandardSweepFigure(int argc, char** argv, const char* figure_title,
                            const char* csv_prefix, const char* paper_note) {
   Flags flags = Flags::Parse(argc, argv);
   if (HandleAllocatorHelp(flags)) return 0;
-  BenchScale scale = ResolveBenchScale(flags);
+  BenchScale scale = ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   Fixture fixture(scale, seed);
   PrintRunBanner(figure_title, scale, fixture, seed);

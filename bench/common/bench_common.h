@@ -43,8 +43,11 @@ namespace txallo::bench {
 using txallo::BenchScale;
 using txallo::Flags;
 using txallo::ResolveAllocatorSpec;
-using txallo::ResolveBenchScale;
 using txallo::ResolveScenarioSpec;
+
+/// ResolveBenchScale(flags), or, for an unknown preset name, its status on
+/// stderr and exit(1).
+BenchScale ResolveBenchScaleOrExit(const Flags& flags);
 
 /// The paper's four-method comparison (§VI), as allocator-registry specs.
 std::vector<std::string> DefaultMethodSpecs();

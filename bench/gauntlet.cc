@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   if (bench::HandleAllocatorHelp(flags)) return 0;
   if (bench::HandleScenarioHelp(flags)) return 0;
-  bench::BenchScale scale = bench::ResolveBenchScale(flags);
+  bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 8));
   const double eta = flags.GetDouble("eta", 2.0);

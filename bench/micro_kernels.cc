@@ -213,6 +213,50 @@ void BM_GraphRefreeze(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphRefreeze)->Arg(1 << 14)->Arg(1 << 17);
 
+// One A-TxAllo step's consolidation: a frozen core plus a delta log that
+// touches one node in seven (~14%), one edge from each node of the slice.
+// Every seventh node is hot (32 edges each among the hot nodes), the rest
+// cold (2 each among the cold ones): a log over the hot slice merges rows
+// holding over half the core, so it folds into a new core (the half rule);
+// one over a cold slice stays shadow rows. The slices are strided, not
+// contiguous, like the accounts a drift step touches. Each iteration copies
+// the graph (core shared, log copied) and consolidates the copy.
+graph::TransactionGraph MakeDriftStep(bool hot_slice) {
+  graph::TransactionGraph g;
+  const auto n = static_cast<graph::NodeId>(BenchAccounts());
+  const graph::NodeId rows = n / 7;  // Slice r is {7i + r : i < rows}.
+  Rng rng(13);
+  const auto in_slice = [&](graph::NodeId r) {
+    return static_cast<graph::NodeId>(7 * rng.NextBounded(rows) + r);
+  };
+  for (graph::NodeId u = 0; u < 7 * rows; ++u) {
+    const bool hot = u % 7 == 0;
+    for (int e = 0; e < (hot ? 32 : 2); ++e) {
+      g.AddEdge(u, in_slice(hot ? 0 : 1 + rng.NextBounded(6)), 1.0);
+    }
+  }
+  g.Refreeze();
+  const graph::NodeId slice = hot_slice ? 0 : 1;
+  for (graph::NodeId i = 0; i < rows; ++i) {
+    g.AddEdge(7 * i + slice, in_slice(slice), 1.0);
+  }
+  return g;
+}
+
+void BM_GraphConsolidate(benchmark::State& state) {
+  const graph::TransactionGraph g = MakeDriftStep(state.range(0) != 0);
+  size_t overlay_rows = 0;
+  for (auto _ : state) {
+    graph::TransactionGraph step = g;
+    step.Consolidate();
+    overlay_rows = step.overlay_rows();
+    benchmark::DoNotOptimize(step.core());
+  }
+  state.counters["delta_edges"] = static_cast<double>(g.delta_edges());
+  state.counters["overlay_rows"] = static_cast<double>(overlay_rows);
+}
+BENCHMARK(BM_GraphConsolidate)->ArgName("fold")->Arg(0)->Arg(1);
+
 void BM_JoinGainBatch(benchmark::State& state) {
   const uint32_t k = static_cast<uint32_t>(state.range(0));
   alloc::CommunityState community_state;

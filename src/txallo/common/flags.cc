@@ -62,7 +62,7 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   return v == "true" || v == "1" || v == "yes";
 }
 
-BenchScale ResolveBenchScale(const Flags& flags) {
+Result<BenchScale> ResolveBenchScale(const Flags& flags) {
   std::string scale = flags.GetString("scale", "");
   if (scale.empty()) {
     const char* env = std::getenv("TXALLO_SCALE");
@@ -73,8 +73,12 @@ BenchScale ResolveBenchScale(const Flags& flags) {
     preset = {8'000'000, 1'200'000, 60, 10, 200, 100, 0};
   } else if (scale == "medium") {
     preset = {2'000'000, 320'000, 60, 10, 120, 40, 0};
-  } else {
+  } else if (scale == "small") {
     preset = {400'000, 64'000, 60, 10, 60, 12, 0};
+  } else {
+    return Status::InvalidArgument("unknown scale \"" + scale +
+                                   "\" (--scale or TXALLO_SCALE); valid "
+                                   "presets: small, medium, large");
   }
   // Explicit flags override the preset; for the account count an explicit
   // --accounts beats TXALLO_ACCOUNTS beats the preset, so scripted sweeps

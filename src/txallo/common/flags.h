@@ -7,6 +7,8 @@
 #include <map>
 #include <string>
 
+#include "txallo/common/status.h"
+
 namespace txallo {
 
 /// Parsed command line. Unknown flags are collected rather than rejected so
@@ -52,8 +54,9 @@ struct BenchScale {
   int num_threads;
 };
 
-/// Resolves the scale preset from TXALLO_SCALE (or --scale).
-BenchScale ResolveBenchScale(const Flags& flags);
+/// Resolves the scale preset from --scale (or TXALLO_SCALE). An unknown
+/// preset name is InvalidArgument naming the value and the valid presets.
+Result<BenchScale> ResolveBenchScale(const Flags& flags);
 
 /// Resolves the allocation-strategy spec shared by benches and examples:
 /// --allocator beats the TXALLO_ALLOCATOR environment variable beats

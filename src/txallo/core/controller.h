@@ -95,15 +95,26 @@ class TxAlloController {
   /// Current graph-model throughput Λ of the live mapping.
   double CurrentThroughput() const { return state_.TotalThroughput(); }
 
-  /// Nodes currently queued in V̂ (deterministic hash order).
+  /// Nodes currently queued in V̂ (deterministic hash order). Inside a step,
+  /// a V̂ holding at least 1/16 of the nodes is filtered out of the kept
+  /// node order (O(N)) instead of sorted (O(|V̂| log |V̂|)); the order is
+  /// the same either way.
   std::vector<graph::NodeId> PendingTouchedNodes() const;
+
+  /// The kept (OrderKey, id) order of nodes [0, node_order().size()): the
+  /// order StepGlobal() sweeps. Each step extends it to every graph node.
+  /// Read only by the order-cache test, which checks it against a fresh
+  /// sort after every step.
+  const std::vector<graph::NodeId>& node_order() const { return node_order_; }
 
  private:
   // Adds one edge's weight to the incremental σ/Λ̂ state.
   void AccumulateEdgeIntoState(graph::NodeId u, graph::NodeId v,
                                double weight);
   void RefreshCapacity();
-  std::vector<graph::NodeId> FullNodeOrder() const;
+  // Sorts only the nodes added since the last step and merges them into
+  // node_order_.
+  void ExtendNodeOrder();
 
   const chain::AccountRegistry* registry_;
   alloc::AllocationParams params_;
@@ -113,8 +124,12 @@ class TxAlloController {
   alloc::Allocation allocation_;
   alloc::CommunityState state_;
 
-  std::vector<graph::NodeId> touched_;      // V̂ accumulator (with dups).
+  std::vector<graph::NodeId> touched_;      // V̂ accumulator (no dups).
   std::vector<uint8_t> touched_flag_;       // Dedup bitmap.
+  // Every node id below its size, in (OrderKey, id) order. A node's key
+  // never changes and no node leaves the graph, so the order is a pure
+  // function of the node count: checkpoints need not save it.
+  std::vector<graph::NodeId> node_order_;
   uint64_t transactions_applied_ = 0;
 };
 

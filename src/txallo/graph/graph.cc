@@ -1,6 +1,7 @@
 #include "txallo/graph/graph.h"
 
 #include <algorithm>
+#include <array>
 
 namespace txallo::graph {
 
@@ -26,11 +27,11 @@ void TransactionGraph::AddSelfLoop(NodeId v, double weight) {
 
 namespace {
 
-// Sorts a pending run by neighbor id and collapses duplicate neighbors.
-// Legacy code verbatim: the unstable sort + in-order duplicate collapse is
-// part of the bit-compatibility contract (FP addition is order-sensitive).
-void SortAndDedup(std::vector<Neighbor>* pending) {
-  std::vector<Neighbor>& pend = *pending;
+// Sorts one owner's pending run by neighbor id and collapses duplicate
+// neighbors; returns the run's new length. Legacy code verbatim: the
+// unstable sort + in-order duplicate collapse is part of the
+// bit-compatibility contract (FP addition is order-sensitive).
+size_t SortAndDedup(std::span<Neighbor> pend) {
   std::sort(pend.begin(), pend.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.node < b.node;
@@ -43,16 +44,14 @@ void SortAndDedup(std::vector<Neighbor>* pending) {
       pend[w++] = pend[r];
     }
   }
-  pend.resize(w);
+  return w;
 }
 
-// Merges a sorted row and a sorted pending run into `out` (cleared first).
-// Same walk as the legacy MergeInto, with the destination reserved once.
-void MergeRows(std::span<const Neighbor> adj, const std::vector<Neighbor>& pend,
+// Appends the merge of a sorted row and a sorted pending run to `out`.
+// Same walk as the legacy MergeInto.
+void MergeRows(std::span<const Neighbor> adj, std::span<const Neighbor> pend,
                std::vector<Neighbor>* out) {
   std::vector<Neighbor>& merged = *out;
-  merged.clear();
-  merged.reserve(adj.size() + pend.size());
   size_t i = 0, j = 0;
   while (i < adj.size() || j < pend.size()) {
     if (j == pend.size() || (i < adj.size() && adj[i].node < pend[j].node)) {
@@ -69,63 +68,85 @@ void MergeRows(std::span<const Neighbor> adj, const std::vector<Neighbor>& pend,
 
 }  // namespace
 
-void TransactionGraph::MergeRow(NodeId v, const std::vector<Neighbor>& pend) {
-  const std::span<const Neighbor> old_row = Neighbors(v);
-  MergeRows(old_row, pend, &scratch_merge_);
-  // Strength refresh over the merged row, in row order — the legacy
-  // consolidation recomputed every strength this way; untouched nodes keep
-  // their (bit-identical) cached values.
-  double s = 0.0;
-  for (const Neighbor& nb : scratch_merge_) s += nb.weight;
-
-  const size_t old_len = old_row.size();
-  const size_t new_len = scratch_merge_.size();
-  const ShadowRow shadow{row_arena_.Append(scratch_merge_), s};
-  auto [it, inserted] = rows_.emplace(v, shadow);
-  if (inserted) {
-    overlay_entries_ += new_len;  // Previous row (if any) lives in the core.
-  } else {
-    it->second = shadow;
-    overlay_entries_ += new_len - old_len;
-  }
-  degree_sum_ += new_len - old_len;
-}
-
-void TransactionGraph::MergePendingLog() {
-  ++generation_;
-  caches_dirty_ = true;
-
-  // Expand each undirected log edge into its two directed halves in log
-  // order, then stable-sort by owner: every owner's run is exactly the
-  // legacy per-node pending buffer (same insertion order, same values).
-  scratch_halves_.clear();
-  scratch_halves_.reserve(log_.size() * 2);
+size_t TransactionGraph::MergeLogRuns() {
+  // Stable LSD radix sort of the log's directed halves by owner, a counting
+  // sort per 11-bit digit of the largest id. The halves go in as each
+  // edge's u-half then v-half, in log order, so every owner's run is
+  // exactly the legacy per-node pending buffer (same insertion order, same
+  // values). Cost is O(|log|) per digit, whatever the node count.
+  constexpr size_t kDigitBits = 11;
+  constexpr size_t kDigitMask = (size_t{1} << kDigitBits) - 1;
+  std::vector<OwnedHalf> halves;
+  halves.reserve(2 * log_.size());
   for (const DeltaEdge& e : log_) {
-    scratch_halves_.push_back({e.u, {e.v, e.weight}});
-    scratch_halves_.push_back({e.v, {e.u, e.weight}});
+    halves.push_back({e.u, {e.v, e.weight}});
+    halves.push_back({e.v, {e.u, e.weight}});
   }
-  std::stable_sort(scratch_halves_.begin(), scratch_halves_.end(),
-                   [](const OwnedHalf& a, const OwnedHalf& b) {
-                     return a.owner < b.owner;
-                   });
-
-  size_t i = 0;
-  while (i < scratch_halves_.size()) {
-    const NodeId owner = scratch_halves_[i].owner;
-    scratch_pend_.clear();
-    while (i < scratch_halves_.size() && scratch_halves_[i].owner == owner) {
-      scratch_pend_.push_back(scratch_halves_[i].nb);
-      ++i;
+  std::vector<OwnedHalf> sorted(halves.size());
+  for (size_t shift = 0; ((num_nodes_ - 1) >> shift) != 0;
+       shift += kDigitBits) {
+    std::array<size_t, kDigitMask + 1> start{};
+    const auto digit = [shift](const OwnedHalf& h) {
+      return (size_t{h.owner} >> shift) & kDigitMask;
+    };
+    for (const OwnedHalf& h : halves) ++start[digit(h)];
+    size_t offset = 0;
+    for (size_t& slot : start) {
+      const size_t count = slot;
+      slot = offset;
+      offset += count;
     }
-    SortAndDedup(&scratch_pend_);
-    MergeRow(owner, scratch_pend_);
+    for (const OwnedHalf& h : halves) {
+      sorted[start[digit(h)]++] = h;
+    }
+    halves.swap(sorted);
+  }
+
+  // One merged row per touched owner, in id order, read against the
+  // owner's current row (shadow or core). Strength is re-summed over the
+  // merged row in row order, as the legacy consolidation did for every
+  // node; untouched nodes keep their (bit-identical) cached values.
+  size_t overlay = overlay_entries_;
+  for (size_t next = 0; next < halves.size();) {
+    const NodeId owner = halves[next].owner;
+    scratch_halves_.clear();
+    for (; next < halves.size() && halves[next].owner == owner; ++next) {
+      scratch_halves_.push_back(halves[next].half);
+    }
+    const std::span<Neighbor> run(scratch_halves_);
+    const std::span<const Neighbor> old_row = Neighbors(owner);
+    const size_t merged_begin = scratch_merged_.size();
+    MergeRows(old_row, run.first(SortAndDedup(run)), &scratch_merged_);
+    double s = 0.0;
+    for (size_t i = merged_begin; i < scratch_merged_.size(); ++i) {
+      s += scratch_merged_[i].weight;
+    }
+    scratch_runs_.push_back({owner, scratch_merged_.size(), s});
+
+    const size_t new_len = scratch_merged_.size() - merged_begin;
+    const bool shadowed = !rows_.empty() && rows_.contains(owner);
+    // A core row (if any) stays in the core; a shadow is replaced.
+    overlay += new_len - (shadowed ? old_row.size() : 0);
+    degree_sum_ += new_len - old_row.size();
   }
   log_.clear();
-  // Leave the scratch empty (capacity kept) so graph copies don't
-  // duplicate stale scratch contents.
   scratch_halves_.clear();
-  scratch_pend_.clear();
-  scratch_merge_.clear();
+  return overlay;
+}
+
+void TransactionGraph::PublishShadows(size_t overlay_entries) {
+  size_t begin = 0;
+  for (const MergedRun& run : scratch_runs_) {
+    const ShadowRow shadow{
+        row_arena_.Append({scratch_merged_.data() + begin, run.end - begin}),
+        run.strength};
+    begin = run.end;
+    auto [it, inserted] = rows_.emplace(run.owner, shadow);
+    if (!inserted) it->second = shadow;
+  }
+  overlay_entries_ = overlay_entries;
+  scratch_runs_.clear();
+  scratch_merged_.clear();
 }
 
 void TransactionGraph::RecomputeTotals() {
@@ -139,56 +160,133 @@ void TransactionGraph::RecomputeTotals() {
   total_weight_ = total / 2.0;  // Edges counted twice, self-loops once.
 }
 
-void TransactionGraph::Consolidate() {
-  if (!log_.empty()) MergePendingLog();
-  if (scaled_) {
-    // The legacy consolidation recomputed every strength from its (scaled)
-    // row, switching the cached (Σw)·f to Σ(w·f). Replay that by folding
-    // with a full strength re-sum.
-    InstallCore(BuildCore(/*recompute_strengths=*/true));
-    scaled_ = false;
+void TransactionGraph::Consolidate() { Consolidate(FoldRule::kHalf); }
+
+bool TransactionGraph::Consolidate(FoldRule rule) {
+  size_t overlay = overlay_entries_;
+  if (!log_.empty()) {
+    ++generation_;
     caches_dirty_ = true;
-  }
-  if (caches_dirty_) {
-    RecomputeTotals();
-    caches_dirty_ = false;
+    overlay = MergeLogRuns();
   }
   // Freeze policy (a pure function of graph state, so it is deterministic
   // and thread-count independent): build the first core eagerly — one-shot
   // graphs then read pure CSR — and re-freeze once the overlay outgrows
-  // half the core. Strategy adapters normally clear the overlay every
-  // rebalance via AdoptCore(), so steady-state consolidations stay
-  // O(delta) and never trip this.
-  if (core_ == nullptr || overlay_entries_ * 2 > core_->entries.size()) {
-    InstallCore(BuildCore(/*recompute_strengths=*/false));
-  } else if (row_arena_.size() > 64 &&
-             row_arena_.size() > 2 * overlay_entries_) {
-    CompactArena();
+  // half the core. A graph scaled since the last consolidation always
+  // folds, re-summing every strength from its (scaled) row: the legacy
+  // consolidation switched the cached (Σw)·f to Σ(w·f). Strategy adapters
+  // normally clear the overlay every rebalance via AdoptCore(), so their
+  // consolidations stay O(delta) and never trip the half rule.
+  bool by_rule = false;
+  if (!scaled_ && core_ != nullptr && overlay * 2 <= core_->entries.size()) {
+    switch (rule) {
+      case FoldRule::kHalf:
+        break;
+      case FoldRule::kQuarter:
+        by_rule = overlay * 4 > core_->entries.size();
+        break;
+      case FoldRule::kAlways:
+        by_rule = !rows_.empty() || !scratch_runs_.empty() ||
+                  !self_ovl_.empty();
+        break;
+    }
+    if (!by_rule) {
+      PublishShadows(overlay);
+      if (caches_dirty_) RecomputeTotals();
+      caches_dirty_ = false;
+      if (row_arena_.size() > 64 &&
+          row_arena_.size() > 2 * overlay_entries_) {
+        CompactArena();
+      }
+      return false;
+    }
   }
+  // The fold carries every read value over verbatim (or re-sums strengths
+  // after a scale), so the total summed from the new core is the one the
+  // legacy code summed over shadows before folding, without a shadow probe
+  // per node.
+  InstallCore(FoldCore(/*recompute_strengths=*/scaled_));
+  if (caches_dirty_ || scaled_) RecomputeTotals();
+  caches_dirty_ = false;
+  scaled_ = false;
+  return by_rule;
 }
 
-std::shared_ptr<GraphCore> TransactionGraph::BuildCore(
+std::shared_ptr<GraphCore> TransactionGraph::FoldCore(
     bool recompute_strengths) const {
   assert(log_.empty());
+  // Nodes whose row is not the core's, each list in id order: the merged
+  // runs, and the shadow rows (a run replaces its owner's shadow).
+  std::vector<std::pair<NodeId, const ShadowRow*>> shadows;
+  shadows.reserve(rows_.size());
+  for (const auto& entry : rows_) shadows.emplace_back(entry.first, &entry.second);
+  std::sort(shadows.begin(), shadows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
   auto core = std::make_shared<GraphCore>();
   const size_t n = num_nodes_;
+  const size_t frozen = core_ != nullptr ? core_->num_nodes() : 0;
   core->offsets.resize(n + 1);
   core->entries.reserve(degree_sum_);
   core->self_loop.resize(n);
   core->strength.resize(n);
   core->offsets[0] = 0;
-  for (size_t v = 0; v < n; ++v) {
-    const NodeId id = static_cast<NodeId>(v);
-    const std::span<const Neighbor> row = Neighbors(id);
-    core->entries.insert(core->entries.end(), row.begin(), row.end());
-    core->offsets[v + 1] = core->entries.size();
-    core->self_loop[v] = SelfLoop(id);
-    if (recompute_strengths) {
-      double s = 0.0;
-      for (const Neighbor& nb : row) s += nb.weight;
-      core->strength[v] = s;
+
+  size_t run = 0, shadow = 0, merged_begin = 0;
+  size_t v = 0;
+  while (v < n) {
+    const size_t next_run =
+        run < scratch_runs_.size() ? scratch_runs_[run].owner : n;
+    const size_t next_shadow =
+        shadow < shadows.size() ? shadows[shadow].first : n;
+    const size_t next = std::min(next_run, next_shadow);
+    // Untouched nodes [v, next): one block copy of their core rows.
+    const size_t copied = std::min(next, frozen);
+    if (v < copied) {
+      const size_t base = core_->offsets[v];
+      const size_t start = core->entries.size();
+      core->entries.insert(core->entries.end(),
+                           core_->entries.begin() + base,
+                           core_->entries.begin() + core_->offsets[copied]);
+      for (size_t u = v; u < copied; ++u) {
+        core->offsets[u + 1] = core_->offsets[u + 1] - base + start;
+      }
+      std::copy(core_->self_loop.begin() + v,
+                core_->self_loop.begin() + copied, core->self_loop.begin() + v);
+      std::copy(core_->strength.begin() + v, core_->strength.begin() + copied,
+                core->strength.begin() + v);
+    }
+    for (size_t u = std::max(v, copied); u < next; ++u) {
+      core->offsets[u + 1] = core->entries.size();  // Empty row, zero caches.
+    }
+    if (next == n) break;
+
+    std::span<const Neighbor> row;
+    if (next == next_run) {
+      const MergedRun& merged = scratch_runs_[run++];
+      row = {scratch_merged_.data() + merged_begin,
+             merged.end - merged_begin};
+      merged_begin = merged.end;
+      core->strength[next] = merged.strength;
+      if (next == next_shadow) ++shadow;
     } else {
-      core->strength[v] = Strength(id);
+      const ShadowRow& shadow_row = *shadows[shadow++].second;
+      row = row_arena_.View(shadow_row.row);
+      core->strength[next] = shadow_row.strength;
+    }
+    core->entries.insert(core->entries.end(), row.begin(), row.end());
+    core->offsets[next + 1] = core->entries.size();
+    if (next < frozen) core->self_loop[next] = core_->self_loop[next];
+    v = next + 1;
+  }
+  for (const auto& entry : self_ovl_) core->self_loop[entry.first] = entry.second;
+  if (recompute_strengths) {
+    for (size_t u = 0; u < n; ++u) {
+      double s = 0.0;
+      for (const Neighbor& nb : core->Row(static_cast<NodeId>(u))) {
+        s += nb.weight;
+      }
+      core->strength[u] = s;
     }
   }
   return core;
@@ -200,6 +298,8 @@ void TransactionGraph::InstallCore(std::shared_ptr<const GraphCore> core) {
   row_arena_.Clear();
   self_ovl_.clear();
   overlay_entries_ = 0;
+  scratch_runs_.clear();
+  scratch_merged_.clear();
   ++generation_;
 }
 
@@ -212,21 +312,10 @@ void TransactionGraph::CompactArena() {
   row_arena_ = std::move(compacted);
 }
 
-void TransactionGraph::Refreeze() {
-  Consolidate();
-  if (core_ == nullptr || !rows_.empty() || !self_ovl_.empty()) {
-    InstallCore(BuildCore(/*recompute_strengths=*/false));
-  }
-}
+void TransactionGraph::Refreeze() { Consolidate(FoldRule::kAlways); }
 
 bool TransactionGraph::MaybeRefreeze() {
-  Consolidate();
-  if (core_ != nullptr && overlay_entries_ * 4 <= core_->entries.size()) {
-    return false;
-  }
-  if (rows_.empty() && self_ovl_.empty() && core_ != nullptr) return false;
-  InstallCore(BuildCore(/*recompute_strengths=*/false));
-  return true;
+  return Consolidate(FoldRule::kQuarter);
 }
 
 bool TransactionGraph::AdoptCore(std::shared_ptr<const GraphCore> core,
@@ -257,7 +346,7 @@ void TransactionGraph::ScaleWeights(double factor) {
   // strengths), then scale every entry in place — the same per-entry
   // multiplies the legacy implementation performed. The next Consolidate()
   // re-sums strengths from the scaled rows, again like the legacy code.
-  std::shared_ptr<GraphCore> core = BuildCore(/*recompute_strengths=*/false);
+  std::shared_ptr<GraphCore> core = FoldCore(/*recompute_strengths=*/false);
   for (Neighbor& nb : core->entries) nb.weight *= factor;
   for (double& s : core->self_loop) s *= factor;
   for (double& s : core->strength) s *= factor;

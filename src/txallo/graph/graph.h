@@ -24,13 +24,36 @@
 // for the off-thread RebalanceTask); AdoptCore() lets the live graph adopt
 // that fold in O(overlay) at commit time.
 //
+// A consolidation radix-sorts the log's directed halves by owner (stable,
+// O(|log|) per 11-bit digit of the largest id, so a small log costs little
+// on a large graph) and merges each touched owner's run against its
+// current row once. It then
+// either publishes or folds:
+//
+//   publish  the merged rows become shadow rows: every consolidation that
+//            does not rebuild, such as a strategy's O(delta) consolidation
+//            before it snapshots the graph.
+//   fold     a new core is written in one pass in node-id order: merged
+//            rows for touched owners, shadow rows for the rest of the
+//            overlay, untouched rows block-copied from the old core. This
+//            happens when the first core is built, after ScaleWeights(),
+//            when the overlay the merge leaves would outgrow half the core
+//            (Consolidate), a quarter of it (MaybeRefreeze), or whenever
+//            any overlay remains (Refreeze).
+//
+// The fold decision reads the exact post-merge overlay, so a fold leaves
+// the same representation (generation, overlay rows, frozen edges,
+// snapshot bytes) as publishing and then rebuilding would.
+//
 // Bit-compatibility: every floating-point accumulation (pending-run
 // sort+dedup, sorted row merge, strength refresh, total-weight pass,
 // per-entry weight scaling) replays the legacy implementation's exact
 // operation order, so reads are bit-identical to the pre-delta-log
 // structure under any interleaving of AddEdge/AddSelfLoop/Consolidate/
-// ScaleWeights/copy — pinned by the randomized equivalence suite in
-// tests/graph/delta_graph_test.cc and by the golden replay trace.
+// ScaleWeights/copy — pinned by the randomized equivalence suites in
+// tests/graph/delta_graph_test.cc (against the pre-delta-log structure,
+// and field by field against publish-then-rebuild) and by the golden
+// replay trace.
 #pragma once
 
 #include <cassert>
@@ -98,9 +121,9 @@ class TransactionGraph {
   /// Accumulates self-loop weight w{v,v}.
   void AddSelfLoop(NodeId v, double weight);
 
-  /// Merges the delta log into shadow rows (O(delta log delta) + O(N) cache
-  /// refresh), freezing a new core when none exists yet or when the overlay
-  /// outgrew it. Idempotent.
+  /// Merges the delta log (O(N + delta log delta)) into shadow rows, or,
+  /// when no core exists yet, the graph was scaled or the overlay would
+  /// outgrow half the core, straight into a new core (O(N + E)). Idempotent.
   void Consolidate();
 
   /// True when the delta log is empty.
@@ -164,15 +187,16 @@ class TransactionGraph {
 
   // --- Freeze / snapshot protocol -----------------------------------------
 
-  /// Folds core ⊕ shadows into a fresh core so every read is a pure CSR
-  /// walk. O(N + E); meant to run off-thread (inside a RebalanceTask) or at
-  /// a global step that is O(N + E) anyway. Consolidates first.
+  /// Folds core ⊕ shadows ⊕ delta log into a fresh core so every read is a
+  /// pure CSR walk. O(N + E); meant to run off-thread (inside a
+  /// RebalanceTask) or at a global step that is O(N + E) anyway.
   void Refreeze();
 
-  /// Refreezes only when the shadow overlay outgrew a quarter of the core
-  /// (or no core exists yet). A pure function of graph state, so callers
-  /// on any thread-count/sync-mode path make the same decision. Returns
-  /// true when it refroze. Consolidates first either way.
+  /// Consolidates, folding when the overlay the merge leaves would outgrow
+  /// a quarter of the core (or no core exists yet). A pure function of
+  /// graph state, so callers on any thread-count/sync-mode path make the
+  /// same decision. Returns true when the quarter rule, not Consolidate()'s
+  /// own half rule, folded.
   bool MaybeRefreeze();
 
   /// The frozen core (nullptr before the first freeze). The returned core
@@ -225,18 +249,38 @@ class TransactionGraph {
     common::Arena<Neighbor>::Ref row;
     double strength = 0.0;
   };
+
+  // One directed half of a logged edge: `half` goes into `owner`'s row.
   struct OwnedHalf {
     NodeId owner;
-    Neighbor nb;
+    Neighbor half;
   };
+  // One touched owner's merged row, scratch_merged_[previous run's end,
+  // end), with its re-summed strength.
+  struct MergedRun {
+    NodeId owner;
+    size_t end;
+    double strength;
+  };
+  // Which fold, beyond the half rule, a consolidation's caller asks for:
+  // none (Consolidate), the quarter rule (MaybeRefreeze) or any overlay at
+  // all (Refreeze).
+  enum class FoldRule { kHalf, kQuarter, kAlways };
 
-  void MergePendingLog();
-  void MergeRow(NodeId v, const std::vector<Neighbor>& pend);
-  // Folds core ⊕ shadows into a new (still private) core. When
-  // `recompute_strengths`, per-node strength is re-summed over the folded
-  // row (the legacy post-scale consolidation behavior); otherwise the
-  // cached values carry over bit-identically.
-  std::shared_ptr<GraphCore> BuildCore(bool recompute_strengths) const;
+  // Merges the log and, when the half rule or `rule` asks, folds in the
+  // same call. Returns true when `rule`, not the half rule, folded.
+  bool Consolidate(FoldRule rule);
+  // Merges the delta log into scratch_runs_ (one run per touched owner, in
+  // id order) and empties the log; updates degree_sum_ and returns the
+  // overlay entry count the merged runs would leave as shadows.
+  size_t MergeLogRuns();
+  // Publishes the merged runs as shadow rows and clears them.
+  void PublishShadows(size_t overlay_entries);
+  // Writes core ⊕ shadows ⊕ merged runs into a new (still private) core in
+  // one pass in id order. When `recompute_strengths`, per-node strength is
+  // re-summed over the folded row (the legacy post-scale consolidation
+  // behavior); otherwise the cached values carry over bit-identically.
+  std::shared_ptr<GraphCore> FoldCore(bool recompute_strengths) const;
   void InstallCore(std::shared_ptr<const GraphCore> core);
   void RecomputeTotals();
   void CompactArena();
@@ -255,11 +299,11 @@ class TransactionGraph {
   bool scaled_ = false;  // ScaleWeights ran; next Consolidate re-sums strengths.
   uint64_t generation_ = 0;
 
-  // Consolidation scratch, reused across calls (cleared, so copies of the
-  // graph don't duplicate capacity).
-  std::vector<OwnedHalf> scratch_halves_;
-  std::vector<Neighbor> scratch_pend_;
-  std::vector<Neighbor> scratch_merge_;
+  // Consolidation scratch, reused across calls (left empty, so copies of
+  // the graph copy no contents).
+  std::vector<Neighbor> scratch_halves_;  // One owner's logged halves.
+  std::vector<MergedRun> scratch_runs_;
+  std::vector<Neighbor> scratch_merged_;
 };
 
 }  // namespace txallo::graph

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace txallo {
@@ -55,14 +56,15 @@ TEST(FlagsTest, BoolSpellings) {
 
 TEST(BenchScaleTest, FlagOverridesPreset) {
   Flags f = ParseArgs({"--scale=small", "--txs=999", "--max-shards=12"});
-  BenchScale scale = ResolveBenchScale(f);
-  EXPECT_EQ(scale.num_transactions, 999u);
-  EXPECT_EQ(scale.max_shards, 12);
+  Result<BenchScale> scale = ResolveBenchScale(f);
+  ASSERT_TRUE(scale.ok()) << scale.status().ToString();
+  EXPECT_EQ(scale->num_transactions, 999u);
+  EXPECT_EQ(scale->max_shards, 12);
 }
 
 TEST(BenchScaleTest, ThreadsFlagPinsEngineParallelism) {
   Flags f = ParseArgs({"--threads=6"});
-  EXPECT_EQ(ResolveBenchScale(f).num_threads, 6);
+  EXPECT_EQ(ResolveBenchScale(f)->num_threads, 6);
 }
 
 TEST(BenchScaleTest, ThreadsDefaultsToAuto) {
@@ -70,14 +72,14 @@ TEST(BenchScaleTest, ThreadsDefaultsToAuto) {
   // Hermetic against the caller's environment.
   ::unsetenv("TXALLO_THREADS");
   Flags f = ParseArgs({});
-  EXPECT_EQ(ResolveBenchScale(f).num_threads, 0);
+  EXPECT_EQ(ResolveBenchScale(f)->num_threads, 0);
 }
 
 TEST(BenchScaleTest, ThreadsEnvIsTheFallback) {
   ::setenv("TXALLO_THREADS", "5", /*overwrite=*/1);
-  EXPECT_EQ(ResolveBenchScale(ParseArgs({})).num_threads, 5);
+  EXPECT_EQ(ResolveBenchScale(ParseArgs({}))->num_threads, 5);
   // An explicit flag still wins over the environment.
-  EXPECT_EQ(ResolveBenchScale(ParseArgs({"--threads=2"})).num_threads, 2);
+  EXPECT_EQ(ResolveBenchScale(ParseArgs({"--threads=2"}))->num_threads, 2);
   ::unsetenv("TXALLO_THREADS");
 }
 
@@ -85,7 +87,7 @@ TEST(BenchScaleTest, NegativeThreadsClampsToAuto) {
   // Explicit nonsense clamps to auto; it must NOT fall through to the env.
   ::setenv("TXALLO_THREADS", "7", /*overwrite=*/1);
   Flags f = ParseArgs({"--threads=-3"});
-  EXPECT_EQ(ResolveBenchScale(f).num_threads, 0);
+  EXPECT_EQ(ResolveBenchScale(f)->num_threads, 0);
   ::unsetenv("TXALLO_THREADS");
 }
 
@@ -93,10 +95,28 @@ TEST(BenchScaleTest, PresetsAreOrdered) {
   Flags small = ParseArgs({"--scale=small"});
   Flags medium = ParseArgs({"--scale=medium"});
   Flags large = ParseArgs({"--scale=large"});
-  EXPECT_LT(ResolveBenchScale(small).num_transactions,
-            ResolveBenchScale(medium).num_transactions);
-  EXPECT_LT(ResolveBenchScale(medium).num_transactions,
-            ResolveBenchScale(large).num_transactions);
+  EXPECT_LT(ResolveBenchScale(small)->num_transactions,
+            ResolveBenchScale(medium)->num_transactions);
+  EXPECT_LT(ResolveBenchScale(medium)->num_transactions,
+            ResolveBenchScale(large)->num_transactions);
+}
+
+TEST(BenchScaleTest, UnknownScaleFailsNamingValueAndPresets) {
+  const Result<BenchScale> typo = ResolveBenchScale(ParseArgs({"--scale=tiny"}));
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = typo.status().ToString();
+  for (const char* word : {"tiny", "small", "medium", "large"}) {
+    EXPECT_NE(message.find(word), std::string::npos) << message;
+  }
+  // The environment fallback is checked the same way, and a valid flag
+  // still beats it.
+  ::setenv("TXALLO_SCALE", "huge", /*overwrite=*/1);
+  const Result<BenchScale> from_env = ResolveBenchScale(ParseArgs({}));
+  EXPECT_FALSE(from_env.ok());
+  EXPECT_NE(from_env.status().ToString().find("huge"), std::string::npos);
+  EXPECT_TRUE(ResolveBenchScale(ParseArgs({"--scale=medium"})).ok());
+  ::unsetenv("TXALLO_SCALE");
 }
 
 }  // namespace

@@ -1,8 +1,16 @@
 #include "txallo/core/controller.h"
 
+#include <algorithm>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "txallo/allocator/adapters.h"
 #include "txallo/workload/ethereum_like.h"
+#include "txallo/workload/scenario_registry.h"
 
 namespace txallo::core {
 namespace {
@@ -123,6 +131,170 @@ TEST(ControllerTest, AdaptiveImprovesOverStaleAllocationCheaply) {
   auto info = controller.StepAdaptive();
   ASSERT_TRUE(info.ok());
   EXPECT_GE(info->final_throughput, before - 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// The kept node order: whatever the controller did before, the orders its
+// steps use equal a fresh (OrderKey, id) sort.
+
+std::vector<graph::NodeId> FreshOrder(const chain::AccountRegistry& registry,
+                                      std::vector<graph::NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end(),
+            [&registry](graph::NodeId a, graph::NodeId b) {
+              const uint64_t ka = registry.OrderKey(a);
+              const uint64_t kb = registry.OrderKey(b);
+              return ka < kb || (ka == kb && a < b);
+            });
+  return nodes;
+}
+
+// Tracks V̂ independently of the controller: the distinct accounts of every
+// block applied since the last step.
+class OrderOracle {
+ public:
+  OrderOracle(const chain::AccountRegistry* registry,
+              TxAlloController* controller)
+      : registry_(registry), controller_(controller) {}
+
+  void Apply(const chain::Block& block) {
+    controller_->ApplyBlock(block);
+    for (const chain::Transaction& tx : block.transactions()) {
+      for (chain::AccountId a : tx.accounts()) {
+        if (std::find(touched_.begin(), touched_.end(), a) == touched_.end()) {
+          touched_.push_back(a);
+        }
+      }
+    }
+  }
+  void Stepped() { touched_.clear(); }
+  const std::vector<graph::NodeId>& touched() const { return touched_; }
+
+  // V̂'s order, and (after a step) the kept order over every graph node.
+  void ExpectFresh(bool after_step) const {
+    EXPECT_EQ(controller_->PendingTouchedNodes(),
+              FreshOrder(*registry_, touched_));
+    if (!after_step) return;
+    std::vector<graph::NodeId> all(controller_->graph().num_nodes());
+    std::iota(all.begin(), all.end(), graph::NodeId{0});
+    EXPECT_EQ(controller_->node_order(), FreshOrder(*registry_, all));
+  }
+
+ private:
+  const chain::AccountRegistry* registry_;
+  TxAlloController* controller_;
+  std::vector<graph::NodeId> touched_;
+};
+
+class NodeOrderCacheTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NodeOrderCacheTest, StepsUseAFreshHashOrder) {
+  workload::ScenarioShape shape;
+  shape.num_blocks = 96;
+  shape.txs_per_block = 20;
+  shape.num_accounts = 3'000;
+  shape.num_communities = 12;
+  auto scenario = workload::MakeScenarioFromSpec(GetParam(), shape);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  workload::Scenario& source = **scenario;
+  const chain::AccountRegistry& registry = source.registry();
+  TxAlloController controller(&registry,
+                              AllocationParams::ForExperiment(1, 4, 2.0));
+  OrderOracle oracle(&registry, &controller);
+
+  // Epochs of 1..7 blocks: a single block touches well under 1/16 of the
+  // nodes (V̂ sorted), a long epoch more (V̂ filtered from the kept order).
+  // Accounts born since the last step are in V̂ but not yet kept.
+  uint64_t blocks = 0;
+  for (int epoch = 0; blocks + 7 <= shape.num_blocks; ++epoch) {
+    const int epoch_blocks = 1 + (epoch * 5) % 7;
+    for (int b = 0; b < epoch_blocks; ++b, ++blocks) {
+      oracle.Apply(source.NextBlock());
+    }
+    oracle.ExpectFresh(/*after_step=*/false);
+
+    // Every third epoch a step runs and is rolled back, as an abandoned
+    // TxAlloAllocator task does: V̂ and the orders come back unchanged.
+    if (epoch % 3 == 1) {
+      TxAlloController::Checkpoint checkpoint = controller.SaveCheckpoint();
+      if (epoch % 2 == 0) {
+        ASSERT_TRUE(controller.StepGlobal().ok());
+      } else {
+        ASSERT_TRUE(controller.StepAdaptive().ok());
+      }
+      controller.RestoreCheckpoint(std::move(checkpoint));
+      oracle.ExpectFresh(/*after_step=*/false);
+      oracle.Apply(source.NextBlock());
+      ++blocks;
+      oracle.ExpectFresh(/*after_step=*/false);
+    }
+
+    if (epoch % 4 == 0) {
+      ASSERT_TRUE(controller.StepGlobal().ok());
+    } else {
+      ASSERT_TRUE(controller.StepAdaptive().ok());
+    }
+    oracle.Stepped();
+    oracle.ExpectFresh(/*after_step=*/true);
+  }
+  EXPECT_GT(controller.node_order().size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, NodeOrderCacheTest,
+                         ::testing::Values("churn",
+                                           "ethereum:drift-interval=16"),
+                         [](const auto& param) {
+                           return param.index == 0 ? std::string("Churn")
+                                                   : std::string("Drift");
+                         });
+
+// An abandoned TxAlloAllocator task (stepped, then dropped uncommitted)
+// leaves the strategy exactly where a run without that task is: every
+// later mapping matches, which needs the kept order the step extended to
+// still be the fresh one.
+TEST(NodeOrderCacheTest, AbandonedTaskLeavesLaterStepsUnchanged) {
+  workload::ScenarioShape shape;
+  shape.num_blocks = 40;
+  shape.txs_per_block = 30;
+  shape.num_accounts = 2'000;
+  shape.num_communities = 10;
+  auto scenario = workload::MakeScenarioFromSpec("churn", shape);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const chain::Ledger ledger = (*scenario)->GenerateLedger(shape.num_blocks);
+  const chain::AccountRegistry& registry = (*scenario)->registry();
+  const AllocationParams params = AllocationParams::ForExperiment(1, 4, 2.0);
+  allocator::TxAlloAllocator abandoned("txallo-hybrid", &registry, params,
+                                       /*global_every=*/3);
+  allocator::TxAlloAllocator reference("txallo-hybrid", &registry, params,
+                                       /*global_every=*/3);
+
+  const auto& blocks = ledger.blocks();
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    abandoned.ApplyBlock(blocks[b]);
+    reference.ApplyBlock(blocks[b]);
+    if (b % 5 != 4) continue;
+    if (b % 10 == 4) {
+      // A task that steps (new accounts enter the kept order), then is
+      // dropped; the next block arrives while it is outstanding.
+      std::unique_ptr<allocator::RebalanceTask> task =
+          abandoned.BeginRebalance();
+      ASSERT_NE(task, nullptr);
+      ASSERT_TRUE(task->Run().ok());
+      ++b;
+      ASSERT_LT(b, blocks.size());
+      abandoned.ApplyBlock(blocks[b]);
+      reference.ApplyBlock(blocks[b]);
+      task.reset();
+    }
+    Result<alloc::Allocation> got = abandoned.Rebalance();
+    Result<alloc::Allocation> want = reference.Rebalance();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->num_accounts(), want->num_accounts());
+    for (size_t a = 0; a < want->num_accounts(); ++a) {
+      const auto id = static_cast<chain::AccountId>(a);
+      ASSERT_EQ(got->shard_of(id), want->shard_of(id)) << "block " << b;
+    }
+  }
 }
 
 }  // namespace

@@ -128,9 +128,16 @@ TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
   EXPECT_EQ(run.result.overrun_boundaries, 0u);
   EXPECT_EQ(run.result.epochs, 4u);
   EXPECT_EQ(run.result.report.sim.committed, run.total_txs);
-  // Blocking waits show up as allocation stall, the cost overrun skipping
-  // exists to avoid.
-  EXPECT_GT(run.result.alloc_wait_seconds, 0.0);
+  // The blocking schedule waits for the task at every boundary after the
+  // first, whatever its run time, and installs its mapping there (blocks
+  // 16, 24 and 32): the stall overrun skipping exists to avoid.
+  ASSERT_GE(run.result.steps.size(), 4u);
+  EXPECT_FALSE(run.result.steps[0].installed);
+  for (uint64_t boundary = 1; boundary < 4; ++boundary) {
+    EXPECT_TRUE(run.result.steps[boundary].installed) << boundary;
+    EXPECT_EQ(run.result.steps[boundary].last_block, 8 * (boundary + 1));
+  }
+  EXPECT_EQ(run.result.report.reallocations, 4u);  // Bootstrap + 3.
 }
 
 TEST(PipelineOverrunTest, FastTaskNeverTriggersOverruns) {
