@@ -44,7 +44,8 @@ RunOutcome Run(const bench::Fixture& fixture, uint32_t k, double eta,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"csv-dir", "eta", "k", "seed"});
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   bench::Fixture fixture(scale, seed);

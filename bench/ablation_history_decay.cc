@@ -29,7 +29,9 @@ struct PolicyScore {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::Flags::ParseOrExit(argc, argv,
+      {"blocks-per-window", "csv-dir", "decay", "eta", "fresh", "k", "seed",
+       "windows"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 12));
   const double eta = flags.GetDouble("eta", 4.0);
   const int windows = static_cast<int>(flags.GetInt("windows", 12));

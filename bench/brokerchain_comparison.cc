@@ -13,7 +13,8 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"brokers", "csv-dir", "eta", "k", "seed"});
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   bench::Fixture fixture(scale, seed);

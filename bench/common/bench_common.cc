@@ -18,6 +18,14 @@
 
 namespace txallo::bench {
 
+Flags ParseBenchFlags(int argc, char** argv,
+                      std::initializer_list<std::string_view> names) {
+  std::vector<std::string_view> known(names);
+  known.insert(known.end(), std::begin(kBenchScaleFlagNames),
+               std::end(kBenchScaleFlagNames));
+  return Flags::ParseOrExit(argc, argv, known);
+}
+
 BenchScale ResolveBenchScaleOrExit(const Flags& flags) {
   Result<BenchScale> scale = ResolveBenchScale(flags);
   if (!scale.ok()) {
@@ -500,7 +508,9 @@ int RunStandardSweepFigure(int argc, char** argv, const char* figure_title,
                            const char* metric_name,
                            double (*extract)(const MethodResult&),
                            const char* csv_prefix, const char* paper_note) {
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = ParseBenchFlags(
+      argc, argv, {"allocator", "cache-dir", "csv-dir", "eta-list", "methods",
+                   "no-cache", "seed"});
   if (HandleAllocatorHelp(flags)) return 0;
   BenchScale scale = ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));

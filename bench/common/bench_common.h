@@ -45,6 +45,13 @@ using txallo::Flags;
 using txallo::ResolveAllocatorSpec;
 using txallo::ResolveScenarioSpec;
 
+/// Flags::ParseOrExit() for a bench that resolves its scale with
+/// ResolveBenchScaleOrExit(): accepts the names that reads plus `names`,
+/// which lists every other name the bench reads, itself or through the
+/// helpers below.
+Flags ParseBenchFlags(int argc, char** argv,
+                      std::initializer_list<std::string_view> names);
+
 /// ResolveBenchScale(flags), or, for an unknown preset name, its status on
 /// stderr and exit(1).
 BenchScale ResolveBenchScaleOrExit(const Flags& flags);
@@ -63,14 +70,16 @@ std::vector<std::string> SplitList(const std::string& list,
 std::vector<std::string> ResolveMethodSpecs(
     const Flags& flags, const std::vector<std::string>& fallback = {});
 
-/// `--allocator=help` / `--methods=help`: prints the registry's generated
-/// usage table (allocator::AllocatorUsageText). Returns true when help was
-/// printed — the caller should exit 0.
+/// `--allocator=help` / `--methods=help` (the latter in benches that take
+/// `--methods`): prints the registry's generated usage table
+/// (allocator::AllocatorUsageText). Returns true when help was printed —
+/// the caller should exit 0.
 bool HandleAllocatorHelp(const Flags& flags);
 
-/// `--scenario=help` / `--scenarios=help`: prints the scenario registry's
-/// generated usage table (workload::ScenarioUsageText). Returns true when
-/// help was printed — the caller should exit 0.
+/// `--scenario=help` / `--scenarios=help` (the latter in benches that take
+/// `--scenarios`): prints the scenario registry's generated usage table
+/// (workload::ScenarioUsageText). Returns true when help was printed — the
+/// caller should exit 0.
 bool HandleScenarioHelp(const Flags& flags);
 
 /// Instantiates `spec` through the scenario registry with `shape` as the

@@ -55,7 +55,7 @@ ScalingPoint RunOnce(const chain::Ledger& ledger,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = ParseBenchFlags(argc, argv, {"csv-dir", "eta", "seed", "spin"});
   BenchScale scale = ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const double eta = flags.GetDouble("eta", 2.0);

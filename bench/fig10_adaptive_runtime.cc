@@ -17,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"allocator", "csv-dir", "eta", "gap", "k", "methods", "prefix-multiple",
+       "seed"});
   if (bench::HandleAllocatorHelp(flags)) return 0;
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));

@@ -92,7 +92,11 @@ GauntletCell MakeCell(const std::string& scenario_spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"allocator", "balance", "blocks", "communities", "csv-dir",
+       "epoch-blocks", "eta", "json-out", "k", "methods", "offered-load",
+       "record", "replay", "scenario", "scenarios", "seed", "service-rate",
+       "state", "txs-per-block"});
   if (bench::HandleAllocatorHelp(flags)) return 0;
   if (bench::HandleScenarioHelp(flags)) return 0;
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);

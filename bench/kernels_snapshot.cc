@@ -4,15 +4,17 @@
 // BENCH_kernels.json snapshot byte-diffs cleanly in CI on any machine.
 //
 // Scenario (fixed seed, fixed scale — TXALLO_SCALE intentionally ignored):
-//  1. Build the transaction graph from a synthetic ledger and freeze it.
-//  2. Overlay one more block of traffic (the steady-state delta between
-//     per-block adaptive rebalances) and consolidate.
-//  3. Record what a BeginRebalance() snapshot copies (SnapshotBytes) vs
-//     what the legacy full-graph copy duplicated (FullCopyBytes) — the
+//  1. Build the transaction graph from a synthetic ledger and consolidate
+//     it into the CSR core.
+//  2. Log one more block of traffic (the steady-state delta between
+//     per-block adaptive rebalances) without consolidating it.
+//  3. Record what a BeginRebalance() snapshot copies at that point
+//     (SnapshotBytes: the shared core is not copied, the log is) vs what
+//     the legacy full-graph copy duplicated (FullCopyBytes) — the
 //     bytes_ratio is the ">= 10x smaller snapshot" acceptance check.
-//  4. Run one global G-TxAllo allocation and record its integer outcomes
-//     (Louvain communities, sweep count) to pin the batched gain kernel's
-//     behavior.
+//  4. Consolidate the last block, run one global G-TxAllo allocation and
+//     record its integer outcomes (Louvain communities, sweep count) to
+//     pin the batched gain kernel's behavior.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -28,7 +30,7 @@ namespace txallo::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv, {"json-out"});
   const std::string json_out = flags.GetString("json-out", "");
 
   workload::EthereumLikeConfig config;
@@ -41,9 +43,8 @@ int Main(int argc, char** argv) {
   chain::Ledger ledger = generator.GenerateLedger(config.num_blocks);
 
   // Freeze all but the last block into the CSR core; the final block is
-  // the consolidated delta overlay a rebalance snapshot has to copy —
-  // the steady-state shape when the adaptive controller rebalances once
-  // per block.
+  // the delta log a rebalance snapshot has to copy — the steady-state
+  // shape when a strategy rebalances once per block.
   graph::TransactionGraph graph;
   graph::GraphBuilder builder(&graph);
   const size_t frozen_blocks = ledger.num_blocks() - 1;
@@ -51,18 +52,17 @@ int Main(int argc, char** argv) {
     builder.AddBlock(ledger.blocks()[b]);
   }
   builder.Finish();
-  graph.Refreeze();
   for (size_t b = frozen_blocks; b < ledger.num_blocks(); ++b) {
     builder.AddBlock(ledger.blocks()[b]);
   }
+  const size_t frozen_edges = graph.frozen_edges();
+  const size_t snapshot_bytes = graph.SnapshotBytes();
+  const size_t full_copy_bytes = graph.FullCopyBytes();
   builder.Finish();
   graph.EnsureNodeCount(generator.registry().size());
 
-  const size_t snapshot_bytes = graph.SnapshotBytes();
-  const size_t full_copy_bytes = graph.FullCopyBytes();
-
-  // One global allocation over the frozen+overlay graph: integer outcomes
-  // only (the throughput doubles stay out of the committed snapshot).
+  // One global allocation over the whole graph: integer outcomes only (the
+  // throughput doubles stay out of the committed snapshot).
   alloc::AllocationParams params = alloc::AllocationParams::ForExperiment(
       ledger.num_transactions(), 20, 4.0);
   std::vector<graph::NodeId> order = generator.registry().IdsInHashOrder();
@@ -84,7 +84,6 @@ int Main(int argc, char** argv) {
       "  \"nodes\": %zu,\n"
       "  \"edges\": %zu,\n"
       "  \"frozen_edges\": %zu,\n"
-      "  \"overlay_rows\": %zu,\n"
       "  \"snapshot_bytes\": %zu,\n"
       "  \"full_copy_bytes\": %zu,\n"
       "  \"bytes_ratio\": %zu,\n"
@@ -93,8 +92,7 @@ int Main(int argc, char** argv) {
       "}\n",
       static_cast<unsigned long long>(config.seed), graph.num_nodes(),
       graph.num_edges(),
-      graph.frozen_edges(), graph.overlay_rows(), snapshot_bytes,
-      full_copy_bytes,
+      frozen_edges, snapshot_bytes, full_copy_bytes,
       snapshot_bytes > 0 ? full_copy_bytes / snapshot_bytes : 0,
       info.louvain_communities, info.sweeps);
   std::fputs(buffer, stdout);

@@ -164,8 +164,9 @@ void BM_OptimizeSweep(benchmark::State& state) {
 BENCHMARK(BM_OptimizeSweep)->Arg(8)->Arg(60);
 
 // Builds a graph with ~`frozen_edges` frozen into the CSR core, then a
-// fixed 1024-edge consolidated delta overlaying it. Snapshot cost must
-// track the delta, not the core — the point of the delta-log design.
+// fixed 1024-edge delta left in the log: what a strategy's BeginRebalance()
+// copies. Snapshot cost must track the delta, not the core — the point of
+// the delta-log design.
 graph::TransactionGraph MakeOverlaidGraph(size_t frozen_edges) {
   graph::TransactionGraph g;
   const auto n = static_cast<graph::NodeId>(
@@ -176,13 +177,12 @@ graph::TransactionGraph MakeOverlaidGraph(size_t frozen_edges) {
     const auto v = static_cast<graph::NodeId>(rng.NextBounded(n));
     g.AddEdge(u, v, 1.0);
   }
-  g.Refreeze();
+  g.Consolidate();
   for (size_t e = 0; e < 1024; ++e) {
     const auto u = static_cast<graph::NodeId>(rng.NextBounded(n));
     const auto v = static_cast<graph::NodeId>(rng.NextBounded(n));
     g.AddEdge(u, v, 1.0);
   }
-  g.Consolidate();
   return g;
 }
 
@@ -202,60 +202,39 @@ void BM_GraphSnapshotCopy(benchmark::State& state) {
 // is the "snapshot time independent of frozen-edge count" acceptance check.
 BENCHMARK(BM_GraphSnapshotCopy)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_GraphRefreeze(benchmark::State& state) {
-  const graph::TransactionGraph g =
-      MakeOverlaidGraph(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    graph::TransactionGraph snapshot = g;
-    snapshot.Refreeze();
-    benchmark::DoNotOptimize(snapshot.core());
-  }
-}
-BENCHMARK(BM_GraphRefreeze)->Arg(1 << 14)->Arg(1 << 17);
-
-// One A-TxAllo step's consolidation: a frozen core plus a delta log that
-// touches one node in seven (~14%), one edge from each node of the slice.
-// Every seventh node is hot (32 edges each among the hot nodes), the rest
-// cold (2 each among the cold ones): a log over the hot slice merges rows
-// holding over half the core, so it folds into a new core (the half rule);
-// one over a cold slice stays shadow rows. The slices are strided, not
-// contiguous, like the accounts a drift step touches. Each iteration copies
-// the graph (core shared, log copied) and consolidates the copy.
-graph::TransactionGraph MakeDriftStep(bool hot_slice) {
+// One A-TxAllo step's consolidation: a frozen core (TXALLO_ACCOUNTS
+// nodes, 8 random edges logged from each) plus a delta log that touches
+// one node in seven (~14%), one edge from each node of the slice. The
+// slice is strided, not contiguous, like the accounts a drift step
+// touches. Each iteration copies the graph (core shared, log copied) and
+// consolidates the copy, as a rebalance task does.
+graph::TransactionGraph MakeDriftStep() {
   graph::TransactionGraph g;
   const auto n = static_cast<graph::NodeId>(BenchAccounts());
-  const graph::NodeId rows = n / 7;  // Slice r is {7i + r : i < rows}.
   Rng rng(13);
-  const auto in_slice = [&](graph::NodeId r) {
-    return static_cast<graph::NodeId>(7 * rng.NextBounded(rows) + r);
-  };
-  for (graph::NodeId u = 0; u < 7 * rows; ++u) {
-    const bool hot = u % 7 == 0;
-    for (int e = 0; e < (hot ? 32 : 2); ++e) {
-      g.AddEdge(u, in_slice(hot ? 0 : 1 + rng.NextBounded(6)), 1.0);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    for (int e = 0; e < 8; ++e) {
+      g.AddEdge(u, static_cast<graph::NodeId>(rng.NextBounded(n)), 1.0);
     }
   }
-  g.Refreeze();
-  const graph::NodeId slice = hot_slice ? 0 : 1;
-  for (graph::NodeId i = 0; i < rows; ++i) {
-    g.AddEdge(7 * i + slice, in_slice(slice), 1.0);
+  g.Consolidate();
+  for (graph::NodeId u = 0; u < n; u += 7) {
+    g.AddEdge(u, static_cast<graph::NodeId>(rng.NextBounded(n)), 1.0);
   }
   return g;
 }
 
 void BM_GraphConsolidate(benchmark::State& state) {
-  const graph::TransactionGraph g = MakeDriftStep(state.range(0) != 0);
-  size_t overlay_rows = 0;
+  const graph::TransactionGraph g = MakeDriftStep();
   for (auto _ : state) {
     graph::TransactionGraph step = g;
     step.Consolidate();
-    overlay_rows = step.overlay_rows();
     benchmark::DoNotOptimize(step.core());
   }
+  state.counters["frozen_edges"] = static_cast<double>(g.frozen_edges());
   state.counters["delta_edges"] = static_cast<double>(g.delta_edges());
-  state.counters["overlay_rows"] = static_cast<double>(overlay_rows);
 }
-BENCHMARK(BM_GraphConsolidate)->ArgName("fold")->Arg(0)->Arg(1);
+BENCHMARK(BM_GraphConsolidate);
 
 void BM_JoinGainBatch(benchmark::State& state) {
   const uint32_t k = static_cast<uint32_t>(state.range(0));
@@ -278,13 +257,20 @@ void BM_JoinGainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinGainBatch)->Arg(8)->Arg(60)->Arg(256);
 
+// contiguous_miss:0 finds random present keys. contiguous_miss:1 holds
+// the run [0, n) and looks up absent keys i + 2^24, which an identity hash
+// would send into the run's probe cluster — the state DB's Commit/Abort
+// probing every shard's staged sequence numbers.
 void BM_FlatMapLookup(benchmark::State& state) {
   common::FlatMap<uint32_t, uint64_t> map;
+  const bool contiguous_miss = state.range(1) != 0;
   Rng rng(5);
   std::vector<uint32_t> keys(static_cast<size_t>(state.range(0)));
-  for (auto& key : keys) {
-    key = static_cast<uint32_t>(rng.NextUint64());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const auto key = contiguous_miss ? static_cast<uint32_t>(k)
+                                     : static_cast<uint32_t>(rng.NextUint64());
     map.emplace(key, static_cast<uint64_t>(key) * 3);
+    keys[k] = contiguous_miss ? key + (uint32_t{1} << 24) : key;
   }
   size_t i = 0;
   for (auto _ : state) {
@@ -292,7 +278,12 @@ void BM_FlatMapLookup(benchmark::State& state) {
     i = (i + 1) % keys.size();
   }
 }
-BENCHMARK(BM_FlatMapLookup)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_FlatMapLookup)
+    ->ArgNames({"n", "contiguous_miss"})
+    ->Args({1 << 10, 0})
+    ->Args({1 << 16, 0})
+    ->Args({1 << 10, 1})
+    ->Args({1 << 16, 1});
 
 void BM_UnorderedMapLookup(benchmark::State& state) {
   std::unordered_map<uint32_t, uint64_t> map;

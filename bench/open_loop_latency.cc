@@ -63,7 +63,11 @@ bool ParseLoad(const std::string& text, double* out) {
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"allocator", "blocks", "capacity", "csv-dir", "dispatch-per-tick",
+       "epoch-blocks", "eta", "json-out", "k", "loads", "methods", "no-cleaner",
+       "offered-load", "pending-limit", "policy", "rate-limit", "record",
+       "replay", "scenario", "seed", "service-rate", "ttl", "txs-per-block"});
   if (bench::HandleAllocatorHelp(flags)) return 0;
   if (bench::HandleScenarioHelp(flags)) return 0;
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);

@@ -53,7 +53,11 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  bench::Flags flags = bench::Flags::Parse(argc, argv);
+  bench::Flags flags = bench::ParseBenchFlags(argc, argv,
+      {"alloc-mode", "allocator", "blocks", "csv-dir", "epoch-blocks", "eta",
+       "json-out", "k", "methods", "migration-work", "overrun", "record",
+       "replay", "scenario", "seed", "state", "state-balance",
+       "txs-per-block"});
   if (bench::HandleAllocatorHelp(flags)) return 0;
   if (bench::HandleScenarioHelp(flags)) return 0;
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);

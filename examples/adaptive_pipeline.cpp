@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv,
+      {"allocator", "eta", "k", "seed", "steps", "tau1", "tau2-steps"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 12));
   const double eta = flags.GetDouble("eta", 4.0);
   const int steps = static_cast<int>(flags.GetInt("steps", 24));

@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv,
+      {"accounts", "csv", "eta", "k", "seed", "txs"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 16));
   const double eta = flags.GetDouble("eta", 4.0);
 

@@ -25,7 +25,9 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv,
+      {"blocks", "dispatch-per-tick", "eta", "hybrid", "k", "load", "seed",
+       "service"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 6));
   const double eta = flags.GetDouble("eta", 2.0);
   const double load = flags.GetDouble("load", 9.0);

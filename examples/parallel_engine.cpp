@@ -33,7 +33,8 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv,
+      {"alloc-mode", "allocator", "blocks", "eta", "k", "seed", "threads"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 8));
   const double eta = flags.GetDouble("eta", 2.0);
   const int blocks = static_cast<int>(flags.GetInt("blocks", 300));

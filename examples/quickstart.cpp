@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv, {"allocator"});
   const std::string spec = ResolveAllocatorSpec(flags, "txallo-global");
 
   // 1. A ledger: two groups of accounts that mostly transact internally

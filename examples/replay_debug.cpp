@@ -28,7 +28,8 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  Flags flags = Flags::Parse(argc, argv);
+  Flags flags = Flags::ParseOrExit(argc, argv,
+      {"blocks", "k", "seed", "trace", "trace-csv"});
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 4));
   const uint64_t blocks =
       static_cast<uint64_t>(flags.GetInt("blocks", 48));

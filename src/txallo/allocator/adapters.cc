@@ -214,32 +214,30 @@ void MetisStrategy::ApplyBlock(const chain::Block& block) {
 }
 
 std::unique_ptr<RebalanceTask> MetisStrategy::BeginRebalance() {
-  // Consolidate on the owner thread (ApplyBlock shares the builder), then
-  // double-buffer: the task partitions a frozen copy of the graph while the
-  // live one keeps accumulating.
-  builder_.Finish();
+  // Double-buffer: the task partitions a copy of the graph while the live
+  // one keeps accumulating.
   if (graph_.num_nodes() == 0) {
     return std::make_unique<ClosureRebalanceTask>(
         [mapping = last_]() -> Result<alloc::Allocation> { return mapping; },
         nullptr);
   }
-  // O(delta) snapshot: shares the frozen CSR core, copies only the delta
-  // overlay. The task folds the snapshot into a fresh core off-thread
-  // (Refreeze) before partitioning; Commit() hands that fold back to the
-  // live graph (AdoptCore), so the owner thread never pays the O(E) fold.
+  // O(delta) snapshot: shares the frozen CSR core and copies only the delta
+  // log. The task consolidates the copy off-thread before partitioning;
+  // Commit() hands that fold back to the live graph (AdoptCore), so the
+  // owner thread never pays the O(E) fold.
   auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  const uint64_t fold_generation = graph_.generation();
   return std::make_unique<ClosureRebalanceTask>(
       [snapshot, options = options_,
        k = params_.num_shards]() -> Result<alloc::Allocation> {
-        snapshot->Refreeze();
+        snapshot->Consolidate();
         return baselines::metis::PartitionGraph(*snapshot, k, options);
       },
-      [this, snapshot,
-       fold_generation](const Result<alloc::Allocation>& result) -> Status {
-        // Adopt the off-thread fold even when partitioning failed — it is
-        // representation only, and the generation guard rejects stale folds.
-        graph_.AdoptCore(snapshot->core(), fold_generation);
+      [this, snapshot, base = graph_.core(),
+       logged = graph_.delta_edges()](
+          const Result<alloc::Allocation>& result) -> Status {
+        // Adopt the off-thread fold even when partitioning failed: it holds
+        // the same contents, and AdoptCore rejects a stale or missing fold.
+        graph_.AdoptCore(snapshot->core(), base, logged);
         if (!result.ok()) return result.status();
         last_ = *result;
         return Status::OK();
@@ -317,7 +315,6 @@ void LouvainStrategy::ApplyBlock(const chain::Block& block) {
 }
 
 std::unique_ptr<RebalanceTask> LouvainStrategy::BeginRebalance() {
-  builder_.Finish();
   AllocationContext context;
   context.graph = &graph_;
   context.registry = registry_;
@@ -331,15 +328,15 @@ std::unique_ptr<RebalanceTask> LouvainStrategy::BeginRebalance() {
   // O(delta) snapshot + off-thread fold, committed back via AdoptCore —
   // same protocol as MetisStrategy above.
   auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  const uint64_t fold_generation = graph_.generation();
   return std::make_unique<ClosureRebalanceTask>(
       [this, snapshot, order]() -> Result<alloc::Allocation> {
-        snapshot->Refreeze();
+        snapshot->Consolidate();
         return Partition(*snapshot, *order, params_.num_shards);
       },
-      [this, snapshot,
-       fold_generation](const Result<alloc::Allocation>& result) -> Status {
-        graph_.AdoptCore(snapshot->core(), fold_generation);
+      [this, snapshot, base = graph_.core(),
+       logged = graph_.delta_edges()](
+          const Result<alloc::Allocation>& result) -> Status {
+        graph_.AdoptCore(snapshot->core(), base, logged);
         if (!result.ok()) return result.status();
         last_ = *result;
         return Status::OK();
@@ -436,11 +433,11 @@ void BrokerOverlay::ApplyBlock(const chain::Block& block) {
 std::unique_ptr<RebalanceTask> BrokerOverlay::BeginRebalance() {
   OnlineAllocator* online = inner_->AsOnline();
   if (online == nullptr) return nullptr;
-  builder_.Finish();
   // O(delta) snapshot of the overlay's own traffic graph; the task folds it
   // off-thread and the commit adopts the fold (same protocol as Metis).
   auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  const uint64_t fold_generation = graph_.generation();
+  std::shared_ptr<const graph::GraphCore> base = graph_.core();
+  const size_t logged = graph_.delta_edges();
   // Composition: the inner strategy contributes its own frozen task; the
   // overlay adds broker re-selection over its frozen traffic graph.
   std::shared_ptr<RebalanceTask> inner_task = online->BeginRebalance();
@@ -449,13 +446,13 @@ std::unique_ptr<RebalanceTask> BrokerOverlay::BeginRebalance() {
   return std::make_unique<ClosureRebalanceTask>(
       [snapshot, inner_task, brokers,
        n = options_.num_brokers]() -> Result<alloc::Allocation> {
-        snapshot->Refreeze();
+        snapshot->Consolidate();
         *brokers = baselines::SelectBrokersByActivity(*snapshot, n);
         return inner_task->Run();
       },
-      [this, snapshot, fold_generation, inner_task, brokers](
+      [this, snapshot, base = std::move(base), logged, inner_task, brokers](
           const Result<alloc::Allocation>& result) -> Status {
-        graph_.AdoptCore(snapshot->core(), fold_generation);
+        graph_.AdoptCore(snapshot->core(), base, logged);
         // On failure/abandonment the inner task must NOT commit (its
         // mapping is discarded, not folded in); it releases its own
         // bookkeeping when its last reference dies with these closures.

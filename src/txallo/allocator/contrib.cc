@@ -108,19 +108,24 @@ void ContribStrategy::ApplyBlock(const chain::Block& block) {
 }
 
 std::unique_ptr<RebalanceTask> ContribStrategy::BeginRebalance() {
-  builder_.Finish();
   AllocationContext context;
   context.graph = &graph_;
   context.registry = registry_;
   auto order = std::make_shared<const std::vector<graph::NodeId>>(
       ResolveNodeOrder(context));
-  auto snapshot = std::make_shared<const graph::TransactionGraph>(graph_);
+  // O(delta) snapshot, folded off-thread and adopted at commit (the
+  // protocol of MetisStrategy in adapters.cc).
+  auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
   return std::make_unique<ClosureRebalanceTask>(
       [snapshot, order, k = params_.num_shards,
        options = options_]() -> Result<alloc::Allocation> {
+        snapshot->Consolidate();
         return Partition(*snapshot, *order, k, options);
       },
-      [this](const Result<alloc::Allocation>& result) -> Status {
+      [this, snapshot, base = graph_.core(),
+       logged = graph_.delta_edges()](
+          const Result<alloc::Allocation>& result) -> Status {
+        graph_.AdoptCore(snapshot->core(), base, logged);
         if (!result.ok()) return result.status();
         last_ = *result;
         return Status::OK();

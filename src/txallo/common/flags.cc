@@ -1,6 +1,7 @@
 #include "txallo/common/flags.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -25,6 +26,26 @@ Flags Flags::Parse(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+Flags Flags::ParseOrExit(int argc, char** argv,
+                         const std::vector<std::string_view>& known) {
+  Flags flags = Parse(argc, argv);
+  const Status status = flags.CheckNames(known);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  return flags;
+}
+
+Status Flags::CheckNames(const std::vector<std::string_view>& known) const {
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + entry.first);
+    }
+  }
+  return Status::OK();
 }
 
 bool Flags::Has(const std::string& key) const {

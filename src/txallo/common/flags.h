@@ -6,18 +6,35 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "txallo/common/status.h"
 
 namespace txallo {
 
-/// Parsed command line. Unknown flags are collected rather than rejected so
-/// harness binaries can share one parser.
+/// Names ResolveBenchScale() reads.
+inline constexpr std::string_view kBenchScaleFlagNames[] = {
+    "scale",      "txs",   "accounts",        "max-shards",
+    "shard-step", "steps", "blocks-per-step", "threads"};
+
+/// Parsed command line.
 class Flags {
  public:
   /// Parses argv. Flags look like --key=value or --key value; a bare --key
-  /// is stored with value "true".
+  /// is stored with value "true". Every name is kept; CheckNames() tells
+  /// the ones a binary reads from typos.
   static Flags Parse(int argc, char** argv);
+
+  /// Parse(), then CheckNames(known): an unknown name is printed to stderr
+  /// and the process exits 1, so a misspelt flag never runs a binary with
+  /// its defaults.
+  static Flags ParseOrExit(int argc, char** argv,
+                           const std::vector<std::string_view>& known);
+
+  /// InvalidArgument naming the first parsed flag (in name order) that is
+  /// not in `known`; OK when every name is.
+  Status CheckNames(const std::vector<std::string_view>& known) const;
 
   bool Has(const std::string& key) const;
 

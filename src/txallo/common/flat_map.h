@@ -10,9 +10,13 @@
 //    on the call sequence, never on hash values or load factors), and
 //  * a power-of-two linear-probing slot index (load factor <= 1/2, cached
 //    per-entry hashes) that makes find/insert O(1) with contiguous probes.
+//    Each hash goes through the splitmix64 finalizer first: libstdc++'s
+//    std::hash of an integer is the identity, and `hash & mask` would put
+//    a run of consecutive keys (sequence numbers, dense account ids) into
+//    one probe cluster that every absent-key lookup landing in it walks.
 //
 // Copying a FlatMap is three vector copies (memcpy for trivially copyable
-// K/V) — this is what keeps TransactionGraph's O(delta) snapshot cheap.
+// K/V).
 // Erase is swap-with-last on the dense array plus backward-shift deletion
 // in the slot index, so the container never tombstones; note that erase
 // therefore *permutes* iteration order deterministically (the last entry
@@ -67,12 +71,12 @@ class FlatMap {
   }
 
   const_iterator find(const Key& key) const {
-    const size_t slot = FindSlot(key, Hash{}(key));
+    const size_t slot = FindSlot(key, HashOf(key));
     if (slot == kNoSlot || slots_[slot] == kEmpty) return end();
     return &entries_[slots_[slot]];
   }
   iterator find(const Key& key) {
-    const size_t slot = FindSlot(key, Hash{}(key));
+    const size_t slot = FindSlot(key, HashOf(key));
     if (slot == kNoSlot || slots_[slot] == kEmpty) return end();
     return &entries_[slots_[slot]];
   }
@@ -84,7 +88,7 @@ class FlatMap {
   template <typename K, typename V>
   std::pair<iterator, bool> emplace(K&& key, V&& value) {
     GrowIfNeeded();
-    const size_t hash = Hash{}(key);
+    const size_t hash = HashOf(key);
     const size_t slot = FindSlot(key, hash);
     if (slots_[slot] != kEmpty) return {&entries_[slots_[slot]], false};
     slots_[slot] = static_cast<uint32_t>(entries_.size());
@@ -100,7 +104,7 @@ class FlatMap {
 
   /// Erases by key; returns the number of entries removed (0 or 1).
   size_t erase(const Key& key) {
-    const size_t slot = FindSlot(key, Hash{}(key));
+    const size_t slot = FindSlot(key, HashOf(key));
     if (slot == kNoSlot || slots_[slot] == kEmpty) return 0;
     EraseSlot(slot);
     return 1;
@@ -126,6 +130,14 @@ class FlatMap {
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
   static constexpr size_t kNoSlot = SIZE_MAX;
+
+  // The cached hash: Hash{} through the splitmix64 finalizer.
+  static size_t HashOf(const Key& key) {
+    uint64_t x = Hash{}(key);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<size_t>(x ^ (x >> 31));
+  }
 
   static size_t SlotCountFor(size_t n) {
     size_t cap = 16;
@@ -195,7 +207,7 @@ class FlatMap {
   }
 
   std::vector<Entry> entries_;  // Insertion order; iteration order.
-  std::vector<size_t> hashes_;  // Cached Hash{}(entries_[i].first).
+  std::vector<size_t> hashes_;  // Cached HashOf(entries_[i].first).
   std::vector<uint32_t> slots_;  // Power-of-two linear-probing index.
 };
 

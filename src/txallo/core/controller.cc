@@ -172,10 +172,7 @@ void TxAlloController::ExtendNodeOrder() {
 }
 
 Result<AdaptiveRunInfo> TxAlloController::StepAdaptive() {
-  // Fold the delta overlay back into the frozen CSR core once it gets big
-  // enough to slow reads/copies; a pure function of graph state, so the
-  // sync and async pipelines make the same (bit-neutral) decision.
-  graph_.MaybeRefreeze();
+  graph_.Consolidate();
   allocation_.GrowAccounts(graph_.num_nodes());
   RefreshCapacity();
   ExtendNodeOrder();
@@ -190,10 +187,7 @@ Result<AdaptiveRunInfo> TxAlloController::StepAdaptive() {
 }
 
 Result<GlobalRunInfo> TxAlloController::StepGlobal() {
-  // A global step is O(N + E) regardless; refreeze so Louvain and the
-  // sweeps read a pure CSR core, and so the post-step controller snapshot
-  // copy is O(1).
-  graph_.Refreeze();
+  graph_.Consolidate();
   allocation_.GrowAccounts(graph_.num_nodes());
   RefreshCapacity();
   ExtendNodeOrder();

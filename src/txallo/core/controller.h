@@ -55,7 +55,7 @@ class TxAlloController {
 
   /// What StepAdaptive()/StepGlobal() change: the mapping, σ/Λ̂, V̂ and the
   /// λ/ε rescaling. A step leaves the graph's contents untouched (it only
-  /// refreezes its representation), so restoring the checkpoint taken
+  /// consolidates the delta log), so restoring the checkpoint taken
   /// before a step undoes that step exactly.
   struct Checkpoint {
     alloc::Allocation allocation;

@@ -122,7 +122,7 @@ class WeightToCommunity {
 // with each node's (ℓ, s). Entries keep Neighbors(v)'s order, so every
 // accumulation over a packed row adds the same weights in the same order
 // as over the graph's own row; the sweeps then read memory sequentially
-// instead of jumping to CSR offsets or probing the shadow-row map.
+// instead of jumping to CSR offsets.
 //
 // Beside each row sits room for the node's saved accumulation: min(degree,
 // `cache_width`) slots. A touched list has at most one entry per neighbour

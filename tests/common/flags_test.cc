@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace txallo {
@@ -52,6 +53,19 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_TRUE(f.GetBool("b", false));
   EXPECT_TRUE(f.GetBool("c", false));
   EXPECT_FALSE(f.GetBool("d", true));
+}
+
+TEST(FlagsTest, UnknownNameIsRejectedByName) {
+  const std::vector<std::string_view> known = {"brokers", "k"};
+  EXPECT_TRUE(ParseArgs({"--brokers=3", "--k", "4"}).CheckNames(known).ok());
+  EXPECT_TRUE(ParseArgs({}).CheckNames(known).ok());
+  const Status typo =
+      ParseArgs({"--k=4", "--brokers-typo=3"}).CheckNames(known);
+  EXPECT_EQ(typo.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(typo.message(), "unknown flag --brokers-typo");
+  // A bare flag and a space-separated value are names like any other.
+  EXPECT_FALSE(ParseArgs({"--verbose"}).CheckNames(known).ok());
+  EXPECT_FALSE(ParseArgs({"--kk", "4"}).CheckNames(known).ok());
 }
 
 TEST(BenchScaleTest, FlagOverridesPreset) {

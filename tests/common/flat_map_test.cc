@@ -1,5 +1,5 @@
-// FlatMap / Arena: the deterministic hot-path containers the delta-log
-// graph and the shard state DB are built on. The load-bearing properties
+// FlatMap: the deterministic hot-path container the account registry and
+// the shard state DB are built on. The load-bearing properties
 // are (a) std::unordered_map-equivalent lookup semantics under randomized
 // insert/erase schedules and (b) iteration order that is a pure function of
 // the operation sequence — never of hash seeds or load factors.
@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "txallo/common/arena.h"
 #include "txallo/common/rng.h"
 
 namespace txallo::common {
@@ -160,41 +159,28 @@ TEST(FlatMapTest, ReserveKeepsContents) {
   EXPECT_EQ(map.size(), 1001u);
 }
 
-TEST(ArenaTest, AppendViewRoundTrip) {
-  Arena<int> arena;
-  const std::vector<int> a = {1, 2, 3};
-  const std::vector<int> b = {4, 5};
-  const auto ra = arena.Append(a);
-  const auto rb = arena.Append(b);
-  EXPECT_EQ(arena.size(), 5u);
-  const auto va = arena.View(ra);
-  ASSERT_EQ(va.size(), 3u);
-  EXPECT_EQ(va[0], 1);
-  EXPECT_EQ(va[2], 3);
-  const auto vb = arena.View(rb);
-  ASSERT_EQ(vb.size(), 2u);
-  EXPECT_EQ(vb[1], 5);
-}
-
-TEST(ArenaTest, RefsSurviveCopiesAndGrowth) {
-  Arena<int> arena;
-  const std::vector<int> first = {7, 8};
-  const auto ref = arena.Append(first);
-  // Force reallocation; the (offset, length) ref must stay valid.
-  std::vector<int> filler(10'000, 0);
-  arena.Append(filler);
-  const Arena<int> copy = arena;  // Refs are offsets, so they transfer.
-  EXPECT_EQ(copy.View(ref)[0], 7);
-  EXPECT_EQ(copy.View(ref)[1], 8);
-  EXPECT_EQ(copy.MemoryBytes(), arena.MemoryBytes());
-}
-
-TEST(ArenaTest, ClearEmptiesBuffer) {
-  Arena<int> arena;
-  arena.Append(std::vector<int>{1});
-  arena.Clear();
-  EXPECT_EQ(arena.size(), 0u);
-  EXPECT_EQ(arena.MemoryBytes(), 0u);
+TEST(FlatMapTest, AbsentKeysInsideAContiguousRun) {
+  // Consecutive integer keys (the state DB's staged sequence numbers) next
+  // to lookups of absent keys inside and around the run, with erases
+  // punching holes: every answer must match std::unordered_map.
+  FlatMap<uint64_t, int> map;
+  std::unordered_map<uint64_t, int> reference;
+  for (uint64_t k = 1000; k < 9000; ++k) {
+    map.emplace(k, static_cast<int>(k));
+    reference.emplace(k, static_cast<int>(k));
+  }
+  for (uint64_t k = 1000; k < 9000; k += 3) {
+    EXPECT_EQ(map.erase(k), reference.erase(k));
+  }
+  for (uint64_t k = 0; k < 20'000; ++k) {
+    const auto it = map.find(k);
+    const auto want = reference.find(k);
+    ASSERT_EQ(it == map.end(), want == reference.end()) << "key " << k;
+    if (it != map.end()) {
+      EXPECT_EQ(it->second, want->second) << "key " << k;
+    }
+  }
+  EXPECT_EQ(map.size(), reference.size());
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // neighbours moved. All are pure speed changes: on seeded random graphs,
 // the allocation bytes, the σ/Λ̂ bits and the sweep counts must equal
 // those of the straightforward loops kept verbatim below as the reference.
-// Cases cover a refrozen graph swept in full (the G-TxAllo path), live
-// shadow rows swept over a V̂ subset (the A-TxAllo path), the
+// Cases cover a graph consolidated once swept in full (the G-TxAllo path),
+// a graph built over many consolidations swept over a V̂ subset (the
+// A-TxAllo path), the
 // all-communities ablation, k in {1, 3, 16, 17}, isolated and unassigned
 // nodes, long runs of moves beside settled nodes, hubs whose touched list
 // fills its saved slots, V̂ subsets whose neighbours lie outside V̂,
@@ -306,7 +307,7 @@ int CheckBothPaths(const TransactionGraph& g, const std::vector<NodeId>& nodes,
 // --- Cases ------------------------------------------------------------------
 
 TEST(SweepEquivalenceTest, RefrozenGraphFullOrder) {
-  // The G-TxAllo shape: every node swept, rows read from a frozen core.
+  // The G-TxAllo shape: every node swept over a graph consolidated once.
   int total_sweeps = 0;
   for (const uint32_t k : {1u, 3u, 16u, 17u}) {
     for (const double capacity_factor : {0.6, 1.0, 3.0}) {
@@ -316,8 +317,6 @@ TEST(SweepEquivalenceTest, RefrozenGraphFullOrder) {
                      " search_all=" + std::to_string(search_all));
         Rng rng(1000 + k);
         TransactionGraph g = RandomGraph(&rng, 4000);
-        g.Refreeze();
-        ASSERT_EQ(g.overlay_rows(), 0u);
         const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
         const AllocationParams params = Params(g, k, capacity_factor);
         GlobalOptions options;
@@ -333,19 +332,21 @@ TEST(SweepEquivalenceTest, RefrozenGraphFullOrder) {
 }
 
 TEST(SweepEquivalenceTest, ShadowRowsOverSubset) {
-  // The A-TxAllo shape: a frozen core plus live shadow rows from a later
-  // consolidation; only the nodes that consolidation touched are swept.
+  // The A-TxAllo shape: a graph built over many consolidations, the later
+  // ones merging small logs into a large core; only a subset is swept.
   for (const uint32_t k : {1u, 3u, 16u, 17u}) {
     for (const bool search_all : {false, true}) {
       SCOPED_TRACE("k=" + std::to_string(k) +
                    " search_all=" + std::to_string(search_all));
       Rng rng(2000 + k);
       TransactionGraph g = RandomGraph(&rng, 4000);
-      for (int e = 0; e < 40; ++e) AddRandomEdge(&rng, &g);
-      g.Consolidate();
-      ASSERT_GT(g.overlay_rows(), 0u);
-      // V̂ in shuffled order: a third of the nodes, so a mix of shadow
-      // and core rows, plus half the isolated ones.
+      for (int batch = 0; batch < 4; ++batch) {
+        for (int e = 0; e < 10; ++e) AddRandomEdge(&rng, &g);
+        g.Consolidate();
+      }
+      // V̂ in shuffled order: a third of the nodes, so a mix of rows the
+      // later consolidations merged and rows they copied, plus half the
+      // isolated ones.
       std::vector<NodeId> touched;
       for (NodeId v : ShuffledOrder(&rng, g.num_nodes())) {
         const bool isolated = v >= kNodes - kIsolated;
@@ -369,7 +370,6 @@ TEST(SweepEquivalenceTest, SweepsSkipUnassignedNodes) {
     SCOPED_TRACE("k=" + std::to_string(k));
     Rng rng(3000 + k);
     TransactionGraph g = RandomGraph(&rng, 3000);
-    g.Refreeze();
     const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
     const Allocation start = RandomAllocation(&rng, kNodes, k);
     const AllocationParams params = Params(g, k, 1.0);
@@ -382,7 +382,6 @@ TEST(SweepEquivalenceTest, SweepCapStopsBothAlike) {
   // A tight max_sweeps ends the loop before the ε test does.
   Rng rng(4000);
   TransactionGraph g = RandomGraph(&rng, 4000);
-  g.Refreeze();
   const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
   const Allocation start = RandomAllocation(&rng, kNodes, 16);
   for (const int max_sweeps : {0, 1, 2}) {
@@ -434,7 +433,6 @@ TEST(SweepEquivalenceTest, LongRunsOfMovesBesideSettledNodes) {
         AddHubs(&rng, 200, &g);
         AddLoners(&g);
         g.Consolidate();
-        g.Refreeze();
         const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
         AllocationParams params = Params(g, k, capacity_factor);
         params.epsilon = 1e-300;
@@ -489,7 +487,6 @@ TEST(SweepEquivalenceTest, NearTiedGainsFollowTouchedOrder) {
                    " k=" + std::to_string(k));
       Rng rng(7000 + seed);
       TransactionGraph g = RandomGraph(&rng, 400);
-      g.Refreeze();
       const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
       AllocationParams params = Params(g, k, 8.0);
       params.epsilon = 1e-300;
@@ -508,7 +505,6 @@ TEST(SweepEquivalenceTest, RepeatedNodesAreSweptEachTime) {
     SCOPED_TRACE("k=" + std::to_string(k));
     Rng rng(8000 + k);
     TransactionGraph g = RandomGraph(&rng, 3000);
-    g.Refreeze();
     std::vector<NodeId> nodes = ShuffledOrder(&rng, g.num_nodes());
     const std::vector<NodeId> again = ShuffledOrder(&rng, g.num_nodes());
     nodes.insert(nodes.end(), again.begin(), again.begin() + 200);

@@ -4,7 +4,8 @@
 // are pure speed changes: on seeded graphs, the communities, their count
 // and the level count must equal those of the loops kept verbatim below as
 // the reference. Cases cover hubs, isolated nodes, self-loops, three or
-// more levels, resolutions other than 1, and overlaid and refrozen graphs.
+// more levels, resolutions other than 1, and graphs built over one or many
+// consolidations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -290,7 +291,8 @@ int CheckBothPaths(const TransactionGraph& g, const std::vector<NodeId>& order,
 // --- Cases ------------------------------------------------------------------
 
 TEST(LouvainEquivalenceTest, RefrozenGraphs) {
-  // The G-TxAllo shape: a refrozen graph, every node in a shuffled order.
+  // The G-TxAllo shape: a graph consolidated once, every node in a
+  // shuffled order.
   int max_levels = 0;
   for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
     for (const double resolution : {0.5, 1.0, 1.7}) {
@@ -298,8 +300,6 @@ TEST(LouvainEquivalenceTest, RefrozenGraphs) {
                    " resolution=" + std::to_string(resolution));
       Rng rng(100 + seed);
       TransactionGraph g = RandomGraph(&rng, 5000);
-      g.Refreeze();
-      ASSERT_EQ(g.overlay_rows(), 0u);
       LouvainOptions options;
       options.resolution = resolution;
       max_levels = std::max(
@@ -312,16 +312,18 @@ TEST(LouvainEquivalenceTest, RefrozenGraphs) {
 }
 
 TEST(LouvainEquivalenceTest, OverlaidGraphs) {
-  // Shadow rows over a frozen core, read without a refreeze.
+  // The A-TxAllo shape: a graph built over many consolidations, the later
+  // ones merging small logs into a large core.
   for (const uint64_t seed : {1u, 2u, 3u}) {
     for (const double resolution : {0.8, 1.0, 2.5}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " resolution=" + std::to_string(resolution));
       Rng rng(200 + seed);
       TransactionGraph g = RandomGraph(&rng, 4000);
-      for (int e = 0; e < 60; ++e) AddRandomEdge(&rng, &g);
-      g.Consolidate();
-      ASSERT_GT(g.overlay_rows(), 0u);
+      for (int batch = 0; batch < 3; ++batch) {
+        for (int e = 0; e < 20; ++e) AddRandomEdge(&rng, &g);
+        g.Consolidate();
+      }
       LouvainOptions options;
       options.resolution = resolution;
       CheckBothPaths(g, ShuffledOrder(&rng, g.num_nodes()), options);
@@ -338,7 +340,6 @@ TEST(LouvainEquivalenceTest, SparseGraphsAndTightCaps) {
                    " max_levels=" + std::to_string(max_levels));
       Rng rng(300);
       TransactionGraph g = RandomGraph(&rng, 900);
-      g.Refreeze();
       LouvainOptions options;
       options.max_sweeps_per_level = max_sweeps;
       options.max_levels = max_levels;

@@ -1,8 +1,8 @@
 // Lint fixture: hash-order iteration in a graph path. The delta-log CSR
-// promises bit-identical reads across copy / refreeze, so txallo/graph/
+// promises bit-identical reads across copy / fold, so txallo/graph/
 // is in unordered-iter scope; hot paths use common::FlatMap (insertion
 // order) and must not regress to hash-order. Expected findings:
-// unordered-iter on the range-for over the unordered shadow-row map —
+// unordered-iter on the range-for over the unordered strength map —
 // none on the vector loop.
 #include <cstdint>
 #include <unordered_map>

@@ -46,7 +46,7 @@ Rules (ids are what `allow(...)` escapes name):
                 txallo/mempool/ (admission decisions and dispatch order
                 are part of the recorded trace), txallo/graph/ (the
                 delta-log CSR promises bit-identical reads across copy /
-                refreeze), txallo/chain/ (the account registry assigns
+                consolidation), txallo/chain/ (the account registry assigns
                 ids in first-seen order), txallo/core/ (gain sweeps
                 visit communities in deterministic order; these paths use
                 common::FlatMap, which iterates in insertion order, and
