@@ -89,6 +89,17 @@ class PipelineRun {
   Result<PipelineResult> Run();
 
  private:
+  /// The run's logical configuration, resolved once: shard count, work
+  /// model and state backend from the engine, size and fingerprint from
+  /// the ledger, and the driving fields (epoch cadence, ingest mode,
+  /// open-loop parameters, workload spec) from the trace on replay and
+  /// from the pipeline config otherwise. The replay guard compares it with
+  /// the trace, the run reads its driving parameters from it, and a
+  /// recording stores it.
+  ReplayLog::Meta ResolveMeta() const;
+  bool OpenLoop() const {
+    return meta_.ingest_mode == static_cast<uint8_t>(IngestMode::kOpenLoop);
+  }
   Status Validate();
   Status Bootstrap();
   /// Publishes `next` and charges the account-migration delta (the very
@@ -130,13 +141,7 @@ class PipelineRun {
   const ReplayLog* const replay_;
   const bool recording_;
 
-  // Resolved from the replay meta when replaying, from config otherwise.
-  uint32_t blocks_per_epoch_ = 0;
-  IngestMode ingest_mode_ = IngestMode::kClosedLoop;
-  OpenLoopConfig open_loop_;
-  // One full-ledger hash per run, shared by the replay guard and the
-  // recorded meta.
-  uint64_t ledger_fingerprint_ = 0;
+  ReplayLog::Meta meta_;
 
   PipelineResult result_;
   ReplayLog observed_;  // Built along the run when recording.
@@ -158,13 +163,54 @@ class PipelineRun {
   mempool::AdmissionStats admission_prev_;
 };
 
-Status PipelineRun::Validate() {
-  if (blocks_per_epoch_ == 0) {
-    return Status::InvalidArgument("blocks_per_epoch must be positive");
+ReplayLog::Meta PipelineRun::ResolveMeta() const {
+  // Fields the run ignores (open-loop ones in a closed loop, state ones
+  // with the backend off) stay zero, as ReplayLog::Meta documents.
+  ReplayLog::Meta meta;
+  if (replay_ != nullptr) {
+    meta = replay_->meta;
+    // A replay that names no workload runs under the trace's.
+    if (!config_.workload_spec.empty()) {
+      meta.workload_spec = config_.workload_spec;
+    }
+  } else {
+    meta.blocks_per_epoch = config_.blocks_per_epoch;
+    meta.ingest_mode = static_cast<uint8_t>(config_.ingest_mode);
+    meta.workload_spec = config_.workload_spec;
+    if (config_.ingest_mode == IngestMode::kOpenLoop) {
+      const OpenLoopConfig& open = config_.open_loop;
+      meta.offered_load = open.offered_load;
+      meta.dispatch_per_tick = open.dispatch_per_tick;
+      meta.fee_levels = open.fee_levels;
+      meta.fee_seed = open.fee_seed;
+      meta.mempool_capacity = open.mempool.capacity;
+      meta.mempool_staging_capacity = open.mempool.staging_capacity;
+      meta.account_pending_limit = open.mempool.account_pending_limit;
+      meta.account_rate_limit = open.mempool.account_rate_limit;
+      meta.ttl_ticks = open.mempool.ttl_ticks;
+      meta.admission_policy = static_cast<uint8_t>(open.mempool.policy);
+    }
   }
-  if (engine_ == nullptr || (alloc_ == nullptr && replay_ == nullptr)) {
-    return Status::InvalidArgument(
-        "RunReallocatedStream needs a non-null allocator and engine");
+  const EngineConfig& ec = engine_->config();
+  meta.num_shards = ec.num_shards;
+  meta.eta = ec.work.eta;
+  meta.capacity_per_block = ec.work.capacity_per_block;
+  meta.cross_shard_commit_rounds = ec.work.cross_shard_commit_rounds;
+  meta.state_enabled = ec.state.enabled;
+  meta.state_initial_balance = ec.state.enabled ? ec.state.initial_balance : 0;
+  meta.state_migration_work =
+      ec.state.enabled ? ec.state.migration_work_per_account : 0.0;
+  meta.ledger_blocks = ledger_.num_blocks();
+  meta.ledger_transactions = ledger_.num_transactions();
+  // The one full-ledger hash of a run, only when a trace is written or
+  // checked.
+  meta.ledger_fingerprint = recording_ ? FingerprintLedger(ledger_) : 0;
+  return meta;
+}
+
+Status PipelineRun::Validate() {
+  if (meta_.blocks_per_epoch == 0) {
+    return Status::InvalidArgument("blocks_per_epoch must be positive");
   }
   if (!engine_->config().hash_route_unassigned) {
     return Status::InvalidArgument(
@@ -172,66 +218,35 @@ Status PipelineRun::Validate() {
         "accounts created since the last epoch have no shard in the "
         "allocator's snapshot and must hash-route until the next Rebalance");
   }
-  if (ingest_mode_ == IngestMode::kOpenLoop &&
-      !(open_loop_.offered_load > 0.0)) {
+  if (OpenLoop() && !(meta_.offered_load > 0.0)) {
     return Status::InvalidArgument(
         "open-loop ingest needs a positive offered_load (transactions per "
         "tick)");
   }
-  if (recording_) {
-    // A trace covers a run from block 0 with no traffic before it; ingested
-    // transactions that predate recording would leave phantom events (or,
-    // on replay, divergent streams) that only surface as a late Internal
-    // error instead of this loud one.
-    if (engine_->current_block() != 0 ||
-        engine_->Snapshot().sim.submitted != 0) {
-      return Status::InvalidArgument(
-          "record/replay needs a fresh engine: the trace must cover the run "
-          "from block 0 with no prior submissions");
-    }
-  } else if (ingest_mode_ == IngestMode::kOpenLoop) {
-    if (engine_->current_block() != 0 ||
-        engine_->Snapshot().sim.submitted != 0) {
-      return Status::InvalidArgument(
-          "open-loop ingest needs a fresh engine: commit observation must "
-          "precede the first submission");
-    }
+  // A trace covers a run from block 0 with no traffic before it; ingested
+  // transactions that predate recording would leave phantom events (or, on
+  // replay, divergent streams) that only surface as a late Internal error
+  // instead of this loud one.
+  if ((recording_ || OpenLoop()) &&
+      (engine_->current_block() != 0 ||
+       engine_->Snapshot().sim.submitted != 0)) {
+    return Status::InvalidArgument(
+        recording_ ? "record/replay needs a fresh engine: the trace must "
+                     "cover the run from block 0 with no prior submissions"
+                   : "open-loop ingest needs a fresh engine: commit "
+                     "observation must precede the first submission");
   }
-  ledger_fingerprint_ = recording_ ? FingerprintLedger(ledger_) : 0;
   if (replay_ != nullptr) {
-    const EngineConfig& ec = engine_->config();
-    if (replay_->meta.num_shards != ec.num_shards ||
-        replay_->meta.eta != ec.work.eta ||
-        replay_->meta.capacity_per_block != ec.work.capacity_per_block ||
-        replay_->meta.cross_shard_commit_rounds !=
-            ec.work.cross_shard_commit_rounds) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under a different engine configuration "
-          "(shard count or work model)");
-    }
-    if (replay_->meta.state_enabled != ec.state.enabled ||
-        (ec.state.enabled &&
-         (replay_->meta.state_initial_balance != ec.state.initial_balance ||
-          replay_->meta.state_migration_work !=
-              ec.state.migration_work_per_account))) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under a different account-state "
-          "configuration (backend on/off, initial balance or migration "
-          "cost)");
-    }
-    if (!config_.workload_spec.empty() &&
-        replay_->meta.workload_spec != config_.workload_spec) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under workload spec '" +
-          replay_->meta.workload_spec + "', not '" + config_.workload_spec +
-          "'");
-    }
-    if (replay_->meta.ledger_blocks != ledger_.num_blocks() ||
-        replay_->meta.ledger_transactions != ledger_.num_transactions() ||
-        replay_->meta.ledger_fingerprint != ledger_fingerprint_) {
-      return Status::InvalidArgument(
-          "replay trace was recorded over a different transaction stream "
-          "(ledger fingerprint mismatch)");
+    // Every meta field must match: the engine and ledger ones name a wrong
+    // configuration or input, the driving ones are the trace's own.
+    ReplayLog recorded;
+    ReplayLog resolved;
+    recorded.meta = replay_->meta;
+    resolved.meta = meta_;
+    const std::string mismatch = DescribeTraceDivergence(recorded, resolved);
+    if (!mismatch.empty()) {
+      return Status::InvalidArgument("replay trace does not match this run: " +
+                                     mismatch);
     }
     if (engine_->allocation_snapshot() != nullptr) {
       // The trace provides the initial mapping; a pre-installed snapshot
@@ -432,7 +447,7 @@ Status PipelineRun::CloseWindow(StepMetrics metrics, bool more_traffic) {
 }
 
 Status PipelineRun::RunClosedLoop() {
-  workload::BlockWindowStream epochs(&ledger_, blocks_per_epoch_);
+  workload::BlockWindowStream epochs(&ledger_, meta_.blocks_per_epoch);
   while (!epochs.Done()) {
     const workload::BlockWindowStream::Window window = epochs.Next();
     for (size_t b = window.first_block_index; b < window.last_block_index;
@@ -489,23 +504,30 @@ Status PipelineRun::RunOpenLoop() {
   // engine fresh, so this precedes every registration.
   engine_->EnableCommitObservation();
 
-  mempool::MempoolConfig pool_config = open_loop_.mempool;
+  // The caller's config keeps the physical knobs; the admission
+  // parameters are the run's.
+  mempool::MempoolConfig pool_config = config_.open_loop.mempool;
+  pool_config.capacity = meta_.mempool_capacity;
+  pool_config.account_pending_limit = meta_.account_pending_limit;
+  pool_config.account_rate_limit = meta_.account_rate_limit;
+  pool_config.ttl_ticks = meta_.ttl_ticks;
+  pool_config.policy =
+      static_cast<mempool::AdmissionPolicy>(meta_.admission_policy);
   // Staging holds any single tick's offer, so TrySubmit never refuses an
   // arrival and every drop decision happens at the seal, in pool_seq order.
   const size_t tick_offer =
-      static_cast<size_t>(std::ceil(open_loop_.offered_load)) + 1;
+      static_cast<size_t>(std::ceil(meta_.offered_load)) + 1;
   pool_config.staging_capacity =
-      std::max(pool_config.staging_capacity, tick_offer);
+      std::max<size_t>(meta_.mempool_staging_capacity, tick_offer);
   mempool::Mempool pool(pool_config);
   std::optional<mempool::MempoolCleaner> cleaner;
-  if (open_loop_.cleaner) cleaner.emplace(&pool);
+  if (config_.open_loop.cleaner) cleaner.emplace(&pool);
   mempool::OfferedLoadGenerator generator(
-      ledger_,
-      mempool::OfferedLoadConfig{open_loop_.offered_load,
-                                 open_loop_.fee_levels, open_loop_.fee_seed});
-  const size_t dispatch_cap = open_loop_.dispatch_per_tick == 0
+      ledger_, mempool::OfferedLoadConfig{meta_.offered_load,
+                                          meta_.fee_levels, meta_.fee_seed});
+  const size_t dispatch_cap = meta_.dispatch_per_tick == 0
                                   ? std::numeric_limits<size_t>::max()
-                                  : open_loop_.dispatch_per_tick;
+                                  : meta_.dispatch_per_tick;
 
   std::vector<mempool::OfferedTx> released;
   common::Histogram window_hist;
@@ -550,7 +572,7 @@ Status PipelineRun::RunOpenLoop() {
     }
 
     ++ticks_in_window;
-    if (ticks_in_window == blocks_per_epoch_) {
+    if (ticks_in_window == meta_.blocks_per_epoch) {
       const bool drained = generator.Done() && pool.live_size() == 0 &&
                            pool.deferred_size() == 0 &&
                            pool.staged_size() == 0;
@@ -584,13 +606,13 @@ Status PipelineRun::Epilogue() {
   result_.report = engine_->DrainAndReport();
   // Commits decided during the drain still owe their latency samples.
   common::Histogram drain_hist;
-  if (ingest_mode_ == IngestMode::kOpenLoop) {
+  if (OpenLoop()) {
     RecordObservedCommits(&drain_hist);
   }
   if (result_.report.sim.blocks_elapsed > stream_end_block) {
     StepMetrics tail = WindowMetrics(result_.report, stream_end_block,
                                      result_.report.sim.blocks_elapsed);
-    if (ingest_mode_ == IngestMode::kOpenLoop) {
+    if (OpenLoop()) {
       tail.latency_p50_ticks = drain_hist.Percentile(50.0);
       tail.latency_p99_ticks = drain_hist.Percentile(99.0);
       tail.latency_p999_ticks = drain_hist.Percentile(99.9);
@@ -606,47 +628,7 @@ Status PipelineRun::Epilogue() {
     result_.epochs = replay_->epochs;
   }
   if (recording_) {
-    const EngineConfig& ec = engine_->config();
-    observed_.meta.num_shards = ec.num_shards;
-    observed_.meta.eta = ec.work.eta;
-    observed_.meta.capacity_per_block = ec.work.capacity_per_block;
-    observed_.meta.cross_shard_commit_rounds =
-        ec.work.cross_shard_commit_rounds;
-    // Normalized to zero when the backend is off, so meta equality can
-    // never hinge on a value the run ignored.
-    observed_.meta.state_enabled = ec.state.enabled;
-    observed_.meta.state_initial_balance =
-        ec.state.enabled ? ec.state.initial_balance : 0;
-    observed_.meta.state_migration_work =
-        ec.state.enabled ? ec.state.migration_work_per_account : 0.0;
-    observed_.meta.blocks_per_epoch = blocks_per_epoch_;
-    observed_.meta.ledger_blocks = ledger_.num_blocks();
-    observed_.meta.ledger_transactions = ledger_.num_transactions();
-    observed_.meta.ledger_fingerprint = ledger_fingerprint_;
-    // A replay may omit the spec (it is only checked when given), so the
-    // observed run names the workload the trace recorded.
-    observed_.meta.workload_spec = replay_ != nullptr
-                                       ? replay_->meta.workload_spec
-                                       : config_.workload_spec;
-    observed_.meta.ingest_mode = static_cast<uint8_t>(ingest_mode_);
-    if (ingest_mode_ == IngestMode::kOpenLoop) {
-      // Same normalization rule: closed-loop traces keep the open-loop
-      // fields at their zero defaults.
-      observed_.meta.offered_load = open_loop_.offered_load;
-      observed_.meta.dispatch_per_tick = open_loop_.dispatch_per_tick;
-      observed_.meta.fee_levels = open_loop_.fee_levels;
-      observed_.meta.fee_seed = open_loop_.fee_seed;
-      observed_.meta.mempool_capacity = open_loop_.mempool.capacity;
-      observed_.meta.mempool_staging_capacity =
-          open_loop_.mempool.staging_capacity;
-      observed_.meta.account_pending_limit =
-          open_loop_.mempool.account_pending_limit;
-      observed_.meta.account_rate_limit =
-          open_loop_.mempool.account_rate_limit;
-      observed_.meta.ttl_ticks = open_loop_.mempool.ttl_ticks;
-      observed_.meta.admission_policy =
-          static_cast<uint8_t>(open_loop_.mempool.policy);
-    }
+    observed_.meta = meta_;
     observed_.steps = result_.steps;
     observed_.alloc_seconds = result_.alloc_seconds;
     observed_.alloc_wait_seconds = result_.alloc_wait_seconds;
@@ -671,30 +653,11 @@ Status PipelineRun::Epilogue() {
 }
 
 Result<PipelineResult> PipelineRun::Run() {
-  blocks_per_epoch_ = replay_ != nullptr ? replay_->meta.blocks_per_epoch
-                                         : config_.blocks_per_epoch;
-  ingest_mode_ = replay_ != nullptr
-                     ? static_cast<IngestMode>(replay_->meta.ingest_mode)
-                     : config_.ingest_mode;
-  open_loop_ = config_.open_loop;
-  if (replay_ != nullptr && ingest_mode_ == IngestMode::kOpenLoop) {
-    // The trace's driving parameters override the caller's — only the
-    // physical knobs (cleaner on/off, chunking) stay caller-controlled,
-    // because they cannot change any output.
-    open_loop_.offered_load = replay_->meta.offered_load;
-    open_loop_.dispatch_per_tick = replay_->meta.dispatch_per_tick;
-    open_loop_.fee_levels = replay_->meta.fee_levels;
-    open_loop_.fee_seed = replay_->meta.fee_seed;
-    open_loop_.mempool.capacity = replay_->meta.mempool_capacity;
-    open_loop_.mempool.staging_capacity =
-        replay_->meta.mempool_staging_capacity;
-    open_loop_.mempool.account_pending_limit =
-        replay_->meta.account_pending_limit;
-    open_loop_.mempool.account_rate_limit = replay_->meta.account_rate_limit;
-    open_loop_.mempool.ttl_ticks = replay_->meta.ttl_ticks;
-    open_loop_.mempool.policy =
-        static_cast<mempool::AdmissionPolicy>(replay_->meta.admission_policy);
+  if (engine_ == nullptr || (alloc_ == nullptr && replay_ == nullptr)) {
+    return Status::InvalidArgument(
+        "RunReallocatedStream needs a non-null allocator and engine");
   }
+  meta_ = ResolveMeta();
   TXALLO_RETURN_NOT_OK(Validate());
   if (recording_) engine_->EnableTraceRecording();
 
@@ -706,7 +669,7 @@ Result<PipelineResult> PipelineRun::Run() {
 
   TXALLO_RETURN_NOT_OK(Bootstrap());
   prev_ = engine_->Snapshot();
-  if (ingest_mode_ == IngestMode::kOpenLoop) {
+  if (OpenLoop()) {
     TXALLO_RETURN_NOT_OK(RunOpenLoop());
   } else {
     TXALLO_RETURN_NOT_OK(RunClosedLoop());

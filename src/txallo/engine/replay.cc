@@ -1,8 +1,14 @@
 #include "txallo/engine/replay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 
 #include "txallo/common/sha256.h"
 
@@ -12,104 +18,38 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'X', 'T', 'R', 'A', 'C', 'E', '4'};
 
-// Fixed-width little-endian primitives. Explicit byte shuffling (not
-// memcpy of host representation) so traces recorded on any platform load
-// on any other.
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+// Value encodings. Every trace field has one of the types below, and each
+// type has one binary encoding and one text form (the CSV dump and
+// divergence messages). Numbers are fixed-width little-endian, shuffled
+// byte by byte rather than memcpy'd from the host representation, so
+// traces recorded on any platform load on any other.
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+void PutLe(std::string* out, uint64_t v, size_t bytes) {
+  for (size_t i = 0; i < bytes; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <typename T>
+void Put(std::string* out, const T& v) {
+  if constexpr (std::is_integral_v<T>) {
+    PutLe(out, static_cast<uint64_t>(v), sizeof(T));
+  } else if constexpr (std::is_same_v<T, double>) {
+    PutLe(out, std::bit_cast<uint64_t>(v), sizeof(T));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    PutLe(out, v.size(), sizeof(uint64_t));
+    out->append(v);
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    out->append(reinterpret_cast<const char*>(v.data()), v.size());
+  } else {
+    static_assert(std::is_same_v<T, alloc::Allocation>);
+    // Variable length: the account and shard counts, then every account's
+    // shard.
+    PutLe(out, v.num_accounts(), sizeof(uint64_t));
+    PutLe(out, v.num_shards(), sizeof(uint32_t));
+    for (alloc::ShardId shard : v.raw()) PutLe(out, shard, sizeof(shard));
   }
 }
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Cursor over a loaded byte buffer; every read is bounds-checked and a
-// short buffer latches the failure flag instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (!Need(4)) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (!Need(8)) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool ReadBytes(uint8_t* dst, size_t n) {
-    if (!Need(n)) return false;
-    std::memcpy(dst, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  // u64 length + raw bytes; the length is bounds-checked against the
-  // remaining buffer before any allocation.
-  bool ReadString(std::string* v) {
-    uint64_t len = 0;
-    if (!ReadU64(&len)) return false;
-    if (len > remaining()) {
-      failed_ = true;
-      return false;
-    }
-    v->assign(data_.data() + pos_, static_cast<size_t>(len));
-    pos_ += static_cast<size_t>(len);
-    return true;
-  }
-
-  bool failed() const { return failed_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool Need(size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 void HashU64(Sha256* hasher, uint64_t v) {
   uint8_t bytes[8];
@@ -117,7 +57,270 @@ void HashU64(Sha256* hasher, uint64_t v) {
   hasher->Update(bytes, sizeof(bytes));
 }
 
+template <typename T>
+void Print(std::ostream& os, const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, uint8_t>) {
+    os << static_cast<uint32_t>(v);
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    os << DigestToHex(v);
+  } else if constexpr (std::is_same_v<T, alloc::Allocation>) {
+    // The mapping itself is summarized (size + content hash); the binary
+    // trace is the machine-readable artifact.
+    Sha256 hasher;
+    for (alloc::ShardId shard : v.raw()) HashU64(&hasher, shard);
+    os << v.num_accounts() << ',' << v.num_shards() << ','
+       << DigestToHex(hasher.Finish()).substr(0, 16);
+  } else {
+    os << v;
+  }
+}
+
+// Reads one value off the front of `in`. Every read is bounds-checked and
+// returns false, reading nothing past the end, on a short buffer or an
+// out-of-range value.
+template <typename T>
+bool Read(std::string_view* in, T* v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    uint8_t byte = 0;
+    if (!Read(in, &byte)) return false;
+    *v = byte != 0;
+    return byte <= 1;
+  } else if constexpr (std::is_integral_v<T> || std::is_same_v<T, double>) {
+    if (in->size() < sizeof(T)) return false;
+    uint64_t bits = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bits |= static_cast<uint64_t>(static_cast<uint8_t>((*in)[i])) << (8 * i);
+    }
+    in->remove_prefix(sizeof(T));
+    if constexpr (std::is_same_v<T, double>) {
+      *v = std::bit_cast<double>(bits);
+    } else {
+      *v = static_cast<T>(bits);
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    // The length is checked against the remaining buffer before any
+    // allocation.
+    uint64_t len = 0;
+    if (!Read(in, &len) || len > in->size()) return false;
+    v->assign(in->substr(0, static_cast<size_t>(len)));
+    in->remove_prefix(static_cast<size_t>(len));
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    if (in->size() < v->size()) return false;
+    std::memcpy(v->data(), in->data(), v->size());
+    in->remove_prefix(v->size());
+  } else {
+    static_assert(std::is_same_v<T, alloc::Allocation>);
+    uint64_t num_accounts = 0;
+    uint32_t num_shards = 0;
+    if (!Read(in, &num_accounts) || !Read(in, &num_shards)) return false;
+    if (num_accounts > in->size() / sizeof(alloc::ShardId)) return false;
+    *v = alloc::Allocation(num_accounts, num_shards);
+    for (uint64_t a = 0; a < num_accounts; ++a) {
+      alloc::ShardId shard = 0;
+      if (!Read(in, &shard)) return false;
+      if (shard == alloc::kUnassignedShard) continue;
+      if (shard >= num_shards) return false;
+      v->Assign(static_cast<chain::AccountId>(a), shard);
+    }
+  }
+  return true;
+}
+
+// The trace format, described once. Each record is an ordered list of
+// (name, member) fields, and the log is its meta, its run-level fields and
+// five record streams. The binary writer and reader, the loader's count
+// guards, the CSV dump and the divergence check all walk these lists, so
+// the order here IS the byte order of TXTRACE4. Wall-clock fields are
+// saved and loaded but neither dumped nor compared: wall time is not
+// reproducible, the logical schedule is.
+
+enum class Clock : uint8_t { kLogical, kWall };
+
+template <typename Record, typename T>
+struct Field {
+  const char* name;
+  T Record::*member;
+  Clock clock = Clock::kLogical;
+  // For an enum stored as u8: its largest valid value (the loader rejects
+  // anything above it).
+  uint8_t max = std::numeric_limits<uint8_t>::max();
+};
+
+template <typename Record, typename Fields>
+struct Stream {
+  const char* kind;
+  std::vector<Record> ReplayLog::*member;
+  Fields fields;
+};
+
+using Meta = ReplayLog::Meta;
+
+constexpr auto kMetaFields = std::tuple{
+    Field{"num_shards", &Meta::num_shards},
+    Field{"eta", &Meta::eta},
+    Field{"capacity_per_block", &Meta::capacity_per_block},
+    Field{"cross_shard_commit_rounds", &Meta::cross_shard_commit_rounds},
+    Field{"state_enabled", &Meta::state_enabled},
+    Field{"state_initial_balance", &Meta::state_initial_balance},
+    Field{"state_migration_work", &Meta::state_migration_work},
+    Field{"blocks_per_epoch", &Meta::blocks_per_epoch},
+    Field{"ledger_blocks", &Meta::ledger_blocks},
+    Field{"ledger_transactions", &Meta::ledger_transactions},
+    Field{"ledger_fingerprint", &Meta::ledger_fingerprint},
+    Field{"ingest_mode", &Meta::ingest_mode, Clock::kLogical,
+          static_cast<uint8_t>(IngestMode::kOpenLoop)},
+    Field{"offered_load", &Meta::offered_load},
+    Field{"dispatch_per_tick", &Meta::dispatch_per_tick},
+    Field{"fee_levels", &Meta::fee_levels},
+    Field{"fee_seed", &Meta::fee_seed},
+    Field{"mempool_capacity", &Meta::mempool_capacity},
+    Field{"mempool_staging_capacity", &Meta::mempool_staging_capacity},
+    Field{"account_pending_limit", &Meta::account_pending_limit},
+    Field{"account_rate_limit", &Meta::account_rate_limit},
+    Field{"ttl_ticks", &Meta::ttl_ticks},
+    Field{"admission_policy", &Meta::admission_policy, Clock::kLogical,
+          static_cast<uint8_t>(mempool::AdmissionPolicy::kBlock)},
+    Field{"workload_spec", &Meta::workload_spec},
+};
+
+constexpr auto kRunFields = std::tuple{
+    Field{"alloc_seconds", &ReplayLog::alloc_seconds, Clock::kWall},
+    Field{"alloc_wait_seconds", &ReplayLog::alloc_wait_seconds,
+          Clock::kWall},
+    Field{"alloc_overlap_ratio", &ReplayLog::alloc_overlap_ratio,
+          Clock::kWall},
+    Field{"epochs", &ReplayLog::epochs},
+    Field{"accounts_moved", &ReplayLog::accounts_moved},
+};
+
+constexpr auto kPrepares = Stream{
+    "prepare", &ReplayLog::prepares,
+    std::tuple{Field{"block", &PrepareEvent::block},
+               Field{"shard", &PrepareEvent::shard},
+               Field{"seq", &PrepareEvent::seq}}};
+
+constexpr auto kCommits = Stream{
+    "commit", &ReplayLog::commits,
+    std::tuple{Field{"block", &CommitEvent::block},
+               Field{"seq", &CommitEvent::seq},
+               Field{"cross_shard", &CommitEvent::cross_shard},
+               Field{"aborted", &CommitEvent::aborted}}};
+
+constexpr auto kStateRoots = Stream{
+    "state_root", &ReplayLog::state_roots,
+    std::tuple{Field{"block", &TickStateRoot::block},
+               Field{"root", &TickStateRoot::root}}};
+
+constexpr auto kInstalls = Stream{
+    "install", &ReplayLog::installs,
+    std::tuple{Field{"block", &InstallEvent::block},
+               Field{"allocation", &InstallEvent::allocation}}};
+
+constexpr auto kSteps = Stream{
+    "step", &ReplayLog::steps,
+    std::tuple{
+        Field{"step", &StepMetrics::step},
+        Field{"first_block", &StepMetrics::first_block},
+        Field{"last_block", &StepMetrics::last_block},
+        Field{"submitted", &StepMetrics::submitted},
+        Field{"committed", &StepMetrics::committed},
+        Field{"cross_shard_submitted", &StepMetrics::cross_shard_submitted},
+        Field{"throughput_per_block", &StepMetrics::throughput_per_block},
+        Field{"cross_shard_ratio", &StepMetrics::cross_shard_ratio},
+        Field{"alloc_seconds", &StepMetrics::alloc_seconds, Clock::kWall},
+        Field{"alloc_wait_seconds", &StepMetrics::alloc_wait_seconds,
+              Clock::kWall},
+        Field{"installed", &StepMetrics::installed},
+        Field{"aborted", &StepMetrics::aborted},
+        Field{"accounts_migrated", &StepMetrics::accounts_migrated},
+        Field{"offered", &StepMetrics::offered},
+        Field{"admitted", &StepMetrics::admitted},
+        Field{"admission_dropped", &StepMetrics::admission_dropped},
+        Field{"mempool_depth", &StepMetrics::mempool_depth},
+        Field{"mempool_peak_depth", &StepMetrics::mempool_peak_depth},
+        Field{"latency_p50_ticks", &StepMetrics::latency_p50_ticks},
+        Field{"latency_p99_ticks", &StepMetrics::latency_p99_ticks},
+        Field{"latency_p999_ticks", &StepMetrics::latency_p999_ticks},
+    }};
+
+// The binary order of the streams (the CSV dump keeps its own).
+constexpr auto kStreams =
+    std::tuple{kPrepares, kCommits, kStateRoots, kInstalls, kSteps};
+
+template <typename Tuple, typename Fn>
+void ForEach(const Tuple& tuple, Fn&& fn) {
+  std::apply([&](const auto&... item) { (fn(item), ...); }, tuple);
+}
+
+template <typename Fields, typename Record>
+void PutFields(std::string* out, const Fields& fields, const Record& record) {
+  ForEach(fields,
+          [&](const auto& field) { Put(out, record.*field.member); });
+}
+
+// The fewest bytes one record of `stream` encodes to: a default record's
+// (an empty mapping, every number at its fixed width).
+template <typename Record, typename Fields>
+size_t MinRecordBytes(const Stream<Record, Fields>& stream) {
+  std::string probe;
+  PutFields(&probe, stream.fields, Record{});
+  return probe.size();
+}
+
+// Reads `record`'s fields in list order; returns the name of the first one
+// that is short or out of range, or nullptr when all of them read.
+template <typename Fields, typename Record>
+const char* ReadFields(std::string_view* in, const Fields& fields,
+                       Record& record) {
+  const char* bad = nullptr;
+  ForEach(fields, [&](const auto& field) {
+    if (bad != nullptr) return;
+    auto& value = record.*field.member;
+    bool ok = Read(in, &value);
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, uint8_t>) {
+      ok = ok && value <= field.max;
+    }
+    if (!ok) bad = field.name;
+  });
+  return bad;
+}
+
+// "<field>: recorded <a> vs replayed <b>" for the first logical field in
+// which the two records differ, or "" when they agree.
+template <typename Fields, typename Record>
+std::string FirstDifference(const Fields& fields, const Record& recorded,
+                            const Record& replayed) {
+  std::string out;
+  ForEach(fields, [&](const auto& field) {
+    if (!out.empty() || field.clock == Clock::kWall) return;
+    const auto& a = recorded.*field.member;
+    const auto& b = replayed.*field.member;
+    if (a == b) return;
+    std::ostringstream text;
+    text.precision(std::numeric_limits<double>::max_digits10);
+    text << field.name << ": recorded ";
+    Print(text, a);
+    text << " vs replayed ";
+    Print(text, b);
+    out = text.str();
+  });
+  return out;
+}
+
 std::string U64(uint64_t v) { return std::to_string(v); }
+
+Status WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file.is_open()) {
+    return Status::IOError("cannot open '" + path + "' for writing");
+  }
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  file.flush();
+  if (!file.good()) {
+    return Status::IOError("short write to '" + path + "'");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -143,92 +346,24 @@ uint64_t FingerprintLedger(const chain::Ledger& ledger) {
 
 std::string DescribeTraceDivergence(const ReplayLog& recorded,
                                     const ReplayLog& replayed) {
-  if (!(recorded.meta == replayed.meta)) {
-    return "trace meta differs (shards/work model/epoch cadence/ledger "
-           "fingerprint)";
-  }
-  if (recorded.prepares.size() != replayed.prepares.size()) {
-    return "prepare stream length: recorded " + U64(recorded.prepares.size()) +
-           " vs replayed " + U64(replayed.prepares.size());
-  }
-  for (size_t i = 0; i < recorded.prepares.size(); ++i) {
-    const PrepareEvent& a = recorded.prepares[i];
-    const PrepareEvent& b = replayed.prepares[i];
-    if (!(a == b)) {
-      return "prepare[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", shard=" + U64(a.shard) + ", seq=" + U64(a.seq) +
-             ") vs replayed (block=" + U64(b.block) + ", shard=" +
-             U64(b.shard) + ", seq=" + U64(b.seq) + ")";
+  std::string out = FirstDifference(kMetaFields, recorded.meta, replayed.meta);
+  if (!out.empty()) return "meta." + out;
+  ForEach(kStreams, [&](const auto& stream) {
+    if (!out.empty()) return;
+    const auto& a = recorded.*stream.member;
+    const auto& b = replayed.*stream.member;
+    if (a.size() != b.size()) {
+      out = std::string(stream.kind) + " count: recorded " + U64(a.size()) +
+            " vs replayed " + U64(b.size());
+      return;
     }
-  }
-  if (recorded.commits.size() != replayed.commits.size()) {
-    return "commit stream length: recorded " + U64(recorded.commits.size()) +
-           " vs replayed " + U64(replayed.commits.size());
-  }
-  for (size_t i = 0; i < recorded.commits.size(); ++i) {
-    const CommitEvent& a = recorded.commits[i];
-    const CommitEvent& b = replayed.commits[i];
-    if (!(a == b)) {
-      return "commit[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", seq=" + U64(a.seq) + ", cross=" + U64(a.cross_shard) +
-             ", aborted=" + U64(a.aborted) + ") vs replayed (block=" +
-             U64(b.block) + ", seq=" + U64(b.seq) + ", cross=" +
-             U64(b.cross_shard) + ", aborted=" + U64(b.aborted) + ")";
+    for (size_t i = 0; i < a.size() && out.empty(); ++i) {
+      const std::string diff = FirstDifference(stream.fields, a[i], b[i]);
+      if (!diff.empty()) out = stream.kind + ("[" + U64(i) + "].") + diff;
     }
-  }
-  if (recorded.state_roots.size() != replayed.state_roots.size()) {
-    return "state-root stream length: recorded " +
-           U64(recorded.state_roots.size()) + " vs replayed " +
-           U64(replayed.state_roots.size());
-  }
-  for (size_t i = 0; i < recorded.state_roots.size(); ++i) {
-    const TickStateRoot& a = recorded.state_roots[i];
-    const TickStateRoot& b = replayed.state_roots[i];
-    if (!(a == b)) {
-      return "state root[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", root=" + DigestToHex(a.root).substr(0, 16) +
-             "…) vs replayed (block=" + U64(b.block) + ", root=" +
-             DigestToHex(b.root).substr(0, 16) + "…)";
-    }
-  }
-  if (recorded.installs.size() != replayed.installs.size()) {
-    return "install count: recorded " + U64(recorded.installs.size()) +
-           " vs replayed " + U64(replayed.installs.size());
-  }
-  for (size_t i = 0; i < recorded.installs.size(); ++i) {
-    if (!(recorded.installs[i] == replayed.installs[i])) {
-      return "install[" + U64(i) + "] at block " +
-             U64(recorded.installs[i].block) +
-             ": mapping or block differs";
-    }
-  }
-  if (recorded.steps.size() != replayed.steps.size()) {
-    return "step count: recorded " + U64(recorded.steps.size()) +
-           " vs replayed " + U64(replayed.steps.size());
-  }
-  for (size_t i = 0; i < recorded.steps.size(); ++i) {
-    // Wall-clock fields are not reproducible; compare logical content only.
-    StepMetrics a = recorded.steps[i];
-    StepMetrics b = replayed.steps[i];
-    a.alloc_seconds = b.alloc_seconds = 0.0;
-    a.alloc_wait_seconds = b.alloc_wait_seconds = 0.0;
-    if (!(a == b)) {
-      return "step[" + U64(i) + "]: recorded (submitted=" + U64(a.submitted) +
-             ", committed=" + U64(a.committed) + ", cross=" +
-             U64(a.cross_shard_submitted) + ", aborted=" + U64(a.aborted) +
-             ", migrated=" + U64(a.accounts_migrated) + ", installed=" +
-             U64(a.installed) + ") vs replayed (submitted=" +
-             U64(b.submitted) + ", committed=" + U64(b.committed) +
-             ", cross=" + U64(b.cross_shard_submitted) + ", aborted=" +
-             U64(b.aborted) + ", migrated=" + U64(b.accounts_migrated) +
-             ", installed=" + U64(b.installed) + ")";
-    }
-  }
-  if (recorded.accounts_moved != replayed.accounts_moved) {
-    return "accounts_moved: recorded " + U64(recorded.accounts_moved) +
-           " vs replayed " + U64(replayed.accounts_moved);
-  }
-  return "";
+  });
+  if (!out.empty()) return out;
+  return FirstDifference(kRunFields, recorded, replayed);
 }
 
 namespace {
@@ -317,98 +452,17 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
   return RunReallocatedStream(ledger, nullptr, engine, replay_config);
 }
 
+
 Status SaveReplayLog(const ReplayLog& log, const std::string& path) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, log.meta.num_shards);
-  PutF64(&out, log.meta.eta);
-  PutF64(&out, log.meta.capacity_per_block);
-  PutU32(&out, log.meta.cross_shard_commit_rounds);
-  PutU8(&out, log.meta.state_enabled ? 1 : 0);
-  PutU64(&out, static_cast<uint64_t>(log.meta.state_initial_balance));
-  PutF64(&out, log.meta.state_migration_work);
-  PutU32(&out, log.meta.blocks_per_epoch);
-  PutU64(&out, log.meta.ledger_blocks);
-  PutU64(&out, log.meta.ledger_transactions);
-  PutU64(&out, log.meta.ledger_fingerprint);
-  PutU8(&out, log.meta.ingest_mode);
-  PutF64(&out, log.meta.offered_load);
-  PutU32(&out, log.meta.dispatch_per_tick);
-  PutU32(&out, log.meta.fee_levels);
-  PutU64(&out, log.meta.fee_seed);
-  PutU64(&out, log.meta.mempool_capacity);
-  PutU64(&out, log.meta.mempool_staging_capacity);
-  PutU32(&out, log.meta.account_pending_limit);
-  PutU32(&out, log.meta.account_rate_limit);
-  PutU64(&out, log.meta.ttl_ticks);
-  PutU8(&out, log.meta.admission_policy);
-  PutU64(&out, log.meta.workload_spec.size());
-  out.append(log.meta.workload_spec);
-  PutF64(&out, log.alloc_seconds);
-  PutF64(&out, log.alloc_wait_seconds);
-  PutF64(&out, log.alloc_overlap_ratio);
-  PutU64(&out, log.epochs);
-  PutU64(&out, log.accounts_moved);
-  PutU64(&out, log.prepares.size());
-  for (const PrepareEvent& event : log.prepares) {
-    PutU64(&out, event.block);
-    PutU32(&out, event.shard);
-    PutU64(&out, event.seq);
-  }
-  PutU64(&out, log.commits.size());
-  for (const CommitEvent& event : log.commits) {
-    PutU64(&out, event.block);
-    PutU64(&out, event.seq);
-    PutU8(&out, event.cross_shard ? 1 : 0);
-    PutU8(&out, event.aborted ? 1 : 0);
-  }
-  PutU64(&out, log.state_roots.size());
-  for (const TickStateRoot& root : log.state_roots) {
-    PutU64(&out, root.block);
-    out.append(reinterpret_cast<const char*>(root.root.data()),
-               root.root.size());
-  }
-  PutU64(&out, log.installs.size());
-  for (const InstallEvent& event : log.installs) {
-    PutU64(&out, event.block);
-    PutU64(&out, event.allocation.num_accounts());
-    PutU32(&out, event.allocation.num_shards());
-    for (alloc::ShardId shard : event.allocation.raw()) PutU32(&out, shard);
-  }
-  PutU64(&out, log.steps.size());
-  for (const StepMetrics& step : log.steps) {
-    PutU64(&out, step.step);
-    PutU64(&out, step.first_block);
-    PutU64(&out, step.last_block);
-    PutU64(&out, step.submitted);
-    PutU64(&out, step.committed);
-    PutU64(&out, step.cross_shard_submitted);
-    PutF64(&out, step.throughput_per_block);
-    PutF64(&out, step.cross_shard_ratio);
-    PutF64(&out, step.alloc_seconds);
-    PutF64(&out, step.alloc_wait_seconds);
-    PutU8(&out, step.installed ? 1 : 0);
-    PutU64(&out, step.aborted);
-    PutU64(&out, step.accounts_migrated);
-    PutU64(&out, step.offered);
-    PutU64(&out, step.admitted);
-    PutU64(&out, step.admission_dropped);
-    PutU64(&out, step.mempool_depth);
-    PutU64(&out, step.mempool_peak_depth);
-    PutU64(&out, step.latency_p50_ticks);
-    PutU64(&out, step.latency_p99_ticks);
-    PutU64(&out, step.latency_p999_ticks);
-  }
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  file.write(out.data(), static_cast<std::streamsize>(out.size()));
-  file.flush();
-  if (!file.good()) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  return Status::OK();
+  std::string out(kMagic, sizeof(kMagic));
+  PutFields(&out, kMetaFields, log.meta);
+  PutFields(&out, kRunFields, log);
+  ForEach(kStreams, [&](const auto& stream) {
+    const auto& records = log.*stream.member;
+    Put(&out, static_cast<uint64_t>(records.size()));
+    for (const auto& record : records) PutFields(&out, stream.fields, record);
+  });
+  return WriteFile(path, out);
 }
 
 Result<ReplayLog> LoadReplayLog(const std::string& path) {
@@ -423,217 +477,70 @@ Result<ReplayLog> LoadReplayLog(const std::string& path) {
     return Status::Corruption("'" + path +
                               "' is not a TXTRACE4 replay trace");
   }
-  const std::string body = data.substr(sizeof(kMagic));
-  Reader reader(body);
+  std::string_view in(data);
+  in.remove_prefix(sizeof(kMagic));
   ReplayLog log;
-  uint8_t flag = 0;
-  uint64_t balance_bits = 0;
-  bool ok = reader.ReadU32(&log.meta.num_shards) &&
-            reader.ReadF64(&log.meta.eta) &&
-            reader.ReadF64(&log.meta.capacity_per_block) &&
-            reader.ReadU32(&log.meta.cross_shard_commit_rounds) &&
-            reader.ReadU8(&flag) && reader.ReadU64(&balance_bits) &&
-            reader.ReadF64(&log.meta.state_migration_work) &&
-            reader.ReadU32(&log.meta.blocks_per_epoch) &&
-            reader.ReadU64(&log.meta.ledger_blocks) &&
-            reader.ReadU64(&log.meta.ledger_transactions) &&
-            reader.ReadU64(&log.meta.ledger_fingerprint) &&
-            reader.ReadU8(&log.meta.ingest_mode) &&
-            reader.ReadF64(&log.meta.offered_load) &&
-            reader.ReadU32(&log.meta.dispatch_per_tick) &&
-            reader.ReadU32(&log.meta.fee_levels) &&
-            reader.ReadU64(&log.meta.fee_seed) &&
-            reader.ReadU64(&log.meta.mempool_capacity) &&
-            reader.ReadU64(&log.meta.mempool_staging_capacity) &&
-            reader.ReadU32(&log.meta.account_pending_limit) &&
-            reader.ReadU32(&log.meta.account_rate_limit) &&
-            reader.ReadU64(&log.meta.ttl_ticks) &&
-            reader.ReadU8(&log.meta.admission_policy) &&
-            reader.ReadString(&log.meta.workload_spec) &&
-            reader.ReadF64(&log.alloc_seconds) &&
-            reader.ReadF64(&log.alloc_wait_seconds) &&
-            reader.ReadF64(&log.alloc_overlap_ratio) &&
-            reader.ReadU64(&log.epochs) &&
-            reader.ReadU64(&log.accounts_moved);
-  log.meta.state_enabled = flag != 0;
-  log.meta.state_initial_balance = static_cast<int64_t>(balance_bits);
-  uint64_t count = 0;
-  ok = ok && reader.ReadU64(&count);
-  // 20 bytes per prepare: reject counts the remaining bytes cannot hold
-  // before reserving (a corrupt length cannot balloon the allocation).
-  if (ok && count > reader.remaining() / 20) ok = false;
-  if (ok) {
-    log.prepares.resize(count);
-    for (PrepareEvent& event : log.prepares) {
-      ok = ok && reader.ReadU64(&event.block) && reader.ReadU32(&event.shard) &&
-           reader.ReadU64(&event.seq);
-    }
+  // Where the bytes stopped making sense; empty while they do.
+  std::string where;
+  const char* bad = ReadFields(&in, kMetaFields, log.meta);
+  if (bad != nullptr) {
+    where = std::string("meta.") + bad;
+  } else if ((bad = ReadFields(&in, kRunFields, log)) != nullptr) {
+    where = bad;
   }
-  ok = ok && reader.ReadU64(&count);
-  // 18 bytes per commit: block + seq + the cross-shard and aborted flags.
-  if (ok && count > reader.remaining() / 18) ok = false;
-  if (ok) {
-    log.commits.resize(count);
-    for (CommitEvent& event : log.commits) {
-      ok = ok && reader.ReadU64(&event.block) && reader.ReadU64(&event.seq) &&
-           reader.ReadU8(&flag);
-      event.cross_shard = flag != 0;
-      ok = ok && reader.ReadU8(&flag);
-      event.aborted = flag != 0;
+  ForEach(kStreams, [&](const auto& stream) {
+    if (!where.empty()) return;
+    auto& records = log.*stream.member;
+    uint64_t count = 0;
+    // Counts the remaining bytes cannot hold are rejected before resizing,
+    // so a corrupt length cannot balloon the allocation.
+    if (!Read(&in, &count) || count > in.size() / MinRecordBytes(stream)) {
+      where = std::string(stream.kind) + " count";
+      return;
     }
-  }
-  ok = ok && reader.ReadU64(&count);
-  // 40 bytes per state root: the block index + a raw 32-byte digest.
-  if (ok && count > reader.remaining() / 40) ok = false;
-  if (ok) {
-    log.state_roots.resize(count);
-    for (TickStateRoot& root : log.state_roots) {
-      ok = ok && reader.ReadU64(&root.block) &&
-           reader.ReadBytes(root.root.data(), root.root.size());
-    }
-  }
-  ok = ok && reader.ReadU64(&count);
-  if (ok && count > reader.remaining() / 20) ok = false;
-  if (ok) {
-    log.installs.resize(count);
-    for (InstallEvent& event : log.installs) {
-      uint64_t num_accounts = 0;
-      uint32_t num_shards = 0;
-      ok = ok && reader.ReadU64(&event.block) &&
-           reader.ReadU64(&num_accounts) && reader.ReadU32(&num_shards);
-      if (ok && num_accounts > reader.remaining() / 4) ok = false;
-      if (!ok) break;
-      event.allocation = alloc::Allocation(num_accounts, num_shards);
-      for (uint64_t a = 0; a < num_accounts; ++a) {
-        uint32_t shard = 0;
-        ok = ok && reader.ReadU32(&shard);
-        if (!ok) break;
-        if (shard != alloc::kUnassignedShard) {
-          if (shard >= num_shards) {
-            ok = false;
-            break;
-          }
-          event.allocation.Assign(static_cast<chain::AccountId>(a), shard);
-        }
+    records.resize(count);
+    for (size_t i = 0; i < records.size() && where.empty(); ++i) {
+      if ((bad = ReadFields(&in, stream.fields, records[i])) != nullptr) {
+        where = stream.kind + ("[" + U64(i) + "].") + bad;
       }
     }
-  }
-  ok = ok && reader.ReadU64(&count);
-  // 161 bytes per step: 16 u64 counters + 4 f64 metrics + the installed
-  // flag.
-  if (ok && count > reader.remaining() / 161) ok = false;
-  if (ok) {
-    log.steps.resize(count);
-    for (StepMetrics& step : log.steps) {
-      ok = ok && reader.ReadU64(&step.step) &&
-           reader.ReadU64(&step.first_block) &&
-           reader.ReadU64(&step.last_block) &&
-           reader.ReadU64(&step.submitted) &&
-           reader.ReadU64(&step.committed) &&
-           reader.ReadU64(&step.cross_shard_submitted) &&
-           reader.ReadF64(&step.throughput_per_block) &&
-           reader.ReadF64(&step.cross_shard_ratio) &&
-           reader.ReadF64(&step.alloc_seconds) &&
-           reader.ReadF64(&step.alloc_wait_seconds) && reader.ReadU8(&flag);
-      step.installed = flag != 0;
-      ok = ok && reader.ReadU64(&step.aborted) &&
-           reader.ReadU64(&step.accounts_migrated) &&
-           reader.ReadU64(&step.offered) && reader.ReadU64(&step.admitted) &&
-           reader.ReadU64(&step.admission_dropped) &&
-           reader.ReadU64(&step.mempool_depth) &&
-           reader.ReadU64(&step.mempool_peak_depth) &&
-           reader.ReadU64(&step.latency_p50_ticks) &&
-           reader.ReadU64(&step.latency_p99_ticks) &&
-           reader.ReadU64(&step.latency_p999_ticks);
-    }
-  }
-  if (!ok || reader.failed() || !reader.AtEnd()) {
+  });
+  if (where.empty() && !in.empty()) where = "the end (trailing bytes)";
+  if (!where.empty()) {
     return Status::Corruption("trace '" + path +
-                              "' is truncated or corrupt");
+                              "' is truncated or corrupt at " + where);
   }
   return log;
 }
 
 Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  file << "kind,a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s\n";
-  file << "meta,num_shards," << log.meta.num_shards << "\n";
-  file << "meta,eta," << log.meta.eta << "\n";
-  file << "meta,capacity_per_block," << log.meta.capacity_per_block << "\n";
-  file << "meta,cross_shard_commit_rounds,"
-       << log.meta.cross_shard_commit_rounds << "\n";
-  file << "meta,state_enabled," << (log.meta.state_enabled ? 1 : 0) << "\n";
-  file << "meta,state_initial_balance," << log.meta.state_initial_balance
-       << "\n";
-  file << "meta,state_migration_work," << log.meta.state_migration_work
-       << "\n";
-  file << "meta,blocks_per_epoch," << log.meta.blocks_per_epoch << "\n";
-  file << "meta,ledger_blocks," << log.meta.ledger_blocks << "\n";
-  file << "meta,ledger_transactions," << log.meta.ledger_transactions << "\n";
-  file << "meta,ledger_fingerprint," << log.meta.ledger_fingerprint << "\n";
-  file << "meta,ingest_mode," << static_cast<uint32_t>(log.meta.ingest_mode)
-       << "\n";
-  file << "meta,offered_load," << log.meta.offered_load << "\n";
-  file << "meta,dispatch_per_tick," << log.meta.dispatch_per_tick << "\n";
-  file << "meta,fee_levels," << log.meta.fee_levels << "\n";
-  file << "meta,fee_seed," << log.meta.fee_seed << "\n";
-  file << "meta,mempool_capacity," << log.meta.mempool_capacity << "\n";
-  file << "meta,mempool_staging_capacity," << log.meta.mempool_staging_capacity
-       << "\n";
-  file << "meta,account_pending_limit," << log.meta.account_pending_limit
-       << "\n";
-  file << "meta,account_rate_limit," << log.meta.account_rate_limit << "\n";
-  file << "meta,ttl_ticks," << log.meta.ttl_ticks << "\n";
-  file << "meta,admission_policy,"
-       << static_cast<uint32_t>(log.meta.admission_policy) << "\n";
-  file << "meta,workload_spec," << log.meta.workload_spec << "\n";
-  file << "meta,epochs," << log.epochs << "\n";
-  file << "meta,accounts_moved," << log.accounts_moved << "\n";
-  for (const StepMetrics& step : log.steps) {
-    file << "step," << step.step << ',' << step.first_block << ','
-         << step.last_block << ',' << step.submitted << ',' << step.committed
-         << ',' << step.cross_shard_submitted << ','
-         << step.throughput_per_block << ',' << step.cross_shard_ratio << ','
-         << (step.installed ? 1 : 0) << ',' << step.aborted << ','
-         << step.accounts_migrated << ',' << step.offered << ','
-         << step.admitted << ',' << step.admission_dropped << ','
-         << step.mempool_depth << ',' << step.mempool_peak_depth << ','
-         << step.latency_p50_ticks << ',' << step.latency_p99_ticks << ','
-         << step.latency_p999_ticks << "\n";
-  }
-  for (const InstallEvent& event : log.installs) {
-    // The mapping itself is summarized (size + content hash); the binary
-    // trace is the machine-readable artifact.
-    Sha256 hasher;
-    for (alloc::ShardId shard : event.allocation.raw()) {
-      HashU64(&hasher, shard);
-    }
-    file << "install," << event.block << ','
-         << event.allocation.num_accounts() << ','
-         << event.allocation.num_shards() << ','
-         << DigestToHex(hasher.Finish()).substr(0, 16) << "\n";
-  }
-  for (const PrepareEvent& event : log.prepares) {
-    file << "prepare," << event.block << ',' << event.shard << ','
-         << event.seq << "\n";
-  }
-  for (const CommitEvent& event : log.commits) {
-    file << "commit," << event.block << ',' << event.seq << ','
-         << (event.cross_shard ? 1 : 0) << ',' << (event.aborted ? 1 : 0)
-         << "\n";
-  }
-  for (const TickStateRoot& root : log.state_roots) {
-    file << "state_root," << root.block << ',' << DigestToHex(root.root)
-         << "\n";
-  }
-  file.flush();
-  if (!file.good()) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  return Status::OK();
+  std::ostringstream csv;
+  csv << "kind,a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s\n";
+  // One `meta,<name>,<value>` row per logical meta and run-level field.
+  const auto meta_rows = [&](const auto& fields, const auto& record) {
+    ForEach(fields, [&](const auto& field) {
+      if (field.clock == Clock::kWall) return;
+      csv << "meta," << field.name << ',';
+      Print(csv, record.*field.member);
+      csv << '\n';
+    });
+  };
+  meta_rows(kMetaFields, log.meta);
+  meta_rows(kRunFields, log);
+  // One `<kind>,<value>,...` row per record, in the dump's section order.
+  ForEach(std::tuple{kSteps, kInstalls, kPrepares, kCommits, kStateRoots},
+          [&](const auto& stream) {
+            for (const auto& record : log.*stream.member) {
+              csv << stream.kind;
+              ForEach(stream.fields, [&](const auto& field) {
+                if (field.clock == Clock::kWall) return;
+                csv << ',';
+                Print(csv, record.*field.member);
+              });
+              csv << '\n';
+            }
+          });
+  return WriteFile(path, csv.str());
 }
 
 }  // namespace txallo::engine

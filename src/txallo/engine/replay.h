@@ -18,9 +18,16 @@
 //   * the per-step StepMetrics series and the run's wall-clock allocation
 //     observations (alloc_seconds & co. are preserved verbatim on replay:
 //     wall time is not reproducible, the logical schedule is);
-//   * workload/config fingerprints (shard count, work model, ledger hash)
-//     so a replay against the wrong input fails loudly instead of
-//     diverging quietly.
+//   * the run's logical configuration (Meta: shard count, work model,
+//     state backend, epoch cadence, ingest parameters, ledger fingerprint)
+//     so a replay against the wrong input fails loudly, naming the field,
+//     instead of diverging quietly.
+//
+// replay.cc describes each record once, as an ordered list of named
+// fields with the wall-clock ones tagged. The binary writer and reader,
+// the CSV dump, the divergence check and the pipeline's replay guard all
+// walk those lists, so a divergence or a refused replay names the field
+// (`step[1].latency_p99_ticks: recorded 7 vs replayed 8`, `meta.eta: ...`).
 //
 // Record with PipelineConfig::record, replay with PipelineConfig::replay
 // (or ReplayRecordedStream below). Serialization: a compact little-endian
@@ -47,7 +54,6 @@ namespace txallo::engine {
 struct InstallEvent {
   uint64_t block = 0;
   alloc::Allocation allocation;
-  bool operator==(const InstallEvent&) const = default;
 };
 
 /// The recorded trace of one pipelined engine run. Plain data — build one
@@ -96,7 +102,6 @@ class ReplayLog {
     /// gauntlet trace can be replayed against the regenerated scenario, and
     /// a non-empty PipelineConfig::workload_spec must match on replay.
     std::string workload_spec;
-    bool operator==(const Meta&) const = default;
   };
 
   Meta meta;
@@ -125,10 +130,12 @@ class ReplayLog {
 /// ledgers with the same fingerprint replay a trace identically.
 uint64_t FingerprintLedger(const chain::Ledger& ledger);
 
-/// First difference between two logs' *deterministic* content — meta,
-/// prepare/commit/install/state-root streams, steps' logical fields and
-/// accounts_moved — or "" when bit-identical. Wall-clock fields
-/// (alloc_seconds & co.) are not compared.
+/// The first difference between two logs' *deterministic* content — meta,
+/// the prepare/commit/state-root/install/step streams (steps' logical
+/// fields), epochs and accounts_moved — named by field, e.g.
+/// `commit[12].aborted: recorded 0 vs replayed 1` or `install count: ...`;
+/// "" when bit-identical. Wall-clock fields (alloc_seconds & co.) are not
+/// compared.
 std::string DescribeTraceDivergence(const ReplayLog& recorded,
                                     const ReplayLog& replayed);
 
@@ -158,22 +165,21 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
                                             const PipelineConfig& config);
 
 /// Writes `log` in the compact binary trace format (magic "TXTRACE4",
-/// fixed-width little-endian fields). Version 2 added the account-state
-/// meta fields, the CommitEvent aborted flag, the per-step
-/// aborted/accounts_migrated counters and the state-root stream; version 3
-/// added the ingest-mode / open-loop meta fields and the per-step open-loop
-/// counters (offered/admitted/drops/depths/latency percentiles); version 4
-/// added the workload_spec meta string (scenario engine). Older traces are
-/// rejected as version drift, not silently upgraded — the recorded
-/// semantics genuinely differ.
+/// fixed-width little-endian fields in the order of replay.cc's field
+/// lists; an install's mapping is its account count, shard count and one
+/// u32 shard per account). Traces of earlier versions are rejected as
+/// version drift, not silently upgraded — the recorded semantics differ.
 Status SaveReplayLog(const ReplayLog& log, const std::string& path);
 
-/// Reads a trace written by SaveReplayLog. Corruption and version drift
-/// surface as Corruption errors.
+/// Reads a trace written by SaveReplayLog. Version drift, short or
+/// trailing bytes, a bool byte other than 0/1, an ingest_mode or
+/// admission_policy outside its enum, and a mapping shard ≥ its shard
+/// count are Corruption errors naming where the bytes went wrong.
 Result<ReplayLog> LoadReplayLog(const std::string& path);
 
-/// One-way human-readable dump: one CSV row per meta field / install /
-/// step / prepare / commit, tagged by a leading `kind` column.
+/// One-way human-readable dump: one CSV row per logical meta field /
+/// install / step / prepare / commit / state root, tagged by a leading
+/// `kind` column (wall-clock fields are left out).
 Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path);
 
 }  // namespace txallo::engine

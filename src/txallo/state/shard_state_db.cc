@@ -25,19 +25,11 @@ Sha256Digest LeafDigest(chain::AccountId account, const AccountState& record) {
 }  // namespace
 
 ShardStateDb::ShardStateDb(int64_t initial_balance)
-    : initial_balance_(initial_balance),
-      records_(std::make_shared<Records>()) {}
+    : initial_balance_(initial_balance) {}
 
 const AccountState* ShardStateDb::Find(chain::AccountId account) const {
-  auto it = records_->find(account);
-  return it == records_->end() ? nullptr : &it->second;
-}
-
-ShardStateDb::Records& ShardStateDb::MutableRecords() {
-  if (records_.use_count() > 1) {
-    records_ = std::make_shared<Records>(*records_);
-  }
-  return *records_;
+  auto it = records_.find(account);
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 void ShardStateDb::MarkDirty(chain::AccountId account) {
@@ -45,7 +37,7 @@ void ShardStateDb::MarkDirty(chain::AccountId account) {
 }
 
 void ShardStateDb::Put(chain::AccountId account, AccountState record) {
-  MutableRecords()[account] = record;
+  records_[account] = record;
   MarkDirty(account);
 }
 
@@ -54,11 +46,10 @@ std::optional<AccountState> ShardStateDb::Extract(chain::AccountId account) {
   // including credit-only ops, whose commit thunk carries no reservation
   // but still applies against THIS shard's record.
   if (pinned_.count(account) != 0) return std::nullopt;
-  Records& records = MutableRecords();
-  auto it = records.find(account);
-  if (it == records.end()) return std::nullopt;
+  auto it = records_.find(account);
+  if (it == records_.end()) return std::nullopt;
   const AccountState record = it->second;
-  records.erase(it);
+  records_.erase(it);
   MarkDirty(account);
   return record;
 }
@@ -105,9 +96,8 @@ size_t ShardStateDb::CommitStaged(uint64_t seq) {
   if (it == staged_.end()) return 0;
   const std::vector<Op> ops = std::move(it->second);
   staged_.erase(it);
-  Records& records = MutableRecords();
   for (const Op& op : ops) {
-    AccountState& record = records[op.account];
+    AccountState& record = records_[op.account];
     record.balance += op.credit - op.debit;
     if (op.debit > 0) {
       ++record.sequence;
@@ -150,19 +140,13 @@ const Sha256Digest& ShardStateDb::RootHash() {
   return trie_.Root();
 }
 
-const AccountState* ShardStateDb::View::Find(chain::AccountId account) const {
-  if (records_ == nullptr) return nullptr;
-  auto it = records_->find(account);
-  return it == records_->end() ? nullptr : &it->second;
-}
-
 std::vector<std::pair<chain::AccountId, AccountState>>
 ShardStateDb::SortedRecords() const {
   std::vector<std::pair<chain::AccountId, AccountState>> out;
-  out.reserve(records_->size());
+  out.reserve(records_.size());
   // FlatMap iterates in insertion order (deterministic); sorted by account
   // id immediately below.
-  for (const auto& [account, record] : *records_) {
+  for (const auto& [account, record] : records_) {
     out.emplace_back(account, record);
   }
   std::sort(out.begin(), out.end(),

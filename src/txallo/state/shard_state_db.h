@@ -8,11 +8,8 @@
 // exact pre-transaction state, which the abort-path property tests pin
 // byte-identically against a serial reference.
 //
-// Copy-on-write views: Snapshot() returns a View sharing the committed
-// record map; the first committed-state mutation after a snapshot clones
-// the map, so an in-flight cross-shard round can read a stable snapshot
-// while the owning shard keeps executing. Reservations and staged thunks
-// live outside the shared map — a view always sees committed state only.
+// Reservations and staged thunks live beside the committed records, never
+// in them: Find() and the Merkle root always read committed state only.
 //
 // Fingerprint: a MerkleTrie whose leaves are SHA256 over (account id,
 // balance, sequence). Mutations hash nothing; they only add the account to
@@ -28,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -44,18 +40,16 @@ namespace txallo::state {
 class ShardStateDb {
  public:
   // Flat open-addressing map with deterministic (insertion-order)
-  // iteration — the record index is hot on every staged op, and the
-  // COW clone in MutableRecords() becomes three memcpy-able vector
-  // copies instead of a per-node rebuild.
+  // iteration — the record index is hot on every staged op.
   using Records = common::FlatMap<chain::AccountId, AccountState>;
 
   /// `initial_balance` funds accounts lazily created by their first staged
   /// op (StateConfig::initial_balance).
   explicit ShardStateDb(int64_t initial_balance);
 
-  size_t num_accounts() const { return records_->size(); }
+  size_t num_accounts() const { return records_.size(); }
   bool Contains(chain::AccountId account) const {
-    return records_->count(account) != 0;
+    return records_.count(account) != 0;
   }
   /// Committed record, or nullptr when absent. Invalidated by any mutation.
   const AccountState* Find(chain::AccountId account) const;
@@ -98,23 +92,6 @@ class ShardStateDb {
   /// (0 when the account is absent).
   int64_t AvailableBalance(chain::AccountId account) const;
 
-  /// Stable snapshot of the committed records (copy-on-write; O(1)).
-  class View {
-   public:
-    View() = default;
-    const AccountState* Find(chain::AccountId account) const;
-    size_t num_accounts() const {
-      return records_ == nullptr ? 0 : records_->size();
-    }
-
-   private:
-    friend class ShardStateDb;
-    explicit View(std::shared_ptr<const Records> records)
-        : records_(std::move(records)) {}
-    std::shared_ptr<const Records> records_;
-  };
-  View Snapshot() const { return View(records_); }
-
   /// Merkle root over the committed records (all-zero when empty). Hashes
   /// the accounts changed since the previous call.
   const Sha256Digest& RootHash();
@@ -126,17 +103,13 @@ class ShardStateDb {
   int64_t initial_balance() const { return initial_balance_; }
 
  private:
-  // Clones the shared map iff a live View still references it.
-  Records& MutableRecords();
   // Queues `account`'s leaf for the next RootHash().
   void MarkDirty(chain::AccountId account);
   // Drops one staged-op pin (precondition: the account is pinned).
   void Unpin(chain::AccountId account);
 
   const int64_t initial_balance_;
-  std::shared_ptr<Records> records_;
-  // Pending debit reservations and staged thunks are per-shard scratch,
-  // never shared with views.
+  Records records_;
   common::FlatMap<chain::AccountId, int64_t> reserved_;
   common::FlatMap<uint64_t, std::vector<Op>> staged_;
   // How many staged ops target each account (reservations only cover

@@ -331,7 +331,7 @@ TEST(SweepEquivalenceTest, RefrozenGraphFullOrder) {
   EXPECT_GT(total_sweeps, 24);
 }
 
-TEST(SweepEquivalenceTest, ShadowRowsOverSubset) {
+TEST(SweepEquivalenceTest, SubsetOfAGraphBuiltOverManyConsolidations) {
   // The A-TxAllo shape: a graph built over many consolidations, the later
   // ones merging small logs into a large core; only a subset is swept.
   for (const uint32_t k : {1u, 3u, 16u, 17u}) {

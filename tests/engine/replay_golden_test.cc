@@ -7,6 +7,8 @@
 // deliberately with the `regen-golden-trace` target).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "golden_trace_fixture.h"
@@ -124,6 +126,38 @@ TEST(ReplayGoldenTest, CommittedFixtureMatchesFreshRecording) {
   EXPECT_EQ(engine::DescribeTraceDivergence(*fixture, *fresh), "")
       << "intentional change? regenerate via the regen-golden-trace target "
          "and review the fixture diff";
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ReplayGoldenTest, CommittedFixtureReSavesByteIdentically) {
+  // Pins the writer: field order, widths and encodings. Loading and saving
+  // the fixture must give back its bytes, and so must saving the log a
+  // replay of it re-records (the replay carries the recorded wall-clock
+  // fields through verbatim).
+  const std::string path =
+      std::string(TXALLO_TESTDATA_DIR) + "/" + testing::kGoldenTraceFile;
+  const std::string committed = ReadBytes(path);
+  ASSERT_FALSE(committed.empty());
+  auto fixture = engine::LoadReplayLog(path);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  const std::string resaved = ::testing::TempDir() + "golden_resaved.trace";
+  ASSERT_TRUE(engine::SaveReplayLog(*fixture, resaved).ok());
+  EXPECT_TRUE(ReadBytes(resaved) == committed)
+      << "the writer no longer reproduces the committed TXTRACE4 bytes";
+
+  engine::ReplayLog rerecorded;
+  auto replayed = Replay(GoldenLedger(), *fixture, 2, &rerecorded);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  const std::string rerecorded_path =
+      ::testing::TempDir() + "golden_rerecorded.trace";
+  ASSERT_TRUE(engine::SaveReplayLog(rerecorded, rerecorded_path).ok());
+  EXPECT_TRUE(ReadBytes(rerecorded_path) == committed)
+      << "a replay of the fixture re-records different bytes";
 }
 
 }  // namespace

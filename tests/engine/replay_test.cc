@@ -1,10 +1,13 @@
-// ReplayLog plumbing: binary round-trip fidelity, corruption rejection,
-// CSV dump shape, ledger fingerprinting, and the replay-mode input guards
-// (wrong engine config / wrong workload / stale engine).
+// ReplayLog plumbing: binary round-trip fidelity, corruption and range
+// rejection, CSV dump shape, field-named divergence reports, ledger
+// fingerprinting, and the replay-mode input guards (wrong engine config /
+// wrong workload / stale engine).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 
 #include "txallo/allocator/registry.h"
@@ -161,21 +164,38 @@ TEST(ReplayLogTest, ReplayGuardsRejectWrongConfigWorkloadAndStaleEngine) {
   const chain::Ledger ledger = MakeLedger();
   const engine::ReplayLog log = RecordSmallRun(ledger);
 
+  // A refused replay names the meta field that differs.
+  const auto refused_naming = [](const Result<engine::PipelineResult>& run,
+                                 const std::string& field) {
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().ToString().find(field), std::string::npos)
+        << run.status().ToString();
+  };
+  {
+    // Wrong shard count.
+    engine::EngineConfig config = SmallEngineConfig();
+    config.num_shards = 8;
+    engine::ParallelEngine engine(config, nullptr);
+    refused_naming(engine::ReplayRecordedStream(ledger, log, &engine,
+                                                engine::PipelineConfig{}),
+                   "meta.num_shards: recorded 4 vs replayed 8");
+  }
   {
     // Wrong work model.
     engine::EngineConfig config = SmallEngineConfig();
     config.work.capacity_per_block += 1.0;
     engine::ParallelEngine engine(config, nullptr);
-    auto replayed = engine::ReplayRecordedStream(ledger, log, &engine,
-                                                 engine::PipelineConfig{});
-    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+    refused_naming(engine::ReplayRecordedStream(ledger, log, &engine,
+                                                engine::PipelineConfig{}),
+                   "meta.capacity_per_block");
   }
   {
     // Wrong workload.
     engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
-    auto replayed = engine::ReplayRecordedStream(
-        MakeLedger(16, /*seed=*/99), log, &engine, engine::PipelineConfig{});
-    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+    refused_naming(
+        engine::ReplayRecordedStream(MakeLedger(16, /*seed=*/99), log,
+                                     &engine, engine::PipelineConfig{}),
+        "meta.ledger_fingerprint");
   }
   {
     // Stale engine (already ticked): the trace covers block 0 onward.
@@ -338,6 +358,9 @@ TEST(ReplayLogTest, ReplayGuardsRejectStateConfigMismatch) {
     auto replayed = engine::ReplayRecordedStream(ledger, log, &engine,
                                                  engine::PipelineConfig{});
     EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(replayed.status().ToString().find("meta.state_initial_balance"),
+              std::string::npos)
+        << replayed.status().ToString();
   }
   {
     // A stateless trace refuses a stateful engine just the same.
@@ -346,6 +369,155 @@ TEST(ReplayLogTest, ReplayGuardsRejectStateConfigMismatch) {
     auto replayed = engine::ReplayRecordedStream(ledger, stateless, &engine,
                                                  engine::PipelineConfig{});
     EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+std::string SavedBytes(const engine::ReplayLog& log, const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(engine::SaveReplayLog(log, path).ok());
+  std::ifstream file(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ReplayLogTest, DivergenceNamesTheFirstDifferingField) {
+  const chain::Ledger ledger = MakeLedger();
+  const engine::ReplayLog log = RecordStateRun(ledger);
+  ASSERT_GE(log.prepares.size(), 2u);
+  ASSERT_GE(log.commits.size(), 2u);
+  ASSERT_GE(log.state_roots.size(), 2u);
+  ASSERT_GE(log.installs.size(), 2u);
+  ASSERT_GE(log.steps.size(), 2u);
+  ASSERT_EQ(engine::DescribeTraceDivergence(log, log), "");
+
+  const auto diverged = [&](const std::function<void(engine::ReplayLog&)>&
+                                mutate) {
+    engine::ReplayLog replayed = log;
+    mutate(replayed);
+    return engine::DescribeTraceDivergence(log, replayed);
+  };
+  // One mutation of each record kind; the report names the field.
+  const struct {
+    std::string expected;
+    std::function<void(engine::ReplayLog&)> mutate;
+  } cases[] = {
+      {"prepare[1].seq: ", [](engine::ReplayLog& l) { l.prepares[1].seq++; }},
+      {"prepare count: ", [](engine::ReplayLog& l) { l.prepares.pop_back(); }},
+      {"commit[1].aborted: ",
+       [](engine::ReplayLog& l) {
+         l.commits[1].aborted = !l.commits[1].aborted;
+       }},
+      {"state_root[1].root: ",
+       [](engine::ReplayLog& l) { l.state_roots[1].root[0] ^= 1; }},
+      {"install[1].allocation: ",
+       [](engine::ReplayLog& l) {
+         alloc::Allocation& mapping = l.installs[1].allocation;
+         mapping.Assign(0, (mapping.shard_of(0) + 1) % mapping.num_shards());
+       }},
+      {"install[1].block: ",
+       [](engine::ReplayLog& l) { l.installs[1].block++; }},
+      {"meta.eta: ", [](engine::ReplayLog& l) { l.meta.eta += 0.5; }},
+      {"meta.workload_spec: ",
+       [](engine::ReplayLog& l) { l.meta.workload_spec = "other"; }},
+      {"step[1].committed: ",
+       [](engine::ReplayLog& l) { l.steps[1].committed++; }},
+      {"epochs: ", [](engine::ReplayLog& l) { l.epochs++; }},
+      {"accounts_moved: ", [](engine::ReplayLog& l) { l.accounts_moved++; }},
+  };
+  for (const auto& c : cases) {
+    const std::string message = diverged(c.mutate);
+    EXPECT_EQ(message.rfind(c.expected, 0), 0u)
+        << "expected '" << c.expected << "...', got '" << message << "'";
+  }
+  // The recorded and replayed values are both printed.
+  const uint64_t p99 = log.steps[1].latency_p99_ticks;
+  EXPECT_EQ(diverged([](engine::ReplayLog& l) {
+              l.steps[1].latency_p99_ticks++;
+            }),
+            "step[1].latency_p99_ticks: recorded " + std::to_string(p99) +
+                " vs replayed " + std::to_string(p99 + 1));
+
+  // Wall-clock fields are not reproducible and never compared.
+  EXPECT_EQ(diverged([](engine::ReplayLog& l) {
+              l.steps[0].alloc_seconds += 1.0;
+              l.steps[1].alloc_wait_seconds += 1.0;
+              l.alloc_seconds += 1.0;
+              l.alloc_wait_seconds += 1.0;
+              l.alloc_overlap_ratio += 0.5;
+            }),
+            "");
+}
+
+TEST(ReplayLogTest, ReplayOfAnAlteredTraceFailsInternal) {
+  const chain::Ledger ledger = MakeLedger();
+  engine::ReplayLog log = RecordSmallRun(ledger);
+  ASSERT_GE(log.steps.size(), 2u);
+  log.steps[1].submitted += 1;
+  const std::string path = TempPath("altered.trace");
+  ASSERT_TRUE(engine::SaveReplayLog(log, path).ok());
+  auto loaded = engine::LoadReplayLog(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+  auto replayed = engine::ReplayRecordedStream(ledger, *loaded, &engine,
+                                               engine::PipelineConfig{});
+  EXPECT_EQ(replayed.status().code(), StatusCode::kInternal);
+  EXPECT_NE(replayed.status().ToString().find("step[1].submitted"),
+            std::string::npos)
+      << replayed.status().ToString();
+}
+
+TEST(ReplayLogTest, LoaderRejectsOutOfRangeBoolAndEnumBytes) {
+  const engine::ReplayLog log = RecordStateRun(MakeLedger());
+  ASSERT_FALSE(log.commits.empty());
+  const std::string bytes = SavedBytes(log, "range_base.trace");
+  // Each case finds the byte that holds one field by saving the log with
+  // that field changed, then writes an out-of-range value into it.
+  const struct {
+    const char* field;
+    std::function<void(engine::ReplayLog&)> mutate;
+    char bad;
+  } cases[] = {
+      {"meta.state_enabled",
+       [](engine::ReplayLog& l) { l.meta.state_enabled = false; }, 2},
+      {"commit[0].aborted",
+       [](engine::ReplayLog& l) {
+         l.commits[0].aborted = !l.commits[0].aborted;
+       },
+       static_cast<char>(0xff)},
+      {"meta.ingest_mode",
+       [](engine::ReplayLog& l) { l.meta.ingest_mode = 1; }, 7},
+      {"meta.admission_policy",
+       [](engine::ReplayLog& l) { l.meta.admission_policy = 1; }, 9},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    engine::ReplayLog changed = log;
+    c.mutate(changed);
+    const std::string changed_bytes = SavedBytes(changed, "range_probe.trace");
+    ASSERT_EQ(changed_bytes.size(), bytes.size());
+    size_t offset = 0;
+    while (offset < bytes.size() && bytes[offset] == changed_bytes[offset]) {
+      ++offset;
+    }
+    ASSERT_LT(offset, bytes.size());
+    // The in-range value loads ...
+    const std::string path = TempPath("range_hostile.trace");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << changed_bytes;
+    }
+    EXPECT_TRUE(engine::LoadReplayLog(path).ok());
+    // ... the out-of-range one is Corruption naming the field.
+    std::string hostile = bytes;
+    hostile[offset] = c.bad;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << hostile;
+    }
+    auto loaded = engine::LoadReplayLog(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().ToString().find(c.field), std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

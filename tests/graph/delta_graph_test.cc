@@ -267,7 +267,7 @@ TEST(DeltaGraphTest, SnapshotCopySharesCoreAndCopiesDelta) {
   EXPECT_EQ(snapshot.core().get(), graph.core().get());
 }
 
-TEST(DeltaGraphTest, RefreezeFoldOffThreadThenAdopt) {
+TEST(DeltaGraphTest, FoldOffThreadThenAdopt) {
   // The rebalance handoff with the fold on another thread: the copy is
   // consolidated off-thread while the owner keeps appending to the live
   // graph's log, then the live graph adopts the fold.

@@ -311,7 +311,7 @@ TEST(LouvainEquivalenceTest, RefrozenGraphs) {
   EXPECT_GE(max_levels, 3);
 }
 
-TEST(LouvainEquivalenceTest, OverlaidGraphs) {
+TEST(LouvainEquivalenceTest, GraphsBuiltOverManyConsolidations) {
   // The A-TxAllo shape: a graph built over many consolidations, the later
   // ones merging small logs into a large core.
   for (const uint64_t seed : {1u, 2u, 3u}) {

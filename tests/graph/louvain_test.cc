@@ -141,7 +141,7 @@ TEST(LouvainTest, CommunityIdsAreCompact) {
   EXPECT_EQ(result.community[0], 0u);
 }
 
-TEST(LouvainTest, OverlaidAndRefrozenGraphsAgree) {
+TEST(LouvainTest, ManyConsolidationsAgreeWithOne) {
   // A graph built over many consolidations reads and partitions
   // identically to one built in one. The weights are dyadic, so every sum
   // is exact whatever the consolidation points.

@@ -1,6 +1,6 @@
 // ShardStateDb semantics: commit-thunk staging (reserve at prepare, apply
-// at commit, drop at abort), lazy funded creation, nonce checks,
-// copy-on-write views and the migration extract/insert contract.
+// at commit, drop at abort), lazy funded creation, nonce checks and the
+// migration extract/insert contract.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -77,6 +77,9 @@ TEST(ShardStateDbTest, ReservationsGuardAgainstDoubleSpend) {
   // Two in-flight transactions each within the committed balance, but not
   // jointly: the second must fail at prepare, not at commit.
   ASSERT_TRUE(db.StageOp(1, Debit(9, 70)));
+  // The reservation is pending, not committed: Find reads the funded
+  // balance.
+  EXPECT_EQ(db.Find(9)->balance, kFunding);
   EXPECT_FALSE(db.StageOp(2, Debit(9, 70)));
   // The failed op staged nothing; aborting seq 2 is a no-op.
   EXPECT_EQ(db.AbortStaged(2), 0u);
@@ -95,37 +98,6 @@ TEST(ShardStateDbTest, NonceCheckFailsDeterministically) {
   EXPECT_FALSE(db.StageOp(2, Debit(2, 5, /*nonce=*/0)));  // Stale nonce.
   EXPECT_TRUE(db.StageOp(3, Debit(2, 5, /*nonce=*/1)));
   db.AbortStaged(3);
-}
-
-TEST(ShardStateDbTest, ViewsAreStableAcrossLaterCommits) {
-  ShardStateDb db(kFunding);
-  ASSERT_TRUE(db.StageOp(1, Debit(5, 10)));
-  db.CommitStaged(1);
-  ShardStateDb::View view = db.Snapshot();
-  ASSERT_NE(view.Find(5), nullptr);
-  EXPECT_EQ(view.Find(5)->balance, kFunding - 10);
-
-  // Mutations after the snapshot copy-on-write; the view keeps reading the
-  // old map, including for accounts created later.
-  ASSERT_TRUE(db.StageOp(2, Debit(5, 20)));
-  ASSERT_TRUE(db.StageOp(2, Credit(6, 3)));
-  db.CommitStaged(2);
-  EXPECT_EQ(view.Find(5)->balance, kFunding - 10);
-  EXPECT_EQ(view.Find(6), nullptr);
-  EXPECT_EQ(view.num_accounts(), 1u);
-  EXPECT_EQ(db.Find(5)->balance, kFunding - 30);
-  EXPECT_EQ(db.Find(6)->balance, kFunding + 3);
-}
-
-TEST(ShardStateDbTest, ViewsNeverSeeStagedEffects) {
-  ShardStateDb db(kFunding);
-  ASSERT_TRUE(db.StageOp(1, Debit(8, 25)));
-  ShardStateDb::View view = db.Snapshot();
-  // The reservation is pending, not committed: the view (and Find) read
-  // the funded balance.
-  EXPECT_EQ(view.Find(8)->balance, kFunding);
-  EXPECT_EQ(db.Find(8)->balance, kFunding);
-  db.AbortStaged(1);
 }
 
 TEST(ShardStateDbTest, ExtractRefusesReservedRecordsAndRoundTrips) {
