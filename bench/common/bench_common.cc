@@ -153,7 +153,6 @@ allocator::AllocationContext Fixture::ContextFor(uint32_t k,
   context.registry = registry_;
   context.node_order = &node_order_;
   context.params = ParamsFor(k, eta);
-  context.seed = seed_;
   return context;
 }
 

@@ -1,6 +1,7 @@
 #include "txallo/allocator/adapters.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "txallo/baselines/hash_allocator.h"
@@ -39,6 +40,33 @@ Status RequireGraph(const AllocationContext& context, const char* who) {
                                    "consolidated before Allocate()");
   }
   return Status::OK();
+}
+
+// The one graph snapshot protocol of a rebalance task. BeginRebalance()
+// copies `*graph` in O(delta): the copy shares the frozen CSR core and
+// copies only the delta log. Run() consolidates the copy and calls `run`
+// on it, off the owner thread. The commit hands the fold back to the live
+// graph (AdoptCore), so the owner thread never pays the O(E) fold; it
+// adopts even when Run() failed, because the fold holds the same contents,
+// and AdoptCore rejects a stale or missing one. Then `commit` sees Run()'s
+// outcome.
+std::unique_ptr<RebalanceTask> FoldGraphTask(
+    graph::TransactionGraph* graph,
+    std::function<Result<alloc::Allocation>(const graph::TransactionGraph&)>
+        run,
+    ClosureRebalanceTask::CommitFn commit) {
+  auto copy = std::make_shared<graph::TransactionGraph>(*graph);
+  return std::make_unique<ClosureRebalanceTask>(
+      [copy, run = std::move(run)]() -> Result<alloc::Allocation> {
+        copy->Consolidate();
+        return run(*copy);
+      },
+      [graph, copy, base = graph->core(), logged = graph->delta_edges(),
+       commit = std::move(commit)](
+          const Result<alloc::Allocation>& result) -> Status {
+        graph->AdoptCore(copy->core(), base, logged);
+        return commit(result);
+      });
 }
 
 }  // namespace
@@ -193,79 +221,64 @@ alloc::Allocation HashStrategy::CurrentAllocation() const {
 }
 
 // ---------------------------------------------------------------------------
-// METIS
+// Graph-partitioning methods
 // ---------------------------------------------------------------------------
 
-MetisStrategy::MetisStrategy(std::string name, alloc::AllocationParams params,
-                             baselines::metis::PartitionOptions options)
+GraphStrategy::GraphStrategy(std::string name,
+                             const chain::AccountRegistry* registry,
+                             alloc::AllocationParams params,
+                             PartitionFn partition)
     : OnlineAllocator(std::move(name), params),
-      options_(options),
+      registry_(registry),
+      partition_(std::move(partition)),
       last_(0, params.num_shards) {}
 
-Result<alloc::Allocation> MetisStrategy::Allocate(
+Result<alloc::Allocation> GraphStrategy::Allocate(
     const AllocationContext& context) {
   TXALLO_RETURN_NOT_OK(RequireGraph(context, Name().c_str()));
-  return baselines::metis::PartitionGraph(
-      *context.graph, context.params.num_shards, options_);
+  return partition_(*context.graph, ResolveNodeOrder(context),
+                    context.params.num_shards);
 }
 
-void MetisStrategy::ApplyBlock(const chain::Block& block) {
+void GraphStrategy::ApplyBlock(const chain::Block& block) {
   builder_.AddBlock(block);
 }
 
-std::unique_ptr<RebalanceTask> MetisStrategy::BeginRebalance() {
-  // Double-buffer: the task partitions a copy of the graph while the live
-  // one keeps accumulating.
+std::unique_ptr<RebalanceTask> GraphStrategy::BeginRebalance() {
   if (graph_.num_nodes() == 0) {
+    // Nothing absorbed: every method maps zero nodes to the empty mapping.
     return std::make_unique<ClosureRebalanceTask>(
         [mapping = last_]() -> Result<alloc::Allocation> { return mapping; },
         nullptr);
   }
-  // O(delta) snapshot: shares the frozen CSR core and copies only the delta
-  // log. The task consolidates the copy off-thread before partitioning;
-  // Commit() hands that fold back to the live graph (AdoptCore), so the
-  // owner thread never pays the O(E) fold.
-  auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  return std::make_unique<ClosureRebalanceTask>(
-      [snapshot, options = options_,
-       k = params_.num_shards]() -> Result<alloc::Allocation> {
-        snapshot->Consolidate();
-        return baselines::metis::PartitionGraph(*snapshot, k, options);
+  // The node order resolves against the live registry on the owner thread;
+  // the task then reads only the order, the graph copy and the partition
+  // function, all frozen here.
+  AllocationContext context;
+  context.graph = &graph_;
+  context.registry = registry_;
+  return FoldGraphTask(
+      &graph_,
+      [partition = partition_, order = ResolveNodeOrder(context),
+       k = params_.num_shards](const graph::TransactionGraph& graph) {
+        return partition(graph, order, k);
       },
-      [this, snapshot, base = graph_.core(),
-       logged = graph_.delta_edges()](
-          const Result<alloc::Allocation>& result) -> Status {
-        // Adopt the off-thread fold even when partitioning failed: it holds
-        // the same contents, and AdoptCore rejects a stale or missing fold.
-        graph_.AdoptCore(snapshot->core(), base, logged);
-        if (!result.ok()) return result.status();
-        last_ = *result;
-        return Status::OK();
+      [this](const Result<alloc::Allocation>& result) -> Status {
+        if (result.ok()) last_ = *result;
+        return result.status();
       });
 }
 
-alloc::Allocation MetisStrategy::CurrentAllocation() const { return last_; }
+alloc::Allocation GraphStrategy::CurrentAllocation() const { return last_; }
 
-// ---------------------------------------------------------------------------
-// Louvain communities, packed into k shards
-// ---------------------------------------------------------------------------
-
-LouvainStrategy::LouvainStrategy(std::string name,
-                                 const chain::AccountRegistry* registry,
-                                 alloc::AllocationParams params,
-                                 graph::LouvainOptions options)
-    : OnlineAllocator(std::move(name), params),
-      registry_(registry),
-      options_(options),
-      last_(0, params.num_shards) {}
-
-Result<alloc::Allocation> LouvainStrategy::Partition(
+Result<alloc::Allocation> PartitionByCommunities(
     const graph::TransactionGraph& graph,
-    const std::vector<graph::NodeId>& node_order, uint32_t num_shards) const {
+    const std::vector<graph::NodeId>& node_order, uint32_t num_shards,
+    const graph::LouvainOptions& options) {
   const size_t n = graph.num_nodes();
   if (n == 0) return alloc::Allocation(0, num_shards);
   const graph::LouvainResult louvain =
-      graph::RunLouvain(graph, node_order, options_);
+      graph::RunLouvain(graph, node_order, options);
 
   // Pack whole communities into shards: heaviest community first into the
   // currently lightest shard (LPT). Keeps communities intact — the point of
@@ -302,48 +315,6 @@ Result<alloc::Allocation> LouvainStrategy::Partition(
   }
   return allocation;
 }
-
-Result<alloc::Allocation> LouvainStrategy::Allocate(
-    const AllocationContext& context) {
-  TXALLO_RETURN_NOT_OK(RequireGraph(context, Name().c_str()));
-  return Partition(*context.graph, ResolveNodeOrder(context),
-                   context.params.num_shards);
-}
-
-void LouvainStrategy::ApplyBlock(const chain::Block& block) {
-  builder_.AddBlock(block);
-}
-
-std::unique_ptr<RebalanceTask> LouvainStrategy::BeginRebalance() {
-  AllocationContext context;
-  context.graph = &graph_;
-  context.registry = registry_;
-  // Node order resolves against the live registry on the owner thread; the
-  // graph is double-buffered so Partition sees a frozen snapshot. Partition
-  // itself only reads the (immutable) options_, so running it off-thread is
-  // safe.
-  auto order =
-      std::make_shared<const std::vector<graph::NodeId>>(
-          ResolveNodeOrder(context));
-  // O(delta) snapshot + off-thread fold, committed back via AdoptCore —
-  // same protocol as MetisStrategy above.
-  auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  return std::make_unique<ClosureRebalanceTask>(
-      [this, snapshot, order]() -> Result<alloc::Allocation> {
-        snapshot->Consolidate();
-        return Partition(*snapshot, *order, params_.num_shards);
-      },
-      [this, snapshot, base = graph_.core(),
-       logged = graph_.delta_edges()](
-          const Result<alloc::Allocation>& result) -> Status {
-        graph_.AdoptCore(snapshot->core(), base, logged);
-        if (!result.ok()) return result.status();
-        last_ = *result;
-        return Status::OK();
-      });
-}
-
-alloc::Allocation LouvainStrategy::CurrentAllocation() const { return last_; }
 
 // ---------------------------------------------------------------------------
 // Shard Scheduler
@@ -433,26 +404,20 @@ void BrokerOverlay::ApplyBlock(const chain::Block& block) {
 std::unique_ptr<RebalanceTask> BrokerOverlay::BeginRebalance() {
   OnlineAllocator* online = inner_->AsOnline();
   if (online == nullptr) return nullptr;
-  // O(delta) snapshot of the overlay's own traffic graph; the task folds it
-  // off-thread and the commit adopts the fold (same protocol as Metis).
-  auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  std::shared_ptr<const graph::GraphCore> base = graph_.core();
-  const size_t logged = graph_.delta_edges();
   // Composition: the inner strategy contributes its own frozen task; the
   // overlay adds broker re-selection over its frozen traffic graph.
   std::shared_ptr<RebalanceTask> inner_task = online->BeginRebalance();
   if (inner_task == nullptr) return nullptr;
   auto brokers = std::make_shared<std::vector<chain::AccountId>>();
-  return std::make_unique<ClosureRebalanceTask>(
-      [snapshot, inner_task, brokers,
-       n = options_.num_brokers]() -> Result<alloc::Allocation> {
-        snapshot->Consolidate();
-        *brokers = baselines::SelectBrokersByActivity(*snapshot, n);
+  return FoldGraphTask(
+      &graph_,
+      [inner_task, brokers, n = options_.num_brokers](
+          const graph::TransactionGraph& graph) {
+        *brokers = baselines::SelectBrokersByActivity(graph, n);
         return inner_task->Run();
       },
-      [this, snapshot, base = std::move(base), logged, inner_task, brokers](
+      [this, inner_task, brokers](
           const Result<alloc::Allocation>& result) -> Status {
-        graph_.AdoptCore(snapshot->core(), base, logged);
         // On failure/abandonment the inner task must NOT commit (its
         // mapping is discarded, not folded in); it releases its own
         // bookkeeping when its last reference dies with these closures.

@@ -4,24 +4,27 @@
 //
 //   * Allocate() is stateless per call — it partitions the context's
 //     workload from scratch, so repeated calls are deterministic;
-//   * the online path (ApplyBlock/BeginRebalance) streams: graph-based
-//     methods accumulate their own transaction graph and re-partition a
-//     snapshot of it in each RebalanceTask, which is what lets hash/METIS/
-//     Louvain/Shard-Scheduler run live on the parallel engine alongside
-//     TxAllo.
+//   * the online path (ApplyBlock/BeginRebalance) streams, which is what
+//     lets every method run live on the parallel engine alongside TxAllo.
+//
+// The graph-partitioning methods share one adapter, GraphStrategy: each is
+// a PartitionFn (METIS, Louvain + packing, ContribChain's greedy stream),
+// and GraphStrategy accumulates the transaction graph and re-partitions a
+// snapshot of it in each RebalanceTask. Adding a graph method is one
+// partition function plus a registry entry.
 //
 // Construct these via allocator/registry.h unless a call site needs one
 // concrete strategy (e.g. tests pinning TxAllo's hybrid schedule).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "txallo/allocator/allocator.h"
 #include "txallo/baselines/broker.h"
-#include "txallo/baselines/metis/partitioner.h"
 #include "txallo/baselines/shard_scheduler.h"
 #include "txallo/core/controller.h"
 #include "txallo/graph/builder.h"
@@ -101,13 +104,25 @@ class HashStrategy : public OnlineAllocator {
   size_t last_known_ = 0;
 };
 
-/// The from-scratch METIS-style multilevel partitioner (paper §II-C's
-/// backbone baseline). Online mode accumulates its own transaction graph
-/// and re-partitions it every Rebalance.
-class MetisStrategy : public OnlineAllocator {
+/// A graph method as a pure function of one consolidated transaction
+/// graph: (graph, deterministic node order, k) -> mapping over the graph's
+/// nodes. It must read nothing but its arguments and the options it was
+/// built with, because rebalance tasks call it off-thread.
+using PartitionFn = std::function<Result<alloc::Allocation>(
+    const graph::TransactionGraph& graph,
+    const std::vector<graph::NodeId>& node_order, uint32_t num_shards)>;
+
+/// The online adapter of every graph-partitioning method (METIS, Louvain,
+/// ContribChain; the registry builds each one's PartitionFn). Online mode
+/// accumulates its own transaction graph; each rebalance task folds and
+/// partitions an O(delta) copy of it off-thread, and its commit hands the
+/// fold back to the live graph. Allocate() runs the same function over the
+/// context's graph, so the one-shot and online paths cannot diverge. A
+/// rebalance before any transaction keeps the empty mapping.
+class GraphStrategy : public OnlineAllocator {
  public:
-  MetisStrategy(std::string name, alloc::AllocationParams params,
-                baselines::metis::PartitionOptions options);
+  GraphStrategy(std::string name, const chain::AccountRegistry* registry,
+                alloc::AllocationParams params, PartitionFn partition);
 
   Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
   void ApplyBlock(const chain::Block& block) override;
@@ -115,40 +130,22 @@ class MetisStrategy : public OnlineAllocator {
   alloc::Allocation CurrentAllocation() const override;
 
  private:
-  baselines::metis::PartitionOptions options_;
+  const chain::AccountRegistry* registry_;
+  PartitionFn partition_;
   graph::TransactionGraph graph_;
   graph::GraphBuilder builder_{&graph_};
   alloc::Allocation last_;
 };
 
-/// Pure community detection as an allocator: deterministic Louvain finds
-/// communities, then whole communities pack into the k shards
+/// Pure community detection as a partition function: deterministic Louvain
+/// finds communities, then whole communities pack into the k shards
 /// greedily-largest-first (LPT bin packing by community weight). The
 /// ablation point between METIS (edge cut only) and TxAllo (throughput
 /// objective).
-class LouvainStrategy : public OnlineAllocator {
- public:
-  LouvainStrategy(std::string name, const chain::AccountRegistry* registry,
-                  alloc::AllocationParams params,
-                  graph::LouvainOptions options);
-
-  Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
-  void ApplyBlock(const chain::Block& block) override;
-  std::unique_ptr<RebalanceTask> BeginRebalance() override;
-  alloc::Allocation CurrentAllocation() const override;
-
- private:
-  // Louvain + packing over one consolidated graph.
-  Result<alloc::Allocation> Partition(
-      const graph::TransactionGraph& graph,
-      const std::vector<graph::NodeId>& node_order, uint32_t num_shards) const;
-
-  const chain::AccountRegistry* registry_;
-  graph::LouvainOptions options_;
-  graph::TransactionGraph graph_;
-  graph::GraphBuilder builder_{&graph_};
-  alloc::Allocation last_;
-};
+Result<alloc::Allocation> PartitionByCommunities(
+    const graph::TransactionGraph& graph,
+    const std::vector<graph::NodeId>& node_order, uint32_t num_shards,
+    const graph::LouvainOptions& options);
 
 /// Shard Scheduler (Król et al., AFT'21): transaction-level streaming
 /// placement and migration. The natural online method — ApplyBlock feeds

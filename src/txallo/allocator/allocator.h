@@ -59,9 +59,6 @@ struct AllocationContext {
   const std::vector<graph::NodeId>* node_order = nullptr;
   /// θ: shard count k, η, capacity λ, convergence ε.
   alloc::AllocationParams params;
-  /// Seed for randomized strategies. Every built-in method is
-  /// deterministic and ignores it; plugins get it for free.
-  uint64_t seed = 0;
 };
 
 class OnlineAllocator;

@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <utility>
 
 namespace txallo::allocator {
 
-ContribStrategy::ContribStrategy(std::string name,
-                                 const chain::AccountRegistry* registry,
-                                 alloc::AllocationParams params,
-                                 ContribOptions options)
-    : OnlineAllocator(std::move(name), params),
-      registry_(registry),
-      options_(options),
-      last_(0, params.num_shards) {}
-
-Result<alloc::Allocation> ContribStrategy::Partition(
+Result<alloc::Allocation> PartitionByContribution(
     const graph::TransactionGraph& graph,
     const std::vector<graph::NodeId>& node_order, uint32_t num_shards,
     const ContribOptions& options) {
@@ -87,51 +77,5 @@ Result<alloc::Allocation> ContribStrategy::Partition(
   }
   return allocation;
 }
-
-Result<alloc::Allocation> ContribStrategy::Allocate(
-    const AllocationContext& context) {
-  if (context.graph == nullptr) {
-    return Status::InvalidArgument(Name() +
-                                   " needs AllocationContext.graph");
-  }
-  if (!context.graph->consolidated()) {
-    return Status::InvalidArgument(
-        Name() + ": the transaction graph must be consolidated before "
-                 "Allocate()");
-  }
-  return Partition(*context.graph, ResolveNodeOrder(context),
-                   context.params.num_shards, options_);
-}
-
-void ContribStrategy::ApplyBlock(const chain::Block& block) {
-  builder_.AddBlock(block);
-}
-
-std::unique_ptr<RebalanceTask> ContribStrategy::BeginRebalance() {
-  AllocationContext context;
-  context.graph = &graph_;
-  context.registry = registry_;
-  auto order = std::make_shared<const std::vector<graph::NodeId>>(
-      ResolveNodeOrder(context));
-  // O(delta) snapshot, folded off-thread and adopted at commit (the
-  // protocol of MetisStrategy in adapters.cc).
-  auto snapshot = std::make_shared<graph::TransactionGraph>(graph_);
-  return std::make_unique<ClosureRebalanceTask>(
-      [snapshot, order, k = params_.num_shards,
-       options = options_]() -> Result<alloc::Allocation> {
-        snapshot->Consolidate();
-        return Partition(*snapshot, *order, k, options);
-      },
-      [this, snapshot, base = graph_.core(),
-       logged = graph_.delta_edges()](
-          const Result<alloc::Allocation>& result) -> Status {
-        graph_.AdoptCore(snapshot->core(), base, logged);
-        if (!result.ok()) return result.status();
-        last_ = *result;
-        return Status::OK();
-      });
-}
-
-alloc::Allocation ContribStrategy::CurrentAllocation() const { return last_; }
 
 }  // namespace txallo::allocator

@@ -11,17 +11,19 @@
 // them — the ContribChain intuition that node contribution, not just edge
 // cut, should steer allocation.
 //
-// Registered as "contrib" (options: imbalance >= 1.0, stress-weight >= 0);
-// the conformance suite, allocator_matrix and every --allocator/--methods
-// flag pick it up automatically.
+// Registered as "contrib" (options: imbalance >= 1.0, stress-weight >= 0):
+// the registry wraps this partition function in a GraphStrategy
+// (allocator/adapters.h), which supplies the online path, and the
+// conformance suite, allocator_matrix and every --allocator/--methods flag
+// pick it up automatically.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "txallo/allocator/allocator.h"
-#include "txallo/graph/builder.h"
+#include "txallo/alloc/allocation.h"
+#include "txallo/common/status.h"
+#include "txallo/graph/graph.h"
 
 namespace txallo::allocator {
 
@@ -34,29 +36,12 @@ struct ContribOptions {
   double stress_weight = 1.0;
 };
 
-class ContribStrategy : public OnlineAllocator {
- public:
-  ContribStrategy(std::string name, const chain::AccountRegistry* registry,
-                  alloc::AllocationParams params, ContribOptions options);
-
-  Result<alloc::Allocation> Allocate(const AllocationContext& context) override;
-  void ApplyBlock(const chain::Block& block) override;
-  std::unique_ptr<RebalanceTask> BeginRebalance() override;
-  alloc::Allocation CurrentAllocation() const override;
-
- private:
-  /// Pure (static) partition of one consolidated graph — the same routine
-  /// backs the one-shot and online paths, so they cannot diverge.
-  static Result<alloc::Allocation> Partition(
-      const graph::TransactionGraph& graph,
-      const std::vector<graph::NodeId>& node_order, uint32_t num_shards,
-      const ContribOptions& options);
-
-  const chain::AccountRegistry* registry_;
-  ContribOptions options_;
-  graph::TransactionGraph graph_;
-  graph::GraphBuilder builder_{&graph_};
-  alloc::Allocation last_;
-};
+/// The greedy stream over one consolidated graph, as GraphStrategy's
+/// partition function: a mapping over the graph's nodes, ties broken by
+/// `node_order`.
+Result<alloc::Allocation> PartitionByContribution(
+    const graph::TransactionGraph& graph,
+    const std::vector<graph::NodeId>& node_order, uint32_t num_shards,
+    const ContribOptions& options);
 
 }  // namespace txallo::allocator

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "txallo/allocator/adapters.h"
 #include "txallo/allocator/contrib.h"
+#include "txallo/baselines/metis/partitioner.h"
 #include "txallo/common/spec.h"
 
 namespace txallo::allocator {
@@ -68,8 +70,13 @@ Result<std::unique_ptr<Allocator>> MakeMetis(const std::string& name,
     return Status::InvalidArgument(
         "option 'imbalance' must be >= 1.0 for allocator '" + name + "'");
   }
-  return std::unique_ptr<Allocator>(
-      new MetisStrategy(name, options.params, metis_options));
+  // METIS ignores the node order.
+  return std::unique_ptr<Allocator>(new GraphStrategy(
+      name, options.registry, options.params,
+      [metis_options](const graph::TransactionGraph& graph,
+                      const std::vector<graph::NodeId>&, uint32_t k) {
+        return baselines::metis::PartitionGraph(graph, k, metis_options);
+      }));
 }
 
 Result<std::unique_ptr<Allocator>> MakeLouvain(
@@ -83,8 +90,12 @@ Result<std::unique_ptr<Allocator>> MakeLouvain(
     return Status::InvalidArgument(
         "option 'resolution' must be > 0 for allocator '" + name + "'");
   }
-  return std::unique_ptr<Allocator>(new LouvainStrategy(
-      name, options.registry, options.params, louvain_options));
+  return std::unique_ptr<Allocator>(new GraphStrategy(
+      name, options.registry, options.params,
+      [louvain_options](const graph::TransactionGraph& graph,
+                        const std::vector<graph::NodeId>& order, uint32_t k) {
+        return PartitionByCommunities(graph, order, k, louvain_options);
+      }));
 }
 
 Result<std::unique_ptr<Allocator>> MakeShardScheduler(
@@ -120,8 +131,12 @@ Result<std::unique_ptr<Allocator>> MakeContrib(
     return Status::InvalidArgument(
         "option 'stress-weight' must be >= 0 for allocator '" + name + "'");
   }
-  return std::unique_ptr<Allocator>(new ContribStrategy(
-      name, options.registry, options.params, contrib_options));
+  return std::unique_ptr<Allocator>(new GraphStrategy(
+      name, options.registry, options.params,
+      [contrib_options](const graph::TransactionGraph& graph,
+                        const std::vector<graph::NodeId>& order, uint32_t k) {
+        return PartitionByContribution(graph, order, k, contrib_options);
+      }));
 }
 
 // Per-option self-description literal; kEntries points at static arrays of

@@ -209,6 +209,9 @@ ReplayLog::Meta PipelineRun::ResolveMeta() const {
 }
 
 Status PipelineRun::Validate() {
+  // On replay the driving fields come from the trace, and an in-memory log
+  // never went through the loader's range check.
+  TXALLO_RETURN_NOT_OK(CheckReplayMeta(meta_));
   if (meta_.blocks_per_epoch == 0) {
     return Status::InvalidArgument("blocks_per_epoch must be positive");
   }

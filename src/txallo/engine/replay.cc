@@ -141,8 +141,9 @@ struct Field {
   const char* name;
   T Record::*member;
   Clock clock = Clock::kLogical;
-  // For an enum stored as u8: its largest valid value (the loader rejects
-  // anything above it).
+  // For an enum stored as u8: its largest valid value (the loader, the
+  // writer and the replay guard reject anything above it, through
+  // OutOfRangeField).
   uint8_t max = std::numeric_limits<uint8_t>::max();
 };
 
@@ -274,15 +275,27 @@ const char* ReadFields(std::string_view* in, const Fields& fields,
                        Record& record) {
   const char* bad = nullptr;
   ForEach(fields, [&](const auto& field) {
-    if (bad != nullptr) return;
-    auto& value = record.*field.member;
-    bool ok = Read(in, &value);
-    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, uint8_t>) {
-      ok = ok && value <= field.max;
+    if (bad == nullptr && !Read(in, &(record.*field.member))) {
+      bad = field.name;
     }
-    if (!ok) bad = field.name;
   });
   return bad;
+}
+
+// "<field>: <value> is above its largest value <max>" for the first enum
+// field of `meta` out of its range, or "" when every one is in range.
+std::string OutOfRangeField(const ReplayLog::Meta& meta) {
+  std::string out;
+  ForEach(kMetaFields, [&](const auto& field) {
+    const auto& value = meta.*field.member;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, uint8_t>) {
+      if (out.empty() && value > field.max) {
+        out = std::string(field.name) + ": " + std::to_string(value) +
+              " is above its largest value " + std::to_string(field.max);
+      }
+    }
+  });
+  return out;
 }
 
 // "<field>: recorded <a> vs replayed <b>" for the first logical field in
@@ -453,7 +466,14 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
 }
 
 
+Status CheckReplayMeta(const ReplayLog::Meta& meta) {
+  const std::string bad = OutOfRangeField(meta);
+  if (bad.empty()) return Status::OK();
+  return Status::InvalidArgument("trace meta." + bad);
+}
+
 Status SaveReplayLog(const ReplayLog& log, const std::string& path) {
+  TXALLO_RETURN_NOT_OK(CheckReplayMeta(log.meta));
   std::string out(kMagic, sizeof(kMagic));
   PutFields(&out, kMetaFields, log.meta);
   PutFields(&out, kRunFields, log);
@@ -485,6 +505,9 @@ Result<ReplayLog> LoadReplayLog(const std::string& path) {
   const char* bad = ReadFields(&in, kMetaFields, log.meta);
   if (bad != nullptr) {
     where = std::string("meta.") + bad;
+  } else if (const std::string range = OutOfRangeField(log.meta);
+             !range.empty()) {
+    where = "meta." + range;
   } else if ((bad = ReadFields(&in, kRunFields, log)) != nullptr) {
     where = bad;
   }
@@ -515,6 +538,9 @@ Result<ReplayLog> LoadReplayLog(const std::string& path) {
 
 Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path) {
   std::ostringstream csv;
+  // Doubles at round-trip precision, as the divergence check prints them,
+  // so two traces it tells apart never dump the same rows.
+  csv.precision(std::numeric_limits<double>::max_digits10);
   csv << "kind,a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s\n";
   // One `meta,<name>,<value>` row per logical meta and run-level field.
   const auto meta_rows = [&](const auto& fields, const auto& record) {

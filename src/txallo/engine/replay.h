@@ -164,11 +164,18 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
                                             ParallelEngine* engine,
                                             const PipelineConfig& config);
 
+/// OK when every enum field of `meta` (ingest_mode, admission_policy) is in
+/// its enum's range; otherwise InvalidArgument naming the field. The
+/// loader, SaveReplayLog and the pipeline's replay guard share this check.
+Status CheckReplayMeta(const ReplayLog::Meta& meta);
+
 /// Writes `log` in the compact binary trace format (magic "TXTRACE4",
 /// fixed-width little-endian fields in the order of replay.cc's field
 /// lists; an install's mapping is its account count, shard count and one
 /// u32 shard per account). Traces of earlier versions are rejected as
 /// version drift, not silently upgraded — the recorded semantics differ.
+/// A meta that CheckReplayMeta refuses is InvalidArgument, and nothing is
+/// written.
 Status SaveReplayLog(const ReplayLog& log, const std::string& path);
 
 /// Reads a trace written by SaveReplayLog. Version drift, short or
@@ -179,7 +186,8 @@ Result<ReplayLog> LoadReplayLog(const std::string& path);
 
 /// One-way human-readable dump: one CSV row per logical meta field /
 /// install / step / prepare / commit / state root, tagged by a leading
-/// `kind` column (wall-clock fields are left out).
+/// `kind` column (wall-clock fields are left out). Doubles print at
+/// max_digits10 significant digits, so they round-trip.
 Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path);
 
 }  // namespace txallo::engine

@@ -3,10 +3,12 @@
 // with every shard id < k, (b) be deterministic — two independent
 // instances and two calls on one instance all yield the identical mapping
 // (paper §V-B: all miners must agree without a consensus round), and
-// (c) honor the same contract on the online Rebalance path. A strategy
+// (c) honor the same contract on the online Rebalance path, where one
+// Rebalance() over a ledger equals Allocate() over its graph. A strategy
 // added to the registry is conformance-tested with zero new test code.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -64,7 +66,6 @@ AllocationContext ContextForWorkload(const Workload& w,
   context.registry = &w.generator->registry();
   context.node_order = &w.node_order;
   context.params = options.params;
-  context.seed = options.seed;
   return context;
 }
 
@@ -129,6 +130,53 @@ TEST_P(AllocatorConformance, OnlineRebalanceMatchesContract) {
   EXPECT_TRUE(*r1 == *r2) << "online path not deterministic";
   // CurrentAllocation reflects the rebalanced mapping.
   EXPECT_TRUE(online1->CurrentAllocation() == *r1);
+}
+
+TEST_P(AllocatorConformance, OnlineRebalanceEqualsOneShotAllocate) {
+  // The online path is the one-shot method over the graph it accumulated:
+  // one Rebalance() after the whole ledger equals Allocate() over that
+  // ledger's graph. The graph is built without domain padding (the online
+  // graph holds only accounts seen in a transaction), and both sides
+  // consolidate once, so edge weights sum in the same order.
+  for (const uint64_t seed : {5, 7, 11, 42}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    workload::EthereumLikeConfig config;
+    config.num_accounts = 600;
+    config.txs_per_block = 40;
+    config.num_blocks = 25;
+    config.num_communities = 12;
+    config.seed = seed;
+    workload::EthereumLikeGenerator generator(config);
+    const chain::Ledger ledger = generator.GenerateLedger(config.num_blocks);
+    const graph::TransactionGraph graph = graph::BuildTransactionGraph(ledger);
+
+    AllocatorOptions options;
+    options.params = alloc::AllocationParams::ForExperiment(
+        ledger.num_transactions(), kShards, kEta);
+    options.registry = &generator.registry();
+    auto online_made = MakeAllocator(GetParam(), options);
+    auto oneshot_made = MakeAllocator(GetParam(), options);
+    ASSERT_TRUE(online_made.ok() && oneshot_made.ok());
+    OnlineAllocator* online = (*online_made)->AsOnline();
+    if (online == nullptr) {
+      GTEST_SKIP() << GetParam() << " is one-shot only";
+    }
+    for (const chain::Block& block : ledger.blocks()) {
+      online->ApplyBlock(block);
+    }
+    Result<alloc::Allocation> rebalanced = online->Rebalance();
+    ASSERT_TRUE(rebalanced.ok()) << rebalanced.status().ToString();
+
+    AllocationContext context;
+    context.graph = &graph;
+    context.ledger = &ledger;
+    context.registry = &generator.registry();
+    context.params = options.params;
+    Result<alloc::Allocation> allocated = (*oneshot_made)->Allocate(context);
+    ASSERT_TRUE(allocated.ok()) << allocated.status().ToString();
+    EXPECT_TRUE(*rebalanced == *allocated)
+        << "online Rebalance() and one-shot Allocate() disagree";
+  }
 }
 
 TEST_P(AllocatorConformance, BeginRebalanceSplitIsSupportedAndEquivalent) {

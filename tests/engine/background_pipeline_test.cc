@@ -349,8 +349,8 @@ TEST(BackgroundPipelineTest, BackgroundMatchesDeferredStepForStep) {
   // The acceptance bar: background allocation must not change any logical
   // block-level number — only where the allocation latency is spent.
   const PipelineFixture f = MakeFixture();
-  for (const std::string spec :
-       {"txallo-hybrid:global-every=3", "metis", "contrib"}) {
+  for (const std::string spec : {"txallo-hybrid:global-every=3", "metis",
+                                 "contrib", "louvain", "shard-scheduler"}) {
     SCOPED_TRACE(spec);
     auto deferred =
         RunMode(f, spec, engine::AllocatorMode::kDriverDeferred);

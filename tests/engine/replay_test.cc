@@ -148,6 +148,21 @@ TEST(ReplayLogTest, CsvDumpContainsEverySection) {
   EXPECT_EQ(installs, log.installs.size());
   EXPECT_EQ(prepares, log.prepares.size());
   EXPECT_EQ(commits, log.commits.size());
+
+  // Doubles dump at round-trip precision: a difference the divergence
+  // check reports (here eta at the 9th significant digit) changes the dump.
+  engine::ReplayLog nudged = log;
+  nudged.meta.eta += nudged.meta.eta * 1e-8;
+  ASSERT_NE(engine::DescribeTraceDivergence(log, nudged), "");
+  const std::string nudged_path = TempPath("dump_nudged.csv");
+  ASSERT_TRUE(engine::DumpReplayLogCsv(nudged, nudged_path).ok());
+  const auto read_all = [](const std::string& file_path) {
+    std::ifstream in(file_path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_TRUE(read_all(path) != read_all(nudged_path))
+      << "a 9th-digit eta change left the dump unchanged";
 }
 
 TEST(ReplayLogTest, FingerprintTracksLedgerContentAndOrder) {
@@ -464,6 +479,38 @@ TEST(ReplayLogTest, ReplayOfAnAlteredTraceFailsInternal) {
   EXPECT_NE(replayed.status().ToString().find("step[1].submitted"),
             std::string::npos)
       << replayed.status().ToString();
+}
+
+TEST(ReplayLogTest, ReplayAndSaveRejectOutOfRangeEnumMeta) {
+  // An in-memory log never passes the loader: the replay guard and the
+  // writer range-check its enum fields themselves.
+  const chain::Ledger ledger = MakeLedger();
+  const engine::ReplayLog log = RecordSmallRun(ledger);
+  const struct {
+    const char* field;
+    std::function<void(engine::ReplayLog&)> mutate;
+  } cases[] = {
+      {"meta.ingest_mode",
+       [](engine::ReplayLog& l) { l.meta.ingest_mode = 7; }},
+      {"meta.admission_policy",
+       [](engine::ReplayLog& l) { l.meta.admission_policy = 9; }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    engine::ReplayLog hostile = log;
+    c.mutate(hostile);
+    engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+    auto replayed = engine::ReplayRecordedStream(ledger, hostile, &engine,
+                                                 engine::PipelineConfig{});
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(replayed.status().ToString().find(c.field), std::string::npos)
+        << replayed.status().ToString();
+    const Status saved =
+        engine::SaveReplayLog(hostile, TempPath("hostile_meta.trace"));
+    EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(saved.ToString().find(c.field), std::string::npos)
+        << saved.ToString();
+  }
 }
 
 TEST(ReplayLogTest, LoaderRejectsOutOfRangeBoolAndEnumBytes) {
