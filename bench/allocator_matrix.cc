@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
                         "one-shot and live on the engine",
                         scale, fixture, seed);
   std::printf("registered allocators:\n");
-  for (const std::string& name : allocator::RegisteredNames()) {
-    std::printf("  %-16s %s\n", name.c_str(),
-                allocator::DescribeAllocator(name).c_str());
+  for (const common::EntryDoc& doc : allocator::DescribeAllocators()) {
+    std::printf("  %-16s %s\n", std::string(doc.name).c_str(),
+                std::string(doc.summary).c_str());
   }
 
   // Leg 1: one-shot partition + model evaluation on the shared fixture.

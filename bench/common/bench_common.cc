@@ -97,7 +97,7 @@ std::unique_ptr<workload::Scenario> MakeScenarioOrDie(
     std::fprintf(stderr, "scenario '%s': %s\n", spec.c_str(),
                  made.status().ToString().c_str());
     std::fprintf(stderr, "(--scenario=help lists the registry)\n");
-    std::abort();
+    std::exit(1);
   }
   return std::move(*made);
 }
@@ -140,7 +140,7 @@ std::unique_ptr<allocator::Allocator> Fixture::MakeAllocator(
   if (!made.ok()) {
     std::fprintf(stderr, "allocator spec '%s': %s\n", spec.c_str(),
                  made.status().ToString().c_str());
-    std::abort();
+    std::exit(1);
   }
   return std::move(made.value());
 }
@@ -426,13 +426,13 @@ TimelineResult RunTimeline(const TimelineConfig& config,
   if (!made.ok()) {
     std::fprintf(stderr, "timeline allocator spec '%s': %s\n", spec.c_str(),
                  made.status().ToString().c_str());
-    std::abort();
+    std::exit(1);
   }
   allocator::OnlineAllocator* online = (*made)->AsOnline();
   if (online == nullptr) {
     std::fprintf(stderr, "timeline allocator '%s' is one-shot only; pick an "
                  "online strategy\n", spec.c_str());
-    std::abort();
+    std::exit(1);
   }
 
   // Prefix: absorb and bootstrap once (the paper's setup allocates the

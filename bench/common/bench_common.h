@@ -83,8 +83,8 @@ bool HandleAllocatorHelp(const Flags& flags);
 bool HandleScenarioHelp(const Flags& flags);
 
 /// Instantiates `spec` through the scenario registry with `shape` as the
-/// programmatic default. Aborts with a diagnostic on an invalid spec
-/// (bench binaries treat a typo'd scenario the way they treat a typo'd
+/// programmatic default. On an invalid spec, prints the status and exits
+/// 1 (bench binaries treat a typo'd scenario the way they treat a typo'd
 /// allocator: fatal, never silently the default workload).
 std::unique_ptr<workload::Scenario> MakeScenarioOrDie(
     const std::string& spec, const workload::ScenarioShape& shape);
@@ -122,8 +122,8 @@ class Fixture {
 
   /// Creates `spec`'s allocator bound to this fixture at (k, η): the
   /// registry, seed and experiment params flow into AllocatorOptions.
-  /// Aborts with a diagnostic on an invalid spec (bench binaries treat a
-  /// typo'd method name as fatal).
+  /// On an invalid spec, prints the status and exits 1 (bench binaries
+  /// treat a typo'd method name as fatal).
   std::unique_ptr<allocator::Allocator> MakeAllocator(const std::string& spec,
                                                       uint32_t k,
                                                       double eta) const;
@@ -290,8 +290,8 @@ struct TimelineConfig {
 };
 
 /// Runs one allocator spec (any online strategy in the registry) over the
-/// (deterministic) generated stream. Aborts with a diagnostic on an
-/// invalid or one-shot-only spec, like Fixture::MakeAllocator.
+/// (deterministic) generated stream. On an invalid or one-shot-only spec,
+/// prints why and exits 1, like Fixture::MakeAllocator.
 TimelineResult RunTimeline(const TimelineConfig& config,
                            const std::string& spec);
 

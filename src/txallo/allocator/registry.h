@@ -8,9 +8,12 @@
 //   auto hybrid = allocator::MakeAllocatorFromSpec(
 //       "txallo-hybrid:global-every=4", options);
 //
-// Specs use a uniform "name[:key=value,key=value...]" syntax. Unknown
-// names, unknown option keys and malformed values all fail with
-// InvalidArgument naming the offender — never silently ignored.
+// Specs use the uniform "name[:key=value,key=value...]" syntax of
+// common/spec.h, where each strategy's options are declared once (type,
+// default, bound, help): the usage text, the unknown-key check and the
+// bound check all run from that declaration. Unknown names fail with
+// NotFound; unknown option keys, malformed values and out-of-range values
+// fail with InvalidArgument naming the offender — never silently ignored.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include "txallo/alloc/params.h"
 #include "txallo/allocator/allocator.h"
 #include "txallo/chain/account.h"
+#include "txallo/common/spec.h"
 #include "txallo/common/status.h"
 
 namespace txallo::allocator {
@@ -42,47 +46,13 @@ struct AllocatorOptions {
   std::map<std::string, std::string> extra;
 };
 
-/// A parsed "name[:key=value,...]" spec.
-struct AllocatorSpec {
-  std::string name;
-  std::map<std::string, std::string> options;
-};
-
-/// Parses "key=value,key=value" (empty string = no options). Fails on a
-/// clause without '=', an empty key, or a duplicate key.
-Result<std::map<std::string, std::string>> ParseOptionList(
-    const std::string& spec);
-
-/// Parses "name" or "name:key=value,...".
-Result<AllocatorSpec> ParseAllocatorSpec(const std::string& spec);
-
 /// Every registered strategy name, sorted. Includes the broker decorator.
 std::vector<std::string> RegisteredNames();
 
-/// One-line description of a registered strategy (for banners/usage);
-/// empty for unknown names.
-std::string DescribeAllocator(const std::string& name);
-
-/// Self-description of one strategy-specific option: everything a generated
-/// usage table needs (type, default, accepted range, one-line help).
-struct AllocatorOptionDoc {
-  std::string key;
-  std::string type;           // "uint", "double", "string".
-  std::string default_value;  // Rendered default.
-  std::string range;          // Human-readable constraint, e.g. ">= 1.0".
-  std::string help;
-};
-
-/// Full self-description of one registered strategy.
-struct AllocatorDoc {
-  std::string name;
-  std::string summary;
-  std::vector<AllocatorOptionDoc> options;
-};
-
-/// Self-description of every registered strategy, sorted by name. The
-/// source of truth for `--allocator=help` and the README's option table.
-std::vector<AllocatorDoc> DescribeAllocators();
+/// Self-description of every registered strategy, sorted by name: the
+/// option declarations the factories read, bound-check and `--allocator=help`
+/// prints.
+std::vector<common::EntryDoc> DescribeAllocators();
 
 /// Generated usage table over DescribeAllocators() — what
 /// `--allocator=help` prints.

@@ -113,42 +113,131 @@ Status ReadDouble(const OptionMap& options, const std::string& key,
   return Status::OK();
 }
 
-Status ReadFraction(const OptionMap& options, const std::string& key,
-                    double* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  double v = 0.0;
-  TXALLO_RETURN_NOT_OK(ReadDouble(options, key, &v));
-  if (!(v >= 0.0 && v <= 1.0)) {
-    return BadValue(key, it->second, "a fraction in [0, 1]");
+const OptionDoc* OptionReader::Find(std::string_view key) const {
+  for (std::span<const OptionDoc> docs : {declared_, shared_}) {
+    for (const OptionDoc& doc : docs) {
+      if (doc.key == key) return &doc;
+    }
   }
-  *out = v;
+  return nullptr;
+}
+
+Status OptionReader::ExpectOnly(std::string_view kind,
+                                std::string_view name) const {
+  for (const auto& [key, value] : options_) {
+    if (Find(key) != nullptr) continue;
+    std::string list;
+    for (std::span<const OptionDoc> docs : {declared_, shared_}) {
+      for (const OptionDoc& doc : docs) {
+        if (!list.empty()) list += ", ";
+        list += doc.key;
+      }
+    }
+    return Status::InvalidArgument(
+        "unknown option '" + key + "' for " + std::string(kind) + " '" +
+        std::string(name) + "' (known: " + (list.empty() ? "<none>" : list) +
+        ")");
+  }
   return Status::OK();
 }
 
-Status ExpectOnly(const std::string& kind, const std::string& name,
-                  const OptionMap& options,
-                  const std::vector<std::string>& known) {
-  for (const auto& [key, value] : options) {
-    bool found = false;
-    for (const std::string& k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string list;
-      for (const std::string& k : known) {
-        if (!list.empty()) list += ", ";
-        list += k;
-      }
-      return Status::InvalidArgument(
-          "unknown option '" + key + "' for " + kind + " '" + name +
-          "' (known: " + (list.empty() ? "<none>" : list) + ")");
-    }
+Result<const OptionDoc*> OptionReader::Declared(const std::string& key,
+                                                std::string_view type) const {
+  const OptionDoc* doc = Find(key);
+  if (doc == nullptr || doc->type != type) {
+    return Status::Internal("option '" + key + "' is read as " +
+                            std::string(type) + " but not declared so");
+  }
+  return doc;
+}
+
+Status OptionReader::CheckNumber(const std::string& key,
+                                 std::string_view type, double value) const {
+  Result<const OptionDoc*> doc = Declared(key, type);
+  if (!doc.ok()) return doc.status();
+  auto it = options_.find(key);
+  if (it == options_.end()) return Status::OK();
+  const Bound& bound = (*doc)->bound;
+  if (value < bound.min || (bound.min_exclusive && value == bound.min) ||
+      value > bound.max) {
+    return Status::InvalidArgument("option '" + key + "' is out of range (" +
+                                   std::string(bound.text) + "), got '" +
+                                   it->second + "'");
   }
   return Status::OK();
+}
+
+Status OptionReader::Read(const std::string& key, uint64_t* out) const {
+  TXALLO_RETURN_NOT_OK(ReadUint64(options_, key, out));
+  return CheckNumber(key, "uint", static_cast<double>(*out));
+}
+
+Status OptionReader::Read(const std::string& key, uint32_t* out) const {
+  TXALLO_RETURN_NOT_OK(ReadUint32(options_, key, out));
+  return CheckNumber(key, "uint", *out);
+}
+
+Status OptionReader::Read(const std::string& key, int64_t* out) const {
+  TXALLO_RETURN_NOT_OK(ReadInt64(options_, key, out));
+  return CheckNumber(key, "int", static_cast<double>(*out));
+}
+
+Status OptionReader::Read(const std::string& key, double* out) const {
+  TXALLO_RETURN_NOT_OK(ReadDouble(options_, key, out));
+  return CheckNumber(key, "double", *out);
+}
+
+Status OptionReader::Read(const std::string& key, std::string* out) const {
+  Result<const OptionDoc*> doc = Declared(key, "string");
+  if (!doc.ok()) return doc.status();
+  if (auto it = options_.find(key); it != options_.end()) *out = it->second;
+  return Status::OK();
+}
+
+std::string OptionSyntax(const OptionDoc& option) {
+  return std::string(option.key) + "=<" + std::string(option.type) + ">";
+}
+
+std::vector<std::string> EntryNames(std::span<const EntryDoc> docs) {
+  std::vector<std::string> names;
+  names.reserve(docs.size());
+  for (const EntryDoc& doc : docs) names.emplace_back(doc.name);
+  return names;
+}
+
+Result<size_t> FindEntry(std::string_view kind, std::span<const EntryDoc> docs,
+                         std::string_view name) {
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (docs[i].name == name) return i;
+  }
+  std::string known;
+  for (const EntryDoc& doc : docs) {
+    if (!known.empty()) known += ", ";
+    known += doc.name;
+  }
+  return Status::NotFound("no " + std::string(kind) + " registered under '" +
+                          std::string(name) + "' (registered: " + known +
+                          ")");
+}
+
+std::string UsageText(std::string_view title, std::string_view preamble,
+                      std::span<const EntryDoc> docs,
+                      std::string_view no_options,
+                      std::string_view examples) {
+  std::string out = std::string(title) +
+                    " specs: NAME or NAME:key=value[,key=value...]\n\n" +
+                    std::string(preamble);
+  for (const EntryDoc& doc : docs) {
+    out += std::string(doc.name) + "\n    " + std::string(doc.summary) + "\n";
+    if (doc.options.empty()) out += "    " + std::string(no_options) + "\n";
+    for (const OptionDoc& option : doc.options) {
+      out += "    " + OptionSyntax(option) + "  default " +
+             std::string(option.default_value) + ", " +
+             std::string(option.bound.text) + " — " +
+             std::string(option.help) + "\n";
+    }
+  }
+  return out + "\nExamples: " + std::string(examples);
 }
 
 }  // namespace txallo::common

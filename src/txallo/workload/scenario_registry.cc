@@ -10,43 +10,39 @@ namespace txallo::workload {
 
 namespace {
 
+using common::kAnyValue;
+using common::kAtLeastOne;
+using common::kFraction;
+using common::kNonNegative;
+using common::OptionDoc;
 using common::OptionMap;
-using common::ReadDouble;
-using common::ReadFraction;
-using common::ReadInt64;
-using common::ReadUint32;
-using common::ReadUint64;
+using common::OptionReader;
 
-// Shape keys every scenario accepts (applied before the specific keys).
-constexpr const char* kCommonKeys[] = {
-    "blocks", "txs-per-block", "accounts", "communities", "balance", "seed",
+// Shape keys every scenario accepts on top of its own; the defaults are
+// ScenarioShape's.
+constexpr OptionDoc kShapeOptions[] = {
+    {"blocks", "uint", "64", kAnyValue, "blocks in the stream"},
+    {"txs-per-block", "uint", "100", kAnyValue, "transactions per block"},
+    {"accounts", "uint", "4000", kAnyValue, "background accounts"},
+    {"communities", "uint", "40", kAnyValue, "background account communities"},
+    {"balance", "int", "1000000", kAnyValue, "initial account balance"},
+    {"seed", "uint", "42", kAnyValue, "stream seed"},
 };
 
-Status ApplyCommonKeys(const OptionMap& options, ScenarioShape* shape) {
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "blocks", &shape->num_blocks));
-  TXALLO_RETURN_NOT_OK(
-      ReadUint64(options, "txs-per-block", &shape->txs_per_block));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "accounts", &shape->num_accounts));
-  TXALLO_RETURN_NOT_OK(
-      ReadUint32(options, "communities", &shape->num_communities));
-  TXALLO_RETURN_NOT_OK(
-      ReadInt64(options, "balance", &shape->initial_balance));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "seed", &shape->seed));
-  return Status::OK();
+Status ReadShape(const OptionReader& read, ScenarioShape* shape) {
+  TXALLO_RETURN_NOT_OK(read.Read("blocks", &shape->num_blocks));
+  TXALLO_RETURN_NOT_OK(read.Read("txs-per-block", &shape->txs_per_block));
+  TXALLO_RETURN_NOT_OK(read.Read("accounts", &shape->num_accounts));
+  TXALLO_RETURN_NOT_OK(read.Read("communities", &shape->num_communities));
+  TXALLO_RETURN_NOT_OK(read.Read("balance", &shape->initial_balance));
+  return read.Read("seed", &shape->seed);
 }
 
-// Rejects any key outside the common + scenario-specific set.
-Status ExpectOnly(const std::string& name, const OptionMap& options,
-                  std::initializer_list<const char*> specific) {
-  std::vector<std::string> known(std::begin(kCommonKeys),
-                                 std::end(kCommonKeys));
-  known.insert(known.end(), specific.begin(), specific.end());
-  return common::ExpectOnly("scenario", name, options, known);
-}
-
+// `shape` already carries the spec's shape keys; `read` reads the
+// scenario's own keys against the entry's declarations.
 using Factory = Result<std::unique_ptr<Scenario>> (*)(
-    const std::string& spec, const std::string& name,
-    const ScenarioShape& shape, const OptionMap& options);
+    const std::string& spec, const ScenarioShape& shape,
+    const OptionReader& read);
 
 Result<std::unique_ptr<Scenario>> FinishScenario(
     const std::string& spec, EthereumLikeConfig config,
@@ -56,234 +52,141 @@ Result<std::unique_ptr<Scenario>> FinishScenario(
       new OverlayScenario(spec, config, std::move(overlays)));
 }
 
+// The shape's background with one overlay on top.
+Result<std::unique_ptr<Scenario>> WithOverlay(
+    const std::string& spec, const ScenarioShape& shape,
+    std::unique_ptr<Overlay> overlay) {
+  std::vector<std::unique_ptr<Overlay>> overlays;
+  overlays.push_back(std::move(overlay));
+  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+}
+
 Result<std::unique_ptr<Scenario>> MakeEthereum(const std::string& spec,
-                                               const std::string& name,
                                                const ScenarioShape& shape,
-                                               const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(
-      name, options,
-      {"intra", "hub-share", "self-loop", "multi-party", "late-born",
-       "drift-interval", "drift-fraction", "drift-share"}));
+                                               const OptionReader& read) {
   EthereumLikeConfig config = shape.ToEthereumConfig();
+  TXALLO_RETURN_NOT_OK(read.Read("intra", &config.p_intra_community));
+  TXALLO_RETURN_NOT_OK(read.Read("hub-share", &config.hub_share));
+  TXALLO_RETURN_NOT_OK(read.Read("self-loop", &config.self_loop_rate));
+  TXALLO_RETURN_NOT_OK(read.Read("multi-party", &config.multi_party_rate));
+  TXALLO_RETURN_NOT_OK(read.Read("late-born", &config.late_born_fraction));
   TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "intra", &config.p_intra_community));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "hub-share", &config.hub_share));
+      read.Read("drift-interval", &config.drift_interval_blocks));
+  TXALLO_RETURN_NOT_OK(read.Read("drift-fraction", &config.drift_fraction));
   TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "self-loop", &config.self_loop_rate));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "multi-party", &config.multi_party_rate));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "late-born", &config.late_born_fraction));
-  TXALLO_RETURN_NOT_OK(
-      ReadUint64(options, "drift-interval", &config.drift_interval_blocks));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "drift-fraction", &config.drift_fraction));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "drift-share", &config.drift_partner_share));
+      read.Read("drift-share", &config.drift_partner_share));
   return FinishScenario(spec, config, {});
 }
 
-Result<std::unique_ptr<Scenario>> MakeSpike(const std::string& spec,
-                                            const std::string& name,
-                                            const ScenarioShape& shape,
-                                            const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(
-      name, options, {"start", "ramp", "hold", "decay", "peak-share"}));
-  const uint64_t nb = shape.num_blocks;
+// The flash-crowd envelope the derived spike defaults describe.
+HotSpikeParams DefaultSpike(uint64_t num_blocks) {
   HotSpikeParams params;
-  params.start = nb / 4;
-  params.ramp = std::max<uint64_t>(1, nb / 8);
-  params.hold = std::max<uint64_t>(1, nb / 4);
-  params.decay = std::max<uint64_t>(1, nb / 8);
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "start", &params.start));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "ramp", &params.ramp));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "hold", &params.hold));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "decay", &params.decay));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "peak-share", &params.peak_share));
-  if (params.ramp == 0 || params.decay == 0) {
-    return Status::InvalidArgument(
-        "scenario 'spike': ramp and decay must be >= 1 block");
-  }
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<HotSpikeOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+  params.start = num_blocks / 4;
+  params.ramp = std::max<uint64_t>(1, num_blocks / 8);
+  params.hold = std::max<uint64_t>(1, num_blocks / 4);
+  params.decay = std::max<uint64_t>(1, num_blocks / 8);
+  return params;
+}
+
+Result<std::unique_ptr<Scenario>> MakeSpike(const std::string& spec,
+                                            const ScenarioShape& shape,
+                                            const OptionReader& read) {
+  HotSpikeParams params = DefaultSpike(shape.num_blocks);
+  TXALLO_RETURN_NOT_OK(read.Read("start", &params.start));
+  TXALLO_RETURN_NOT_OK(read.Read("ramp", &params.ramp));
+  TXALLO_RETURN_NOT_OK(read.Read("hold", &params.hold));
+  TXALLO_RETURN_NOT_OK(read.Read("decay", &params.decay));
+  TXALLO_RETURN_NOT_OK(read.Read("peak-share", &params.peak_share));
+  return WithOverlay(spec, shape, std::make_unique<HotSpikeOverlay>(params));
 }
 
 Result<std::unique_ptr<Scenario>> MakeDiurnal(const std::string& spec,
-                                              const std::string& name,
                                               const ScenarioShape& shape,
-                                              const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(
-      ExpectOnly(name, options, {"period", "share", "width"}));
-  (void)shape;
+                                              const OptionReader& read) {
   DiurnalParams params;
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "period", &params.period));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "width", &params.width));
-  if (params.period == 0) {
-    return Status::InvalidArgument("scenario 'diurnal': period must be > 0");
-  }
-  if (params.width == 0) {
-    return Status::InvalidArgument("scenario 'diurnal': width must be > 0");
-  }
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<DiurnalOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+  TXALLO_RETURN_NOT_OK(read.Read("period", &params.period));
+  TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  TXALLO_RETURN_NOT_OK(read.Read("width", &params.width));
+  return WithOverlay(spec, shape, std::make_unique<DiurnalOverlay>(params));
 }
 
 Result<std::unique_ptr<Scenario>> MakeChurn(const std::string& spec,
-                                            const std::string& name,
                                             const ScenarioShape& shape,
-                                            const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(
-      ExpectOnly(name, options, {"pool", "lifetime", "share", "intra"}));
+                                            const OptionReader& read) {
   ChurnParams params;
   params.horizon_blocks = shape.num_blocks;
   params.pool = std::max<uint64_t>(1, shape.num_accounts / 16);
   params.lifetime = std::max<uint64_t>(1, shape.num_blocks / 4);
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "pool", &params.pool));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "lifetime", &params.lifetime));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "intra", &params.intra));
-  if (params.pool == 0 || params.lifetime == 0) {
-    return Status::InvalidArgument(
-        "scenario 'churn': pool and lifetime must be > 0");
-  }
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<ChurnOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+  TXALLO_RETURN_NOT_OK(read.Read("pool", &params.pool));
+  TXALLO_RETURN_NOT_OK(read.Read("lifetime", &params.lifetime));
+  TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  TXALLO_RETURN_NOT_OK(read.Read("intra", &params.intra));
+  return WithOverlay(spec, shape, std::make_unique<ChurnOverlay>(params));
 }
 
 Result<std::unique_ptr<Scenario>> MakeMultiAsset(const std::string& spec,
-                                                 const std::string& name,
                                                  const ScenarioShape& shape,
-                                                 const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(
-      ExpectOnly(name, options, {"assets", "share", "asset-skew"}));
+                                                 const OptionReader& read) {
   MultiAssetParams params;
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "assets", &params.assets));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
-  TXALLO_RETURN_NOT_OK(
-      ReadDouble(options, "asset-skew", &params.asset_skew));
-  if (params.assets == 0) {
-    return Status::InvalidArgument(
-        "scenario 'multi-asset': assets must be > 0");
-  }
-  if (params.asset_skew < 0.0) {
-    return Status::InvalidArgument(
-        "scenario 'multi-asset': asset-skew must be >= 0");
-  }
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<MultiAssetOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+  TXALLO_RETURN_NOT_OK(read.Read("assets", &params.assets));
+  TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  TXALLO_RETURN_NOT_OK(read.Read("asset-skew", &params.asset_skew));
+  return WithOverlay(spec, shape, std::make_unique<MultiAssetOverlay>(params));
 }
 
-Status ReadShardAttackParams(const OptionMap& options,
-                             ShardAttackParams* params) {
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "shards", &params->shards));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "target", &params->target));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "attackers", &params->attackers));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
-  TXALLO_RETURN_NOT_OK(
-      ReadDouble(options, "victim-skew", &params->victim_skew));
-  if (params->shards == 0) {
+Status TargetBelowShards(const ShardAttackParams& params) {
+  if (params.target >= params.shards) {
     return Status::InvalidArgument(
-        "scenario 'shard-attack': shards must be > 0");
-  }
-  if (params->target >= params->shards) {
-    return Status::InvalidArgument(
-        "scenario 'shard-attack': target must be < shards");
-  }
-  if (params->attackers == 0) {
-    return Status::InvalidArgument(
-        "scenario 'shard-attack': attackers must be > 0");
-  }
-  if (params->victim_skew < 0.0) {
-    return Status::InvalidArgument(
-        "scenario 'shard-attack': victim-skew must be >= 0");
+        "scenario option 'target' must be < shards");
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<Scenario>> MakeShardAttack(const std::string& spec,
-                                                  const std::string& name,
                                                   const ScenarioShape& shape,
-                                                  const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(
-      name, options, {"shards", "target", "attackers", "share",
-                      "victim-skew"}));
+                                                  const OptionReader& read) {
   ShardAttackParams params;
-  TXALLO_RETURN_NOT_OK(ReadShardAttackParams(options, &params));
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<ShardAttackOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
-}
-
-Status ReadSybilParams(const OptionMap& options, const ScenarioShape& shape,
-                       SybilParams* params) {
-  params->horizon_blocks = shape.num_blocks;
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "sybils", &params->sybils));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "fanout", &params->fanout));
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
-  if (params->sybils == 0) {
-    return Status::InvalidArgument("scenario 'sybil': sybils must be > 0");
-  }
-  if (params->fanout == 0) {
-    return Status::InvalidArgument("scenario 'sybil': fanout must be > 0");
-  }
-  return Status::OK();
+  TXALLO_RETURN_NOT_OK(read.Read("shards", &params.shards));
+  TXALLO_RETURN_NOT_OK(read.Read("target", &params.target));
+  TXALLO_RETURN_NOT_OK(read.Read("attackers", &params.attackers));
+  TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  TXALLO_RETURN_NOT_OK(read.Read("victim-skew", &params.victim_skew));
+  TXALLO_RETURN_NOT_OK(TargetBelowShards(params));
+  return WithOverlay(spec, shape, std::make_unique<ShardAttackOverlay>(params));
 }
 
 Result<std::unique_ptr<Scenario>> MakeSybil(const std::string& spec,
-                                            const std::string& name,
                                             const ScenarioShape& shape,
-                                            const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(
-      ExpectOnly(name, options, {"sybils", "fanout", "share"}));
+                                            const OptionReader& read) {
   SybilParams params;
-  TXALLO_RETURN_NOT_OK(ReadSybilParams(options, shape, &params));
-  std::vector<std::unique_ptr<Overlay>> overlays;
-  overlays.push_back(std::make_unique<SybilOverlay>(params));
-  return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
+  params.horizon_blocks = shape.num_blocks;
+  TXALLO_RETURN_NOT_OK(read.Read("sybils", &params.sybils));
+  TXALLO_RETURN_NOT_OK(read.Read("fanout", &params.fanout));
+  TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  return WithOverlay(spec, shape, std::make_unique<SybilOverlay>(params));
 }
 
 // The combinator showcase: spike + shard-attack + sybil stacked on one
 // background, each with a reduced share. Demonstrates that overlays
 // compose; the per-overlay scenarios stay the primitives.
 Result<std::unique_ptr<Scenario>> MakeStress(const std::string& spec,
-                                             const std::string& name,
                                              const ScenarioShape& shape,
-                                             const OptionMap& options) {
-  TXALLO_RETURN_NOT_OK(ExpectOnly(
-      name, options,
-      {"spike-share", "attack-share", "sybil-share", "shards", "target"}));
-  const uint64_t nb = shape.num_blocks;
-
-  HotSpikeParams spike;
-  spike.start = nb / 4;
-  spike.ramp = std::max<uint64_t>(1, nb / 8);
-  spike.hold = std::max<uint64_t>(1, nb / 4);
-  spike.decay = std::max<uint64_t>(1, nb / 8);
+                                             const OptionReader& read) {
+  HotSpikeParams spike = DefaultSpike(shape.num_blocks);
   spike.peak_share = 0.25;
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "spike-share", &spike.peak_share));
+  TXALLO_RETURN_NOT_OK(read.Read("spike-share", &spike.peak_share));
 
   ShardAttackParams attack;
   attack.share = 0.2;
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "shards", &attack.shards));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "target", &attack.target));
-  TXALLO_RETURN_NOT_OK(
-      ReadFraction(options, "attack-share", &attack.share));
-  if (attack.shards == 0 || attack.target >= attack.shards) {
-    return Status::InvalidArgument(
-        "scenario 'stress': need shards > 0 and target < shards");
-  }
+  TXALLO_RETURN_NOT_OK(read.Read("shards", &attack.shards));
+  TXALLO_RETURN_NOT_OK(read.Read("target", &attack.target));
+  TXALLO_RETURN_NOT_OK(read.Read("attack-share", &attack.share));
+  TXALLO_RETURN_NOT_OK(TargetBelowShards(attack));
 
   SybilParams sybil;
-  sybil.horizon_blocks = nb;
+  sybil.horizon_blocks = shape.num_blocks;
   sybil.share = 0.1;
-  TXALLO_RETURN_NOT_OK(ReadFraction(options, "sybil-share", &sybil.share));
+  TXALLO_RETURN_NOT_OK(read.Read("sybil-share", &sybil.share));
 
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<ShardAttackOverlay>(attack));
@@ -292,138 +195,128 @@ Result<std::unique_ptr<Scenario>> MakeStress(const std::string& spec,
   return FinishScenario(spec, shape.ToEthereumConfig(), std::move(overlays));
 }
 
-// Per-option self-description literal (same shape as the allocator
-// registry's).
-struct OptionDocLit {
-  const char* key;
-  const char* type;
-  const char* default_value;
-  const char* range;
-  const char* help;
-};
-
-constexpr OptionDocLit kEthereumOptionDocs[] = {
-    {"intra", "double", "0.92", "[0, 1]",
+constexpr OptionDoc kEthereumOptions[] = {
+    {"intra", "double", "0.92", kFraction,
      "probability a counterparty comes from the sender's community"},
-    {"hub-share", "double", "0.11", "[0, 1]",
+    {"hub-share", "double", "0.11", kFraction,
      "fraction of transactions involving the hub account"},
-    {"self-loop", "double", "0.002", "[0, 1]", "self-transfer probability"},
-    {"multi-party", "double", "0.05", "[0, 1]",
+    {"self-loop", "double", "0.002", kFraction, "self-transfer probability"},
+    {"multi-party", "double", "0.05", kFraction,
      "probability a transaction touches more than two accounts"},
-    {"late-born", "double", "0.3", "[0, 1]",
+    {"late-born", "double", "0.3", kFraction,
      "fraction of each community born only as the ledger progresses"},
-    {"drift-interval", "uint", "0", ">= 0",
+    {"drift-interval", "uint", "0", kNonNegative,
      "re-point communities at new partners every N blocks (0 = off)"},
-    {"drift-fraction", "double", "0.1", "[0, 1]",
+    {"drift-fraction", "double", "0.1", kFraction,
      "fraction of communities rewired per drift event"},
-    {"drift-share", "double", "0.5", "[0, 1]",
+    {"drift-share", "double", "0.5", kFraction,
      "share of a drifted community's intra traffic routed to its partner"},
 };
-constexpr OptionDocLit kSpikeOptionDocs[] = {
-    {"start", "uint", "blocks/4", ">= 0", "first block of the ramp"},
-    {"ramp", "uint", "blocks/8", ">= 1", "blocks to reach peak share"},
-    {"hold", "uint", "blocks/4", ">= 0", "blocks at peak share"},
-    {"decay", "uint", "blocks/8", ">= 1", "blocks back down to zero"},
-    {"peak-share", "double", "0.6", "[0, 1]",
+constexpr OptionDoc kSpikeOptions[] = {
+    {"start", "uint", "blocks/4", kNonNegative, "first block of the ramp"},
+    {"ramp", "uint", "blocks/8", kAtLeastOne, "blocks to reach peak share"},
+    {"hold", "uint", "blocks/4", kNonNegative, "blocks at peak share"},
+    {"decay", "uint", "blocks/8", kAtLeastOne, "blocks back down to zero"},
+    {"peak-share", "double", "0.6", kFraction,
      "traffic share of the mint contract at the peak"},
 };
-constexpr OptionDocLit kDiurnalOptionDocs[] = {
-    {"period", "uint", "24", ">= 1", "blocks per full community rotation"},
-    {"share", "double", "0.5", "[0, 1]",
+constexpr OptionDoc kDiurnalOptions[] = {
+    {"period", "uint", "24", kAtLeastOne, "blocks per full community rotation"},
+    {"share", "double", "0.5", kFraction,
      "fraction of traffic that follows the rotating awake window"},
-    {"width", "uint", "4", ">= 1", "communities awake at once"},
+    {"width", "uint", "4", kAtLeastOne, "communities awake at once"},
 };
-constexpr OptionDocLit kChurnOptionDocs[] = {
-    {"pool", "uint", "accounts/16", ">= 1", "short-lived account pool size"},
-    {"lifetime", "uint", "blocks/4", ">= 1",
+constexpr OptionDoc kChurnOptions[] = {
+    {"pool", "uint", "accounts/16", kAtLeastOne,
+     "short-lived account pool size"},
+    {"lifetime", "uint", "blocks/4", kAtLeastOne,
      "blocks from an account's birth to its death"},
-    {"share", "double", "0.3", "[0, 1]", "fraction of traffic that churns"},
-    {"intra", "double", "0.5", "[0, 1]",
+    {"share", "double", "0.3", kFraction, "fraction of traffic that churns"},
+    {"intra", "double", "0.5", kFraction,
      "probability a churn counterparty is another live churn account"},
 };
-constexpr OptionDocLit kMultiAssetOptionDocs[] = {
-    {"assets", "uint", "8", ">= 1", "distinct asset contract accounts"},
-    {"share", "double", "0.4", "[0, 1]",
+constexpr OptionDoc kMultiAssetOptions[] = {
+    {"assets", "uint", "8", kAtLeastOne, "distinct asset contract accounts"},
+    {"share", "double", "0.4", kFraction,
      "fraction of transfers carrying an asset output"},
-    {"asset-skew", "double", "1.0", ">= 0",
+    {"asset-skew", "double", "1.0", kNonNegative,
      "Zipf skew of asset popularity around each community's own asset"},
 };
-constexpr OptionDocLit kShardAttackOptionDocs[] = {
-    {"shards", "uint", "8", ">= 1",
+constexpr OptionDoc kShardAttackOptions[] = {
+    {"shards", "uint", "8", kAtLeastOne,
      "shard count the attack is tuned against (match the engine's k)"},
-    {"target", "uint", "0", "< shards", "victim shard under hash routing"},
-    {"attackers", "uint", "64", ">= 1", "fresh attacker accounts"},
-    {"share", "double", "0.4", "[0, 1]", "attack traffic fraction"},
-    {"victim-skew", "double", "1.0", ">= 0",
+    {"target", "uint", "0", {"< shards"},
+     "victim shard under hash routing"},
+    {"attackers", "uint", "64", kAtLeastOne, "fresh attacker accounts"},
+    {"share", "double", "0.4", kFraction, "attack traffic fraction"},
+    {"victim-skew", "double", "1.0", kNonNegative,
      "Zipf skew over the victim shard's resident accounts"},
 };
-constexpr OptionDocLit kSybilOptionDocs[] = {
-    {"sybils", "uint", "512", ">= 1", "fresh sybil addresses born over the run"},
-    {"fanout", "uint", "4", ">= 1", "outputs per sybil transaction"},
-    {"share", "double", "0.3", "[0, 1]", "sybil traffic fraction"},
+constexpr OptionDoc kSybilOptions[] = {
+    {"sybils", "uint", "512", kAtLeastOne,
+     "fresh sybil addresses born over the run"},
+    {"fanout", "uint", "4", kAtLeastOne, "outputs per sybil transaction"},
+    {"share", "double", "0.3", kFraction, "sybil traffic fraction"},
 };
-constexpr OptionDocLit kStressOptionDocs[] = {
-    {"spike-share", "double", "0.25", "[0, 1]", "mint flash-crowd peak share"},
-    {"attack-share", "double", "0.2", "[0, 1]", "shard-attack share"},
-    {"sybil-share", "double", "0.1", "[0, 1]", "sybil fan-out share"},
-    {"shards", "uint", "8", ">= 1", "shard count the attack targets"},
-    {"target", "uint", "0", "< shards", "victim shard under hash routing"},
-};
-
-struct Entry {
-  const char* name;
-  const char* summary;
-  Factory factory;
-  const OptionDocLit* options = nullptr;
-  size_t num_options = 0;
+constexpr OptionDoc kStressOptions[] = {
+    {"spike-share", "double", "0.25", kFraction, "mint flash-crowd peak share"},
+    {"attack-share", "double", "0.2", kFraction, "shard-attack share"},
+    {"sybil-share", "double", "0.1", kFraction, "sybil fan-out share"},
+    {"shards", "uint", "8", kAtLeastOne, "shard count the attack targets"},
+    {"target", "uint", "0", {"< shards"},
+     "victim shard under hash routing"},
 };
 
 // Sorted by name (RegisteredScenarioNames() relies on it).
-constexpr Entry kEntries[] = {
+constexpr common::SpecEntry<Factory> kEntries[] = {
     {"churn",
      "account churn: a pool of short-lived accounts with staggered births "
      "and deaths, feeding A-TxAllo's new-node path continuously",
-     MakeChurn, kChurnOptionDocs, std::size(kChurnOptionDocs)},
+     MakeChurn, kChurnOptions},
     {"diurnal",
      "diurnal drift: community activity rotates through an awake window "
      "once per period, decaying any allocation built on stale history",
-     MakeDiurnal, kDiurnalOptionDocs, std::size(kDiurnalOptionDocs)},
+     MakeDiurnal, kDiurnalOptions},
     {"ethereum",
      "the paper's stationary Ethereum-like stream (hub, Zipf communities, "
      "late-born accounts, optional partner drift) — the background of "
      "every other scenario",
-     MakeEthereum, kEthereumOptionDocs, std::size(kEthereumOptionDocs)},
+     MakeEthereum, kEthereumOptions},
     {"multi-asset",
      "syscoin-style asset allocations: transfers carry an asset-contract "
      "output, communities leaning on their own asset",
-     MakeMultiAsset, kMultiAssetOptionDocs, std::size(kMultiAssetOptionDocs)},
+     MakeMultiAsset, kMultiAssetOptions},
     {"shard-attack",
      "adversarial single-shard overload: fresh attacker accounts "
      "concentrate traffic on the accounts hash routing pins to one shard",
-     MakeShardAttack, kShardAttackOptionDocs,
-     std::size(kShardAttackOptionDocs)},
+     MakeShardAttack, kShardAttackOptions},
     {"spike",
      "NFT-mint flash crowd: one contract ramps to a dominant traffic share "
      "(ramp/hold/decay envelope), senders drawn from everywhere",
-     MakeSpike, kSpikeOptionDocs, std::size(kSpikeOptionDocs)},
+     MakeSpike, kSpikeOptions},
     {"stress",
      "combinator showcase: shard-attack + sybil + spike overlays stacked "
      "on one background",
-     MakeStress, kStressOptionDocs, std::size(kStressOptionDocs)},
+     MakeStress, kStressOptions},
     {"sybil",
      "sybil fan-out: fresh addresses born over the run spray multi-output "
      "transactions at the background population",
-     MakeSybil, kSybilOptionDocs, std::size(kSybilOptionDocs)},
+     MakeSybil, kSybilOptions},
 };
 
-Status NotFoundScenario(const std::string& name) {
-  std::string known;
-  for (const Entry& entry : kEntries) {
-    if (!known.empty()) known += ", ";
-    known += entry.name;
-  }
-  return Status::NotFound("no scenario registered under '" + name +
-                          "' (registered: " + known + ")");
+// Builds `name` with `options` (shape keys and its own), labelled `spec`.
+Result<std::unique_ptr<Scenario>> Build(const std::string& spec,
+                                        const std::string& name,
+                                        ScenarioShape shape,
+                                        const OptionMap& options) {
+  Result<size_t> index =
+      common::FindEntry("scenario", DescribeScenarios(), name);
+  if (!index.ok()) return index.status();
+  const common::SpecEntry<Factory>& entry = kEntries[*index];
+  const OptionReader read(options, entry.options, kShapeOptions);
+  TXALLO_RETURN_NOT_OK(read.ExpectOnly("scenario", name));
+  TXALLO_RETURN_NOT_OK(ReadShape(read, &shape));
+  return entry.factory(spec, shape, read);
 }
 
 std::string RenderSpec(const std::string& name, const OptionMap& options) {
@@ -451,86 +344,41 @@ EthereumLikeConfig ScenarioShape::ToEthereumConfig() const {
 }
 
 std::vector<std::string> RegisteredScenarioNames() {
-  std::vector<std::string> names;
-  names.reserve(std::size(kEntries));
-  for (const Entry& entry : kEntries) names.emplace_back(entry.name);
-  return names;
+  return common::EntryNames(DescribeScenarios());
 }
 
-std::string DescribeScenario(const std::string& name) {
-  for (const Entry& entry : kEntries) {
-    if (name == entry.name) return entry.summary;
-  }
-  return "";
+std::vector<common::EntryDoc> DescribeScenarios() {
+  return common::DescribeEntries(kEntries);
 }
 
-std::vector<ScenarioDoc> DescribeScenarios() {
-  std::vector<ScenarioDoc> docs;
-  docs.reserve(std::size(kEntries));
-  for (const Entry& entry : kEntries) {
-    ScenarioDoc doc;
-    doc.name = entry.name;
-    doc.summary = entry.summary;
-    doc.options.reserve(entry.num_options);
-    for (size_t i = 0; i < entry.num_options; ++i) {
-      const OptionDocLit& option = entry.options[i];
-      doc.options.push_back(ScenarioOptionDoc{option.key, option.type,
-                                              option.default_value,
-                                              option.range, option.help});
-    }
-    docs.push_back(std::move(doc));
-  }
-  return docs;
+std::span<const common::OptionDoc> ScenarioShapeOptions() {
+  return kShapeOptions;
 }
 
 std::string ScenarioUsageText() {
-  std::string out =
-      "Scenario specs: NAME or NAME:key=value[,key=value...]\n\n"
-      "Common shape keys (every scenario): blocks=<uint>, "
-      "txs-per-block=<uint>, accounts=<uint>, communities=<uint>, "
-      "balance=<int>, seed=<uint>\n\n";
-  for (const ScenarioDoc& doc : DescribeScenarios()) {
-    out += doc.name + "\n    " + doc.summary + "\n";
-    if (doc.options.empty()) {
-      out += "    (no specific options)\n";
-    }
-    for (const ScenarioOptionDoc& option : doc.options) {
-      out += "    " + option.key + "=<" + option.type + ">  default " +
-             option.default_value + ", " + option.range + " — " +
-             option.help + "\n";
-    }
+  std::string preamble = "Common shape keys (every scenario): ";
+  for (const OptionDoc& option : kShapeOptions) {
+    if (&option != kShapeOptions) preamble += ", ";
+    preamble += common::OptionSyntax(option);
   }
-  out +=
-      "\nExamples: --scenario=spike:peak-share=0.7\n"
-      "          --scenario=\"shard-attack:shards=8,target=3,share=0.5\"\n";
-  return out;
+  return common::UsageText(
+      "Scenario", preamble + "\n\n", DescribeScenarios(),
+      "(no specific options)",
+      "--scenario=spike:peak-share=0.7\n"
+      "          --scenario=\"shard-attack:shards=8,target=3,share=0.5\"\n");
 }
 
 Result<std::unique_ptr<Scenario>> MakeScenario(
     const std::string& name, const ScenarioShape& shape,
     const std::map<std::string, std::string>& options) {
-  for (const Entry& entry : kEntries) {
-    if (name == entry.name) {
-      ScenarioShape sized = shape;
-      TXALLO_RETURN_NOT_OK(ApplyCommonKeys(options, &sized));
-      return entry.factory(RenderSpec(name, options), name, sized, options);
-    }
-  }
-  return NotFoundScenario(name);
+  return Build(RenderSpec(name, options), name, shape, options);
 }
 
 Result<std::unique_ptr<Scenario>> MakeScenarioFromSpec(
     const std::string& spec, const ScenarioShape& shape) {
   Result<common::ParsedSpec> parsed = common::ParseSpec(spec);
   if (!parsed.ok()) return parsed.status();
-  for (const Entry& entry : kEntries) {
-    if (parsed->name == entry.name) {
-      ScenarioShape sized = shape;
-      TXALLO_RETURN_NOT_OK(ApplyCommonKeys(parsed->options, &sized));
-      return entry.factory(spec, parsed->name, sized, parsed->options);
-    }
-  }
-  return NotFoundScenario(parsed->name);
+  return Build(spec, parsed->name, shape, parsed->options);
 }
 
 }  // namespace txallo::workload

@@ -1,8 +1,10 @@
-// String-keyed factory for workload scenarios, mirroring the allocator
-// registry (allocator/registry.h): consumers pick scenarios by
-// "name[:key=value,...]" spec, unknown names/keys/values fail with
-// InvalidArgument naming the offender, and the registry self-describes for
-// `--scenario=help` and the README catalog.
+// String-keyed factory for workload scenarios, built on the same registry
+// scaffold as the allocator registry (common/spec.h): consumers pick
+// scenarios by "name[:key=value,...]" spec; each option is declared once
+// (type, default, bound, help), and the usage text, the unknown-key check
+// and the bound check all run from that declaration. Unknown names fail
+// with NotFound; unknown keys and malformed or out-of-range values fail
+// with InvalidArgument naming the offender.
 //
 //   workload::ScenarioShape shape;
 //   shape.num_blocks = 96;
@@ -17,9 +19,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "txallo/common/spec.h"
 #include "txallo/common/status.h"
 #include "txallo/workload/ethereum_like.h"
 #include "txallo/workload/scenario.h"
@@ -46,29 +50,13 @@ struct ScenarioShape {
 /// Every registered scenario name, sorted.
 std::vector<std::string> RegisteredScenarioNames();
 
-/// One-line description of a registered scenario; empty for unknown names.
-std::string DescribeScenario(const std::string& name);
+/// Self-description of every registered scenario, sorted by name: the
+/// option declarations the factories read, bound-check and
+/// `--scenario=help` prints.
+std::vector<common::EntryDoc> DescribeScenarios();
 
-/// Self-description of one scenario-specific option (same shape as
-/// allocator::AllocatorOptionDoc).
-struct ScenarioOptionDoc {
-  std::string key;
-  std::string type;           // "uint", "double", "int".
-  std::string default_value;  // Rendered default ("derived" when computed).
-  std::string range;
-  std::string help;
-};
-
-/// Full self-description of one registered scenario.
-struct ScenarioDoc {
-  std::string name;
-  std::string summary;
-  std::vector<ScenarioOptionDoc> options;
-};
-
-/// Self-description of every registered scenario, sorted by name. Source of
-/// truth for `--scenario=help` and the README catalog.
-std::vector<ScenarioDoc> DescribeScenarios();
+/// Declarations of the common shape keys every scenario accepts.
+std::span<const common::OptionDoc> ScenarioShapeOptions();
 
 /// Generated usage table over DescribeScenarios() — what `--scenario=help`
 /// prints (includes the common shape keys).

@@ -1,10 +1,13 @@
-// Unit tests for the allocator registry and its key=value options parser:
-// unknown names, unknown keys and malformed values must all fail loudly,
-// and every registered name must construct and describe itself.
+// Unit tests for the allocator registry: unknown names, unknown keys,
+// malformed and out-of-range values must all fail loudly, and every
+// registered name must construct and describe itself. The edge cases of
+// the spec grammar itself are tested in tests/common/spec_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "../common/declared_options_check.h"
 #include "txallo/allocator/adapters.h"
 #include "txallo/allocator/registry.h"
 
@@ -18,55 +21,25 @@ AllocatorOptions BaseOptions(const chain::AccountRegistry* registry = nullptr) {
   return options;
 }
 
-TEST(ParseOptionListTest, ParsesKeyValuePairs) {
-  auto options = ParseOptionList("a=1,b=two,c=3.5");
-  ASSERT_TRUE(options.ok());
-  EXPECT_EQ(options->size(), 3u);
-  EXPECT_EQ(options->at("a"), "1");
-  EXPECT_EQ(options->at("b"), "two");
-  EXPECT_EQ(options->at("c"), "3.5");
-}
-
-TEST(ParseOptionListTest, EmptyStringIsNoOptions) {
-  auto options = ParseOptionList("");
-  ASSERT_TRUE(options.ok());
-  EXPECT_TRUE(options->empty());
-}
-
-TEST(ParseOptionListTest, RejectsClauseWithoutEquals) {
-  auto options = ParseOptionList("a=1,bogus");
-  ASSERT_FALSE(options.ok());
-  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(options.status().message().find("bogus"), std::string::npos);
-}
-
-TEST(ParseOptionListTest, RejectsEmptyKey) {
-  EXPECT_FALSE(ParseOptionList("=1").ok());
-}
-
-TEST(ParseOptionListTest, RejectsDuplicateKey) {
-  auto options = ParseOptionList("a=1,a=2");
-  ASSERT_FALSE(options.ok());
-  EXPECT_NE(options.status().message().find("duplicate"), std::string::npos);
-}
-
+// Allocator specs go through the shared common::ParseSpec grammar.
 TEST(ParseAllocatorSpecTest, NameOnly) {
-  auto spec = ParseAllocatorSpec("metis");
+  auto spec = common::ParseSpec("metis");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->name, "metis");
   EXPECT_TRUE(spec->options.empty());
 }
 
 TEST(ParseAllocatorSpecTest, NameWithOptions) {
-  auto spec = ParseAllocatorSpec("txallo-hybrid:global-every=4");
+  auto spec = common::ParseSpec("txallo-hybrid:global-every=4");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->name, "txallo-hybrid");
   EXPECT_EQ(spec->options.at("global-every"), "4");
 }
 
 TEST(ParseAllocatorSpecTest, RejectsEmptyName) {
-  EXPECT_FALSE(ParseAllocatorSpec("").ok());
-  EXPECT_FALSE(ParseAllocatorSpec(":a=1").ok());
+  EXPECT_FALSE(common::ParseSpec("").ok());
+  EXPECT_FALSE(common::ParseSpec(":a=1").ok());
+  EXPECT_FALSE(MakeAllocatorFromSpec(":global-every=4", BaseOptions()).ok());
 }
 
 TEST(RegistryTest, RegisteredNamesSortedUniqueAndComplete) {
@@ -85,11 +58,12 @@ TEST(RegistryTest, RegisteredNamesSortedUniqueAndComplete) {
 TEST(RegistryTest, EveryNameConstructsAndDescribes) {
   chain::AccountRegistry registry;
   registry.Intern("0xa");
-  for (const std::string& name : RegisteredNames()) {
+  for (const common::EntryDoc& doc : DescribeAllocators()) {
+    const std::string name(doc.name);
     auto made = MakeAllocator(name, BaseOptions(&registry));
     ASSERT_TRUE(made.ok()) << name << ": " << made.status().ToString();
     EXPECT_EQ((*made)->Name(), name);
-    EXPECT_FALSE(DescribeAllocator(name).empty()) << name;
+    EXPECT_FALSE(doc.summary.empty()) << name;
   }
 }
 
@@ -142,10 +116,21 @@ TEST(RegistryTest, NonFiniteOptionValueIsRejected) {
 }
 
 TEST(RegistryTest, OutOfRangeOptionValueIsRejected) {
-  EXPECT_FALSE(MakeAllocatorFromSpec("metis:imbalance=0.5",
-                                     BaseOptions()).ok());
-  EXPECT_FALSE(MakeAllocatorFromSpec("louvain:resolution=0",
-                                     BaseOptions()).ok());
+  // broker:cross-cost=-1 used to construct and fail only in Evaluate(),
+  // which the engine-facing benches never call.
+  const std::pair<const char*, const char*> cases[] = {
+      {"metis:imbalance=0.5", "'imbalance'"},
+      {"louvain:resolution=0", "'resolution'"},
+      {"broker:cross-cost=-1", "'cross-cost'"},
+  };
+  for (const auto& [spec, key] : cases) {
+    SCOPED_TRACE(spec);
+    auto made = MakeAllocatorFromSpec(spec, BaseOptions());
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(made.status().message().find(key), std::string::npos)
+        << made.status().ToString();
+  }
 }
 
 TEST(RegistryTest, TxAlloNamesRequireRegistry) {
@@ -182,43 +167,43 @@ TEST(RegistryTest, ContribIsRegisteredWithRangeChecks) {
 }
 
 TEST(RegistryTest, DescribeAllocatorsCoversEveryRegisteredName) {
-  const std::vector<AllocatorDoc> docs = DescribeAllocators();
+  const std::vector<common::EntryDoc> docs = DescribeAllocators();
   const std::vector<std::string> names = RegisteredNames();
   ASSERT_EQ(docs.size(), names.size());
   for (size_t i = 0; i < docs.size(); ++i) {
     EXPECT_EQ(docs[i].name, names[i]);
-    EXPECT_FALSE(docs[i].summary.empty()) << docs[i].name;
-    for (const AllocatorOptionDoc& option : docs[i].options) {
-      EXPECT_FALSE(option.key.empty()) << docs[i].name;
-      EXPECT_FALSE(option.type.empty()) << docs[i].name;
-      EXPECT_FALSE(option.default_value.empty()) << docs[i].name;
-      EXPECT_FALSE(option.help.empty())
-          << docs[i].name << ":" << option.key;
+    EXPECT_FALSE(docs[i].summary.empty()) << names[i];
+    for (const common::OptionDoc& option : docs[i].options) {
+      EXPECT_FALSE(option.key.empty()) << names[i];
+      EXPECT_FALSE(option.type.empty()) << names[i];
+      EXPECT_FALSE(option.default_value.empty()) << names[i];
+      EXPECT_FALSE(option.help.empty()) << names[i] << ":" << option.key;
     }
   }
 }
 
 TEST(RegistryTest, DocumentedDefaultsAreAcceptedByTheFactory) {
-  // The metadata cannot drift from the factories: every documented option,
-  // set to its documented default, must construct.
+  // The help text cannot drift from the factories: every printed bound is
+  // enforced, every declared key is read, and every documented default
+  // constructs.
   chain::AccountRegistry registry;
   registry.Intern("0xa");
-  for (const AllocatorDoc& doc : DescribeAllocators()) {
-    AllocatorOptions options = BaseOptions(&registry);
-    for (const AllocatorOptionDoc& option : doc.options) {
-      options.extra[option.key] = option.default_value;
-    }
-    auto made = MakeAllocator(doc.name, options);
-    EXPECT_TRUE(made.ok()) << doc.name << ": " << made.status().ToString();
-  }
+  common::ExpectDeclarationsEnforced(
+      DescribeAllocators(), {},
+      [&](const std::string& name, const common::OptionMap& extra) {
+        AllocatorOptions options = BaseOptions(&registry);
+        options.extra = extra;
+        return MakeAllocator(name, options).status();
+      });
 }
 
 TEST(RegistryTest, UsageTextMentionsEveryNameAndOptionKey) {
   const std::string usage = AllocatorUsageText();
-  for (const AllocatorDoc& doc : DescribeAllocators()) {
+  for (const common::EntryDoc& doc : DescribeAllocators()) {
     EXPECT_NE(usage.find(doc.name), std::string::npos) << doc.name;
-    for (const AllocatorOptionDoc& option : doc.options) {
-      EXPECT_NE(usage.find(option.key + "=<"), std::string::npos)
+    for (const common::OptionDoc& option : doc.options) {
+      EXPECT_NE(usage.find(std::string(option.key) + "=<"),
+                std::string::npos)
           << doc.name << ":" << option.key;
     }
   }

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "../common/declared_options_check.h"
 #include "txallo/engine/replay.h"
 
 namespace txallo::workload {
@@ -158,15 +159,43 @@ TEST(ScenarioRegistryTest, DescriptionsCoverEveryNameAndOption) {
     SCOPED_TRACE(names[i]);
     EXPECT_EQ(docs[i].name, names[i]);
     EXPECT_FALSE(docs[i].summary.empty());
-    EXPECT_EQ(DescribeScenario(names[i]), docs[i].summary);
-    // Every documented key is accepted (with its default untouched the
-    // scenario must still build); round-trip through a real spec.
-    for (const ScenarioOptionDoc& option : docs[i].options) {
+    for (const common::OptionDoc& option : docs[i].options) {
       EXPECT_FALSE(option.help.empty());
       EXPECT_FALSE(option.type.empty());
     }
   }
-  EXPECT_EQ(DescribeScenario("tsunami"), "");
+}
+
+TEST(ScenarioRegistryTest, DocumentedDefaultsAreAcceptedByTheFactory) {
+  // The help text cannot drift from the factories: every printed bound is
+  // enforced, every declared key (shape keys too) is read, and every
+  // documented default constructs.
+  common::ExpectDeclarationsEnforced(
+      DescribeScenarios(), ScenarioShapeOptions(),
+      [](const std::string& name, const common::OptionMap& options) {
+        return MakeScenario(name, SmallShape(), options).status();
+      });
+}
+
+TEST(ScenarioRegistryTest, DocumentedDefaultsAreTheDefaults) {
+  // Spelling out every literal documented default (shape keys included)
+  // generates the same stream as leaving them all out.
+  for (const common::EntryDoc& doc : DescribeScenarios()) {
+    const std::string name(doc.name);
+    SCOPED_TRACE(name);
+    auto fingerprint = [&](const common::OptionMap& options) -> uint64_t {
+      auto scenario = MakeScenario(name, ScenarioShape{}, options);
+      if (!scenario.ok()) {
+        ADD_FAILURE() << scenario.status().ToString();
+        return 0;
+      }
+      return engine::FingerprintLedger(
+          (*scenario)->GenerateLedger((*scenario)->num_blocks()));
+    };
+    EXPECT_EQ(fingerprint(common::LiteralDefaults(doc.options,
+                                                  ScenarioShapeOptions())),
+              fingerprint({}));
+  }
 }
 
 TEST(ScenarioRegistryTest, UsageTextMentionsEveryScenarioAndCommonKeys) {
