@@ -7,11 +7,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "txallo/alloc/metrics.h"
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/baselines/shard_scheduler.h"
+#include "txallo/chain/account.h"
+#include "txallo/chain/transaction.h"
 #include "txallo/common/flat_map.h"
 #include "txallo/common/rng.h"
 #include "txallo/common/sha256.h"
@@ -99,6 +102,62 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample)->Arg(1'000)->Arg(100'000);
+
+// Set-up: the three parts of generating a workload, at TXALLO_ACCOUNTS
+// accounts. BM_GenerateLedger takes perf_ledger's closed-hash-1m shape (one
+// community per 160 accounts, two transactions per account in blocks of
+// 1000) and times the generator's construction (registry and samplers)
+// plus the ledger.
+void BM_RegistryCreateSynthetic(benchmark::State& state) {
+  const size_t accounts = BenchAccounts();
+  for (auto _ : state) {
+    chain::AccountRegistry registry;
+    benchmark::DoNotOptimize(registry.CreateSynthetic(accounts).ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(accounts));
+}
+BENCHMARK(BM_RegistryCreateSynthetic)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateLedger(benchmark::State& state) {
+  const size_t accounts = BenchAccounts();
+  workload::EthereumLikeConfig config;
+  config.num_accounts = accounts;
+  config.num_communities =
+      static_cast<uint32_t>(std::max<size_t>(32, accounts / 160));
+  config.txs_per_block = 1000;
+  config.num_blocks = std::max<size_t>(1, 2 * accounts / 1000);
+  for (auto _ : state) {
+    workload::EthereumLikeGenerator generator(config);
+    benchmark::DoNotOptimize(
+        generator.GenerateLedger(config.num_blocks).num_transactions());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(config.num_blocks *
+                                               config.txs_per_block));
+}
+BENCHMARK(BM_GenerateLedger)->Unit(benchmark::kMillisecond);
+
+// One input and range(0) outputs: 1 and 2 stay inline, 4 spills.
+void BM_TransactionBuild(benchmark::State& state) {
+  const size_t n = BenchAccounts();
+  const auto outputs = static_cast<size_t>(state.range(0));
+  std::vector<chain::AccountId> ids(outputs + 1);
+  std::vector<chain::Transaction> txs;
+  txs.reserve(n);
+  for (auto _ : state) {
+    txs.clear();
+    for (size_t i = 0; i < n; ++i) {
+      std::iota(ids.begin(), ids.end(), static_cast<chain::AccountId>(i));
+      txs.emplace_back(std::span<const chain::AccountId>(ids).first(1),
+                       std::span<const chain::AccountId>(ids).subspan(1));
+    }
+    benchmark::DoNotOptimize(txs.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_TransactionBuild)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_GraphBuild(benchmark::State& state) {
   const chain::Ledger& ledger = SharedLedger();

@@ -147,7 +147,7 @@ class Accumulator {
 
  private:
   // Adds the distinct shards of the non-replicated `accounts` to shards_.
-  bool Collect(const std::vector<chain::AccountId>& accounts) {
+  bool Collect(std::span<const chain::AccountId> accounts) {
     for (chain::AccountId a : accounts) {
       if (!replicated_.empty() &&
           std::binary_search(replicated_.begin(), replicated_.end(), a)) {

@@ -99,7 +99,7 @@ ShardScheduler::MigrationPlan ShardScheduler::BestMigration(
 
 void ShardScheduler::Process(const chain::Transaction& tx) {
   ++transactions_;
-  const std::vector<AccountId>& accounts = tx.accounts();
+  const std::span<const AccountId> accounts = tx.accounts();
   if (accounts.empty()) return;
   const AccountId max_id = accounts.back();
   if (static_cast<size_t>(max_id) >= shard_of_.size()) {

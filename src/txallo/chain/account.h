@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,13 +35,23 @@ class AccountRegistry {
  public:
   AccountRegistry() = default;
 
-  /// Returns the id for `address`, creating it on first sight.
+  /// Returns the id for `address`, creating it on first sight. Aborts when
+  /// a new id would reach kInvalidAccount (four billion distinct addresses
+  /// do not fit in memory first).
   AccountId Intern(const std::string& address,
                    AccountType type = AccountType::kExternallyOwned);
 
-  /// Creates a synthetic account whose address is derived from its id
-  /// ("acct-<id>"). Used by the workload generator.
-  AccountId CreateSynthetic(AccountType type = AccountType::kExternallyOwned);
+  /// Creates `count` synthetic accounts with consecutive ids and returns the
+  /// first one; each address is derived from its id ("acct-<id>") and the
+  /// new account `id` gets type `type_of(id)`, called in id order. The
+  /// arrays are sized once; synthetic addresses are resolved by parsing
+  /// them, so they take no index entries. OutOfRange, creating nothing,
+  /// when an id would reach kInvalidAccount. Used by the workload generator
+  /// and the scenario overlays.
+  Result<AccountId> CreateSynthetic(
+      uint64_t count, const std::function<AccountType(uint64_t)>& type_of);
+  Result<AccountId> CreateSynthetic(
+      uint64_t count, AccountType type = AccountType::kExternallyOwned);
 
   /// Looks up an existing id. NotFound if the address was never interned.
   Result<AccountId> Find(const std::string& address) const;
@@ -61,8 +72,13 @@ class AccountRegistry {
   std::vector<AccountId> IdsInHashOrder() const;
 
  private:
-  // Flat open-addressing map: interning stays O(1) without libstdc++'s
-  // node allocations; iteration (unused here) would be insertion-ordered.
+  void Append(std::string address, AccountType type);
+  // The index entry for `address`, else the synthetic account it names
+  // (checked against the stored address), else kInvalidAccount.
+  AccountId Lookup(const std::string& address) const;
+
+  // Flat open-addressing map over the interned (non-synthetic) addresses:
+  // interning stays O(1) without libstdc++'s node allocations.
   common::FlatMap<std::string, AccountId> index_;
   std::vector<std::string> addresses_;
   std::vector<AccountType> types_;

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TXALLO_SHA_NI 1
+#include <immintrin.h>
+#endif
+
 namespace txallo {
 
 namespace {
@@ -24,56 +29,141 @@ constexpr uint32_t kRound[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef TXALLO_SHA_NI
+// The SHA-NI block function. The instructions keep the state as the pair
+// (ABEF, CDGH) and take two rounds per SHA256RNDS2; SHA256MSG1/MSG2 extend
+// the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void ShaNiBlocks(uint32_t state[8],
+                                                       const uint8_t* blocks,
+                                                       size_t count) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[g % 4] holds schedule words 4g .. 4g + 3.
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = w[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            byte_swap);
+      } else {
+        __m128i x = _mm_sha256msg1_epu32(cur, w[(g - 3) & 3]);
+        x = _mm_add_epi32(x,
+                          _mm_alignr_epi8(w[(g - 1) & 3], w[(g - 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(x, w[(g - 1) & 3]);
+      }
+      const __m128i round_constants =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g));
+      const __m128i msg = _mm_add_epi32(cur, round_constants);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+#endif
+
+// First 8 digest bytes, big-endian, of a message that fits one block with
+// its padding (at most 55 bytes).
+uint64_t Hash64OneBlock(const void* data, size_t len) {
+  uint8_t block[64] = {};
+  std::memcpy(block, data, len);
+  block[len] = 0x80;
+  const uint64_t bits = static_cast<uint64_t>(len) * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  }
+  uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(state));
+  Sha256DispatchedBlocks()(state, block, 1);
+  return (static_cast<uint64_t>(state[0]) << 32) | state[1];
+}
+
 }  // namespace
+
+void Sha256PortableBlocks(uint32_t state[8], const uint8_t* blocks,
+                          size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    const uint8_t* block = blocks;
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
+             (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(block[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256BlockFunction Sha256DispatchedBlocks() {
+  static const Sha256BlockFunction chosen = []() -> Sha256BlockFunction {
+#ifdef TXALLO_SHA_NI
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+      return &ShaNiBlocks;
+    }
+#endif
+    return &Sha256PortableBlocks;
+  }();
+  return chosen;
+}
 
 void Sha256::Reset() {
   std::memcpy(state_, kInit, sizeof(state_));
   bit_count_ = 0;
   buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::Update(const void* data, size_t len) {
@@ -88,14 +178,14 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
+      blocks_(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    blocks_(state_, p, len / 64);
+    p += len / 64 * 64;
+    len %= 64;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -110,14 +200,14 @@ Sha256Digest Sha256::Finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
-    ProcessBlock(buffer_);
+    blocks_(state_, buffer_, 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  ProcessBlock(buffer_);
+  blocks_(state_, buffer_, 1);
   buffer_len_ = 0;
 
   Sha256Digest out;
@@ -137,6 +227,7 @@ Sha256Digest Sha256::Hash(std::string_view data) {
 }
 
 uint64_t Sha256::Hash64(std::string_view data) {
+  if (data.size() <= 55) return Hash64OneBlock(data.data(), data.size());
   Sha256Digest d = Hash(data);
   uint64_t out = 0;
   for (int i = 0; i < 8; ++i) out = (out << 8) | d[i];
@@ -146,12 +237,7 @@ uint64_t Sha256::Hash64(std::string_view data) {
 uint64_t Sha256::Hash64(uint64_t key) {
   uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(key >> (8 * i));
-  Sha256 h;
-  h.Update(bytes, 8);
-  Sha256Digest d = h.Finish();
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out = (out << 8) | d[i];
-  return out;
+  return Hash64OneBlock(bytes, sizeof(bytes));
 }
 
 std::string DigestToHex(const Sha256Digest& digest) {

@@ -4,6 +4,12 @@
 //  2. the deterministic node iteration order of G-/A-TxAllo (paper §V-B:
 //     "The hash value of the accounts can determine the order of node
 //     sequence in real-world applications").
+//
+// The block function is chosen once per process: on x86-64 CPUs with the
+// SHA extensions (SHA-NI, checked with __builtin_cpu_supports) it runs on
+// the SHA256RNDS2/MSG1/MSG2 instructions; everywhere else, and on builds for
+// other architectures, it is the portable FIPS 180-4 loop. Both produce the
+// same digests (tests/common/sha256_test.cc runs them side by side).
 #pragma once
 
 #include <array>
@@ -17,6 +23,18 @@ namespace txallo {
 /// A 256-bit digest.
 using Sha256Digest = std::array<uint8_t, 32>;
 
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+using Sha256BlockFunction = void (*)(uint32_t state[8], const uint8_t* blocks,
+                                     size_t count);
+
+/// The portable block function, for every CPU.
+void Sha256PortableBlocks(uint32_t state[8], const uint8_t* blocks,
+                          size_t count);
+
+/// The block function Sha256 uses by default: SHA-NI when this CPU has it,
+/// the portable one otherwise.
+Sha256BlockFunction Sha256DispatchedBlocks();
+
 /// Incremental SHA-256 hasher.
 ///
 /// Usage:
@@ -25,7 +43,10 @@ using Sha256Digest = std::array<uint8_t, 32>;
 ///   Sha256Digest d = h.Finish();
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  explicit Sha256(Sha256BlockFunction blocks = Sha256DispatchedBlocks())
+      : blocks_(blocks) {
+    Reset();
+  }
 
   /// Re-initializes the hasher to the empty-message state.
   void Reset();
@@ -48,8 +69,7 @@ class Sha256 {
   static uint64_t Hash64(uint64_t key);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
+  Sha256BlockFunction blocks_;
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

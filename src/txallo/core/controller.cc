@@ -62,7 +62,7 @@ void TxAlloController::AccumulateEdgeIntoState(NodeId u, NodeId v,
 void TxAlloController::ApplyBlock(const chain::Block& block) {
   for (const chain::Transaction& tx : block.transactions()) {
     ++transactions_applied_;
-    const std::vector<chain::AccountId>& accounts = tx.accounts();
+    const std::span<const chain::AccountId> accounts = tx.accounts();
     if (accounts.empty()) continue;
     // Grow tracking structures for brand-new accounts.
     const chain::AccountId max_id = accounts.back();  // accounts() sorted.

@@ -5,7 +5,7 @@
 namespace txallo::graph {
 
 void GraphBuilder::AddTransaction(const chain::Transaction& tx) {
-  const std::vector<chain::AccountId>& accounts = tx.accounts();
+  const std::span<const chain::AccountId> accounts = tx.accounts();
   ++num_added_;
   if (accounts.empty()) return;
   if (accounts.size() == 1) {

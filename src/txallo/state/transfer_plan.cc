@@ -24,7 +24,7 @@ std::vector<Op> BuildTransferOps(const chain::Transaction& tx, uint64_t seq) {
     op_for(a).debit += amount;
     pot += amount;
   }
-  const std::vector<chain::AccountId>& outputs = tx.outputs();
+  const std::span<const chain::AccountId> outputs = tx.outputs();
   if (!outputs.empty()) {
     const int64_t n = static_cast<int64_t>(outputs.size());
     const int64_t base = pot / n;

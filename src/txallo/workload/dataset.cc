@@ -31,7 +31,7 @@ Result<std::vector<std::string>> SplitAddresses(const std::string& joined) {
 }
 
 std::string JoinAddresses(const Dataset& dataset,
-                          const std::vector<chain::AccountId>& ids) {
+                          std::span<const chain::AccountId> ids) {
   std::string out;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (i > 0) out.push_back(';');
@@ -108,8 +108,7 @@ Result<Dataset> LoadDatasetCsv(const std::string& path) {
       return Status::Corruption("row " + std::to_string(r) +
                                 ": transactions need >=1 input and output");
     }
-    block_txs.emplace_back(std::move(inputs.value()),
-                           std::move(outputs.value()));
+    block_txs.emplace_back(*inputs, *outputs);
   }
   TXALLO_RETURN_NOT_OK(flush_block());
   return dataset;

@@ -44,6 +44,12 @@ Status EthereumLikeConfig::Validate() const {
         "EthereumLikeConfig.num_accounts must be >= 2, got " +
         std::to_string(num_accounts));
   }
+  if (num_accounts >= chain::kInvalidAccount) {
+    return Status::InvalidArgument(
+        "EthereumLikeConfig.num_accounts must be < " +
+        std::to_string(chain::kInvalidAccount) +
+        " (the account id space), got " + std::to_string(num_accounts));
+  }
   if (num_communities == 0) {
     return Status::InvalidArgument(
         "EthereumLikeConfig.num_communities must be > 0");
@@ -84,7 +90,10 @@ Status EthereumLikeConfig::Validate() const {
 }
 
 EthereumLikeGenerator::EthereumLikeGenerator(EthereumLikeConfig config)
-    : config_(config), rng_(config.seed) {
+    : config_(config),
+      rng_(config.seed),
+      hub_sender_communities_(std::max<uint32_t>(1, config.num_communities),
+                              config.hub_sender_skew) {
   // --- Community sizes: Zipf over community rank, padded/trimmed on the
   // largest community so the total is exactly num_accounts. ---
   const uint32_t nc = std::max<uint32_t>(1, config_.num_communities);
@@ -125,11 +134,20 @@ EthereumLikeGenerator::EthereumLikeGenerator(EthereumLikeConfig config)
   // --- Register all accounts (ids dense, birth handled at sampling time).
   // The first two members of every community are contract accounts: the
   // hot smart contracts the community clusters around. ---
-  for (uint64_t id = 0; id < total_accounts; ++id) {
-    const uint32_t c = CommunityOf(static_cast<AccountId>(id));
-    const bool is_contract = id - starts_[c] < 2;
-    registry_.CreateSynthetic(is_contract ? chain::AccountType::kContract
-                                          : chain::AccountType::kExternallyOwned);
+  uint32_t community = 0;  // Ids arrive in order: walk the communities.
+  const Result<AccountId> created = registry_.CreateSynthetic(
+      total_accounts, [this, &community](uint64_t id) {
+        while (id >= starts_[community] + sizes_[community]) ++community;
+        return id - starts_[community] < 2
+                   ? chain::AccountType::kContract
+                   : chain::AccountType::kExternallyOwned;
+      });
+  if (!created.ok()) {
+    // Validate() bounds num_accounts by the id space; an unvalidated config
+    // past it is a caller bug, not an input to recover from.
+    std::fprintf(stderr, "EthereumLikeGenerator: %s\n",
+                 created.status().ToString().c_str());
+    std::abort();
   }
   hub_ = static_cast<AccountId>(starts_[0]);
 
@@ -145,14 +163,22 @@ EthereumLikeGenerator::EthereumLikeGenerator(EthereumLikeConfig config)
   }
   community_cdf_[nc - 1] = 1.0;
 
-  hub_sender_communities_ =
-      std::make_unique<ZipfSampler>(nc, config_.hub_sender_skew);
-
-  // --- Per-community member activity samplers. ---
-  member_samplers_.resize(nc);
+  // --- Member activity samplers, one per distinct community size. ---
+  std::vector<uint64_t> distinct_sizes = sizes_;
+  std::sort(distinct_sizes.begin(), distinct_sizes.end());
+  distinct_sizes.erase(
+      std::unique(distinct_sizes.begin(), distinct_sizes.end()),
+      distinct_sizes.end());
+  member_samplers_.reserve(distinct_sizes.size());
+  for (uint64_t size : distinct_sizes) {
+    member_samplers_.emplace_back(size, config_.member_activity_skew);
+  }
+  sampler_of_.resize(nc);
   for (uint32_t c = 0; c < nc; ++c) {
-    member_samplers_[c] = std::make_unique<ZipfSampler>(
-        sizes_[c], config_.member_activity_skew);
+    sampler_of_[c] = static_cast<uint32_t>(
+        std::lower_bound(distinct_sizes.begin(), distinct_sizes.end(),
+                         sizes_[c]) -
+        distinct_sizes.begin());
   }
 
   partner_.resize(nc);
@@ -182,7 +208,7 @@ uint32_t EthereumLikeGenerator::CommunityOf(AccountId account) const {
 
 chain::AccountId EthereumLikeGenerator::SampleFromCommunity(
     uint32_t community) {
-  uint64_t rank = member_samplers_[community]->Sample(&rng_);
+  uint64_t rank = member_samplers_[sampler_of_[community]].Sample(&rng_);
   // Birth gating: the late-born tail of each community only becomes
   // sampleable as the ledger progresses (fully born at 90% of num_blocks).
   const double progress =
@@ -199,36 +225,40 @@ chain::AccountId EthereumLikeGenerator::SampleFromCommunity(
   return static_cast<AccountId>(starts_[community] + rank);
 }
 
-chain::AccountId EthereumLikeGenerator::SampleAccount() {
+uint32_t EthereumLikeGenerator::SampleCommunity() {
   const double u = rng_.NextDouble();
   auto it = std::lower_bound(community_cdf_.begin(), community_cdf_.end(), u);
-  uint32_t c = it == community_cdf_.end()
-                   ? static_cast<uint32_t>(community_cdf_.size() - 1)
-                   : static_cast<uint32_t>(it - community_cdf_.begin());
-  return SampleFromCommunity(c);
+  return it == community_cdf_.end()
+             ? static_cast<uint32_t>(community_cdf_.size() - 1)
+             : static_cast<uint32_t>(it - community_cdf_.begin());
+}
+
+chain::AccountId EthereumLikeGenerator::SampleAccount() {
+  return SampleFromCommunity(SampleCommunity());
 }
 
 chain::Transaction EthereumLikeGenerator::MakeTransaction() {
   if (rng_.NextBernoulli(config_.self_loop_rate)) {
     const AccountId a = SampleAccount();
-    return chain::Transaction({a}, {a});
+    return chain::Transaction::Simple(a, a);
   }
-  AccountId sender;
-  AccountId receiver;
+  // The sender's community is known from its draw: no CommunityOf(sender).
+  uint32_t community = 0;
+  AccountId sender = chain::kInvalidAccount;
+  AccountId receiver = chain::kInvalidAccount;
   if (rng_.NextBernoulli(config_.hub_share)) {
     receiver = hub_;
-    if (rng_.NextBernoulli(config_.hub_sender_local_bias)) {
-      sender = SampleFromCommunity(CommunityOf(hub_));
-    } else {
-      const uint32_t c = static_cast<uint32_t>(
-          hub_sender_communities_->Sample(&rng_));
-      sender = SampleFromCommunity(c);
-    }
+    community = rng_.NextBernoulli(config_.hub_sender_local_bias)
+                    ? 0  // The hub is community 0's first account.
+                    : static_cast<uint32_t>(
+                          hub_sender_communities_.Sample(&rng_));
+    sender = SampleFromCommunity(community);
   } else {
-    sender = SampleAccount();
+    community = SampleCommunity();
+    sender = SampleFromCommunity(community);
     if (rng_.NextBernoulli(config_.p_intra_community)) {
       // Under drift, part of the community's traffic follows its partner.
-      uint32_t c = CommunityOf(sender);
+      uint32_t c = community;
       if (partner_[c] != c &&
           rng_.NextBernoulli(config_.drift_partner_share)) {
         c = partner_[c];
@@ -239,30 +269,32 @@ chain::Transaction EthereumLikeGenerator::MakeTransaction() {
     }
   }
   if (receiver == sender) {
-    receiver = SampleFromCommunity(CommunityOf(sender));
+    receiver = SampleFromCommunity(community);
     if (receiver == sender) {
       // Still colliding (tiny/Zipf-heavy community): take the sender's
       // neighbor account so self-transfers stay at self_loop_rate.
-      const uint32_t c = CommunityOf(sender);
       const uint64_t offset =
-          (static_cast<uint64_t>(sender) - starts_[c] + 1) % sizes_[c];
-      receiver = static_cast<AccountId>(starts_[c] + offset);
+          (static_cast<uint64_t>(sender) - starts_[community] + 1) %
+          sizes_[community];
+      receiver = static_cast<AccountId>(starts_[community] + offset);
     }
   }
 
-  std::vector<AccountId> outputs{receiver};
-  if (config_.max_parties > 2 &&
-      rng_.NextBernoulli(config_.multi_party_rate)) {
-    const uint64_t extras = 1 + rng_.NextBounded(config_.max_parties - 2);
-    for (uint64_t i = 0; i < extras; ++i) {
-      if (rng_.NextBernoulli(config_.p_intra_community)) {
-        outputs.push_back(SampleFromCommunity(CommunityOf(sender)));
-      } else {
-        outputs.push_back(SampleAccount());
-      }
+  if (config_.max_parties <= 2 ||
+      !rng_.NextBernoulli(config_.multi_party_rate)) {
+    return chain::Transaction::Simple(sender, receiver);
+  }
+  multi_outputs_.assign(1, receiver);
+  const uint64_t extras = 1 + rng_.NextBounded(config_.max_parties - 2);
+  for (uint64_t i = 0; i < extras; ++i) {
+    if (rng_.NextBernoulli(config_.p_intra_community)) {
+      multi_outputs_.push_back(SampleFromCommunity(community));
+    } else {
+      multi_outputs_.push_back(SampleAccount());
     }
   }
-  return chain::Transaction({sender}, std::move(outputs));
+  const AccountId inputs[] = {sender};
+  return chain::Transaction(inputs, multi_outputs_);
 }
 
 chain::Block EthereumLikeGenerator::NextBlock() {

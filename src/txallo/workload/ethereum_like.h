@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "txallo/chain/account.h"
@@ -81,11 +80,11 @@ struct EthereumLikeConfig {
   uint64_t seed = 42;
 
   /// InvalidArgument on a config that would otherwise proceed into UB or
-  /// silent nonsense: zero blocks/txs/accounts, fewer accounts than
-  /// communities, out-of-range probabilities, negative skews,
-  /// max_parties < 2. Construction does not call this (the defaults are
-  /// valid and hot paths trust their caller); the scenario registry and
-  /// every spec-string entry point do.
+  /// silent nonsense: zero blocks/txs/accounts, more accounts than the
+  /// AccountId space holds, fewer accounts than communities, out-of-range
+  /// probabilities, negative skews, max_parties < 2. Construction does not
+  /// call this (the defaults are valid and hot paths trust their caller);
+  /// the scenario registry and every spec-string entry point do.
   Status Validate() const;
 };
 
@@ -134,6 +133,8 @@ class EthereumLikeGenerator {
 
  private:
   chain::Transaction MakeTransaction();
+  // Draws a community with probability proportional to its size.
+  uint32_t SampleCommunity();
   void MaybeApplyDrift();
 
   EthereumLikeConfig config_;
@@ -146,10 +147,15 @@ class EthereumLikeGenerator {
   std::vector<uint64_t> starts_;
   std::vector<uint64_t> sizes_;
   std::vector<double> community_cdf_;  // P(community) ∝ its size.
-  std::unique_ptr<ZipfSampler> hub_sender_communities_;
-  std::vector<std::unique_ptr<ZipfSampler>> member_samplers_;
+  ZipfSampler hub_sender_communities_;
+  // Member activity: communities of equal size share one sampler, so
+  // community c draws from member_samplers_[sampler_of_[c]].
+  std::vector<ZipfSampler> member_samplers_;
+  std::vector<uint32_t> sampler_of_;
   std::vector<uint32_t> partner_;  // Drift partner per community.
   chain::AccountId hub_ = 0;
+  // Outputs of the multi-party transaction being built (reused).
+  std::vector<chain::AccountId> multi_outputs_;
 };
 
 }  // namespace txallo::workload

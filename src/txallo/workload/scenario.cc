@@ -31,10 +31,17 @@ OverlayScenario::OverlayScenario(
       overlays_(std::move(overlays)),
       // Distinct stream from the background's RNG: overlay draws must not
       // perturb the background pattern of a scenario with share 0.
-      overlay_rng_(background.seed ^ 0x9e3779b97f4a7c15ULL) {
-  for (std::unique_ptr<Overlay>& overlay : overlays_) {
-    overlay->Prepare(&background_);
+      overlay_rng_(background.seed ^ 0x9e3779b97f4a7c15ULL) {}
+
+Result<std::unique_ptr<OverlayScenario>> OverlayScenario::Make(
+    std::string spec, const EthereumLikeConfig& background,
+    std::vector<std::unique_ptr<Overlay>> overlays) {
+  std::unique_ptr<OverlayScenario> scenario(
+      new OverlayScenario(std::move(spec), background, std::move(overlays)));
+  for (std::unique_ptr<Overlay>& overlay : scenario->overlays_) {
+    TXALLO_RETURN_NOT_OK(overlay->Prepare(&scenario->background_));
   }
+  return scenario;
 }
 
 chain::Block OverlayScenario::NextBlock() {
@@ -60,9 +67,13 @@ chain::Block OverlayScenario::NextBlock() {
 
 // --- Hot-contract spike -------------------------------------------------
 
-void HotSpikeOverlay::Prepare(EthereumLikeGenerator* background) {
-  mint_ = background->mutable_registry()->CreateSynthetic(
-      chain::AccountType::kContract);
+Status HotSpikeOverlay::Prepare(EthereumLikeGenerator* background) {
+  const Result<AccountId> mint =
+      background->mutable_registry()->CreateSynthetic(
+          1, chain::AccountType::kContract);
+  if (!mint.ok()) return mint.status();
+  mint_ = *mint;
+  return Status::OK();
 }
 
 double HotSpikeOverlay::Share(uint64_t block) const {
@@ -111,14 +122,14 @@ chain::Transaction DiurnalOverlay::Generate(
 
 // --- Account churn ------------------------------------------------------
 
-void ChurnOverlay::Prepare(EthereumLikeGenerator* background) {
-  pool_.reserve(params_.pool);
-  for (uint64_t i = 0; i < params_.pool; ++i) {
-    pool_.push_back(background->mutable_registry()->CreateSynthetic(
-        chain::AccountType::kExternallyOwned));
-  }
+Status ChurnOverlay::Prepare(EthereumLikeGenerator* background) {
+  const Result<AccountId> first =
+      background->mutable_registry()->CreateSynthetic(params_.pool);
+  if (!first.ok()) return first.status();
+  first_pool_ = *first;
   spacing_ = std::max<uint64_t>(
       1, params_.horizon_blocks / std::max<uint64_t>(1, params_.pool));
+  return Status::OK();
 }
 
 chain::Transaction ChurnOverlay::Generate(
@@ -127,8 +138,8 @@ chain::Transaction ChurnOverlay::Generate(
   const uint64_t lo =
       block >= params_.lifetime ? (block - params_.lifetime) / spacing_ + 1
                                 : 0;
-  const uint64_t hi = std::min<uint64_t>(pool_.size() - 1, block / spacing_);
-  if (pool_.empty() || lo > hi) {
+  const uint64_t hi = std::min<uint64_t>(params_.pool - 1, block / spacing_);
+  if (params_.pool == 0 || lo > hi) {
     // Between generations (long spacing, short lifetime): plain background
     // traffic.
     const AccountId sender = background->SampleAccount();
@@ -136,12 +147,12 @@ chain::Transaction ChurnOverlay::Generate(
     return chain::Transaction({sender}, {receiver});
   }
   const uint64_t j = lo + rng->NextBounded(hi - lo + 1);
-  const AccountId sender = pool_[j];
+  const auto sender = static_cast<AccountId>(first_pool_ + j);
   AccountId receiver;
   if (hi > lo && rng->NextBernoulli(params_.intra)) {
     uint64_t j2 = lo + rng->NextBounded(hi - lo + 1);
     if (j2 == j) j2 = lo + (j2 - lo + 1) % (hi - lo + 1);
-    receiver = pool_[j2];
+    receiver = static_cast<AccountId>(first_pool_ + j2);
   } else {
     receiver = background->SampleAccount();
   }
@@ -150,14 +161,15 @@ chain::Transaction ChurnOverlay::Generate(
 
 // --- Multi-asset transfers ----------------------------------------------
 
-void MultiAssetOverlay::Prepare(EthereumLikeGenerator* background) {
-  assets_.reserve(params_.assets);
-  for (uint32_t i = 0; i < params_.assets; ++i) {
-    assets_.push_back(background->mutable_registry()->CreateSynthetic(
-        chain::AccountType::kContract));
-  }
+Status MultiAssetOverlay::Prepare(EthereumLikeGenerator* background) {
+  const Result<AccountId> first =
+      background->mutable_registry()->CreateSynthetic(
+          params_.assets, chain::AccountType::kContract);
+  if (!first.ok()) return first.status();
+  first_asset_ = *first;
   asset_zipf_ =
       std::make_unique<ZipfSampler>(params_.assets, params_.asset_skew);
+  return Status::OK();
 }
 
 chain::Transaction MultiAssetOverlay::Generate(
@@ -168,19 +180,18 @@ chain::Transaction MultiAssetOverlay::Generate(
   const AccountId receiver = background->SampleFromCommunity(c);
   // Community c leans on "its" asset; the Zipf offset makes popular assets
   // shared across neighboring communities.
-  const size_t asset_index =
-      (c + asset_zipf_->Sample(rng)) % assets_.size();
-  return chain::Transaction({sender}, {receiver, assets_[asset_index]});
+  const auto asset = static_cast<AccountId>(
+      first_asset_ + (c + asset_zipf_->Sample(rng)) % params_.assets);
+  return chain::Transaction({sender}, {receiver, asset});
 }
 
 // --- Single-shard overload attack ---------------------------------------
 
-void ShardAttackOverlay::Prepare(EthereumLikeGenerator* background) {
-  attackers_.reserve(params_.attackers);
-  for (uint32_t i = 0; i < params_.attackers; ++i) {
-    attackers_.push_back(background->mutable_registry()->CreateSynthetic(
-        chain::AccountType::kExternallyOwned));
-  }
+Status ShardAttackOverlay::Prepare(EthereumLikeGenerator* background) {
+  const Result<AccountId> first =
+      background->mutable_registry()->CreateSynthetic(params_.attackers);
+  if (!first.ok()) return first.status();
+  first_attacker_ = *first;
   // The victims are exactly the accounts hash routing pins to the target
   // shard: OrderKey(id) % shards == target (see baselines/hash_allocator).
   const chain::AccountRegistry& registry = background->registry();
@@ -194,25 +205,27 @@ void ShardAttackOverlay::Prepare(EthereumLikeGenerator* background) {
   if (victims_.empty()) victims_.push_back(background->hub_account());
   victim_zipf_ =
       std::make_unique<ZipfSampler>(victims_.size(), params_.victim_skew);
+  return Status::OK();
 }
 
 chain::Transaction ShardAttackOverlay::Generate(
     uint64_t block, Rng* rng, EthereumLikeGenerator* background) {
   (void)block;
   (void)background;
-  const AccountId attacker = attackers_[rng->NextBounded(attackers_.size())];
+  const auto attacker = static_cast<AccountId>(
+      first_attacker_ + rng->NextBounded(params_.attackers));
   const AccountId victim = victims_[victim_zipf_->Sample(rng)];
   return chain::Transaction({attacker}, {victim});
 }
 
 // --- Sybil fan-out ------------------------------------------------------
 
-void SybilOverlay::Prepare(EthereumLikeGenerator* background) {
-  sybils_.reserve(params_.sybils);
-  for (uint64_t i = 0; i < params_.sybils; ++i) {
-    sybils_.push_back(background->mutable_registry()->CreateSynthetic(
-        chain::AccountType::kExternallyOwned));
-  }
+Status SybilOverlay::Prepare(EthereumLikeGenerator* background) {
+  const Result<AccountId> first =
+      background->mutable_registry()->CreateSynthetic(params_.sybils);
+  if (!first.ok()) return first.status();
+  first_sybil_ = *first;
+  return Status::OK();
 }
 
 chain::Transaction SybilOverlay::Generate(
@@ -221,16 +234,16 @@ chain::Transaction SybilOverlay::Generate(
   // are as likely to act as the oldest (no activity skew — that is the
   // point of a sybil swarm).
   const uint64_t born = std::min<uint64_t>(
-      sybils_.size(),
-      1 + block * sybils_.size() /
+      params_.sybils,
+      1 + block * params_.sybils /
               std::max<uint64_t>(1, params_.horizon_blocks));
-  const AccountId sybil = sybils_[rng->NextBounded(born)];
-  std::vector<AccountId> outputs;
-  outputs.reserve(params_.fanout);
+  const AccountId inputs[] = {
+      static_cast<AccountId>(first_sybil_ + rng->NextBounded(born))};
+  outputs_.clear();
   for (uint32_t i = 0; i < params_.fanout; ++i) {
-    outputs.push_back(background->SampleAccount());
+    outputs_.push_back(background->SampleAccount());
   }
-  return chain::Transaction({sybil}, std::move(outputs));
+  return chain::Transaction(inputs, outputs_);
 }
 
 }  // namespace txallo::workload

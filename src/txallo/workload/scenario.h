@@ -30,6 +30,7 @@
 #include "txallo/chain/account.h"
 #include "txallo/chain/ledger.h"
 #include "txallo/common/rng.h"
+#include "txallo/common/status.h"
 #include "txallo/workload/ethereum_like.h"
 
 namespace txallo::workload {
@@ -84,8 +85,12 @@ class Overlay {
   virtual ~Overlay() = default;
 
   /// Called once, before any block, after the background registered its
-  /// accounts.
-  virtual void Prepare(EthereumLikeGenerator* background) { (void)background; }
+  /// accounts. A failure (the registry refusing more accounts) fails the
+  /// scenario's construction.
+  virtual Status Prepare(EthereumLikeGenerator* background) {
+    (void)background;
+    return Status::OK();
+  }
 
   /// Fraction of block `block`'s transactions this overlay replaces, in
   /// [0, 1]. Shares of stacked overlays are consumed in order; their sum is
@@ -111,8 +116,11 @@ class Overlay {
 /// and the legacy bench path produce the same ledger.
 class OverlayScenario : public Scenario {
  public:
-  OverlayScenario(std::string spec, const EthereumLikeConfig& background,
-                  std::vector<std::unique_ptr<Overlay>> overlays);
+  /// Builds the background and prepares the overlays in order; returns the
+  /// first Prepare() failure.
+  static Result<std::unique_ptr<OverlayScenario>> Make(
+      std::string spec, const EthereumLikeConfig& background,
+      std::vector<std::unique_ptr<Overlay>> overlays);
 
   chain::Block NextBlock() override;
   const chain::AccountRegistry& registry() const override {
@@ -131,6 +139,9 @@ class OverlayScenario : public Scenario {
   const EthereumLikeGenerator& background() const { return background_; }
 
  private:
+  OverlayScenario(std::string spec, const EthereumLikeConfig& background,
+                  std::vector<std::unique_ptr<Overlay>> overlays);
+
   EthereumLikeGenerator background_;
   std::vector<std::unique_ptr<Overlay>> overlays_;
   Rng overlay_rng_;

@@ -28,7 +28,7 @@ struct HotSpikeParams {
 class HotSpikeOverlay : public Overlay {
  public:
   explicit HotSpikeOverlay(HotSpikeParams params) : params_(params) {}
-  void Prepare(EthereumLikeGenerator* background) override;
+  Status Prepare(EthereumLikeGenerator* background) override;
   double Share(uint64_t block) const override;
   chain::Transaction Generate(uint64_t block, Rng* rng,
                               EthereumLikeGenerator* background) override;
@@ -78,14 +78,16 @@ struct ChurnParams {
 class ChurnOverlay : public Overlay {
  public:
   explicit ChurnOverlay(ChurnParams params) : params_(params) {}
-  void Prepare(EthereumLikeGenerator* background) override;
+  Status Prepare(EthereumLikeGenerator* background) override;
   double Share(uint64_t /*block*/) const override { return params_.share; }
   chain::Transaction Generate(uint64_t block, Rng* rng,
                               EthereumLikeGenerator* background) override;
 
  private:
   ChurnParams params_;
-  std::vector<chain::AccountId> pool_;
+  // Pool account j is first_pool_ + j (the registry hands out
+  // consecutive ids).
+  chain::AccountId first_pool_ = chain::kInvalidAccount;
   uint64_t spacing_ = 1;
 };
 
@@ -102,14 +104,15 @@ struct MultiAssetParams {
 class MultiAssetOverlay : public Overlay {
  public:
   explicit MultiAssetOverlay(MultiAssetParams params) : params_(params) {}
-  void Prepare(EthereumLikeGenerator* background) override;
+  Status Prepare(EthereumLikeGenerator* background) override;
   double Share(uint64_t /*block*/) const override { return params_.share; }
   chain::Transaction Generate(uint64_t block, Rng* rng,
                               EthereumLikeGenerator* background) override;
 
  private:
   MultiAssetParams params_;
-  std::vector<chain::AccountId> assets_;
+  // Asset i is first_asset_ + i.
+  chain::AccountId first_asset_ = chain::kInvalidAccount;
   std::unique_ptr<ZipfSampler> asset_zipf_;
 };
 
@@ -129,7 +132,7 @@ struct ShardAttackParams {
 class ShardAttackOverlay : public Overlay {
  public:
   explicit ShardAttackOverlay(ShardAttackParams params) : params_(params) {}
-  void Prepare(EthereumLikeGenerator* background) override;
+  Status Prepare(EthereumLikeGenerator* background) override;
   double Share(uint64_t /*block*/) const override { return params_.share; }
   chain::Transaction Generate(uint64_t block, Rng* rng,
                               EthereumLikeGenerator* background) override;
@@ -137,7 +140,8 @@ class ShardAttackOverlay : public Overlay {
 
  private:
   ShardAttackParams params_;
-  std::vector<chain::AccountId> attackers_;
+  // Attacker i is first_attacker_ + i.
+  chain::AccountId first_attacker_ = chain::kInvalidAccount;
   std::vector<chain::AccountId> victims_;
   std::unique_ptr<ZipfSampler> victim_zipf_;
 };
@@ -156,14 +160,17 @@ struct SybilParams {
 class SybilOverlay : public Overlay {
  public:
   explicit SybilOverlay(SybilParams params) : params_(params) {}
-  void Prepare(EthereumLikeGenerator* background) override;
+  Status Prepare(EthereumLikeGenerator* background) override;
   double Share(uint64_t /*block*/) const override { return params_.share; }
   chain::Transaction Generate(uint64_t block, Rng* rng,
                               EthereumLikeGenerator* background) override;
 
  private:
   SybilParams params_;
-  std::vector<chain::AccountId> sybils_;
+  // Sybil i is first_sybil_ + i.
+  chain::AccountId first_sybil_ = chain::kInvalidAccount;
+  // Outputs of the transaction being built (reused).
+  std::vector<chain::AccountId> outputs_;
 };
 
 }  // namespace txallo::workload

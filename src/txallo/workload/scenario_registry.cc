@@ -1,6 +1,7 @@
 #include "txallo/workload/scenario_registry.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "txallo/common/spec.h"
@@ -48,8 +49,10 @@ Result<std::unique_ptr<Scenario>> FinishScenario(
     const std::string& spec, EthereumLikeConfig config,
     std::vector<std::unique_ptr<Overlay>> overlays) {
   TXALLO_RETURN_NOT_OK(config.Validate());
-  return std::unique_ptr<Scenario>(
-      new OverlayScenario(spec, config, std::move(overlays)));
+  Result<std::unique_ptr<OverlayScenario>> scenario =
+      OverlayScenario::Make(spec, config, std::move(overlays));
+  if (!scenario.ok()) return scenario.status();
+  return std::unique_ptr<Scenario>(std::move(scenario.value()));
 }
 
 // The shape's background with one overlay on top.
@@ -110,6 +113,26 @@ Result<std::unique_ptr<Scenario>> MakeDiurnal(const std::string& spec,
   return WithOverlay(spec, shape, std::make_unique<DiurnalOverlay>(params));
 }
 
+// An overlay's fresh accounts stay within a fixed multiple of the
+// background they are stacked on, so a spec cannot ask the registry for
+// more accounts than its own shape makes room for.
+constexpr uint64_t kFreshAccountsPerBackgroundAccount = 16;
+
+Status FreshAccountsWithinBackground(const char* key, uint64_t fresh,
+                                     const ScenarioShape& shape) {
+  const uint64_t limit =
+      shape.num_accounts > UINT64_MAX / kFreshAccountsPerBackgroundAccount
+          ? UINT64_MAX
+          : kFreshAccountsPerBackgroundAccount * shape.num_accounts;
+  if (fresh > limit) {
+    return Status::InvalidArgument(
+        std::string("scenario option '") + key + "' must be <= " +
+        std::to_string(kFreshAccountsPerBackgroundAccount) + " * accounts (" +
+        std::to_string(limit) + "), got " + std::to_string(fresh));
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<Scenario>> MakeChurn(const std::string& spec,
                                             const ScenarioShape& shape,
                                             const OptionReader& read) {
@@ -121,6 +144,8 @@ Result<std::unique_ptr<Scenario>> MakeChurn(const std::string& spec,
   TXALLO_RETURN_NOT_OK(read.Read("lifetime", &params.lifetime));
   TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
   TXALLO_RETURN_NOT_OK(read.Read("intra", &params.intra));
+  TXALLO_RETURN_NOT_OK(
+      FreshAccountsWithinBackground("pool", params.pool, shape));
   return WithOverlay(spec, shape, std::make_unique<ChurnOverlay>(params));
 }
 
@@ -163,6 +188,8 @@ Result<std::unique_ptr<Scenario>> MakeSybil(const std::string& spec,
   TXALLO_RETURN_NOT_OK(read.Read("sybils", &params.sybils));
   TXALLO_RETURN_NOT_OK(read.Read("fanout", &params.fanout));
   TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
+  TXALLO_RETURN_NOT_OK(
+      FreshAccountsWithinBackground("sybils", params.sybils, shape));
   return WithOverlay(spec, shape, std::make_unique<SybilOverlay>(params));
 }
 
@@ -227,7 +254,7 @@ constexpr OptionDoc kDiurnalOptions[] = {
     {"width", "uint", "4", kAtLeastOne, "communities awake at once"},
 };
 constexpr OptionDoc kChurnOptions[] = {
-    {"pool", "uint", "accounts/16", kAtLeastOne,
+    {"pool", "uint", "accounts/16", {"[1, 16 * accounts]", 1.0},
      "short-lived account pool size"},
     {"lifetime", "uint", "blocks/4", kAtLeastOne,
      "blocks from an account's birth to its death"},
@@ -253,7 +280,7 @@ constexpr OptionDoc kShardAttackOptions[] = {
      "Zipf skew over the victim shard's resident accounts"},
 };
 constexpr OptionDoc kSybilOptions[] = {
-    {"sybils", "uint", "512", kAtLeastOne,
+    {"sybils", "uint", "512", {"[1, 16 * accounts]", 1.0},
      "fresh sybil addresses born over the run"},
     {"fanout", "uint", "4", kAtLeastOne, "outputs per sybil transaction"},
     {"share", "double", "0.3", kFraction, "sybil traffic fraction"},

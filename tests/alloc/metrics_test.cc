@@ -34,7 +34,8 @@ TEST(ShardsTouchedTest, ManyDistinctShardsBeyondSmallBuffer) {
     a.Assign(id, id);
     ids.push_back(id);
   }
-  Transaction wide(ids, {ids[0]});
+  const chain::AccountId first[] = {ids[0]};
+  Transaction wide(ids, first);
   EXPECT_EQ(ShardsTouched(wide, a), 20u);
 }
 

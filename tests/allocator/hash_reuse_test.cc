@@ -46,7 +46,7 @@ alloc::Allocation FreshHash(const chain::AccountRegistry& registry,
 class Harness {
  public:
   explicit Harness(size_t accounts) {
-    for (size_t i = 0; i < accounts; ++i) registry_.CreateSynthetic();
+    EXPECT_TRUE(registry_.CreateSynthetic(accounts).ok());
     AllocatorOptions options;
     options.params = alloc::AllocationParams::ForExperiment(1, kShards, 2.0);
     options.registry = &registry_;
@@ -74,7 +74,7 @@ class Harness {
   }
 
   void GrowRegistry(size_t accounts) {
-    for (size_t i = 0; i < accounts; ++i) registry_.CreateSynthetic();
+    EXPECT_TRUE(registry_.CreateSynthetic(accounts).ok());
   }
 
  private:

@@ -22,7 +22,7 @@ TEST(HashAllocatorTest, DeterministicAcrossCalls) {
 
 TEST(HashAllocatorTest, RegistryVariantMatchesAddressHash) {
   chain::AccountRegistry registry;
-  for (int i = 0; i < 200; ++i) registry.CreateSynthetic();
+  ASSERT_TRUE(registry.CreateSynthetic(200).ok());
   alloc::Allocation a = AllocateByHash(registry, 4);
   EXPECT_TRUE(a.Validate().ok());
   for (chain::AccountId id = 0; id < 200; ++id) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "txallo/graph/builder.h"
 #include "txallo/graph/louvain.h"
 #include "txallo/graph/stats.h"
@@ -36,7 +38,8 @@ TEST(EthereumLikeTest, DeterministicForSameSeed) {
   auto ta = la.AllTransactions();
   auto tb = lb.AllTransactions();
   for (size_t i = 0; i < ta.size(); ++i) {
-    ASSERT_EQ(ta[i].accounts(), tb[i].accounts()) << "tx " << i;
+    ASSERT_TRUE(std::ranges::equal(ta[i].accounts(), tb[i].accounts()))
+        << "tx " << i;
   }
 }
 
@@ -49,7 +52,7 @@ TEST(EthereumLikeTest, DifferentSeedsDiffer) {
   auto tb = b.GenerateLedger(5).AllTransactions();
   int same = 0;
   for (size_t i = 0; i < ta.size(); ++i) {
-    if (ta[i].accounts() == tb[i].accounts()) ++same;
+    if (std::ranges::equal(ta[i].accounts(), tb[i].accounts())) ++same;
   }
   EXPECT_LT(same, static_cast<int>(ta.size()) / 2);
 }

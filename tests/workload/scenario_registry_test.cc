@@ -143,6 +143,43 @@ TEST(ScenarioRegistryTest, OutOfRangeValuesFailValidation) {
   }
 }
 
+// `name:key=value` against SmallShape() (600 accounts: the bound on an
+// overlay's fresh accounts is 16 * 600 = 9600).
+void ExpectFreshAccountBound(const std::string& name, const std::string& key) {
+  auto at_bound = MakeScenarioFromSpec(name + ":" + key + "=9600",
+                                       SmallShape());
+  EXPECT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  for (const char* value : {"9601", "4294967296"}) {
+    SCOPED_TRACE(value);
+    auto past = MakeScenarioFromSpec(name + ":" + key + "=" + value,
+                                     SmallShape());
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(past.status().message().find("'" + key + "'"),
+              std::string::npos)
+        << past.status().ToString();
+  }
+}
+
+TEST(ScenarioRegistryTest, ChurnPoolIsBoundedBySixteenTimesAccounts) {
+  ExpectFreshAccountBound("churn", "pool");
+}
+
+TEST(ScenarioRegistryTest, SybilCountIsBoundedBySixteenTimesAccounts) {
+  ExpectFreshAccountBound("sybil", "sybils");
+}
+
+TEST(ScenarioRegistryTest, MoreAccountsThanAccountIdsIsRejected) {
+  // A background past the AccountId space fails validation instead of
+  // handing out kInvalidAccount (or wrapping ids).
+  auto scenario =
+      MakeScenarioFromSpec("ethereum:accounts=4294967295", SmallShape());
+  ASSERT_FALSE(scenario.ok());
+  EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(scenario.status().message().find("num_accounts"),
+            std::string::npos);
+}
+
 TEST(ScenarioRegistryTest, MakeScenarioRendersACanonicalSpec) {
   std::map<std::string, std::string> options = {{"peak-share", "0.7"},
                                                 {"start", "3"}};

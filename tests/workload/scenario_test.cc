@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,17 @@ EthereumLikeConfig SmallConfig() {
   config.num_communities = 12;
   config.seed = 7;
   return config;
+}
+
+// OverlayScenario::Make, which fails only when the registry refuses an
+// overlay's accounts.
+std::unique_ptr<OverlayScenario> Prepared(
+    std::string spec, const EthereumLikeConfig& config,
+    std::vector<std::unique_ptr<Overlay>> overlays) {
+  Result<std::unique_ptr<OverlayScenario>> made =
+      OverlayScenario::Make(std::move(spec), config, std::move(overlays));
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return std::move(made.value());
 }
 
 // Counts the transactions in `ledger` with `id` among inputs or outputs.
@@ -49,8 +61,10 @@ TEST(OverlayScenarioTest, NoOverlaysMatchesRawGeneratorBitIdentically) {
   EthereumLikeGenerator raw(config);
   const chain::Ledger expected = raw.GenerateLedger(config.num_blocks);
 
-  OverlayScenario scenario("ethereum", config, {});
-  const chain::Ledger actual = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+
+      Prepared("ethereum", config, {});
+  const chain::Ledger actual = scenario->GenerateLedger(config.num_blocks);
 
   EXPECT_EQ(engine::FingerprintLedger(actual),
             engine::FingerprintLedger(expected));
@@ -61,8 +75,9 @@ TEST(OverlayScenarioTest, OverlaysPreservePerBlockTransactionCount) {
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<SybilOverlay>(SybilParams{}));
   overlays.push_back(std::make_unique<HotSpikeOverlay>(HotSpikeParams{}));
-  OverlayScenario scenario("test", config, std::move(overlays));
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("test", config, std::move(overlays));
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
   ASSERT_EQ(ledger.num_blocks(), config.num_blocks);
   for (const chain::Block& block : ledger.blocks()) {
     EXPECT_EQ(block.transactions().size(), config.txs_per_block);
@@ -76,8 +91,9 @@ TEST(OverlayScenarioTest, SameSpecSameSeedIsBitIdentical) {
     overlays.push_back(
         std::make_unique<ShardAttackOverlay>(ShardAttackParams{}));
     overlays.push_back(std::make_unique<ChurnOverlay>(ChurnParams{}));
-    OverlayScenario scenario("test", config, std::move(overlays));
-    return scenario.GenerateLedger(config.num_blocks);
+    const std::unique_ptr<OverlayScenario> scenario =
+        Prepared("test", config, std::move(overlays));
+    return scenario->GenerateLedger(config.num_blocks);
   };
   EXPECT_EQ(engine::FingerprintLedger(make()),
             engine::FingerprintLedger(make()));
@@ -118,8 +134,9 @@ TEST(HotSpikeOverlayTest, MintDominatesPeakBlocksOnly) {
   HotSpikeOverlay* spike = overlay.get();
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::move(overlay));
-  OverlayScenario scenario("spike-test", config, std::move(overlays));
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("spike-test", config, std::move(overlays));
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
 
   const chain::AccountId mint = spike->mint_account();
   ASSERT_NE(mint, chain::kInvalidAccount);
@@ -152,13 +169,14 @@ TEST(ShardAttackOverlayTest, VictimsAreExactlyHashRoutedResidents) {
   ShardAttackOverlay* attack = overlay.get();
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::move(overlay));
-  OverlayScenario scenario("attack-test", config, std::move(overlays));
-  const uint64_t n = scenario.background().num_background_accounts();
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("attack-test", config, std::move(overlays));
+  const uint64_t n = scenario->background().num_background_accounts();
 
   // The victim set matches a direct scan of the background population.
   uint64_t residents = 0;
   for (uint64_t id = 0; id < n; ++id) {
-    if (scenario.registry().OrderKey(static_cast<chain::AccountId>(id)) %
+    if (scenario->registry().OrderKey(static_cast<chain::AccountId>(id)) %
             params.shards ==
         params.target) {
       ++residents;
@@ -168,14 +186,14 @@ TEST(ShardAttackOverlayTest, VictimsAreExactlyHashRoutedResidents) {
 
   // Every transaction whose sender is an attacker (an account beyond the
   // background population) lands on a target-shard resident.
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
   uint64_t attack_txs = 0;
   for (const chain::Block& block : ledger.blocks()) {
     for (const chain::Transaction& tx : block.transactions()) {
       if (tx.inputs()[0] < n) continue;
       ++attack_txs;
       ASSERT_EQ(tx.outputs().size(), 1u);
-      EXPECT_EQ(scenario.registry().OrderKey(tx.outputs()[0]) % params.shards,
+      EXPECT_EQ(scenario->registry().OrderKey(tx.outputs()[0]) % params.shards,
                 params.target);
     }
   }
@@ -192,9 +210,10 @@ TEST(SybilOverlayTest, FanOutAndStaggeredBirths) {
   params.horizon_blocks = config.num_blocks;
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<SybilOverlay>(params));
-  OverlayScenario scenario("sybil-test", config, std::move(overlays));
-  const uint64_t n = scenario.background().num_background_accounts();
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("sybil-test", config, std::move(overlays));
+  const uint64_t n = scenario->background().num_background_accounts();
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
 
   // Sybil senders are the accounts interned beyond the background; their
   // transactions carry `fanout` outputs, and no sybil acts before birth.
@@ -222,9 +241,10 @@ TEST(MultiAssetOverlayTest, AssetTransfersCarryAContractOutput) {
   params.share = 0.5;
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<MultiAssetOverlay>(params));
-  OverlayScenario scenario("asset-test", config, std::move(overlays));
-  const uint64_t n = scenario.background().num_background_accounts();
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("asset-test", config, std::move(overlays));
+  const uint64_t n = scenario->background().num_background_accounts();
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
 
   uint64_t asset_txs = 0;
   for (const chain::Block& block : ledger.blocks()) {
@@ -252,9 +272,10 @@ TEST(ChurnOverlayTest, DeadAccountsStopTransacting) {
   params.horizon_blocks = config.num_blocks;
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<ChurnOverlay>(params));
-  OverlayScenario scenario("churn-test", config, std::move(overlays));
-  const uint64_t n = scenario.background().num_background_accounts();
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("churn-test", config, std::move(overlays));
+  const uint64_t n = scenario->background().num_background_accounts();
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
 
   // Pool account j is born at j * spacing (spacing = horizon / pool) and
   // dies lifetime blocks later; no churn sender may act outside its window.
@@ -283,11 +304,12 @@ TEST(DiurnalOverlayTest, TrafficFollowsTheAwakeWindow) {
   params.width = 2;
   std::vector<std::unique_ptr<Overlay>> overlays;
   overlays.push_back(std::make_unique<DiurnalOverlay>(params));
-  OverlayScenario scenario("diurnal-test", config, std::move(overlays));
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("diurnal-test", config, std::move(overlays));
   // Access to CommunityOf requires the generator; overlay traffic samples
   // real community members, so community membership is checkable.
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
-  const EthereumLikeGenerator& background = scenario.background();
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
+  const EthereumLikeGenerator& background = scenario->background();
   const uint32_t nc = background.num_communities();
   for (const chain::Block& block : ledger.blocks()) {
     for (const chain::Transaction& tx : block.transactions()) {
@@ -306,9 +328,10 @@ TEST(ScenarioTest, CountTouchingHelperSeesHub) {
   // Sanity-check the helper against the background hub, which by
   // construction appears in a hub_share slice of the stream.
   const EthereumLikeConfig config = SmallConfig();
-  OverlayScenario scenario("ethereum", config, {});
-  const chain::Ledger ledger = scenario.GenerateLedger(config.num_blocks);
-  EXPECT_GT(CountTouching(ledger, scenario.background().hub_account()), 0u);
+  const std::unique_ptr<OverlayScenario> scenario =
+      Prepared("ethereum", config, {});
+  const chain::Ledger ledger = scenario->GenerateLedger(config.num_blocks);
+  EXPECT_GT(CountTouching(ledger, scenario->background().hub_account()), 0u);
 }
 
 }  // namespace
