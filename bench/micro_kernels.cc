@@ -1,7 +1,7 @@
 // google-benchmark micro-kernels for the hot paths: SHA-256, Zipf
 // sampling, transaction-graph construction, Louvain, one optimization
-// sweep, the gain kernel, metric evaluation, and the Shard Scheduler's
-// per-transaction cost.
+// sweep, a full G-TxAllo run, the gain kernel, metric evaluation, and the
+// Shard Scheduler's per-transaction cost.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -170,15 +170,23 @@ void BM_GraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuild);
 
+// The shared graph's node order: range 0 visits in id order, range 1 in
+// account-hash order, the order G-TxAllo runs in.
+std::vector<graph::NodeId> BenchOrder(bool hash_order) {
+  if (hash_order) return SharedGenerator().registry().IdsInHashOrder();
+  std::vector<graph::NodeId> order(SharedGraph().num_nodes());
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
 void BM_Louvain(benchmark::State& state) {
   const graph::TransactionGraph& g = SharedGraph();
-  std::vector<graph::NodeId> order(g.num_nodes());
-  std::iota(order.begin(), order.end(), 0);
+  const std::vector<graph::NodeId> order = BenchOrder(state.range(0) != 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::RunLouvain(g, order));
   }
 }
-BENCHMARK(BM_Louvain);
+BENCHMARK(BM_Louvain)->ArgName("hash_order")->Arg(0)->Arg(1);
 
 void BM_GainKernel(benchmark::State& state) {
   alloc::CommunityState community_state;
@@ -221,6 +229,37 @@ void BM_OptimizeSweep(benchmark::State& state) {
                           static_cast<int64_t>(g.num_nodes()));
 }
 BENCHMARK(BM_OptimizeSweep)->Arg(8)->Arg(60);
+
+// A full G-TxAllo run to convergence in account-hash order: Louvain, the
+// absorption of every node outside the top-k communities and every
+// phase-2 sweep, the tail ones included (BM_OptimizeSweep stops after
+// one). Registered accounts that never transact are zero-degree nodes, as
+// on a churning ledger; the counters give their share and the sweeps run.
+void BM_GlobalTxAllo(benchmark::State& state) {
+  const graph::TransactionGraph& g = SharedGraph();
+  const auto k = static_cast<uint32_t>(state.range(0));
+  const alloc::AllocationParams params =
+      alloc::AllocationParams::ForExperiment(
+          SharedLedger().num_transactions(), k, 4.0);
+  const std::vector<graph::NodeId> order = BenchOrder(/*hash_order=*/true);
+  core::GlobalRunInfo info;
+  for (auto _ : state) {
+    auto allocation = core::RunGlobalTxAllo(g, order, params, {}, &info);
+    if (!allocation.ok()) {
+      state.SkipWithError(allocation.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(allocation->raw().data());
+  }
+  size_t zero_degree = 0;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.Neighbors(v).empty() && g.SelfLoop(v) == 0.0) ++zero_degree;
+  }
+  state.counters["zero_degree_share"] =
+      static_cast<double>(zero_degree) / static_cast<double>(g.num_nodes());
+  state.counters["sweeps"] = info.sweeps;
+}
+BENCHMARK(BM_GlobalTxAllo)->Arg(8)->Arg(60)->Unit(benchmark::kMillisecond);
 
 // Builds a graph with ~`frozen_edges` frozen into the CSR core, then a
 // fixed 1024-edge delta left in the log: what a strategy's BeginRebalance()

@@ -1,6 +1,8 @@
 #include "txallo/core/global.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <span>
 
@@ -41,7 +43,7 @@ struct CachedWeight {
 
 // Scratch accumulator of w{v, community}, reset via a touched list so a
 // sweep over the whole graph is O(Σ degree), not O(N·k). Also owns the
-// per-node join-gain buffer the batched kernel fills.
+// k-wide join-gain buffer of the scans that need every community's gain.
 class WeightToCommunity {
  public:
   explicit WeightToCommunity(uint32_t num_communities)
@@ -73,33 +75,30 @@ class WeightToCommunity {
     }
   }
 
-  /// True when no community but `c` has weight from the node.
-  bool OnlyTouches(ShardId c) const {
-    for (ShardId q : touched_) {
-      if (q != c) return false;
+  /// Moves the accumulation out as its touched list, in order, each entry
+  /// with its community's weight, and resets the scratch. The entries go
+  /// into `room` when they fit there, else into a buffer of the scratch's
+  /// own; returns them.
+  std::span<const CachedWeight> Drain(std::span<CachedWeight> room) {
+    if (touched_.size() > room.size()) {
+      spill_.resize(touched_.size());
+      room = spill_;
     }
-    return true;
+    const size_t count = touched_.size();
+    for (size_t j = 0; j < count; ++j) {
+      room[j] = {touched_[j], weight_[touched_[j]]};
+    }
+    Reset();
+    return room.first(count);
   }
 
-  /// Fills gains_[q] = join gain of the accumulated node into q. When the
-  /// candidate set is dense — or the caller needs all k — one batched pass
-  /// over the contiguous σ/Λ̂ arrays; otherwise scalar JoinDelta per
-  /// touched community. Both paths produce bit-identical gains (the batch
-  /// kernel replays the scalar expression tree), so the density heuristic
-  /// affects speed only, never the selected shard. Untouched entries are
-  /// stale in sparse mode; callers only read q's they asked for.
-  void ComputeJoinGains(const CommunityState& state,
-                        const std::vector<double>& before,
-                        const NodeProfile& node, bool need_all) {
-    if (need_all || touched_.size() * 4 >= num_communities_) {
-      JoinGainBatch(state, node, weight_.data(), before.data(),
-                    num_communities_, gains_.data());
-    } else {
-      for (ShardId q : touched_) {
-        gains_[q] =
-            JoinDelta(state, q, node, weight_[q], before[q]).throughput_gain;
-      }
-    }
+  /// Fills gains_[q] = join gain of the accumulated node into q for every
+  /// q in [0, k), in one batched pass over the contiguous σ/Λ̂ arrays.
+  void ComputeAllJoinGains(const CommunityState& state,
+                           const std::vector<double>& before,
+                           const NodeProfile& node) {
+    JoinGainBatch(state, node, weight_.data(), before.data(),
+                  num_communities_, gains_.data());
   }
 
   double WeightTo(ShardId c) const { return weight_[c]; }
@@ -116,6 +115,7 @@ class WeightToCommunity {
   std::vector<double> weight_;
   std::vector<double> gains_;
   std::vector<ShardId> touched_;
+  std::vector<CachedWeight> spill_;
 };
 
 // The rows of a sweep's nodes, copied once into one array in visit order,
@@ -162,16 +162,16 @@ class PackedRows {
   std::span<const CachedWeight> Cached(size_t i) const {
     return {cache_.data() + cache_offsets_[i], cache_size_[i]};
   }
-  /// Saves `scratch`'s touched list and weights as node i's accumulation;
-  /// returns false, saving nothing, when they do not fit.
-  bool Save(size_t i, const WeightToCommunity& scratch) {
-    const std::vector<ShardId>& touched = scratch.touched();
-    if (touched.size() > cache_offsets_[i + 1] - cache_offsets_[i]) {
-      return false;
-    }
-    CachedWeight* out = cache_.data() + cache_offsets_[i];
-    for (ShardId c : touched) *out++ = {c, scratch.WeightTo(c)};
-    cache_size_[i] = static_cast<uint32_t>(touched.size());
+  /// Node i's slots, for WeightToCommunity::Drain to fill.
+  std::span<CachedWeight> Slots(size_t i) {
+    return {cache_.data() + cache_offsets_[i],
+            cache_offsets_[i + 1] - cache_offsets_[i]};
+  }
+  /// Records that Drain left `count` entries in node i's slots; returns
+  /// false, saving nothing, when that many do not fit (Drain spilled them).
+  bool Keep(size_t i, size_t count) {
+    if (count > cache_offsets_[i + 1] - cache_offsets_[i]) return false;
+    cache_size_[i] = static_cast<uint32_t>(count);
     return true;
   }
 
@@ -183,6 +183,127 @@ class PackedRows {
   std::vector<CachedWeight> cache_;
   std::vector<uint32_t> cache_size_;
 };
+
+// The sweep positions whose visit may still move a node, one bit each.
+// Next() walks them in position order and rereads the word at each call,
+// so a bit set ahead of the walk is visited in the same sweep and one set
+// behind it in the next: the visits of an in-order scan of every
+// position, minus those of settled nodes.
+class LivePositions {
+ public:
+  static constexpr size_t kEnd = SIZE_MAX;
+
+  explicit LivePositions(size_t n) : words_((n + 63) / 64, ~uint64_t{0}) {
+    if (n % 64 != 0) words_.back() = (uint64_t{1} << (n % 64)) - 1;
+  }
+
+  void Set(size_t i) { words_[i / 64] |= uint64_t{1} << (i % 64); }
+  void Clear(size_t i) { words_[i / 64] &= ~(uint64_t{1} << (i % 64)); }
+
+  /// The first set position ≥ `from`, or kEnd.
+  size_t Next(size_t from) const {
+    size_t w = from / 64;
+    if (w >= words_.size()) return kEnd;
+    uint64_t bits = words_[w] & (~uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == words_.size()) return kEnd;
+      bits = words_[w];
+    }
+    return w * 64 + static_cast<size_t>(std::countr_zero(bits));
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+// The outcome of one phase-2 visit's candidate scan: the chosen shard (p
+// itself when no move pays), the move's gain, w{v, p} and w{v, best}.
+struct Choice {
+  ShardId best;
+  double gain;
+  double weight_to_p;
+  double weight_to_best;
+};
+
+// Eq. 9: the candidates are the communities of v's saved sums, scanned in
+// their touched order; gains within 1e-15 of the best break toward the
+// smaller shard id.
+Choice ChooseAmongTouched(const CommunityState& state,
+                          const std::vector<double>& before,
+                          const NodeProfile& node, ShardId p,
+                          std::span<const CachedWeight> sums) {
+  double weight_to_p = 0.0;
+  for (const CachedWeight& entry : sums) {
+    if (entry.community == p) {
+      weight_to_p = entry.weight;
+      break;
+    }
+  }
+  const double leave =
+      LeaveDelta(state, p, node, weight_to_p, before[p]).throughput_gain;
+  Choice choice{p, 0.0, weight_to_p, weight_to_p};
+  for (const CachedWeight& entry : sums) {
+    const ShardId q = entry.community;
+    if (q == p) continue;
+    const double gain =
+        leave +
+        JoinDelta(state, q, node, entry.weight, before[q]).throughput_gain;
+    if (gain > choice.gain + 1e-15) {
+      choice = {q, gain, weight_to_p, entry.weight};
+    } else if (gain >= choice.gain - 1e-15 && choice.best != p &&
+               q < choice.best) {
+      choice.best = q;
+      choice.weight_to_best = entry.weight;
+    }
+  }
+  return choice;
+}
+
+// The search_all_communities ablation: every shard is a candidate, so the
+// sums go back into the k-wide scratch for one batched pass.
+Choice ChooseAmongAll(const CommunityState& state,
+                      const std::vector<double>& before,
+                      const NodeProfile& node, ShardId p,
+                      uint32_t k, std::span<const CachedWeight> sums,
+                      WeightToCommunity* scratch) {
+  scratch->Load(sums);
+  scratch->ComputeAllJoinGains(state, before, node);
+  const double weight_to_p = scratch->WeightTo(p);
+  const double leave =
+      LeaveDelta(state, p, node, weight_to_p, before[p]).throughput_gain;
+  Choice choice{p, 0.0, weight_to_p, weight_to_p};
+  for (ShardId q = 0; q < k; ++q) {
+    if (q == p) continue;
+    const double gain = leave + scratch->Gain(q);
+    if (gain > choice.gain + 1e-15) {
+      choice.best = q;
+      choice.gain = gain;
+    } else if (gain >= choice.gain - 1e-15 && choice.best != p &&
+               q < choice.best) {
+      choice.best = q;
+    }
+  }
+  choice.weight_to_best = scratch->WeightTo(choice.best);
+  scratch->Reset();
+  return choice;
+}
+
+// Phase 1b's rule for a node with no edge and no self-loop. Joining adds
+// exactly 0 to σ and Λ̂, so every shard's join gain is 0, the C_v = ∅ scan
+// keeps shard 0, and the join leaves σ/Λ̂ bit for bit (they start at +0.0
+// and only ever add, so none is −0.0). Assigns such a node to shard 0 and
+// returns true; returns false for every other node, a node with only a
+// self-loop included. The isolated-node placement of ROADMAP item 1(a)
+// replaces this rule.
+bool AbsorbZeroDegree(std::span<const graph::Neighbor> row,
+                      const NodeProfile& node, NodeId v,
+                      Allocation* allocation) {
+  if (!row.empty() || node.self_loop != 0.0 || node.strength != 0.0) {
+    return false;
+  }
+  allocation->Assign(v, 0);
+  return true;
+}
 
 // Phase 1a: Louvain + keep the k communities with the largest workload σ.
 // Fills `allocation` with shard ids for nodes of the top-k communities and
@@ -208,18 +329,20 @@ uint32_t LouvainInitialize(const TransactionGraph& graph,
       alloc::ComputeCommunityState(graph, louvain_alloc, rank_params);
 
   // Rank communities by workload, descending; ties toward the smaller id
-  // keep the ranking deterministic.
+  // keep the ranking deterministic. The order is total, so ranking only
+  // the top k gives the ranks a full sort would.
+  const uint32_t kept = std::min(params.num_shards, l);
   std::vector<uint32_t> ranked(l);
   std::iota(ranked.begin(), ranked.end(), 0);
-  std::sort(ranked.begin(), ranked.end(), [&](uint32_t a, uint32_t b) {
-    if (rank_state.sigma[a] != rank_state.sigma[b]) {
-      return rank_state.sigma[a] > rank_state.sigma[b];
-    }
-    return a < b;
-  });
+  std::partial_sort(ranked.begin(), ranked.begin() + kept, ranked.end(),
+                    [&](uint32_t a, uint32_t b) {
+                      if (rank_state.sigma[a] != rank_state.sigma[b]) {
+                        return rank_state.sigma[a] > rank_state.sigma[b];
+                      }
+                      return a < b;
+                    });
 
   std::vector<ShardId> community_to_shard(l, kUnassignedShard);
-  const uint32_t kept = std::min(params.num_shards, l);
   for (uint32_t rank = 0; rank < kept; ++rank) {
     community_to_shard[ranked[rank]] = rank;
   }
@@ -229,14 +352,6 @@ uint32_t LouvainInitialize(const TransactionGraph& graph,
   }
   return l;
 }
-
-// What a phase-2 visit to a node has to do. Kept per node id for one
-// OptimizeSweeps call; a move resets every neighbour to kAccumulate.
-enum class Visit : uint8_t {
-  kAccumulate,  // Sum w{v, ·} over the packed row.
-  kCached,      // No neighbour moved since the last sum: reload it.
-  kSettled,     // Every assigned neighbour is in v's shard: v cannot move.
-};
 
 }  // namespace
 
@@ -248,17 +363,19 @@ void AssignUnassignedNodes(const TransactionGraph& graph,
   std::vector<double> before = ClampedThroughputs(*state);
   for (NodeId v : node_order) {
     if (allocation->IsAssigned(v)) continue;
-    NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
-    scratch.Accumulate(graph.Neighbors(v), *allocation);
-    scratch.ComputeJoinGains(*state, before, node,
-                             /*need_all=*/scratch.touched().empty());
+    const std::span<const graph::Neighbor> row = graph.Neighbors(v);
+    const NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
+    if (AbsorbZeroDegree(row, node, v, allocation)) continue;
+    scratch.Accumulate(row, *allocation);
 
     // Max join gain; ties break toward the smaller shard id (determinism).
     ShardId best = kUnassignedShard;
     double best_gain = 0.0;
     if (!scratch.touched().empty()) {
       for (ShardId q : scratch.touched()) {
-        const double gain = scratch.Gain(q);
+        const double gain =
+            JoinDelta(*state, q, node, scratch.WeightTo(q), before[q])
+                .throughput_gain;
         if (best == kUnassignedShard || gain > best_gain + 1e-15) {
           best = q;
           best_gain = gain;
@@ -268,6 +385,7 @@ void AssignUnassignedNodes(const TransactionGraph& graph,
       }
     } else {
       // C_v = ∅: force the candidate set to all k communities (Alg. 1 l.5).
+      scratch.ComputeAllJoinGains(*state, before, node);
       for (ShardId q = 0; q < params.num_shards; ++q) {
         const double gain = scratch.Gain(q);
         if (best == kUnassignedShard || gain > best_gain + 1e-15) {
@@ -290,88 +408,74 @@ int OptimizeSweeps(const TransactionGraph& graph,
                    CommunityState* state) {
   WeightToCommunity scratch(params.num_shards);
   std::vector<double> before = ClampedThroughputs(*state);
-  // Saved sums sit beside the rows, one per sweep position, so a node
-  // listed twice would reload another position's sum: then none is saved.
-  // The visit bytes double as the marks that find a repeat.
-  std::vector<Visit> visit(graph.num_nodes(), Visit::kAccumulate);
+  // pos_of[v]: v's sweep position. A node listed twice has no one
+  // position to wake and no one slot to save into: then every position
+  // stays live and no sum is saved.
+  constexpr uint32_t kNoPosition = UINT32_MAX;
+  std::vector<uint32_t> pos_of(graph.num_nodes(), kNoPosition);
   bool repeats = false;
-  for (NodeId v : sweep_nodes) {
-    repeats = repeats || visit[v] != Visit::kAccumulate;
-    visit[v] = Visit::kSettled;
+  for (size_t i = 0; i < sweep_nodes.size(); ++i) {
+    uint32_t& pos = pos_of[sweep_nodes[i]];
+    repeats = repeats || pos != kNoPosition;
+    pos = static_cast<uint32_t>(i);
   }
-  for (NodeId v : sweep_nodes) visit[v] = Visit::kAccumulate;
+  const bool search_all = options.search_all_communities;
+  // Under search_all_communities every shard is a candidate, so no node
+  // is ever settled.
+  const bool settles = !repeats && !search_all;
   PackedRows rows(graph, sweep_nodes, repeats ? 0 : params.num_shards);
+  LivePositions live(sweep_nodes.size());
+  // reload[i]: position i's saved sums are current (no neighbour of its
+  // node has moved since they were summed).
+  std::vector<uint8_t> reload(sweep_nodes.size(), 0);
   int sweeps = 0;
   for (; sweeps < options.max_sweeps; ++sweeps) {
     double sweep_gain = 0.0;
-    for (size_t i = 0; i < sweep_nodes.size(); ++i) {
+    for (size_t i = live.Next(0); i != LivePositions::kEnd;
+         i = live.Next(i + 1)) {
       const NodeId v = sweep_nodes[i];
       const ShardId p = allocation->shard_of(v);
       if (p == kUnassignedShard) continue;  // Defensive; phase 1 assigns all.
-      if (visit[v] == Visit::kSettled) continue;
       const NodeProfile& node = rows.Profile(i);
-      bool cached = visit[v] == Visit::kCached;
-      if (cached) {
-        scratch.Load(rows.Cached(i));
+      std::span<const CachedWeight> sums;
+      if (reload[i] != 0) {
+        sums = rows.Cached(i);
       } else {
         scratch.Accumulate(rows.Row(i), *allocation);
-        cached = rows.Save(i, scratch);
+        sums = scratch.Drain(rows.Slots(i));
+        reload[i] = !repeats && rows.Keep(i, sums.size());
       }
 
-      const double w_to_p = scratch.WeightTo(p);
-      const CommunityDelta leave =
-          LeaveDelta(*state, p, node, w_to_p, before[p]);
-      scratch.ComputeJoinGains(*state, before, node,
-                               /*need_all=*/options.search_all_communities);
-
-      ShardId best = p;
-      double best_gain = 0.0;
-      if (options.search_all_communities) {
-        for (ShardId q = 0; q < params.num_shards; ++q) {
-          if (q == p) continue;
-          const double gain = leave.throughput_gain + scratch.Gain(q);
-          if (gain > best_gain + 1e-15) {
-            best = q;
-            best_gain = gain;
-          } else if (gain >= best_gain - 1e-15 && best != p && q < best) {
-            best = q;
-          }
-        }
-      } else {
-        for (ShardId q : scratch.touched()) {
-          if (q == p) continue;
-          const double gain = leave.throughput_gain + scratch.Gain(q);
-          if (gain > best_gain + 1e-15) {
-            best = q;
-            best_gain = gain;
-          } else if (gain >= best_gain - 1e-15 && best != p && q < best) {
-            best = q;
-          }
-        }
-      }
-      const bool moves = best != p && best_gain > 0.0;
+      const Choice choice =
+          search_all ? ChooseAmongAll(*state, before, node, p,
+                                      params.num_shards, sums, &scratch)
+                     : ChooseAmongTouched(*state, before, node, p, sums);
+      const bool moves = choice.best != p && choice.gain > 0.0;
       if (moves) {
-        ApplyLeave(state, p, node, w_to_p);
-        ApplyJoin(state, best, node, scratch.WeightTo(best));
+        ApplyLeave(state, p, node, choice.weight_to_p);
+        ApplyJoin(state, choice.best, node, choice.weight_to_best);
         before[p] = state->ThroughputOf(p);
-        before[best] = state->ThroughputOf(best);
-        allocation->Assign(v, best);
-        sweep_gain += best_gain;
+        before[choice.best] = state->ThroughputOf(choice.best);
+        allocation->Assign(v, choice.best);
+        sweep_gain += choice.gain;
       }
-      // Under search_all_communities every community is a candidate, so
-      // no node is ever settled.
-      if (!options.search_all_communities &&
-          scratch.OnlyTouches(allocation->shard_of(v))) {
-        visit[v] = Visit::kSettled;
-      } else {
-        visit[v] = cached ? Visit::kCached : Visit::kAccumulate;
+      // Settled: every assigned neighbour is in v's shard, so C_v holds
+      // that shard alone and v cannot move until a neighbour does.
+      if (settles && std::all_of(sums.begin(), sums.end(),
+                                 [q = allocation->shard_of(v)](
+                                     const CachedWeight& entry) {
+                                   return entry.community == q;
+                                 })) {
+        live.Clear(i);
       }
-      if (moves) {
+      if (moves && !repeats) {
         for (const graph::Neighbor& nb : rows.Row(i)) {
-          visit[nb.node] = Visit::kAccumulate;
+          const uint32_t pos = pos_of[nb.node];
+          if (pos == kNoPosition) continue;
+          live.Set(pos);
+          reload[pos] = 0;
         }
       }
-      scratch.Reset();
     }
     if (sweep_gain < params.epsilon) {
       ++sweeps;

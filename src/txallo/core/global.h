@@ -11,9 +11,9 @@
 // Δ(i,p,q)Λ (Eq. 8); repeat sweeps while the accumulated gain ≥ ε.
 //
 // Complexity: O(N log N) initialization + O(N·k) per optimization sweep at
-// worst. After the first sweep, a visit re-reads a node's row only when a
-// neighbour moved since its last visit, and a node whose assigned
-// neighbours all sit in its own shard is skipped outright.
+// worst. After the first sweep, a sweep visits only the nodes that can
+// still move, and re-reads a node's row only when a neighbour moved since
+// its last visit.
 // Every step is deterministic given the node order (paper §V-B).
 #pragma once
 
@@ -73,6 +73,11 @@ Result<alloc::Allocation> RunGlobalTxAllo(
 /// communities when the node has no assigned neighbor. `allocation` and
 /// `state` are updated in place. Join gains read a per-call cache of each
 /// community's clamped throughput, refreshed after every join.
+///
+/// A node with no edge and no self-loop joins shard 0 without a gain scan:
+/// its join gain is exactly 0 on every shard, so the scan would keep shard
+/// 0, and the join adds exactly 0 to σ/Λ̂. A node with only a self-loop
+/// takes the full scan.
 void AssignUnassignedNodes(const graph::TransactionGraph& graph,
                            const std::vector<graph::NodeId>& node_order,
                            const alloc::AllocationParams& params,
@@ -93,16 +98,25 @@ void AssignUnassignedNodes(const graph::TransactionGraph& graph,
 /// the moves, σ/Λ̂ and sweep count are bit-identical to evaluating the
 /// graph and the clamp afresh (tests/core/sweep_equivalence_test.cc).
 ///
-/// Each node id also carries one visit state for the call. A node is
-/// *settled* when every assigned neighbour is in its own shard p: C_v holds
-/// p alone, so it cannot move whatever σ/Λ̂ are, and its visits are skipped
-/// (except under `search_all_communities`, where any shard is a candidate).
-/// Otherwise its touched list and each w{v, X} are saved in min(degree, k)
-/// slots beside its row, and a visit *reloads* them in the same order
-/// instead of re-reading the row. A move resets every neighbour of the
-/// moved node to re-accumulate. The results stay bit-identical: a skipped
-/// visit could not move, and a reloaded list is the list the row would
-/// give. When `sweep_nodes` lists a node twice, nothing is saved.
+/// A node is *settled* when every assigned neighbour is in its own shard
+/// p: C_v holds p alone, so it cannot move whatever σ/Λ̂ are. A sweep walks
+/// a bitmap over the positions of `sweep_nodes` in position order; settling
+/// a node clears its bit, and a move sets the bits of the moved node's
+/// neighbours. A bit set ahead of the walk is visited in the same sweep,
+/// one behind it in the next, exactly the visits of an in-order scan that
+/// skips settled nodes. Under `search_all_communities` (any shard is a
+/// candidate), or when `sweep_nodes` lists a node twice, every bit stays
+/// set.
+///
+/// A visit evaluates a node over its touched list with each w{v, X}: the
+/// communities in the order its row first reaches them. The list is saved
+/// in min(degree, k) slots beside the row, and while no neighbour moves a
+/// visit reads it back instead of re-reading the row; a move makes every
+/// neighbour re-read its row. Join gains are computed per listed community
+/// in list order, so near-ties break as over a fresh sum. Only the ablation
+/// fills all k gains. The results stay bit-identical: a skipped visit
+/// could not move, and a saved list is the list the row would give. When
+/// `sweep_nodes` lists a node twice, nothing is saved.
 int OptimizeSweeps(const graph::TransactionGraph& graph,
                    const std::vector<graph::NodeId>& sweep_nodes,
                    const alloc::AllocationParams& params,

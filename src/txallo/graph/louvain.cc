@@ -10,43 +10,87 @@ namespace {
 // Working representation of one aggregation level: CSR adjacency (no
 // self-loop entries) plus per-node self-loop weight. The adjacency matrix
 // convention is A_vv = 2 * self_loop[v], so k_v = strength_v + 2*self_v and
-// 2m = sum_v k_v.
+// 2m = sum_v k_v. row_of[v] is node v's row when level 0 is laid out in
+// its visit order; row v is node v's when row_of is empty (every
+// aggregated level, which visits in id order). self_loop and degree are
+// indexed by node id.
 struct LevelGraph {
   std::vector<size_t> offsets;
   std::vector<uint32_t> neighbors;
   std::vector<double> weights;
   std::vector<double> self_loop;
   std::vector<double> degree;  // k_v
+  std::vector<uint32_t> row_of;
   double m2 = 0.0;             // 2m
 
   size_t num_nodes() const { return self_loop.size(); }
+  size_t Row(size_t v) const { return row_of.empty() ? v : row_of[v]; }
 };
 
-// Level 0: the transaction graph's own rows, copied in node-id order.
-LevelGraph FromGraph(const TransactionGraph& graph) {
+// Level 0: the transaction graph's own rows. On entry `*order` is the
+// caller's visit order; on return it lists the nodes local moving visits,
+// the same order without its edgeless nodes (see RunLouvain). When the
+// caller's order is a permutation of the nodes, the visited nodes' rows
+// are copied in visit order, so local moving reads them in sequence, and
+// every edgeless node maps to an empty row after them; otherwise the rows
+// keep node-id order. m2 still sums the degrees in node-id order.
+LevelGraph FromGraph(const TransactionGraph& graph,
+                     std::vector<uint32_t>* order) {
   LevelGraph lg;
   const size_t n = graph.num_nodes();
-  lg.offsets.resize(n + 1, 0);
   lg.self_loop.resize(n);
   lg.degree.resize(n);
-  size_t total = 0;
   for (size_t v = 0; v < n; ++v) {
-    total += graph.Neighbors(static_cast<NodeId>(v)).size();
-    lg.offsets[v + 1] = total;
+    const auto id = static_cast<NodeId>(v);
+    lg.self_loop[v] = graph.SelfLoop(id);
+    lg.degree[v] = graph.Strength(id) + 2.0 * lg.self_loop[v];
+    lg.m2 += lg.degree[v];
+  }
+
+  bool permutation = order->size() == n;
+  std::vector<uint8_t> seen(permutation ? n : 0, 0);
+  std::vector<uint32_t> visit;
+  visit.reserve(order->size());
+  for (const uint32_t v : *order) {
+    if (permutation) {
+      permutation = v < n && seen[v] == 0;
+      if (permutation) seen[v] = 1;
+    }
+    if (v >= n || !graph.Neighbors(v).empty()) visit.push_back(v);
+  }
+  *order = std::move(visit);
+  if (permutation) {
+    lg.row_of.assign(n, static_cast<uint32_t>(order->size()));
+    for (size_t i = 0; i < order->size(); ++i) {
+      lg.row_of[(*order)[i]] = static_cast<uint32_t>(i);
+    }
+  }
+
+  // The node whose row is `row`, or n for an empty row past the visited.
+  const auto node_at = [&](size_t row) -> size_t {
+    if (lg.row_of.empty()) return row;
+    return row < order->size() ? (*order)[row] : n;
+  };
+  const auto row_size = [&](size_t row) -> size_t {
+    const size_t v = node_at(row);
+    return v < n ? graph.Neighbors(static_cast<NodeId>(v)).size() : 0;
+  };
+  lg.offsets.resize(n + 1, 0);
+  size_t total = 0;
+  for (size_t row = 0; row < n; ++row) {
+    total += row_size(row);
+    lg.offsets[row + 1] = total;
   }
   lg.neighbors.resize(total);
   lg.weights.resize(total);
-  for (size_t v = 0; v < n; ++v) {
-    const auto id = static_cast<NodeId>(v);
-    size_t pos = lg.offsets[v];
-    for (const Neighbor& nb : graph.Neighbors(id)) {
+  for (size_t row = 0; row < n && node_at(row) < n; ++row) {
+    size_t pos = lg.offsets[row];
+    for (const Neighbor& nb :
+         graph.Neighbors(static_cast<NodeId>(node_at(row)))) {
       lg.neighbors[pos] = nb.node;
       lg.weights[pos] = nb.weight;
       ++pos;
     }
-    lg.self_loop[v] = graph.SelfLoop(id);
-    lg.degree[v] = graph.Strength(id) + 2.0 * lg.self_loop[v];
-    lg.m2 += lg.degree[v];
   }
   return lg;
 }
@@ -73,7 +117,10 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
   double total_gain = 0.0;
   for (int sweep = 0; sweep < options.max_sweeps_per_level; ++sweep) {
     double sweep_gain = 0.0;
-    for (uint32_t v : order) {
+    for (size_t i = 0; i < order.size(); ++i) {
+      const uint32_t v = order[i];
+      // With row_of set the rows follow `order`, so v's row is row i.
+      const size_t row = g.row_of.empty() ? v : i;
       const uint32_t from = (*community)[v];
       if (settled[v] != 0) {
         // The detach and re-attach of a visit that stays put: subtracting
@@ -84,7 +131,7 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
       }
       // Accumulate edge weight from v to each adjacent community.
       touched.clear();
-      for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      for (size_t e = g.offsets[row]; e < g.offsets[row + 1]; ++e) {
         uint32_t c = (*community)[g.neighbors[e]];
         if (weight_to[c] == 0.0) touched.push_back(c);
         weight_to[c] += g.weights[e];
@@ -122,7 +169,7 @@ double LocalMoving(const LevelGraph& g, const std::vector<uint32_t>& order,
       settled[v] = std::all_of(touched.begin(), touched.end(),
                                [to](uint32_t c) { return c == to; });
       if (to != from) {
-        for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+        for (size_t e = g.offsets[row]; e < g.offsets[row + 1]; ++e) {
           settled[g.neighbors[e]] = 0;
         }
       }
@@ -162,7 +209,8 @@ LevelGraph Aggregate(const LevelGraph& g,
   std::vector<size_t> start(nc + 1, 0);
   for (size_t v = 0; v < g.num_nodes(); ++v) {
     const uint32_t cv = community[v];
-    for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+    const size_t row = g.Row(v);
+    for (size_t e = g.offsets[row]; e < g.offsets[row + 1]; ++e) {
       if (community[g.neighbors[e]] != cv) ++start[cv + 1];
     }
   }
@@ -173,7 +221,8 @@ LevelGraph Aggregate(const LevelGraph& g,
   for (size_t v = 0; v < g.num_nodes(); ++v) {
     const uint32_t cv = community[v];
     out.self_loop[cv] += g.self_loop[v];
-    for (size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+    const size_t row = g.Row(v);
+    for (size_t e = g.offsets[row]; e < g.offsets[row + 1]; ++e) {
       const uint32_t cu = community[g.neighbors[e]];
       if (cu == cv) {
         // Each intra-community pair is visited from both endpoints; halve.
@@ -230,11 +279,14 @@ LouvainResult RunLouvain(const TransactionGraph& graph,
   for (size_t v = 0; v < n; ++v) result.community[v] = static_cast<uint32_t>(v);
   if (n == 0) return result;
 
-  LevelGraph level = FromGraph(graph);
+  // Local moving visits no node without an edge. Such a node is no node's
+  // neighbour, so it stays alone in its community: it never moves, nothing
+  // moves in, and its visit's round trip x − k_v + k_v on a total x == k_v
+  // gives x back exactly.
+  std::vector<uint32_t> order(node_order.begin(), node_order.end());
+  LevelGraph level = FromGraph(graph, &order);
   std::vector<uint32_t> level_comm(n);
   for (size_t v = 0; v < n; ++v) level_comm[v] = static_cast<uint32_t>(v);
-
-  std::vector<uint32_t> order(node_order.begin(), node_order.end());
 
   for (int lvl = 0; lvl < options.max_levels; ++lvl) {
     double gain = LocalMoving(level, order, options, &level_comm);
@@ -248,8 +300,10 @@ LouvainResult RunLouvain(const TransactionGraph& graph,
     level = Aggregate(level, level_comm, nc);
     level_comm.resize(nc);
     for (uint32_t c = 0; c < nc; ++c) level_comm[c] = c;
-    order.resize(nc);
-    for (uint32_t c = 0; c < nc; ++c) order[c] = c;
+    order.clear();
+    for (uint32_t c = 0; c < nc; ++c) {
+      if (level.offsets[c + 1] != level.offsets[c]) order.push_back(c);
+    }
   }
 
   result.num_communities = CompactCommunities(&result.community);

@@ -45,8 +45,12 @@ struct LouvainResult {
 /// re-attaches k_v to its community's total, because that FP round trip
 /// can change the total's last bit; the result is bit-identical to
 /// visiting every node in full (tests/graph/louvain_equivalence_test.cc).
-/// Each aggregation level is built in one CSR buffer. The partition's
-/// modularity is not computed here; call Modularity() for it.
+/// Level 0 copies the graph's rows once, in `node_order`, so local moving
+/// reads them in sequence (an order that is not a permutation keeps the
+/// id layout). No level visits a node without an edge: it stays alone in
+/// its community, and the round trip on that total, its own k_v, is
+/// exact. Each aggregation level is built in one CSR buffer. The
+/// partition's modularity is not computed here; call Modularity() for it.
 LouvainResult RunLouvain(const TransactionGraph& graph,
                          const std::vector<NodeId>& node_order,
                          const LouvainOptions& options = {});

@@ -29,6 +29,18 @@ Status CheckNonNegative(const char* field, double value) {
   return Status::OK();
 }
 
+// Birth gating: the share of each community born by block `next_block`.
+// The late-born tail only becomes sampleable as the ledger progresses
+// (fully born at 90% of num_blocks).
+double BornFraction(const EthereumLikeConfig& config, uint64_t next_block) {
+  const double progress =
+      config.num_blocks > 0
+          ? std::min(1.0, static_cast<double>(next_block) /
+                              (0.9 * static_cast<double>(config.num_blocks)))
+          : 1.0;
+  return 1.0 - config.late_born_fraction * (1.0 - progress);
+}
+
 }  // namespace
 
 Status EthereumLikeConfig::Validate() const {
@@ -183,6 +195,7 @@ EthereumLikeGenerator::EthereumLikeGenerator(EthereumLikeConfig config)
 
   partner_.resize(nc);
   for (uint32_t c = 0; c < nc; ++c) partner_[c] = c;
+  born_fraction_ = BornFraction(config_, next_block_);
 }
 
 void EthereumLikeGenerator::MaybeApplyDrift() {
@@ -209,17 +222,8 @@ uint32_t EthereumLikeGenerator::CommunityOf(AccountId account) const {
 chain::AccountId EthereumLikeGenerator::SampleFromCommunity(
     uint32_t community) {
   uint64_t rank = member_samplers_[sampler_of_[community]].Sample(&rng_);
-  // Birth gating: the late-born tail of each community only becomes
-  // sampleable as the ledger progresses (fully born at 90% of num_blocks).
-  const double progress =
-      config_.num_blocks > 0
-          ? std::min(1.0, static_cast<double>(next_block_) /
-                              (0.9 * static_cast<double>(config_.num_blocks)))
-          : 1.0;
-  const double born_fraction =
-      1.0 - config_.late_born_fraction * (1.0 - progress);
   uint64_t born = static_cast<uint64_t>(
-      std::ceil(born_fraction * static_cast<double>(sizes_[community])));
+      std::ceil(born_fraction_ * static_cast<double>(sizes_[community])));
   if (born == 0) born = 1;
   if (rank >= born) rank %= born;
   return static_cast<AccountId>(starts_[community] + rank);
@@ -304,7 +308,9 @@ chain::Block EthereumLikeGenerator::NextBlock() {
   for (uint64_t i = 0; i < config_.txs_per_block; ++i) {
     txs.push_back(MakeTransaction());
   }
-  return chain::Block(next_block_++, std::move(txs));
+  chain::Block block(next_block_++, std::move(txs));
+  born_fraction_ = BornFraction(config_, next_block_);
+  return block;
 }
 
 chain::Ledger EthereumLikeGenerator::GenerateLedger(uint64_t n) {

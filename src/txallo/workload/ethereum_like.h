@@ -141,6 +141,8 @@ class EthereumLikeGenerator {
   chain::AccountRegistry registry_;
   Rng rng_;
   uint64_t next_block_ = 0;
+  // BornFraction(config_, next_block_), recomputed when a block is done.
+  double born_fraction_ = 1.0;
   uint64_t total_accounts_ = 0;
 
   // Community c owns account ids [starts_[c], starts_[c] + sizes_[c]).

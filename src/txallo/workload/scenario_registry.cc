@@ -156,6 +156,8 @@ Result<std::unique_ptr<Scenario>> MakeMultiAsset(const std::string& spec,
   TXALLO_RETURN_NOT_OK(read.Read("assets", &params.assets));
   TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
   TXALLO_RETURN_NOT_OK(read.Read("asset-skew", &params.asset_skew));
+  TXALLO_RETURN_NOT_OK(
+      FreshAccountsWithinBackground("assets", params.assets, shape));
   return WithOverlay(spec, shape, std::make_unique<MultiAssetOverlay>(params));
 }
 
@@ -177,6 +179,8 @@ Result<std::unique_ptr<Scenario>> MakeShardAttack(const std::string& spec,
   TXALLO_RETURN_NOT_OK(read.Read("share", &params.share));
   TXALLO_RETURN_NOT_OK(read.Read("victim-skew", &params.victim_skew));
   TXALLO_RETURN_NOT_OK(TargetBelowShards(params));
+  TXALLO_RETURN_NOT_OK(
+      FreshAccountsWithinBackground("attackers", params.attackers, shape));
   return WithOverlay(spec, shape, std::make_unique<ShardAttackOverlay>(params));
 }
 
@@ -253,8 +257,10 @@ constexpr OptionDoc kDiurnalOptions[] = {
      "fraction of traffic that follows the rotating awake window"},
     {"width", "uint", "4", kAtLeastOne, "communities awake at once"},
 };
+// The bound FreshAccountsWithinBackground enforces.
+constexpr common::Bound kFreshAccounts{"[1, 16 * accounts]", 1.0};
 constexpr OptionDoc kChurnOptions[] = {
-    {"pool", "uint", "accounts/16", {"[1, 16 * accounts]", 1.0},
+    {"pool", "uint", "accounts/16", kFreshAccounts,
      "short-lived account pool size"},
     {"lifetime", "uint", "blocks/4", kAtLeastOne,
      "blocks from an account's birth to its death"},
@@ -263,7 +269,7 @@ constexpr OptionDoc kChurnOptions[] = {
      "probability a churn counterparty is another live churn account"},
 };
 constexpr OptionDoc kMultiAssetOptions[] = {
-    {"assets", "uint", "8", kAtLeastOne, "distinct asset contract accounts"},
+    {"assets", "uint", "8", kFreshAccounts, "distinct asset contract accounts"},
     {"share", "double", "0.4", kFraction,
      "fraction of transfers carrying an asset output"},
     {"asset-skew", "double", "1.0", kNonNegative,
@@ -274,13 +280,13 @@ constexpr OptionDoc kShardAttackOptions[] = {
      "shard count the attack is tuned against (match the engine's k)"},
     {"target", "uint", "0", {"< shards"},
      "victim shard under hash routing"},
-    {"attackers", "uint", "64", kAtLeastOne, "fresh attacker accounts"},
+    {"attackers", "uint", "64", kFreshAccounts, "fresh attacker accounts"},
     {"share", "double", "0.4", kFraction, "attack traffic fraction"},
     {"victim-skew", "double", "1.0", kNonNegative,
      "Zipf skew over the victim shard's resident accounts"},
 };
 constexpr OptionDoc kSybilOptions[] = {
-    {"sybils", "uint", "512", {"[1, 16 * accounts]", 1.0},
+    {"sybils", "uint", "512", kFreshAccounts,
      "fresh sybil addresses born over the run"},
     {"fanout", "uint", "4", kAtLeastOne, "outputs per sybil transaction"},
     {"share", "double", "0.3", kFraction, "sybil traffic fraction"},

@@ -1,22 +1,26 @@
 // The phase-2 sweep and the phase-1b assignment read packed row copies and
-// a per-call clamp cache instead of the graph and a fresh clamp per gain,
-// and the sweep skips settled nodes (every assigned neighbour already in
-// the node's shard) and reloads the saved w{v, ·} of nodes none of whose
-// neighbours moved. All are pure speed changes: on seeded random graphs,
-// the allocation bytes, the σ/Λ̂ bits and the sweep counts must equal
-// those of the straightforward loops kept verbatim below as the reference.
+// a per-call clamp cache instead of the graph and a fresh clamp per gain.
+// The sweep walks a bitmap of live positions, skipping settled nodes
+// (every assigned neighbour already in the node's shard), and evaluates a
+// node whose neighbours have not moved over its saved w{v, ·}; phase 1b
+// places a node with no edge and no self-loop on shard 0 without a gain
+// scan. All are pure speed changes: on seeded random graphs, the
+// allocation bytes, the σ/Λ̂ bits and the sweep counts must equal those of
+// the straightforward loops kept verbatim below as the reference.
 // Cases cover a graph consolidated once swept in full (the G-TxAllo path),
 // a graph built over many consolidations swept over a V̂ subset (the
-// A-TxAllo path), the
-// all-communities ablation, k in {1, 3, 16, 17}, isolated and unassigned
-// nodes, long runs of moves beside settled nodes, hubs whose touched list
-// fills its saved slots, V̂ subsets whose neighbours lie outside V̂,
-// near-tied gains whose winner depends on the touched-list order, and
-// nodes listed twice.
+// A-TxAllo path), the all-communities ablation, k in {1, 3, 16, 17},
+// isolated and unassigned nodes, long runs of moves beside settled nodes,
+// hubs whose touched list fills its saved slots, V̂ subsets whose
+// neighbours lie outside V̂, near-tied gains whose winner depends on the
+// touched-list order, nodes listed twice, neighbours woken earlier and
+// later in the moved node's own bitmap word and in other words, and
+// zero-degree nodes absorbed beside nodes that have only a self-loop.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -511,6 +515,144 @@ TEST(SweepEquivalenceTest, RepeatedNodesAreSweptEachTime) {
     const AllocationParams params = Params(g, k, 0.9);
     CheckBothPaths(g, nodes, params, GlobalOptions{},
                    RandomAllocation(&rng, kNodes, k), /*assign=*/true);
+  }
+}
+
+
+// Each sweep position i gets one edge, to position i + d for a d drawn
+// from kReach, so a move wakes neighbours behind and ahead of the moved
+// node's position inside its own 64-bit word of the live set (d = 1, 3,
+// 40), and in the words before and after it (d = 64, 65, 129). The graph
+// is sparse on purpose: a node with one or two neighbours settles beside
+// them and follows the first that moves, so a wake that comes a sweep
+// early or late changes the outcome. The order's length, 229, spans four
+// words and is not a multiple of 64.
+constexpr size_t kPositions = 3 * 64 + 37;
+constexpr size_t kReach[] = {1, 3, 40, 64, 65, 129};
+
+struct PositionalGraph {
+  TransactionGraph graph;
+  std::vector<NodeId> order;  // order[i]: the node at sweep position i.
+};
+
+PositionalGraph MakePositionalGraph(Rng* rng) {
+  PositionalGraph out;
+  out.order = ShuffledOrder(rng, kPositions);
+  out.graph.EnsureNodeCount(kPositions);
+  const double shares[] = {1.0, 0.5, 1.0 / 3.0, 0.1};
+  for (size_t i = 0; i < kPositions; ++i) {
+    const size_t d = kReach[rng->NextBounded(std::size(kReach))];
+    if (i + d >= kPositions) continue;
+    out.graph.AddEdge(out.order[i], out.order[i + d],
+                      shares[rng->NextBounded(4)]);
+  }
+  out.graph.Consolidate();
+  return out;
+}
+
+TEST(SweepEquivalenceTest, WakesBehindAndAheadInTheWordAndAcrossWords) {
+  // Capacity pressure and a near-zero ε keep nodes moving after their
+  // neighbours settle. A neighbour woken ahead of the walk in the current
+  // word or a later one is visited this sweep; one behind it, in the same
+  // word or an earlier one, waits for the next sweep, as in the reference.
+  int total_sweeps = 0;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (const uint32_t k : {3u, 16u, 17u}) {
+      for (const double capacity_factor : {0.7, 1.3}) {
+        for (const bool search_all : {false, true}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k) + " capacity_factor=" +
+                       std::to_string(capacity_factor) +
+                       " search_all=" + std::to_string(search_all));
+          Rng rng(9000 + seed);
+          const PositionalGraph pg = MakePositionalGraph(&rng);
+          AllocationParams params = Params(pg.graph, k, capacity_factor);
+          params.epsilon = 1e-300;
+          GlobalOptions options;
+          options.search_all_communities = search_all;
+          total_sweeps += CheckBothPaths(
+              pg.graph, pg.order, params, options,
+              RandomAllocation(&rng, kPositions, k), /*assign=*/true);
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_sweeps, 200);
+}
+
+TEST(SweepEquivalenceTest, PositionalSubsetWithNeighboursOutsideIt) {
+  // V̂ keeps the first and third words of positions plus every third
+  // position elsewhere: its sweep positions are not the graph's, and many
+  // rows lead to nodes outside V̂, which never move and have no position
+  // to wake.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    for (const uint32_t k : {3u, 16u}) {
+      for (const bool search_all : {false, true}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " k=" + std::to_string(k) +
+                     " search_all=" + std::to_string(search_all));
+        Rng rng(9500 + seed);
+        const PositionalGraph pg = MakePositionalGraph(&rng);
+        std::vector<NodeId> subset;
+        for (size_t i = 0; i < kPositions; ++i) {
+          if (i / 64 % 2 == 0 || i % 3 == 0) subset.push_back(pg.order[i]);
+        }
+        AllocationParams params = Params(pg.graph, k, 0.8);
+        params.epsilon = 1e-300;
+        GlobalOptions options;
+        options.search_all_communities = search_all;
+        CheckBothPaths(pg.graph, subset, params, options,
+                       RandomAllocation(&rng, kPositions, k),
+                       /*assign=*/true);
+      }
+    }
+  }
+}
+
+TEST(SweepEquivalenceTest, RepeatedNodesUnderEveryCandidateRule) {
+  // Nodes listed twice keep every position live, under Eq. 9 and under
+  // the all-communities ablation alike, over a positional graph whose
+  // wakes would otherwise cross words.
+  for (const bool search_all : {false, true}) {
+    SCOPED_TRACE("search_all=" + std::to_string(search_all));
+    Rng rng(9700);
+    const PositionalGraph pg = MakePositionalGraph(&rng);
+    std::vector<NodeId> nodes = pg.order;
+    nodes.insert(nodes.end(), pg.order.begin() + 50, pg.order.begin() + 150);
+    AllocationParams params = Params(pg.graph, 16, 0.9);
+    params.epsilon = 1e-300;
+    GlobalOptions options;
+    options.search_all_communities = search_all;
+    CheckBothPaths(pg.graph, nodes, params, options,
+                   RandomAllocation(&rng, kPositions, 16), /*assign=*/true);
+  }
+}
+
+TEST(SweepEquivalenceTest, ZeroDegreeNodesBesideSelfLoopOnlyNodes) {
+  // Every isolated id starts unassigned; half of them have a self-loop
+  // and nothing else. A zero-degree node lands on shard 0 and leaves σ/Λ̂
+  // bit for bit, while a self-loop-only node has to take the full C_v = ∅
+  // scan: its join adds ℓ to σ and Λ̂, and under capacity pressure it
+  // picks a shard other than 0.
+  for (const uint32_t k : {1u, 3u, 16u, 17u}) {
+    for (const double capacity_factor : {0.5, 1.0, 3.0}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " capacity_factor=" +
+                   std::to_string(capacity_factor));
+      Rng rng(9900 + k);
+      TransactionGraph g = RandomGraph(&rng, 3000);
+      AddLoners(&g);
+      g.Consolidate();
+      const std::vector<NodeId> order = ShuffledOrder(&rng, g.num_nodes());
+      Allocation start = RandomAllocation(&rng, kNodes, k);
+      Allocation unassigned_isolated(kNodes, k);
+      for (NodeId v = 0; v < kNodes - kIsolated; ++v) {
+        if (start.IsAssigned(v)) {
+          unassigned_isolated.Assign(v, start.shard_of(v));
+        }
+      }
+      CheckBothPaths(g, order, Params(g, k, capacity_factor), GlobalOptions{},
+                     unassigned_isolated, /*assign=*/true);
+    }
   }
 }
 

@@ -431,5 +431,41 @@ TEST(LouvainEquivalenceTest, MirroredTiesKeepTheRoundTrip) {
   }
 }
 
+TEST(LouvainEquivalenceTest, VisitOrdersLayOutLevelZero) {
+  // Level 0's rows are copied in the visit order, so local moving reads
+  // them in sequence while communities and aggregation stay indexed by
+  // node id, and nodes without an edge are not visited.
+  // Every order of one graph must match the reference: the id order, its
+  // reverse, shuffles, and orders that are not a permutation (a node
+  // listed twice, a short list), which keep the id layout.
+  for (const uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(400 + seed);
+    TransactionGraph g = RandomGraph(&rng, 4000);
+    // Half the isolated ids get a self-loop and no edge. Local moving
+    // visits neither kind: a node without an edge stays alone in its
+    // community, whose total is its own k_v.
+    for (NodeId v = kNodes - kIsolated; v < kNodes; v += 2) {
+      g.AddSelfLoop(v, 0.1 * static_cast<double>(seed));
+    }
+    g.Consolidate();
+    std::vector<NodeId> identity(g.num_nodes());
+    std::iota(identity.begin(), identity.end(), 0);
+    std::vector<std::vector<NodeId>> orders = {
+        identity, {identity.rbegin(), identity.rend()}};
+    for (int shuffle = 0; shuffle < 4; ++shuffle) {
+      orders.push_back(ShuffledOrder(&rng, g.num_nodes()));
+    }
+    std::vector<NodeId> repeated = orders.back();
+    repeated[7] = repeated[300];
+    orders.push_back(repeated);
+    orders.push_back({orders[2].begin(), orders[2].end() - 5});
+    for (size_t o = 0; o < orders.size(); ++o) {
+      SCOPED_TRACE("order=" + std::to_string(o));
+      CheckBothPaths(g, orders[o], LouvainOptions{});
+    }
+  }
+}
+
 }  // namespace
 }  // namespace txallo::graph

@@ -169,6 +169,32 @@ TEST(ScenarioRegistryTest, SybilCountIsBoundedBySixteenTimesAccounts) {
   ExpectFreshAccountBound("sybil", "sybils");
 }
 
+TEST(ScenarioRegistryTest, AssetCountIsBoundedBySixteenTimesAccounts) {
+  ExpectFreshAccountBound("multi-asset", "assets");
+}
+
+TEST(ScenarioRegistryTest, AttackerCountIsBoundedBySixteenTimesAccounts) {
+  ExpectFreshAccountBound("shard-attack", "attackers");
+}
+
+TEST(ScenarioRegistryTest, FreshAccountDefaultsObeyTheBoundToo) {
+  // The bound holds for a default as for a spelled-out value: below 4
+  // accounts shard-attack's 64 default attackers exceed 16 * accounts, as
+  // sybil's 512 default sybils do below 32, and each spec must then set
+  // its count explicitly.
+  ScenarioShape tiny = SmallShape();
+  tiny.num_accounts = 3;
+  tiny.num_communities = 1;
+  for (const char* name : {"shard-attack", "sybil"}) {
+    SCOPED_TRACE(name);
+    auto scenario = MakeScenarioFromSpec(name, tiny);
+    ASSERT_FALSE(scenario.ok());
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(MakeScenarioFromSpec("shard-attack:attackers=48", tiny).ok());
+  EXPECT_TRUE(MakeScenarioFromSpec("multi-asset", tiny).ok());
+}
+
 TEST(ScenarioRegistryTest, MoreAccountsThanAccountIdsIsRejected) {
   // A background past the AccountId space fails validation instead of
   // handing out kInvalidAccount (or wrapping ids).
