@@ -19,10 +19,12 @@
 // latency, loads above it measure queueing and, once --capacity is hit,
 // admission shedding.
 //
-// Record/replay (engine/replay.h): --record=PATH saves the first
-// (load, method) run's deterministic trace — including the open-loop meta —
-// and --replay=PATH re-executes it (same workload flags; the thread count
-// is free to differ) verifying bit-identity.
+// Record/replay (engine/replay.h): --record=PATH saves the first run's
+// deterministic trace — the first streaming method at the first load in
+// --loads, including the open-loop meta; every other (method, load) point
+// still runs, unrecorded, as in gauntlet — and --replay=PATH re-executes it
+// (same workload flags; the thread count is free to differ) verifying
+// bit-identity.
 //
 //   ./build/bench/open_loop_latency [--methods=a;b] [--loads=60,100,140]
 //       [--scenario=SPEC] (workload/scenario_registry.h; --scenario=help)
@@ -30,7 +32,7 @@
 //       [--blocks=64] [--txs-per-block=96] [--epoch-blocks=16]
 //       [--service-rate=120] [--dispatch-per-tick=N] [--capacity=N]
 //       [--pending-limit=N] [--rate-limit=N] [--ttl=N]
-//       [--policy=reject|block] [--no-cleaner]
+//       [--policy=reject|block]
 //       [--json-out=PATH] [--record=PATH | --replay=PATH]
 #include <cerrno>
 #include <cmath>
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
   using namespace txallo;
   bench::Flags flags = bench::ParseBenchFlags(argc, argv,
       {"allocator", "blocks", "capacity", "csv-dir", "dispatch-per-tick",
-       "epoch-blocks", "eta", "json-out", "k", "loads", "methods", "no-cleaner",
+       "epoch-blocks", "eta", "json-out", "k", "loads", "methods",
        "offered-load", "pending-limit", "policy", "rate-limit", "record",
        "replay", "scenario", "seed", "service-rate", "ttl", "txs-per-block"});
   if (bench::HandleAllocatorHelp(flags)) return 0;
@@ -132,15 +134,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<std::string> specs = bench::ResolveMethodSpecs(
+  const std::vector<std::string> specs = bench::ResolveMethodSpecs(
       flags, {"txallo-hybrid:global-every=4", "metis", "hash"});
-  if (!trace.record_path.empty() && (specs.size() > 1 || loads.size() > 1)) {
-    // One trace file = one run; record the first (load, method) point.
-    specs.resize(1);
-    loads.resize(1);
-    std::printf("--record: tracing the first point only (%s @ %g tx/tick)\n",
-                specs[0].c_str(), loads[0]);
-  }
 
   // One shared ledger: every (load, method) point offers identical traffic,
   // only the pacing differs. --scenario (or TXALLO_SCENARIO) swaps the
@@ -256,7 +251,6 @@ int main(int argc, char** argv) {
     pipeline.open_loop.offered_load = load;
     pipeline.open_loop.dispatch_per_tick = dispatch_per_tick;
     pipeline.open_loop.mempool = mempool_config;
-    pipeline.open_loop.cleaner = !flags.GetBool("no-cleaner", false);
     return pipeline;
   };
 
@@ -293,6 +287,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  bool recorded = false;
   for (const std::string& spec : specs) {
     for (double load : loads) {
       allocator::AllocatorOptions options;
@@ -315,7 +310,9 @@ int main(int argc, char** argv) {
       engine::ParallelEngine engine(make_engine_config(), nullptr);
       engine::ReplayLog log;
       engine::PipelineConfig pipeline = make_pipeline(load);
-      if (!trace.record_path.empty()) pipeline.record = &log;
+      // One trace file = one run: only the first run records.
+      const bool record = !trace.record_path.empty() && !recorded;
+      if (record) pipeline.record = &log;
       auto result =
           engine::RunReallocatedStream(ledger, online, &engine, pipeline);
       if (!result.ok()) {
@@ -323,7 +320,7 @@ int main(int argc, char** argv) {
                      spec.c_str(), load, result.status().ToString().c_str());
         return 1;
       }
-      if (!trace.record_path.empty()) {
+      if (record) {
         Status saved = engine::SaveReplayLog(log, trace.record_path);
         if (!saved.ok()) {
           std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
@@ -333,6 +330,7 @@ int main(int argc, char** argv) {
                     "(%zu commits, %zu steps)\n",
                     spec.c_str(), load, trace.record_path.c_str(),
                     log.commits.size(), log.steps.size());
+        recorded = true;
       }
       add_point(spec, load, *result);
     }

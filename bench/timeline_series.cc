@@ -10,8 +10,10 @@
 // deterministic software-pipelining schedule); sync/deferred run it on the
 // driver.
 //
-// Record/replay (engine/replay.h): --record=PATH saves the first method's
-// run as a deterministic trace; --replay=PATH re-executes a saved trace on
+// Record/replay (engine/replay.h): --record=PATH saves the first run (the
+// first streaming method in --methods) as a deterministic trace; every
+// other method still runs, unrecorded, as in gauntlet. --replay=PATH
+// re-executes a saved trace on
 // the same generated workload (pass identical workload flags) and verifies
 // bit-identity — threads/alloc-mode may differ from the recorded
 // run. The CI smoke records and replays a tiny trace this way to catch
@@ -89,14 +91,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<std::string> specs = bench::ResolveMethodSpecs(
+  const std::vector<std::string> specs = bench::ResolveMethodSpecs(
       flags, {"txallo-hybrid:global-every=4", "metis", "hash"});
-  if (!trace.record_path.empty() && specs.size() > 1) {
-    // One trace file = one run; record the first requested method.
-    specs.resize(1);
-    std::printf("--record: tracing the first method only (%s)\n",
-                specs[0].c_str());
-  }
 
   // One shared ledger: every method streams identical traffic. The shape
   // comes from the bench flags; the pattern comes from --scenario (or
@@ -253,6 +249,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  bool recorded = false;
   for (const std::string& spec : specs) {
     allocator::AllocatorOptions options;
     options.params = alloc::AllocationParams::ForExperiment(
@@ -285,7 +282,9 @@ int main(int argc, char** argv) {
     pipeline.allocator_mode = *mode;
     pipeline.allow_epoch_overrun = overrun;
     pipeline.workload_spec = scenario_spec;
-    if (!trace.record_path.empty()) pipeline.record = &log;
+    // One trace file = one run: only the first run records.
+    const bool record = !trace.record_path.empty() && !recorded;
+    if (record) pipeline.record = &log;
     auto result =
         engine::RunReallocatedStream(ledger, online, &engine, pipeline);
     if (!result.ok()) {
@@ -293,7 +292,7 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
-    if (!trace.record_path.empty()) {
+    if (record) {
       Status saved = engine::SaveReplayLog(log, trace.record_path);
       if (!saved.ok()) {
         std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
@@ -304,6 +303,7 @@ int main(int argc, char** argv) {
                   spec.c_str(), trace.record_path.c_str(),
                   log.prepares.size(), log.commits.size(),
                   log.installs.size(), log.steps.size());
+      recorded = true;
     }
 
     add_series_rows(spec, *result);

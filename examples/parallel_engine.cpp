@@ -13,7 +13,7 @@
 //
 // Shards execute on real worker threads with cross-shard two-phase commits;
 // reports carry both the cost model's logical metrics and the engine-only
-// ones (queue depth, worker stall, reallocation pause).
+// ones (queue depth, worker stall).
 //
 //   ./build/examples/parallel_engine [--blocks=N] [--k=K] [--threads=T]
 //       [--allocator=SPEC] [--alloc-mode=background|deferred|sync]
@@ -162,12 +162,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nonline reallocation (alloc-mode=%s): %llu epochs,\n%.3fs allocator "
       "compute (%.3fs stalled the driver — %.0f%% overlapped with "
-      "execution),\n%.6fs total ingest pause across snapshot swaps "
-      "(copy-on-write), %.2fs worker stall\n",
+      "execution),\n%.2fs worker stall\n",
       engine::AllocatorModeName(*alloc_mode),
       static_cast<unsigned long long>(online->epochs), online->alloc_seconds,
       online->alloc_wait_seconds, 100.0 * online->alloc_overlap_ratio,
-      online->report.realloc_pause_seconds,
       online->report.worker_stall_seconds);
   std::printf(
       "\nExpected: hash routing makes ~every transaction cross-shard; a "

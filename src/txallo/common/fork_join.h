@@ -18,8 +18,7 @@
 // to the caller when Run() returns.
 //
 // This is the only place in src/txallo/ that spawns fan-out threads; the
-// long single tasks (engine::BackgroundAllocator, mempool::MempoolCleaner)
-// keep their own worker.
+// one long single task (engine::BackgroundAllocator) keeps its own worker.
 #pragma once
 
 #include <cstdint>

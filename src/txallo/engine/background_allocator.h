@@ -8,7 +8,7 @@
 //   3. ... keep submitting/ticking the engine ...
 //   4. outcome = background.Collect()              (blocks until Run() done)
 //   5. outcome.task->Commit()                      (fold back, owner thread)
-//   6. engine->InstallAllocation(outcome.mapping)  (publish, pause-free)
+//   6. engine->InstallAllocation(outcome.mapping)  (publish, between ticks)
 //
 // One task in flight at a time; Collect() reports how long the driver
 // actually waited, which is what pipeline.cc turns into

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <utility>
 
-#include "txallo/common/stopwatch.h"
 #include "txallo/state/transfer_plan.h"
 
 namespace txallo::engine {
@@ -60,7 +59,6 @@ ParallelEngine::ParallelEngine(EngineConfig config,
   // reported by the first SubmitBlock instead of silently mis-routing
   // (hash fallback would quietly fold all traffic into the snapshot's k).
   if (initial != nullptr) {
-    common::MutexLock lock(routing_mu_);
     if (initial->num_shards() == config_.num_shards) {
       routing_ = std::move(initial);
     } else {
@@ -121,17 +119,13 @@ Status ParallelEngine::SubmitBlock(
   // block routes.
   const uint64_t base_seq = next_seq_;
   next_seq_ += transactions.size();
-  std::shared_ptr<const alloc::Allocation> routing;
-  {
-    common::MutexLock lock(routing_mu_);
-    routing = routing_;
-    if (routing == nullptr) {
-      return Status::FailedPrecondition(
-          snapshot_error_.empty()
-              ? "no allocation snapshot installed before SubmitBlock"
-              : snapshot_error_);
-    }
+  if (routing_ == nullptr) {
+    return Status::FailedPrecondition(
+        snapshot_error_.empty()
+            ? "no allocation snapshot installed before SubmitBlock"
+            : snapshot_error_);
   }
+  const alloc::Allocation& routing = *routing_;
   // account_shards[j] is the shard of tx.accounts()[j]; shards lists the
   // distinct ones in order of first appearance (the lanes' queueing order).
   std::vector<alloc::ShardId> account_shards;
@@ -142,7 +136,7 @@ Status ParallelEngine::SubmitBlock(
     shards.clear();
     for (chain::AccountId a : tx.accounts()) {
       const alloc::ShardId s =
-          routing->RouteOf(a, config_.hash_route_unassigned);
+          routing.RouteOf(a, config_.hash_route_unassigned);
       if (s == alloc::kUnassignedShard) {
         return Status::FailedPrecondition("unassigned account " +
                                           std::to_string(a) +
@@ -198,35 +192,18 @@ Status ParallelEngine::InstallAllocation(
         "allocation snapshot has " + std::to_string(next->num_shards()) +
         " shards, engine has " + std::to_string(config_.num_shards));
   }
-  Stopwatch pause;
-  common::MutexLock lock(routing_mu_);
   routing_ = std::move(next);
   snapshot_error_.clear();
   ++reallocations_;
   if (state_ != nullptr) state_pending_sync_ = true;
-  realloc_pause_seconds_ += pause.ElapsedSeconds();
   return Status::OK();
 }
 
-std::shared_ptr<const alloc::Allocation> ParallelEngine::allocation_snapshot()
-    const {
-  common::MutexLock lock(routing_mu_);
-  return routing_;
-}
-
 void ParallelEngine::SyncStateResidency() {
-  std::shared_ptr<const alloc::Allocation> target;
-  {
-    common::MutexLock lock(routing_mu_);
-    if (state_pending_sync_) {
-      target = routing_;
-      state_pending_sync_ = false;
-    }
-  }
   state::MigrationReport moved;
-  if (target != nullptr) {
-    moved = state_->BeginMigration(std::move(target),
-                                   config_.hash_route_unassigned);
+  if (state_pending_sync_) {
+    state_pending_sync_ = false;
+    moved = state_->BeginMigration(routing_, config_.hash_route_unassigned);
   } else if (state_->migration_pending()) {
     // Records an earlier pass could not move (reservation-locked by an
     // in-flight cross-shard round) are retried every tick until clean.
@@ -356,11 +333,7 @@ EngineReport ParallelEngine::Snapshot() {
   report.sim.mean_utilization =
       utilization / static_cast<double>(config_.num_shards);
   report.sim.residual_work = residual;
-  {
-    common::MutexLock lock(routing_mu_);
-    report.reallocations = reallocations_;
-    report.realloc_pause_seconds = realloc_pause_seconds_;
-  }
+  report.reallocations = reallocations_;
   return report;
 }
 

@@ -40,12 +40,14 @@
 // per-shard prepare order and 2PC outcome stream that engine/replay.h
 // serializes and replays bit-identically.
 //
-// Threading contract: everything except InstallAllocation is driver API —
-// SubmitBlock, Tick, Snapshot, DrainAndReport, ExtractTrace and the Enable*
-// switches are called by one thread at a time, so the staging buffers, the
-// 2PC coordinator and the logical clock need no lock. Everything a lane
-// writes during a tick is the driver's again when Tick()'s fork-join
-// returns. InstallAllocation is safe from any thread at any time.
+// Threading contract: the whole public API is driver API — SubmitBlock,
+// InstallAllocation, Tick, Snapshot, DrainAndReport, ExtractTrace and the
+// Enable* switches are called by one thread at a time, so the routing
+// snapshot, the staging buffers, the 2PC coordinator and the logical clock
+// need no lock. Everything a lane writes during a tick is the driver's
+// again when Tick()'s fork-join returns. A mapping computed on another
+// thread (engine::BackgroundAllocator) is handed to the driver, which
+// installs it between ticks.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,6 @@
 #include "txallo/common/histogram.h"
 #include "txallo/common/sha256.h"
 #include "txallo/common/status.h"
-#include "txallo/common/sync.h"
 #include "txallo/engine/two_phase.h"
 #include "txallo/sim/work_model.h"
 #include "txallo/state/state_db.h"
@@ -157,9 +158,6 @@ struct EngineReport {
   uint64_t fanned_out_ticks = 0;
   /// Allocation snapshots installed while running.
   uint64_t reallocations = 0;
-  /// Total seconds ingest was blocked installing snapshots (the
-  /// "reallocation pause"; copy-on-write keeps this near zero).
-  double realloc_pause_seconds = 0.0;
   /// 2PC observability: PREPARED votes received and cross-shard commits.
   uint64_t prepares_received = 0;
   uint64_t cross_shard_committed = 0;
@@ -226,8 +224,8 @@ class ParallelEngine {
   Trace ExtractTrace();
 
   /// Publishes a new allocation snapshot; takes effect from the next
-  /// SubmitBlock(). Safe from any thread, never stops the lanes. Fails if
-  /// the snapshot is null or its shard count differs from the engine's.
+  /// SubmitBlock(). Driver API, between ticks; never stops the lanes. Fails
+  /// if the snapshot is null or its shard count differs from the engine's.
   Status InstallAllocation(std::shared_ptr<const alloc::Allocation> next);
 
   /// Advances one block: every shard executes up to λ work in parallel;
@@ -245,8 +243,11 @@ class ParallelEngine {
   const EngineConfig& config() const { return config_; }
   uint32_t num_workers() const { return num_workers_; }
   /// The snapshot ingest currently routes by (null before the first
-  /// install when constructed without one).
-  std::shared_ptr<const alloc::Allocation> allocation_snapshot() const;
+  /// install when constructed without one). Driver-side.
+  const std::shared_ptr<const alloc::Allocation>& allocation_snapshot()
+      const {
+    return routing_;
+  }
 
   /// The account-state backend, or nullptr when EngineConfig::state is
   /// disabled. Driver-side only, and only between ticks (the driver owns
@@ -307,19 +308,16 @@ class ParallelEngine {
   TwoPhaseCoordinator coordinator_;
   std::vector<std::unique_ptr<ShardLane>> lanes_;
 
-  // Routing snapshot (copy-on-write; swapped under its own mutex so
-  // InstallAllocation is safe from any thread). snapshot_error_ remembers
-  // why a constructor-supplied snapshot was rejected, so the first
-  // SubmitBlock fails with the cause rather than "no snapshot".
-  mutable common::Mutex routing_mu_;
-  std::shared_ptr<const alloc::Allocation> routing_
-      TXALLO_GUARDED_BY(routing_mu_);
-  std::string snapshot_error_ TXALLO_GUARDED_BY(routing_mu_);
-  uint64_t reallocations_ TXALLO_GUARDED_BY(routing_mu_) = 0;
-  double realloc_pause_seconds_ TXALLO_GUARDED_BY(routing_mu_) = 0.0;
+  // Driver-only routing snapshot (copy-on-write, swapped by
+  // InstallAllocation). snapshot_error_ remembers why a constructor-supplied
+  // snapshot was rejected, so the first SubmitBlock fails with the cause
+  // rather than "no snapshot".
+  std::shared_ptr<const alloc::Allocation> routing_;
+  std::string snapshot_error_;
+  uint64_t reallocations_ = 0;
   // An install has been published whose residency migration has not run
   // yet (picked up by SyncStateResidency at the next tick).
-  bool state_pending_sync_ TXALLO_GUARDED_BY(routing_mu_) = false;
+  bool state_pending_sync_ = false;
 
   // Account-state backend. Allocated once in the constructor (null when
   // disabled); mutated by the driver only, outside the tick's fork-join —

@@ -13,7 +13,6 @@
 #include "txallo/common/stopwatch.h"
 #include "txallo/engine/background_allocator.h"
 #include "txallo/engine/replay.h"
-#include "txallo/mempool/cleaner.h"
 #include "txallo/mempool/offered_load.h"
 #include "txallo/sim/reconfig.h"
 #include "txallo/workload/stream.h"
@@ -523,8 +522,6 @@ Status PipelineRun::RunOpenLoop() {
   pool_config.staging_capacity =
       std::max<size_t>(meta_.mempool_staging_capacity, tick_offer);
   mempool::Mempool pool(pool_config);
-  std::optional<mempool::MempoolCleaner> cleaner;
-  if (config_.open_loop.cleaner) cleaner.emplace(&pool);
   mempool::OfferedLoadGenerator generator(
       ledger_, mempool::OfferedLoadConfig{meta_.offered_load,
                                           meta_.fee_levels, meta_.fee_seed});

@@ -3,10 +3,10 @@
 // and allocation optionally overlapped on a background worker.
 //
 // The allocator absorbs committed blocks (ApplyBlock); every
-// `blocks_per_epoch` blocks its mapping refreshes and the result is
-// published to the engine as a fresh copy-on-write snapshot via
-// InstallAllocation() (a pause-free shared_ptr swap; the engine reports the
-// cost as `realloc_pause_seconds`). Every schedule runs the strategy's one
+// `blocks_per_epoch` blocks its mapping refreshes and the driver publishes
+// the result to the engine as a fresh copy-on-write snapshot via
+// InstallAllocation() (a shared_ptr swap between ticks; the lanes never
+// wait for it). Every schedule runs the strategy's one
 // rebalance implementation (OnlineAllocator::BeginRebalance()'s task); they
 // differ only in where Run() executes and when the result installs:
 //
@@ -34,8 +34,11 @@
 //
 // Ingest runs on the driver: it submits every block (and, open-loop, every
 // mempool arrival) itself, in order, so sequence tags are block positions.
-// `ingest_producers` has no effect; it stays until the perf ledger's traced
-// driver, which still reads it, goes.
+// The driver owns the engine's routing snapshot and the mempool (which
+// compacts at its seal) too; the only other threads are the engine's
+// fork-join helpers and the BackgroundAllocator worker.
+// `ingest_producers` and `open_loop.cleaner` have no effect; they stay
+// until the perf ledger's traced driver, which still reads them, goes.
 //
 // Ingest modes: the classic driver is *closed-loop* — it feeds one ledger
 // block per tick, so the arrival rate automatically tracks the service rate
@@ -112,8 +115,9 @@ struct OpenLoopConfig {
   /// whole tick's offer so every drop decision happens at the seal, in
   /// pool_seq order.
   mempool::MempoolConfig mempool;
-  /// Run a background MempoolCleaner (physical compaction only — outputs
-  /// are identical with it on, off, or racing).
+  /// No effect: the mempool compacts at the seal (Mempool::SealTick). Kept
+  /// because the perf ledger's traced driver (bench/perf) still reads it;
+  /// it goes together with that driver copy.
   bool cleaner = true;
 };
 

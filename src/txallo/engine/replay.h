@@ -82,8 +82,8 @@ class ReplayLog {
     /// replay re-uses it. The open-loop driving parameters below are
     /// normalized to zero for closed-loop traces, so two closed-loop traces
     /// always agree regardless of ignored config. Physical-only knobs
-    /// (cleaner on/off, chunk sizes) are deliberately absent — they cannot
-    /// change any recorded byte.
+    /// (compaction threshold, chunk sizes) are deliberately absent — they
+    /// cannot change any recorded byte.
     uint8_t ingest_mode = 0;
     double offered_load = 0.0;
     uint32_t dispatch_per_tick = 0;

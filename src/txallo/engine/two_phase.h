@@ -93,11 +93,6 @@ class TwoPhaseCoordinator {
   /// one is scheduled for `model.CommitBlock(block, true)`.
   void PartExecuted(uint64_t tx_index, uint64_t block, bool ok);
 
-  /// Legacy PREPARED vote (always ok) — the pure cost model's path.
-  void PartPrepared(uint64_t tx_index, uint64_t block) {
-    PartExecuted(tx_index, block, /*ok=*/true);
-  }
-
   /// Driver-side, once per block after the lanes join: commits every
   /// scheduled cross-shard transaction whose decision round has arrived.
   void FlushDelayed(uint64_t now);

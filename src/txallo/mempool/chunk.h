@@ -1,18 +1,16 @@
 // Mempool storage chunk: a fixed-capacity, append-only slab of pending
 // transactions (the speedex mempool shape — storage grows by whole chunks,
-// dead entries are tombstoned in place, and the background cleaner reclaims
-// chunks wholesale instead of shifting survivors around).
+// dead entries are tombstoned in place, and compaction reclaims chunks
+// wholesale instead of shifting survivors around).
 //
 // The invariant everything else leans on: entries never move. A chunk
 // reserves its full capacity up front and only ever appends, so an Entry*
 // handed out by Append() stays valid until the whole chunk is destroyed —
 // which the Mempool only does once every entry in it is dead and no live
 // index refers to it. That is what lets the priority index and the
-// seq-lookup map hold plain pointers across ticks while the cleaner runs
-// concurrently (under the pool mutex) on other chunks.
+// seq-lookup map hold plain pointers across ticks and across compactions.
 //
-// Not thread-safe on its own: a chunk is always owned by a Mempool and
-// accessed under the pool's admitted-side mutex.
+// Not thread-safe: a chunk is owned by a Mempool, which the driver owns.
 #pragma once
 
 #include <cassert>
@@ -63,7 +61,7 @@ class MempoolChunk {
   size_t live_count() const { return live_count_; }
 
   /// True once the chunk is at capacity with every entry dead — eligible
-  /// for wholesale reclamation by the cleaner.
+  /// for wholesale reclamation (Mempool::CompactOnce).
   bool Reclaimable() const { return full() && live_count_ == 0; }
 
   /// Appends one entry. Precondition: !full(). The returned pointer is

@@ -1,56 +1,22 @@
-// Background mempool cleaner: a single worker thread that reclaims
-// fully-dead storage chunks (Mempool::CompactOnce) whenever the pool's
-// tombstone count crosses its threshold — the speedex `mempool_cleaner`
-// shape.
+// Mempool cleaner shim: constructing one has no effect.
 //
-// Compaction is physically observable but logically invisible: it only
-// frees chunks whose every entry is already dead, so the pool's contents,
-// counters, dispatch order, and therefore every downstream latency figure
-// are bit-identical whether the cleaner runs promptly, lags arbitrarily, or
-// is absent. That is what lets a wall-clock-scheduled thread coexist with
-// the determinism contract — the tests run the pool with and without a
-// cleaner racing and compare outputs.
+// The mempool compacts on the driver, at the end of Mempool::SealTick (see
+// mempool.h), so there is no background pass to start. The class stays only
+// because the perf ledger's traced driver (bench/perf/traced_pipeline.cc)
+// still constructs it; it goes together with that driver copy.
 #pragma once
 
-#include <thread>  // txallo-lint: allow(raw-thread) background compaction worker
-
-#include "txallo/common/sync.h"
 #include "txallo/mempool/mempool.h"
 
 namespace txallo::mempool {
 
 class MempoolCleaner {
  public:
-  /// Starts the worker and installs itself as `pool`'s cleaner hook
-  /// (Mempool::SetCleanerHook). `pool` must outlive the cleaner, and the
-  /// hook slot must be free.
-  explicit MempoolCleaner(Mempool* pool);
-
-  /// Clears the hook and joins the worker (finishing any pass in flight).
-  ~MempoolCleaner();
+  /// Does nothing; `pool` compacts itself at the seal.
+  explicit MempoolCleaner(Mempool* /*pool*/) {}
 
   MempoolCleaner(const MempoolCleaner&) = delete;
   MempoolCleaner& operator=(const MempoolCleaner&) = delete;
-
-  /// Requests a compaction pass. Idempotent while one is already pending.
-  /// Called by the pool's hook; may be called directly.
-  void Nudge();
-
-  /// Compaction passes completed so far (physical-progress observability,
-  /// never part of any logical output).
-  uint64_t passes() const;
-
- private:
-  void WorkerMain();
-
-  Mempool* const pool_;
-  mutable common::Mutex mu_;
-  common::CondVar cv_;
-  bool stop_ TXALLO_GUARDED_BY(mu_) = false;
-  bool pending_ TXALLO_GUARDED_BY(mu_) = false;
-  uint64_t passes_ TXALLO_GUARDED_BY(mu_) = 0;
-  // Started last in the constructor, joined in the destructor.
-  std::thread worker_;  // txallo-lint: allow(raw-thread)
 };
 
 }  // namespace txallo::mempool

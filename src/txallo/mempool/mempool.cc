@@ -47,68 +47,59 @@ size_t Mempool::SealTick(uint64_t tick) {
               return a.pool_seq < b.pool_seq;
             });
 
+  if (config_.ttl_ticks > 0) {
+    std::vector<uint64_t> expired;
+    for (const auto& [seq, ref] : live_by_seq_) {
+      if (tick >= ref.entry->tx.admit_tick + config_.ttl_ticks) {
+        expired.push_back(seq);
+      }
+    }
+    for (uint64_t seq : expired) {
+      auto it = live_by_seq_.find(seq);
+      Kill(it->second);
+      live_by_seq_.erase(it);
+      ++stats_.expired;
+      // The priority index entry stays behind as a tombstone, skipped
+      // lazily at TakeBatch.
+    }
+  }
+
   size_t admitted_now = 0;
-  size_t dead_now = 0;
-  {
-    common::MutexLock lock(mu_);
-
-    if (config_.ttl_ticks > 0) {
-      std::vector<uint64_t> expired;
-      for (const auto& [seq, ref] : live_by_seq_) {
-        if (tick >= ref.entry->tx.admit_tick + config_.ttl_ticks) {
-          expired.push_back(seq);
-        }
-      }
-      for (uint64_t seq : expired) {
-        auto it = live_by_seq_.find(seq);
-        KillLocked(it->second);
-        live_by_seq_.erase(it);
-        ++stats_.expired;
-        // The priority index entry stays behind as a tombstone, skipped
-        // lazily at TakeBatch.
-      }
+  const size_t index_before = index_.size();
+  std::map<chain::AccountId, uint32_t> rate_this_tick;
+  std::deque<PendingTx> still_deferred;
+  std::deque<PendingTx> retry;
+  retry.swap(overflow_);
+  for (auto& tx : retry) {
+    if (Admit(std::move(tx), tick, rate_this_tick, still_deferred)) {
+      ++admitted_now;
     }
-
-    const size_t index_before = index_.size();
-    std::map<chain::AccountId, uint32_t> rate_this_tick;
-    std::deque<PendingTx> still_deferred;
-    std::deque<PendingTx> retry;
-    retry.swap(overflow_);
-    for (auto& tx : retry) {
-      if (AdmitLocked(std::move(tx), tick, rate_this_tick, still_deferred)) {
-        ++admitted_now;
-      }
+  }
+  for (PendingTx& tx : arrivals) {
+    if (Admit(std::move(tx), tick, rate_this_tick, still_deferred)) {
+      ++admitted_now;
     }
-    for (PendingTx& tx : arrivals) {
-      if (AdmitLocked(std::move(tx), tick, rate_this_tick, still_deferred)) {
-        ++admitted_now;
-      }
-    }
-    overflow_ = std::move(still_deferred);
+  }
+  overflow_ = std::move(still_deferred);
 
-    // Newly admitted keys were appended unsorted; order the tail and merge.
-    if (index_.size() > index_before) {
-      std::sort(index_.begin() + static_cast<ptrdiff_t>(index_before),
-                index_.end(), WorsePriority);
-      std::inplace_merge(index_.begin(),
-                         index_.begin() + static_cast<ptrdiff_t>(index_before),
-                         index_.end(), WorsePriority);
-    }
-
-    stats_.peak_depth =
-        std::max<uint64_t>(stats_.peak_depth, live_by_seq_.size());
-    dead_now = dead_count_;
+  // Newly admitted keys were appended unsorted; order the tail and merge.
+  if (index_.size() > index_before) {
+    std::sort(index_.begin() + static_cast<ptrdiff_t>(index_before),
+              index_.end(), WorsePriority);
+    std::inplace_merge(index_.begin(),
+                       index_.begin() + static_cast<ptrdiff_t>(index_before),
+                       index_.end(), WorsePriority);
   }
 
-  if (cleaner_hook_ && dead_now >= config_.dead_compact_threshold) {
-    cleaner_hook_(dead_now);
-  }
+  stats_.peak_depth =
+      std::max<uint64_t>(stats_.peak_depth, live_by_seq_.size());
+  if (dead_count_ >= config_.dead_compact_threshold) CompactOnce();
   return admitted_now;
 }
 
-bool Mempool::AdmitLocked(PendingTx&& tx, uint64_t tick,
-                          std::map<chain::AccountId, uint32_t>& rate_this_tick,
-                          std::deque<PendingTx>& still_deferred) {
+bool Mempool::Admit(PendingTx&& tx, uint64_t tick,
+                    std::map<chain::AccountId, uint32_t>& rate_this_tick,
+                    std::deque<PendingTx>& still_deferred) {
   const chain::AccountId payer = PayerOf(tx.tx);
 
   uint64_t* drop_counter = nullptr;
@@ -156,7 +147,7 @@ bool Mempool::AdmitLocked(PendingTx&& tx, uint64_t tick,
   return true;
 }
 
-void Mempool::KillLocked(const LiveRef& ref) {
+void Mempool::Kill(const LiveRef& ref) {
   const chain::AccountId payer = PayerOf(ref.entry->tx.tx);
   ref.chunk->MarkDead(ref.entry);
   ++dead_count_;
@@ -167,72 +158,34 @@ void Mempool::KillLocked(const LiveRef& ref) {
 
 std::vector<PendingTx> Mempool::TakeBatch(size_t max_txs) {
   std::vector<PendingTx> out;
-  size_t dead_now = 0;
-  {
-    common::MutexLock lock(mu_);
-    while (out.size() < max_txs && !index_.empty()) {
-      const PriorityKey key = index_.back();
-      index_.pop_back();
-      auto it = live_by_seq_.find(key.seq);
-      if (it == live_by_seq_.end()) continue;  // expired tombstone
-      out.push_back(it->second.entry->tx);
-      KillLocked(it->second);
-      live_by_seq_.erase(it);
-    }
-    dead_now = dead_count_;
-  }
-  if (cleaner_hook_ && dead_now >= config_.dead_compact_threshold) {
-    cleaner_hook_(dead_now);
+  while (out.size() < max_txs && !index_.empty()) {
+    const PriorityKey key = index_.back();
+    index_.pop_back();
+    auto it = live_by_seq_.find(key.seq);
+    if (it == live_by_seq_.end()) continue;  // expired tombstone
+    out.push_back(it->second.entry->tx);
+    Kill(it->second);
+    live_by_seq_.erase(it);
   }
   return out;
 }
 
-size_t Mempool::live_size() const {
-  common::MutexLock lock(mu_);
-  return live_by_seq_.size();
-}
-
-size_t Mempool::deferred_size() const {
-  common::MutexLock lock(mu_);
-  return overflow_.size();
-}
-
-size_t Mempool::dead_count() const {
-  common::MutexLock lock(mu_);
-  return dead_count_;
-}
-
 AdmissionStats Mempool::stats() const {
-  AdmissionStats s;
-  {
-    common::MutexLock lock(mu_);
-    s = stats_;
-  }
+  AdmissionStats s = stats_;
   s.submitted = submitted_;
   s.dropped_backpressure = dropped_backpressure_;
   return s;
 }
 
 size_t Mempool::CompactOnce() {
-  common::MutexLock lock(mu_);
-  size_t reclaimed = 0;
-  std::vector<std::unique_ptr<MempoolChunk>> kept;
-  kept.reserve(chunks_.size());
-  for (auto& chunk : chunks_) {
-    if (chunk->Reclaimable()) {
-      assert(dead_count_ >= chunk->size());
-      dead_count_ -= chunk->size();
-      ++reclaimed;
-    } else {
-      kept.push_back(std::move(chunk));
-    }
-  }
-  chunks_ = std::move(kept);
-  return reclaimed;
-}
-
-void Mempool::SetCleanerHook(std::function<void(size_t)> hook) {
-  cleaner_hook_ = std::move(hook);
+  const size_t before = chunks_.size();
+  std::erase_if(chunks_, [this](const std::unique_ptr<MempoolChunk>& chunk) {
+    if (!chunk->Reclaimable()) return false;
+    assert(dead_count_ >= chunk->size());
+    dead_count_ -= chunk->size();
+    return true;
+  });
+  return before - chunks_.size();
 }
 
 }  // namespace txallo::mempool

@@ -1,8 +1,8 @@
 // Mempool with admission control, sitting between the offered load and the
 // engine's ingest.
 //
-// Two stages, both driven by one thread (the driver) — only the background
-// MempoolCleaner runs beside it, and it touches chunk storage alone:
+// Two stages, both driven by one thread (the driver), which owns every
+// structure here — so nothing is locked:
 //
 //   * Staging: TrySubmit() appends an arrival to a bounded staging buffer,
 //     or returns false when the buffer is full (backpressure, policy
@@ -25,26 +25,26 @@
 // Ordering: dispatch order is (fee descending, pool_seq ascending) — highest
 // bid first, FIFO within a bid. Both keys are fixed at submission, so the
 // dispatched stream, every admission counter, and every latency histogram
-// downstream are bit-identical across engine thread counts and with the
-// cleaner on or off. tests/mempool/ pins this against a serial reference.
+// downstream are bit-identical across engine thread counts and whether
+// compaction runs or not. tests/mempool/ pins this against a serial
+// reference.
 //
 // Storage is chunked (chunk.h): append-only slabs, tombstone removal, and
-// wholesale chunk reclamation by the background MempoolCleaner (cleaner.h)
-// via the dead-entry hook — compaction is physically observable but
-// logically invisible, so the cleaner may run, lag, or be absent without
-// changing any output.
+// wholesale reclamation of fully-dead chunks (CompactOnce), which the seal
+// runs once `dead_compact_threshold` tombstones accumulate — the speedex
+// `mempool_cleaner` shape, on the driver. Compaction is physically
+// observable but logically invisible: it frees only chunks whose every
+// entry is already dead.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "txallo/chain/account.h"
 #include "txallo/chain/transaction.h"
-#include "txallo/common/sync.h"
 #include "txallo/mempool/chunk.h"
 
 namespace txallo::mempool {
@@ -77,7 +77,8 @@ struct MempoolConfig {
   AdmissionPolicy policy = AdmissionPolicy::kReject;
   /// Entries per storage chunk.
   size_t chunk_size = 512;
-  /// Fire the cleaner hook once this many dead entries accumulate.
+  /// SealTick() compacts once this many dead entries accumulate
+  /// (SIZE_MAX = never).
   size_t dead_compact_threshold = 2048;
 };
 
@@ -128,34 +129,29 @@ class Mempool {
 
   /// Driver-side, once per tick: drains staging (sorted by pool_seq),
   /// retries deferred arrivals, expires TTL-stale entries, and runs
-  /// admission control at tick `tick`. Returns the number admitted.
-  size_t SealTick(uint64_t tick) TXALLO_EXCLUDES(mu_);
+  /// admission control at tick `tick`; then compacts when dead_count()
+  /// has reached `dead_compact_threshold`. Returns the number admitted.
+  size_t SealTick(uint64_t tick);
 
   /// Driver-side: removes and returns up to `max_txs` live transactions in
   /// dispatch order (fee descending, pool_seq ascending).
-  std::vector<PendingTx> TakeBatch(size_t max_txs) TXALLO_EXCLUDES(mu_);
+  std::vector<PendingTx> TakeBatch(size_t max_txs);
 
   /// Admitted, undispatched, unexpired transactions.
-  size_t live_size() const TXALLO_EXCLUDES(mu_);
+  size_t live_size() const { return live_by_seq_.size(); }
   /// Arrivals awaiting the next seal (staging only, not deferrals).
   size_t staged_size() const { return staging_.size(); }
   /// Deferred arrivals awaiting retry (kBlock policy).
-  size_t deferred_size() const TXALLO_EXCLUDES(mu_);
+  size_t deferred_size() const { return overflow_.size(); }
   /// Tombstoned entries not yet physically reclaimed.
-  size_t dead_count() const TXALLO_EXCLUDES(mu_);
+  size_t dead_count() const { return dead_count_; }
 
-  AdmissionStats stats() const TXALLO_EXCLUDES(mu_);
+  AdmissionStats stats() const;
 
-  /// One physical compaction pass: reclaims every chunk whose entries are
-  /// all dead. Logically invisible — safe to call from a background thread
-  /// at any point, or never. Returns chunks reclaimed.
-  size_t CompactOnce() TXALLO_EXCLUDES(mu_);
-
-  /// Installs (or clears, with nullptr) the hook fired — outside any pool
-  /// lock — whenever dead_count() crosses the configured threshold. The
-  /// MempoolCleaner registers itself here. Not thread-safe against
-  /// concurrent Seal/Take; install before the driver loop starts.
-  void SetCleanerHook(std::function<void(size_t dead_count)> hook);
+  /// One physical compaction pass, in place: reclaims every chunk whose
+  /// entries are all dead. Logically invisible — any call, or none, leaves
+  /// every output unchanged. Returns chunks reclaimed.
+  size_t CompactOnce();
 
  private:
   /// A live entry and the chunk that owns it (needed to keep the chunk's
@@ -167,14 +163,13 @@ class Mempool {
 
   /// Admission outcome for one candidate; updates counters/structures.
   /// Returns true when admitted.
-  bool AdmitLocked(PendingTx&& tx, uint64_t tick,
-                   std::map<chain::AccountId, uint32_t>& rate_this_tick,
-                   std::deque<PendingTx>& still_deferred)
-      TXALLO_REQUIRES(mu_);
+  bool Admit(PendingTx&& tx, uint64_t tick,
+             std::map<chain::AccountId, uint32_t>& rate_this_tick,
+             std::deque<PendingTx>& still_deferred);
 
   /// Tombstones a live entry: chunk live count, per-account pending count,
   /// dead count. Caller erases it from live_by_seq_.
-  void KillLocked(const LiveRef& ref) TXALLO_REQUIRES(mu_);
+  void Kill(const LiveRef& ref);
 
   /// Paying account: first input (the fee payer), falling back to the
   /// first distinct account for input-less transactions.
@@ -182,19 +177,18 @@ class Mempool {
 
   const MempoolConfig config_;
 
-  // ---- Staging (driver only) ---------------------------------------------
+  // ---- Staging --------------------------------------------------------------
   uint64_t next_seq_ = 0;
   std::vector<PendingTx> staging_;
   uint64_t submitted_ = 0;
   uint64_t dropped_backpressure_ = 0;
 
-  // ---- Admitted pool (shared with the cleaner's CompactOnce) -------------
-  mutable common::Mutex mu_;
-  std::vector<std::unique_ptr<MempoolChunk>> chunks_ TXALLO_GUARDED_BY(mu_);
+  // ---- Admitted pool -------------------------------------------------------
+  std::vector<std::unique_ptr<MempoolChunk>> chunks_;
   /// Live entries by pool_seq; erased on dispatch/expiry. std::map for
   /// deterministic iteration (the determinism lint forbids unordered
   /// containers here).
-  std::map<uint64_t, LiveRef> live_by_seq_ TXALLO_GUARDED_BY(mu_);
+  std::map<uint64_t, LiveRef> live_by_seq_;
   /// Priority index over live entries, sorted worst-first so the best
   /// (highest fee, lowest seq) pops from the back. Entries whose seq is no
   /// longer live are tombstones, skipped lazily at TakeBatch.
@@ -207,15 +201,12 @@ class Mempool {
     if (a.fee != b.fee) return a.fee < b.fee;
     return a.seq > b.seq;
   }
-  std::vector<PriorityKey> index_ TXALLO_GUARDED_BY(mu_);
+  std::vector<PriorityKey> index_;
   /// kBlock deferrals, FIFO, retried ahead of new arrivals each seal.
-  std::deque<PendingTx> overflow_ TXALLO_GUARDED_BY(mu_);
-  std::map<chain::AccountId, uint32_t> pending_per_account_
-      TXALLO_GUARDED_BY(mu_);
-  size_t dead_count_ TXALLO_GUARDED_BY(mu_) = 0;
-  AdmissionStats stats_ TXALLO_GUARDED_BY(mu_);
-
-  std::function<void(size_t)> cleaner_hook_;
+  std::deque<PendingTx> overflow_;
+  std::map<chain::AccountId, uint32_t> pending_per_account_;
+  size_t dead_count_ = 0;
+  AdmissionStats stats_;
 };
 
 }  // namespace txallo::mempool

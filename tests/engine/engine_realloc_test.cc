@@ -1,11 +1,10 @@
-// Online reallocation: copy-on-write snapshot swaps racing live traffic,
-// and the allocator-driven epoch pipeline. The concurrent-install test is
-// the one the TSan CI job exists for.
+// Online reallocation: copy-on-write snapshot swaps between blocks, and
+// the allocator-driven epoch pipeline. Installs are driver API, like
+// SubmitBlock and Tick.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "txallo/allocator/registry.h"
@@ -40,45 +39,36 @@ TEST(EngineReallocTest, InstallBetweenBlocksRedirectsTraffic) {
   EXPECT_EQ(report.sim.cross_shard_submitted, 10u);
   EXPECT_EQ(report.sim.committed, 20u);
   EXPECT_EQ(report.reallocations, 1u);
-  EXPECT_GE(report.realloc_pause_seconds, 0.0);
 }
 
-TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
-  // An allocator thread hammering InstallAllocation while the driver
-  // submits and ticks: no data race (TSan), no lost traffic, and every
-  // snapshot routes consistently because routing reads one shared_ptr.
-  // The synthetic spin puts every tick's 64 parts above the pool's inline
-  // threshold, so the installs race ticks that run on the helper too.
+TEST(EngineReallocTest, DriverInstallsBetweenFannedOutTicksRouteTheNextBlock) {
+  // The driver installs a new mapping before every block: each block's
+  // prepares land on the shards of the mapping installed just before it,
+  // and every transaction commits. The synthetic spin puts every tick's
+  // parts above the pool's inline threshold, so the helpers run the lanes
+  // that execute those prepares (the TSan job checks the hand-off).
   const uint32_t k = 4;
-  const size_t accounts = 64;
-  auto initial = std::make_shared<alloc::Allocation>(accounts, k);
-  for (size_t a = 0; a < accounts; ++a) {
-    initial->Assign(static_cast<chain::AccountId>(a),
-                    static_cast<alloc::ShardId>(a % k));
-  }
+  const size_t accounts = 128;
+  // Round r's mapping: even rounds put the pair (2i, 2i+1) on two shards,
+  // odd rounds on one, so a block routed by a stale mapping would show up
+  // as a different shard set (and part count).
+  const auto shard_of = [](size_t a, uint32_t round) {
+    return static_cast<alloc::ShardId>(((a >> (round % 2)) + round) % k);
+  };
+  const auto mapping = [&](uint32_t round) {
+    auto next = std::make_shared<alloc::Allocation>(accounts, k);
+    for (size_t a = 0; a < accounts; ++a) {
+      next->Assign(static_cast<chain::AccountId>(a), shard_of(a, round));
+    }
+    return next;
+  };
   engine::EngineConfig config;
   config.num_shards = k;
   config.num_threads = 2;
   config.work.capacity_per_block = 1000.0;
   config.spin_iterations_per_unit = 2'048;
-  engine::ParallelEngine engine(config, initial);
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> installs{0};
-  std::thread allocator([&] {
-    uint64_t round = 0;
-    while (!stop.load()) {
-      auto next = std::make_shared<alloc::Allocation>(accounts, k);
-      for (size_t a = 0; a < accounts; ++a) {
-        next->Assign(static_cast<chain::AccountId>(a),
-                     static_cast<alloc::ShardId>((a + round) % k));
-      }
-      ASSERT_TRUE(engine.InstallAllocation(std::move(next)).ok());
-      installs.fetch_add(1);
-      ++round;
-      std::this_thread::yield();
-    }
-  });
+  engine::ParallelEngine engine(config, nullptr);
+  engine.EnableTraceRecording();
 
   std::vector<chain::Transaction> txs;
   for (size_t a = 0; a + 1 < accounts; a += 2) {
@@ -86,23 +76,38 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
         static_cast<chain::AccountId>(a),
         static_cast<chain::AccountId>(a + 1)));
   }
-  // The ticks start once the installer is running, so they overlap its
-  // installs however fast they are.
-  while (installs.load() == 0) std::this_thread::yield();
-  constexpr int kBlocks = 50;
-  for (int b = 0; b < kBlocks; ++b) {
+  constexpr uint32_t kBlocks = 20;
+  for (uint32_t round = 0; round < kBlocks; ++round) {
+    ASSERT_TRUE(engine.InstallAllocation(mapping(round)).ok());
+    EXPECT_EQ(engine.allocation_snapshot()->shard_of(1), shard_of(1, round));
     ASSERT_TRUE(engine.SubmitBlock(txs).ok());
     engine.Tick();
   }
-  stop.store(true);
-  allocator.join();
-  engine::EngineReport report = engine.DrainAndReport();
-  EXPECT_EQ(report.sim.submitted,
-            static_cast<uint64_t>(kBlocks) * txs.size());
+  const engine::EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.submitted, uint64_t{kBlocks} * txs.size());
   EXPECT_EQ(report.sim.committed, report.sim.submitted);
-  EXPECT_EQ(report.reallocations, installs.load());
-  EXPECT_GE(report.reallocations, 1u);
-  EXPECT_EQ(report.fanned_out_ticks, static_cast<uint64_t>(kBlocks));
+  EXPECT_EQ(report.reallocations, uint64_t{kBlocks});
+  EXPECT_EQ(report.fanned_out_ticks, uint64_t{kBlocks});
+
+  // Sequence tag seq is transaction seq % |txs| of block seq / |txs|.
+  std::vector<std::vector<uint32_t>> shards_of_seq(kBlocks * txs.size());
+  for (const engine::PrepareEvent& prepare : engine.ExtractTrace().prepares) {
+    ASSERT_LT(prepare.seq, shards_of_seq.size());
+    EXPECT_EQ(prepare.block, prepare.seq / txs.size() + 1) << prepare.seq;
+    shards_of_seq[prepare.seq].push_back(prepare.shard);
+  }
+  for (uint64_t seq = 0; seq < shards_of_seq.size(); ++seq) {
+    const auto round = static_cast<uint32_t>(seq / txs.size());
+    const size_t from = 2 * (seq % txs.size());
+    std::vector<uint32_t> expected = {shard_of(from, round)};
+    if (shard_of(from + 1, round) != expected[0]) {
+      expected.push_back(shard_of(from + 1, round));
+    }
+    std::vector<uint32_t>& seen = shards_of_seq[seq];
+    std::sort(seen.begin(), seen.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(seen, expected) << "seq " << seq << " in round " << round;
+  }
 }
 
 TEST(EngineReallocTest, HybridAllocatorPipelineReallocatesPerEpoch) {

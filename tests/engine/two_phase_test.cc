@@ -17,7 +17,7 @@ TEST(TwoPhaseTest, IntraShardCommitsAtLastPrepare) {
   TwoPhaseCoordinator c(Model(1));
   const uint64_t tx = c.Register(/*arrival_block=*/0, /*participants=*/1,
                                  /*cross_shard=*/false, /*seq=*/0);
-  c.PartPrepared(tx, /*block=*/3);
+  c.PartExecuted(tx, /*block=*/3, /*ok=*/true);
   const CommitStats stats = c.stats();
   EXPECT_EQ(stats.committed, 1u);
   EXPECT_EQ(stats.cross_shard_committed, 0u);
@@ -30,11 +30,12 @@ TEST(TwoPhaseTest, CrossShardWaitsForAllVotesThenPaysExtraRound) {
   TwoPhaseCoordinator c(Model(2));
   const uint64_t tx =
       c.Register(0, /*participants=*/3, /*cross_shard=*/true, /*seq=*/0);
-  c.PartPrepared(tx, 1);
-  c.PartPrepared(tx, 1);
+  c.PartExecuted(tx, 1, /*ok=*/true);
+  c.PartExecuted(tx, 1, /*ok=*/true);
   EXPECT_EQ(c.stats().committed, 0u);
   EXPECT_EQ(c.stats().in_flight, 1u);
-  c.PartPrepared(tx, 4);  // Last vote at block 4 -> decision at block 6.
+  // Last vote at block 4 -> decision at block 6.
+  c.PartExecuted(tx, 4, /*ok=*/true);
   CommitStats stats = c.stats();
   EXPECT_EQ(stats.committed, 0u);
   EXPECT_EQ(stats.awaiting_commit_round, 1u);
@@ -54,8 +55,8 @@ TEST(TwoPhaseTest, CrossShardWaitsForAllVotesThenPaysExtraRound) {
 TEST(TwoPhaseTest, ZeroCommitRoundsCommitsCrossShardImmediately) {
   TwoPhaseCoordinator c(Model(0));
   const uint64_t tx = c.Register(1, 2, /*cross_shard=*/true, /*seq=*/0);
-  c.PartPrepared(tx, 2);
-  c.PartPrepared(tx, 3);
+  c.PartExecuted(tx, 2, /*ok=*/true);
+  c.PartExecuted(tx, 3, /*ok=*/true);
   const CommitStats stats = c.stats();
   EXPECT_EQ(stats.committed, 1u);
   EXPECT_DOUBLE_EQ(stats.latency_sum_blocks, 2.0);  // 3 - 1.
@@ -66,8 +67,8 @@ TEST(TwoPhaseTest, DelayedCommitLatencyIsChargedAtFlush) {
   // now - arrival.
   TwoPhaseCoordinator c(Model(1));
   const uint64_t tx = c.Register(2, 2, true, /*seq=*/0);
-  c.PartPrepared(tx, 5);
-  c.PartPrepared(tx, 5);
+  c.PartExecuted(tx, 5, /*ok=*/true);
+  c.PartExecuted(tx, 5, /*ok=*/true);
   c.FlushDelayed(6);
   EXPECT_DOUBLE_EQ(c.stats().latency_sum_blocks, 4.0);  // 6 - 2.
 }
@@ -81,10 +82,10 @@ TEST(TwoPhaseTest, CanonicalCommitEventsSortedByBlockThenSeq) {
   const uint64_t a = c.Register(0, 1, false, /*seq=*/7);
   const uint64_t b = c.Register(0, 1, false, /*seq=*/3);
   const uint64_t x = c.Register(0, 2, true, /*seq=*/5);
-  c.PartPrepared(a, 1);
-  c.PartPrepared(b, 1);
-  c.PartPrepared(x, 1);
-  c.PartPrepared(x, 1);  // Cross: decision lands at block 2.
+  c.PartExecuted(a, 1, /*ok=*/true);
+  c.PartExecuted(b, 1, /*ok=*/true);
+  c.PartExecuted(x, 1, /*ok=*/true);
+  c.PartExecuted(x, 1, /*ok=*/true);  // Cross: decision lands at block 2.
   c.FlushDelayed(2);
   const std::vector<CommitEvent> events = c.CanonicalCommitEvents();
   ASSERT_EQ(events.size(), 3u);
@@ -96,7 +97,7 @@ TEST(TwoPhaseTest, CanonicalCommitEventsSortedByBlockThenSeq) {
 TEST(TwoPhaseTest, EventRecordingOffByDefault) {
   TwoPhaseCoordinator c(Model(1));
   const uint64_t tx = c.Register(0, 1, false, 0);
-  c.PartPrepared(tx, 1);
+  c.PartExecuted(tx, 1, /*ok=*/true);
   EXPECT_TRUE(c.CanonicalCommitEvents().empty());
 }
 

@@ -1,12 +1,12 @@
 // Mempool unit tests: seal/dispatch ordering, every admission-control
 // check and policy, staging backpressure (TrySubmit rejecting at the door),
-// TTL expiry, and physical compaction (direct and via MempoolCleaner)
-// being logically invisible.
+// TTL expiry, and physical compaction (direct and at the seal) being
+// logically invisible, also with the MempoolCleaner shim attached.
 #include "txallo/mempool/mempool.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cstdint>
 #include <vector>
 
 #include "txallo/chain/transaction.h"
@@ -202,50 +202,101 @@ TEST(MempoolTest, CompactionReclaimsOnlyFullyDeadChunksAndChangesNothing) {
   EXPECT_EQ(pool.dead_count(), 0u);
 }
 
+// The compaction a cleaner hook was once handed at the threshold now runs
+// inside SealTick, on the driver, where the pool holds no lock: it fires at
+// the first seal that finds `dead_compact_threshold` tombstones, not before.
 TEST(MempoolTest, CleanerHookFiresAtThresholdOutsideLocks) {
   MempoolConfig config;
   config.chunk_size = 2;
   config.dead_compact_threshold = 3;
   Mempool pool(config);
-  size_t fired = 0;
-  size_t last_dead = 0;
-  pool.SetCleanerHook([&](size_t dead) {
-    ++fired;
-    last_dead = dead;
-    // Re-entering the pool from the hook must not deadlock.
-    (void)pool.dead_count();
-  });
   for (uint64_t seq = 0; seq < 4; ++seq) Put(pool, seq, 5);
   pool.SealTick(0);
   pool.TakeBatch(2);
-  EXPECT_EQ(fired, 0u);
+  pool.SealTick(1);
+  // Two tombstones, below the threshold: the seal left them in place.
+  EXPECT_EQ(pool.dead_count(), 2u);
   pool.TakeBatch(2);
-  EXPECT_EQ(fired, 1u);
-  EXPECT_GE(last_dead, 3u);
+  // Dispatch alone never compacts; the next seal does.
+  EXPECT_EQ(pool.dead_count(), 4u);
+  pool.SealTick(2);
+  EXPECT_EQ(pool.dead_count(), 0u);
+  EXPECT_EQ(pool.live_size(), 0u);
+  EXPECT_EQ(pool.CompactOnce(), 0u);
 }
 
+// MempoolCleaner is a no-op shim now; a pool with one attached still
+// reclaims, at the seal, and dispatches exactly what a pool that never
+// compacts dispatches.
 TEST(MempoolCleanerTest, BackgroundCleanerReclaimsWithoutChangingOutputs) {
   MempoolConfig config;
   config.chunk_size = 2;
   config.dead_compact_threshold = 2;
   Mempool pool(config);
   MempoolCleaner cleaner(&pool);
-  for (int round = 0; round < 50; ++round) {
-    for (uint64_t i = 0; i < 4; ++i) {
-      Put(pool, static_cast<uint64_t>(round) * 4 + i, 1 + i);
+  config.dead_compact_threshold = SIZE_MAX;
+  Mempool reference(config);
+  for (uint64_t round = 0; round < 50; ++round) {
+    for (Mempool* p : {&pool, &reference}) {
+      for (uint64_t i = 0; i < 4; ++i) Put(*p, round * 4 + i, 1 + i);
+      p->SealTick(round);
     }
-    pool.SealTick(static_cast<uint64_t>(round));
-    std::vector<PendingTx> batch = pool.TakeBatch(100);
+    // Every chunk the previous round killed is gone by this seal.
+    EXPECT_EQ(pool.dead_count(), 0u) << round;
+    const std::vector<PendingTx> batch = pool.TakeBatch(100);
     ASSERT_EQ(batch.size(), 4u);
+    EXPECT_EQ(Seqs(batch), Seqs(reference.TakeBatch(100))) << round;
   }
-  // Give the cleaner a chance to drain, then verify it actually ran and
-  // reclaimed: 100 chunks were filled and killed; whatever remains dead is
-  // bounded by what the last nudge missed.
-  while (cleaner.passes() == 0) std::this_thread::yield();
-  pool.CompactOnce();
+  pool.SealTick(50);
   EXPECT_EQ(pool.dead_count(), 0u);
   EXPECT_EQ(pool.live_size(), 0u);
+  EXPECT_EQ(pool.stats(), reference.stats());
   EXPECT_EQ(pool.stats().admitted, 200u);
+  // The reference kept all 200 tombstones in 100 fully-dead chunks.
+  EXPECT_EQ(reference.dead_count(), 200u);
+  EXPECT_EQ(reference.CompactOnce(), 100u);
+}
+
+TEST(MempoolTest, SealCompactionAtThresholdChangesNoOutput) {
+  // One schedule through two pools: one compacts at every seal that finds
+  // two dead entries, the other never does. The schedule fills the pool
+  // past capacity (kBlock deferrals) and leaves entries to age out (TTL).
+  MempoolConfig config;
+  config.chunk_size = 2;
+  config.capacity = 6;
+  config.policy = AdmissionPolicy::kBlock;
+  config.ttl_ticks = 2;
+  config.dead_compact_threshold = 2;
+  Mempool compacting(config);
+  config.dead_compact_threshold = SIZE_MAX;
+  Mempool reference(config);
+  uint64_t dispatched = 0;
+  for (uint64_t round = 0; round < 50; ++round) {
+    for (Mempool* pool : {&compacting, &reference}) {
+      for (uint64_t i = 0; i < 4; ++i) {
+        Put(*pool, 4 * round + i, 1 + (7 * round + 3 * i) % 5,
+            /*from=*/1 + (round + i) % 5, /*tick=*/round);
+      }
+      pool->SealTick(round);
+    }
+    // The seal already reclaimed every fully-dead chunk.
+    EXPECT_EQ(compacting.CompactOnce(), 0u) << round;
+    const std::vector<PendingTx> batch = compacting.TakeBatch(round % 3);
+    EXPECT_EQ(Seqs(batch), Seqs(reference.TakeBatch(round % 3))) << round;
+    dispatched += batch.size();
+    EXPECT_EQ(compacting.stats(), reference.stats()) << round;
+    EXPECT_EQ(compacting.live_size(), reference.live_size()) << round;
+    EXPECT_EQ(compacting.deferred_size(), reference.deferred_size()) << round;
+  }
+  const AdmissionStats stats = reference.stats();
+  EXPECT_GT(stats.deferred, 0u);
+  EXPECT_GT(stats.expired, 0u);
+  // The reference kept every tombstone. The compacting pool kept only those
+  // sharing a two-entry chunk with a live entry, or in the unfilled last
+  // chunk.
+  EXPECT_EQ(reference.dead_count(), dispatched + stats.expired);
+  EXPECT_LE(compacting.dead_count(), compacting.live_size() + 1);
+  EXPECT_GT(reference.CompactOnce(), 0u);
 }
 
 TEST(OfferedLoadTest, FractionalCreditCarriesAcrossTicks) {

@@ -242,7 +242,7 @@ TEST(OpenLoopPipelineTest, IngestProducersHaveNoEffect) {
     engine::PipelineResult r = std::move(*result);
     // Wall-clock fields are the only ones two live runs may differ in.
     r.alloc_seconds = r.alloc_wait_seconds = r.alloc_overlap_ratio = 0.0;
-    r.report.worker_stall_seconds = r.report.realloc_pause_seconds = 0.0;
+    r.report.worker_stall_seconds = 0.0;
     for (engine::StepMetrics& step : r.steps) {
       step.alloc_seconds = step.alloc_wait_seconds = 0.0;
     }

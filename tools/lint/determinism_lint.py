@@ -21,12 +21,12 @@ Rules (ids are what `allow(...)` escapes name):
                 discipline.
 
   raw-thread    std::thread / std::jthread and <thread> are forbidden.
-                Threads are spawned in exactly three places, each use
+                Threads are spawned in exactly two places, each use
                 carrying an explicit escape so every spawn site stays
                 enumerable: txallo/common/fork_join (the one fan-out pool,
-                behind the engine's tick),
-                txallo/engine/background_allocator and
-                txallo/mempool/cleaner (long single background tasks).
+                behind the engine's tick) and
+                txallo/engine/background_allocator (the one long single
+                background task). Everything else is the driver's.
 
   wall-clock    std::rand / srand / std::random_device /
                 std::chrono::system_clock / high_resolution_clock (and
