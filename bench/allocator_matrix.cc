@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/bench_common.h"
-#include "txallo/engine/pipeline.h"
 
 int main(int argc, char** argv) {
   using namespace txallo;
@@ -84,74 +83,44 @@ int main(int argc, char** argv) {
   // identical ledger), so the online path has something to adapt to; the
   // engine hash-routes accounts born since the last epoch, as a real
   // chain would.
-  workload::EthereumLikeConfig engine_workload;
-  engine_workload.txs_per_block = engine_txs_per_block;
-  engine_workload.num_blocks = static_cast<uint64_t>(engine_blocks);
-  engine_workload.num_accounts = std::min<uint64_t>(scale.num_accounts, 16'000);
-  engine_workload.num_communities = static_cast<uint32_t>(
-      std::max<uint64_t>(32, engine_workload.num_accounts / 160));
-  engine_workload.seed = seed;
-  engine_workload.drift_interval_blocks =
-      std::max<uint64_t>(1, static_cast<uint64_t>(engine_blocks) / 3);
-  workload::EthereumLikeGenerator generator(engine_workload);
-  const chain::Ledger ledger =
-      generator.GenerateLedger(engine_workload.num_blocks);
+  const uint32_t epoch_blocks =
+      static_cast<uint32_t>(std::max(5, engine_blocks / 6));
+  std::unique_ptr<workload::Scenario> scenario = bench::MakeScenarioOrDie(
+      "ethereum:drift-interval=" +
+          std::to_string(std::max(1, engine_blocks / 3)),
+      bench::EngineBenchShape(scale, static_cast<uint64_t>(engine_blocks),
+                              engine_txs_per_block, seed));
+  const chain::Ledger ledger = scenario->GenerateLedger(scenario->num_blocks());
+  bench::StreamDriver driver(flags);
+  engine::PipelineConfig pipeline;
+  pipeline.blocks_per_epoch = epoch_blocks;
+  pipeline.allocator_mode = *alloc_mode;
 
   bench::SeriesTable live(
       "Live engine pipeline (" + std::to_string(engine_blocks) + " blocks x " +
           std::to_string(engine_txs_per_block) + " txs, epochs of " +
-          std::to_string(std::max(5, engine_blocks / 6)) + " blocks)",
+          std::to_string(epoch_blocks) + " blocks)",
       {"allocator", "k", "committed", "tput/blk", "cross%", "epochs",
        "moved", "alloc-secs"});
   for (const std::string& spec : specs) {
     for (uint32_t k : k_list) {
-      allocator::AllocatorOptions options;
-      options.params = alloc::AllocationParams::ForExperiment(
-          ledger.num_transactions(), k, eta);
-      options.registry = &generator.registry();
-      options.seed = seed;
-      auto made = allocator::MakeAllocatorFromSpec(spec, options);
-      if (!made.ok()) {
-        std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
-                     made.status().ToString().c_str());
-        return 1;
-      }
-      allocator::OnlineAllocator* online = (*made)->AsOnline();
-      if (online == nullptr) {
-        live.AddRow({spec, std::to_string(k), "(one-shot only)", "-", "-",
-                     "-", "-", "-"});
-        continue;
-      }
-
-      engine::EngineConfig engine_config = bench::MakeEngineConfig(
-          scale, k, eta,
-          1.3 * static_cast<double>(engine_txs_per_block) / k);
-      engine_config.hash_route_unassigned = true;
-      engine::ParallelEngine engine(engine_config, nullptr);
-      engine::PipelineConfig pipeline;
-      pipeline.blocks_per_epoch =
-          static_cast<uint32_t>(std::max(5, engine_blocks / 6));
-      pipeline.allocator_mode = *alloc_mode;
-      auto result =
-          engine::RunReallocatedStream(ledger, online, &engine, pipeline);
-      if (!result.ok()) {
-        std::fprintf(stderr, "engine pipeline under '%s' failed: %s\n",
-                     spec.c_str(), result.status().ToString().c_str());
-        return 1;
-      }
-      const double cross_pct =
-          result->report.sim.submitted == 0
-              ? 0.0
-              : 100.0 *
-                    static_cast<double>(result->report.sim.cross_shard_submitted) /
-                    static_cast<double>(result->report.sim.submitted);
+      const bench::StreamDriver::Run run = driver.RunCell(
+          spec, spec + " at k=" + std::to_string(k), ledger,
+          scenario->registry(), seed,
+          bench::MakeEngineConfig(
+              scale, k, eta,
+              1.3 * static_cast<double>(engine_txs_per_block) / k),
+          pipeline);
+      const engine::PipelineResult& result = run.result;
+      const double cross_pct = bench::CrossShardPercent(
+          result.report.sim.cross_shard_submitted, result.report.sim.submitted);
       live.AddRow(
           {spec, std::to_string(k),
-           std::to_string(result->report.sim.committed),
-           bench::Fmt(result->report.sim.throughput_per_block, 1),
-           bench::Fmt(cross_pct, 1), std::to_string(result->epochs),
-           std::to_string(result->accounts_moved),
-           bench::Fmt(result->alloc_seconds, 4)});
+           std::to_string(result.report.sim.committed),
+           bench::Fmt(result.report.sim.throughput_per_block, 1),
+           bench::Fmt(cross_pct, 1), std::to_string(result.epochs),
+           std::to_string(result.accounts_moved),
+           bench::Fmt(result.alloc_seconds, 4)});
     }
   }
   live.Print();

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "txallo/common/csv.h"
+#include "txallo/common/sha256.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/graph/builder.h"
 
@@ -102,6 +103,31 @@ std::unique_ptr<workload::Scenario> MakeScenarioOrDie(
   return std::move(*made);
 }
 
+namespace {
+
+// allocator::MakeAllocatorFromSpec, or its status naming `spec` on stderr
+// and exit(1): a typo'd method is fatal in every bench. A `streaming`
+// caller also needs an OnlineAllocator. Every registered strategy is one,
+// so a one-shot-only strategy is an error, never a silently skipped row.
+std::unique_ptr<allocator::Allocator> MakeAllocatorOrDie(
+    const std::string& spec, allocator::AllocatorOptions options,
+    bool streaming) {
+  auto made = allocator::MakeAllocatorFromSpec(spec, std::move(options));
+  if (!made.ok()) {
+    std::fprintf(stderr, "allocator spec '%s': %s\n", spec.c_str(),
+                 made.status().ToString().c_str());
+    std::exit(1);
+  }
+  if (streaming && (*made)->AsOnline() == nullptr) {
+    std::fprintf(stderr, "allocator '%s' is one-shot only; streaming needs "
+                 "an online strategy\n", spec.c_str());
+    std::exit(1);
+  }
+  return std::move(made.value());
+}
+
+}  // namespace
+
 std::string MethodLabel(const std::string& spec) {
   if (spec == "txallo-global" || spec == "txallo-hybrid") return "Our Method";
   if (spec == "hash") return "Random";
@@ -136,13 +162,7 @@ std::unique_ptr<allocator::Allocator> Fixture::MakeAllocator(
   options.params = ParamsFor(k, eta);
   options.registry = registry_;
   options.seed = seed_;
-  auto made = allocator::MakeAllocatorFromSpec(spec, std::move(options));
-  if (!made.ok()) {
-    std::fprintf(stderr, "allocator spec '%s': %s\n", spec.c_str(),
-                 made.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(made.value());
+  return MakeAllocatorOrDie(spec, std::move(options), /*streaming=*/false);
 }
 
 allocator::AllocationContext Fixture::ContextFor(uint32_t k,
@@ -260,13 +280,6 @@ std::string ResolveCacheDir(const Flags& flags) {
                          flags.GetString("csv-dir", "bench_out") + "/cache");
 }
 
-TraceFlags ResolveTraceFlags(const Flags& flags) {
-  TraceFlags trace;
-  trace.record_path = flags.GetString("record", "");
-  trace.replay_path = flags.GetString("replay", "");
-  return trace;
-}
-
 Result<double> ResolveOfferedLoad(const Flags& flags, double fallback) {
   std::string source = "--offered-load";
   std::string text = flags.GetString("offered-load", "");
@@ -276,8 +289,11 @@ Result<double> ResolveOfferedLoad(const Flags& flags, double fallback) {
     if (env != nullptr) text = env;
   }
   if (text.empty()) return fallback;
-  // Strict parse: the whole token must be one finite positive number —
-  // "8x", "", or "nan" silently becoming a default would make a sweep lie.
+  return ParsePositiveRate(source, text);
+}
+
+Result<double> ParsePositiveRate(const std::string& source,
+                                 const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(text.c_str(), &end);
@@ -370,6 +386,12 @@ std::string Fmt(double value, int precision) {
   return buf;
 }
 
+double CrossShardPercent(uint64_t cross_shard_submitted, uint64_t submitted) {
+  return submitted == 0 ? 0.0
+                        : 100.0 * static_cast<double>(cross_shard_submitted) /
+                              static_cast<double>(submitted);
+}
+
 engine::EngineConfig MakeEngineConfig(const BenchScale& scale, uint32_t k,
                                       double eta, double capacity_per_block,
                                       int num_threads) {
@@ -380,6 +402,113 @@ engine::EngineConfig MakeEngineConfig(const BenchScale& scale, uint32_t k,
   const int threads = num_threads >= 0 ? num_threads : scale.num_threads;
   config.num_threads = static_cast<uint32_t>(std::max(0, threads));
   return config;
+}
+
+workload::ScenarioShape EngineBenchShape(const BenchScale& scale,
+                                         uint64_t blocks,
+                                         uint64_t txs_per_block,
+                                         uint64_t seed) {
+  workload::ScenarioShape shape;
+  shape.num_blocks = blocks;
+  shape.txs_per_block = txs_per_block;
+  shape.num_accounts = std::min<uint64_t>(scale.num_accounts, 16'000);
+  shape.num_communities = static_cast<uint32_t>(
+      std::max<uint64_t>(32, shape.num_accounts / 160));
+  shape.seed = seed;
+  return shape;
+}
+
+std::string StreamDriver::Run::StateRootHex() const {
+  if (engine == nullptr || engine->state() == nullptr) return "";
+  return DigestToHex(engine->state()->GlobalRoot());
+}
+
+StreamDriver::StreamDriver(const Flags& flags)
+    : record_path_(flags.GetString("record", "")),
+      replay_path_(flags.GetString("replay", "")),
+      scenario_flag_(flags.Has("scenario")) {
+  if (!record_path_.empty() && !replay_path_.empty()) {
+    std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
+    std::exit(1);
+  }
+  if (replay_path_.empty()) return;
+  Result<engine::ReplayLog> loaded = engine::LoadReplayLog(replay_path_);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "--replay: %s\n",
+                 loaded.status().ToString().c_str());
+    std::exit(1);
+  }
+  trace_ = std::move(loaded.value());
+}
+
+StreamDriver::Run StreamDriver::RunCell(const std::string& spec,
+                                        const std::string& label,
+                                        const chain::Ledger& ledger,
+                                        const chain::AccountRegistry& registry,
+                                        uint64_t seed,
+                                        engine::EngineConfig engine_config,
+                                        engine::PipelineConfig pipeline) {
+  allocator::AllocatorOptions options;
+  options.params = alloc::AllocationParams::ForExperiment(
+      ledger.num_transactions(), engine_config.num_shards,
+      engine_config.work.eta);
+  options.registry = &registry;
+  options.seed = seed;
+  Run run;
+  run.strategy = MakeAllocatorOrDie(spec, std::move(options),
+                                    /*streaming=*/true);
+  engine_config.hash_route_unassigned = true;
+  run.engine = std::make_unique<engine::ParallelEngine>(engine_config,
+                                                        nullptr);
+  // One trace file = one run: only the first run records.
+  engine::ReplayLog log;
+  const bool record = !record_path_.empty() && !recorded_;
+  if (record) pipeline.record = &log;
+  auto result = engine::RunReallocatedStream(
+      ledger, run.strategy->AsOnline(), run.engine.get(), pipeline);
+  if (!result.ok()) {
+    std::fprintf(stderr, "'%s' failed: %s\n", label.c_str(),
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  run.result = std::move(result.value());
+  if (record) {
+    Status saved = engine::SaveReplayLog(log, record_path_);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
+      std::exit(1);
+    }
+    std::printf("recorded trace of '%s' to %s (%zu prepares, %zu commits, "
+                "%zu installs, %zu steps)\n",
+                label.c_str(), record_path_.c_str(), log.prepares.size(),
+                log.commits.size(), log.installs.size(), log.steps.size());
+    recorded_ = true;
+  }
+  return run;
+}
+
+StreamDriver::Run StreamDriver::Replay(const chain::Ledger& ledger,
+                                       engine::EngineConfig engine_config,
+                                       engine::PipelineConfig pipeline) const {
+  engine_config.hash_route_unassigned = true;
+  if (!scenario_flag_) pipeline.workload_spec.clear();
+  Run run;
+  run.engine = std::make_unique<engine::ParallelEngine>(engine_config,
+                                                        nullptr);
+  auto result = engine::ReplayRecordedStream(ledger, trace_, run.engine.get(),
+                                             pipeline);
+  if (!result.ok()) {
+    std::fprintf(stderr, "--replay: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  run.result = std::move(result.value());
+  std::printf("replay of '%s': bit-identical (%zu prepares, %zu commits, "
+              "%zu installs, %zu steps)\n",
+              replay_path_.c_str(), trace_.prepares.size(),
+              trace_.commits.size(), trace_.installs.size(),
+              trace_.steps.size());
+  return run;
 }
 
 TimelineConfig ResolveTimelineConfig(const Flags& flags,
@@ -422,18 +551,9 @@ TimelineResult RunTimeline(const TimelineConfig& config,
       1, config.num_shards, config.eta);
   options.registry = &generator.registry();
   options.seed = config.seed;
-  auto made = allocator::MakeAllocatorFromSpec(spec, std::move(options));
-  if (!made.ok()) {
-    std::fprintf(stderr, "timeline allocator spec '%s': %s\n", spec.c_str(),
-                 made.status().ToString().c_str());
-    std::exit(1);
-  }
-  allocator::OnlineAllocator* online = (*made)->AsOnline();
-  if (online == nullptr) {
-    std::fprintf(stderr, "timeline allocator '%s' is one-shot only; pick an "
-                 "online strategy\n", spec.c_str());
-    std::exit(1);
-  }
+  const std::unique_ptr<allocator::Allocator> strategy =
+      MakeAllocatorOrDie(spec, std::move(options), /*streaming=*/true);
+  allocator::OnlineAllocator* online = strategy->AsOnline();
 
   // Prefix: absorb and bootstrap once (the paper's setup allocates the
   // first 90% of blocks globally; a txallo-* bootstrap Rebalance is always
@@ -486,7 +606,7 @@ TimelineResult RunTimeline(const TimelineConfig& config,
       txs.insert(txs.end(), blk.transactions().begin(),
                  blk.transactions().end());
     }
-    auto report = (*made)->Evaluate(txs, *rebalanced, window_params);
+    auto report = strategy->Evaluate(txs, *rebalanced, window_params);
     if (!report.ok()) {
       std::fprintf(stderr, "window evaluation failed: %s\n",
                    report.status().ToString().c_str());

@@ -14,8 +14,8 @@
 //                       ./bench_out)
 //   --cache-dir=DIR     where the sweep cache lives (default
 //                       <csv-dir>/cache)
-//   --record=PATH       engine benches: record the run's deterministic
-//                       trace (engine/replay.h) to PATH
+//   --record=PATH       engine benches: record the first streaming run's
+//                       trace to PATH (StreamDriver below)
 //   --replay=PATH       engine benches: re-execute the trace at PATH and
 //                       verify bit-identity instead of running live
 #pragma once
@@ -33,6 +33,8 @@
 #include "txallo/chain/ledger.h"
 #include "txallo/common/flags.h"
 #include "txallo/engine/engine.h"
+#include "txallo/engine/pipeline.h"
+#include "txallo/engine/replay.h"
 #include "txallo/graph/graph.h"
 #include "txallo/workload/ethereum_like.h"
 #include "txallo/workload/scenario_registry.h"
@@ -194,20 +196,18 @@ class SweepCache {
 /// The sweep-cache directory: --cache-dir, defaulting to <csv-dir>/cache.
 std::string ResolveCacheDir(const Flags& flags);
 
-/// --record=PATH / --replay=PATH: deterministic trace record/replay for
-/// the engine-backed benches (see engine/replay.h). Empty paths mean off;
-/// both set at once is rejected by the benches.
-struct TraceFlags {
-  std::string record_path;
-  std::string replay_path;
-};
-TraceFlags ResolveTraceFlags(const Flags& flags);
-
 /// Offered load (transactions per tick) for the open-loop benches:
 /// --offered-load beats the TXALLO_OFFERED_LOAD environment variable beats
-/// `fallback`. Set-but-malformed values (non-numeric tail, non-positive,
-/// NaN/inf) are InvalidArgument, never silently the fallback.
+/// `fallback`. A set-but-malformed value is ParsePositiveRate's error,
+/// never silently the fallback.
 Result<double> ResolveOfferedLoad(const Flags& flags, double fallback);
+
+/// Strict parse of a transactions-per-tick rate read from `source` (a flag
+/// or environment variable name): the whole of `text` must be one finite
+/// positive number. "8x", "" or "nan" is InvalidArgument naming `source`
+/// and the text — never silently a default, which would make a sweep lie.
+Result<double> ParsePositiveRate(const std::string& source,
+                                 const std::string& text);
 
 /// mkdir -p: creates `path` and any missing parents (best-effort; callers
 /// surface failures through the file writes that follow).
@@ -241,6 +241,10 @@ class SeriesTable {
 /// Formats a double with fixed precision.
 std::string Fmt(double value, int precision = 3);
 
+/// The engine benches' cross% column: 100 · cross / submitted, 0 when
+/// nothing was submitted.
+double CrossShardPercent(uint64_t cross_shard_submitted, uint64_t submitted);
+
 /// Engine configuration for benches/examples: k shards under the paper's
 /// cost model, parallelism pinned by --threads / TXALLO_THREADS (0 = the
 /// engine's hardware default). `num_threads` overrides the scale's value
@@ -248,6 +252,82 @@ std::string Fmt(double value, int precision = 3);
 engine::EngineConfig MakeEngineConfig(const BenchScale& scale, uint32_t k,
                                       double eta, double capacity_per_block,
                                       int num_threads = -1);
+
+/// A streaming-engine bench sized from the scale presets (timeline_series,
+/// open_loop_latency, allocator_matrix): `blocks` blocks of `txs_per_block`
+/// transactions over at most 16'000 accounts, one community per 160.
+workload::ScenarioShape EngineBenchShape(const BenchScale& scale,
+                                         uint64_t blocks,
+                                         uint64_t txs_per_block,
+                                         uint64_t seed);
+
+/// The one streaming cell of the engine benches (gauntlet, timeline_series,
+/// open_loop_latency, allocator_matrix): strategy, engine, pipeline run,
+/// and the --record / --replay pair.
+///
+/// Record/replay (engine/replay.h): --record=PATH saves the trace of the
+/// bench's first streaming run — its first cell, in the order the bench
+/// runs them; every other cell still runs, unrecorded — and prints exactly
+/// one line starting `recorded `. --replay=PATH runs no strategy: it
+/// re-executes the saved trace against the regenerated workload (the
+/// workload flags must reproduce the recorded ledger, whose fingerprint
+/// is checked; threads and allocator mode are free to differ) and fails
+/// naming the first divergent field unless the run is bit-identical. The
+/// two flags together are an error.
+class StreamDriver {
+ public:
+  /// What one run hands back. The engine stays alive for its state root;
+  /// the strategy (null on replay) outlives it, as it must.
+  struct Run {
+    std::unique_ptr<allocator::Allocator> strategy;
+    std::unique_ptr<engine::ParallelEngine> engine;
+    engine::PipelineResult result;
+
+    /// Hex of the engine's global Merkle root; "" with the state backend
+    /// off.
+    std::string StateRootHex() const;
+  };
+
+  /// Reads --record / --replay (exit 1 when both are set) and, when
+  /// replaying, loads the trace (exit 1 naming the error).
+  explicit StreamDriver(const Flags& flags);
+
+  /// The loaded trace in replay mode, else null.
+  const engine::ReplayLog* replay() const {
+    return replay_path_.empty() ? nullptr : &trace_;
+  }
+
+  /// Runs one cell: builds `spec`'s strategy over `registry` and `seed`
+  /// under the engine's own θ (ForExperiment over the ledger's size and
+  /// `engine_config`'s k and η) before any engine exists, then streams
+  /// `ledger` through engine::RunReallocatedStream on a fresh engine built
+  /// from `engine_config` (hash_route_unassigned forced on, as the pipeline
+  /// requires). Records when it is the first run under --record. `label`
+  /// names the cell, spec included, in messages. Any failure — an invalid
+  /// or one-shot-only spec, a failed run, an unwritable trace — exits 1
+  /// naming `label`.
+  Run RunCell(const std::string& spec, const std::string& label,
+              const chain::Ledger& ledger,
+              const chain::AccountRegistry& registry, uint64_t seed,
+              engine::EngineConfig engine_config,
+              engine::PipelineConfig pipeline);
+
+  /// Replay mode: re-executes the trace against `ledger` on a fresh engine
+  /// built from `engine_config` and prints the `replay of …` line; exits 1
+  /// with the divergence (or the refused meta field) otherwise. The
+  /// pipeline's workload_spec is checked against the trace only when
+  /// --scenario was given: the ledger fingerprint is always checked, but a
+  /// default spec may render differently from the recorded one.
+  Run Replay(const chain::Ledger& ledger, engine::EngineConfig engine_config,
+             engine::PipelineConfig pipeline) const;
+
+ private:
+  std::string record_path_;
+  std::string replay_path_;
+  bool scenario_flag_ = false;
+  bool recorded_ = false;
+  engine::ReplayLog trace_;
+};
 
 /// Shared banner: scale, |T|, |A|, seed, and the process's peak RSS so far
 /// (fixture construction dominates it at large --accounts).

@@ -13,12 +13,9 @@
 // committed as BENCH_gauntlet.json; CI regenerates it under a non-default
 // thread count and byte-diffs it.
 //
-// Record/replay (engine/replay.h): --record=PATH saves the first cell's
-// trace — the trace meta names its scenario spec (workload_spec), which is
-// how --replay=PATH can regenerate the exact workload without being told:
-// pass the same shape flags and the replay rebuilds the scenario from the
-// recorded spec, verifies the ledger fingerprint, and re-executes to
-// bit-identity.
+// --record / --replay follow bench::StreamDriver's rule. The trace meta
+// names the cell's scenario spec (workload_spec), so --replay regenerates
+// the workload without being told: pass the same shape flags.
 //
 //   ./build/bench/gauntlet [--methods=a;b] [--scenarios=x;y]
 //       [--k=8] [--eta=2] [--blocks=48] [--txs-per-block=96]
@@ -37,9 +34,6 @@
 #include <vector>
 
 #include "common/bench_common.h"
-#include "txallo/common/sha256.h"
-#include "txallo/engine/pipeline.h"
-#include "txallo/engine/replay.h"
 
 namespace {
 
@@ -64,8 +58,8 @@ struct GauntletCell {
 
 GauntletCell MakeCell(const std::string& scenario_spec,
                       const std::string& allocator_spec,
-                      const engine::PipelineResult& result,
-                      engine::ParallelEngine* engine, bool state_on) {
+                      const bench::StreamDriver::Run& run) {
+  const engine::PipelineResult& result = run.result;
   GauntletCell cell;
   cell.scenario = scenario_spec;
   cell.allocator = allocator_spec;
@@ -74,18 +68,13 @@ GauntletCell MakeCell(const std::string& scenario_spec,
   cell.committed = result.report.sim.committed;
   cell.aborted = result.report.aborted;
   cell.cross_shard_submitted = result.report.sim.cross_shard_submitted;
-  cell.dropped = result.admission.dropped_capacity +
-                 result.admission.dropped_account_pending +
-                 result.admission.dropped_account_rate +
-                 result.admission.dropped_backpressure;
+  cell.dropped = result.admission.dropped();
   cell.expired = result.admission.expired;
   cell.accounts_migrated = result.report.accounts_migrated;
   cell.latency_p50 = result.e2e_latency_ticks.Percentile(50.0);
   cell.latency_p99 = result.e2e_latency_ticks.Percentile(99.0);
   cell.latency_max = result.e2e_latency_ticks.max();
-  if (state_on && engine != nullptr && engine->state() != nullptr) {
-    cell.state_root_hex = DigestToHex(engine->state()->GlobalRoot());
-  }
+  cell.state_root_hex = run.StateRootHex();
   return cell;
 }
 
@@ -132,16 +121,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
-  if (!trace.record_path.empty() && !trace.replay_path.empty()) {
-    std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
-  }
+  bench::StreamDriver driver(flags);
 
   // Default grid: the full registries. ';'-separated because both spec
-  // languages use ',' inside a spec.
+  // languages use ',' inside a spec. A replay runs the trace's one cell.
   std::vector<std::string> scenario_specs;
-  if (flags.Has("scenarios")) {
+  if (const engine::ReplayLog* trace = driver.replay()) {
+    if (trace->meta.workload_spec.empty()) {
+      std::fprintf(stderr,
+                   "--replay: trace has no workload_spec (not a gauntlet "
+                   "trace); replay it with the bench that recorded it\n");
+      return 1;
+    }
+    scenario_specs.push_back(trace->meta.workload_spec);
+  } else if (flags.Has("scenarios")) {
     scenario_specs = bench::SplitList(flags.GetString("scenarios", ""), ';');
   } else {
     const std::string single = bench::ResolveScenarioSpec(flags, "");
@@ -154,44 +147,37 @@ int main(int argc, char** argv) {
   std::vector<std::string> method_specs =
       bench::ResolveMethodSpecs(flags, allocator::RegisteredNames());
 
-  const auto make_engine_config = [&]() {
-    engine::EngineConfig engine_config =
-        bench::MakeEngineConfig(scale, k, eta, service_rate / k);
-    engine_config.hash_route_unassigned = true;
-    engine_config.state.enabled = state_on;
-    engine_config.state.initial_balance = shape.initial_balance;
-    return engine_config;
-  };
-  const auto make_pipeline = [&](const std::string& scenario_spec) {
-    engine::PipelineConfig pipeline;
-    pipeline.blocks_per_epoch = epoch_blocks;
-    pipeline.workload_spec = scenario_spec;
-    pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
-    pipeline.open_loop.offered_load = *offered;
-    pipeline.open_loop.dispatch_per_tick =
-        static_cast<uint32_t>(std::ceil(service_rate));
-    return pipeline;
-  };
+  engine::EngineConfig engine_config =
+      bench::MakeEngineConfig(scale, k, eta, service_rate / k);
+  engine_config.state.enabled = state_on;
+  engine_config.state.initial_balance = shape.initial_balance;
+  engine::PipelineConfig pipeline;
+  pipeline.blocks_per_epoch = epoch_blocks;
+  pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
+  pipeline.open_loop.offered_load = *offered;
+  pipeline.open_loop.dispatch_per_tick =
+      static_cast<uint32_t>(std::ceil(service_rate));
 
   bench::SeriesTable table(
       "Gauntlet: one row per (scenario, allocator) cell",
       {"scenario", "allocator", "ticks", "committed", "tput/tick", "cross%",
        "aborted", "dropped", "p50", "p99", "max"});
   std::vector<GauntletCell> cells;
-  const auto add_cell = [&](const GauntletCell& cell) {
+  const auto add_cell = [&](const std::string& scenario_spec,
+                            const std::string& allocator,
+                            const bench::StreamDriver::Run& run) {
+    const GauntletCell cell = MakeCell(scenario_spec, allocator, run);
     const double tput =
         cell.ticks == 0
             ? 0.0
             : static_cast<double>(cell.committed) /
                   static_cast<double>(cell.ticks);
-    const double cross_pct =
-        cell.submitted == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(cell.cross_shard_submitted) /
-                  static_cast<double>(cell.submitted);
     table.AddRow({cell.scenario, cell.allocator, std::to_string(cell.ticks),
                   std::to_string(cell.committed), bench::Fmt(tput, 1),
-                  bench::Fmt(cross_pct, 1), std::to_string(cell.aborted),
+                  bench::Fmt(bench::CrossShardPercent(
+                                 cell.cross_shard_submitted, cell.submitted),
+                             1),
+                  std::to_string(cell.aborted),
                   std::to_string(cell.dropped),
                   std::to_string(cell.latency_p50),
                   std::to_string(cell.latency_p99),
@@ -199,8 +185,27 @@ int main(int argc, char** argv) {
     cells.push_back(cell);
   };
 
-  const auto write_json = [&]() {
-    if (json_out.empty()) return;
+  for (const std::string& scenario_spec : scenario_specs) {
+    std::unique_ptr<workload::Scenario> scenario =
+        bench::MakeScenarioOrDie(scenario_spec, shape);
+    const chain::Ledger ledger =
+        scenario->GenerateLedger(scenario->num_blocks());
+    pipeline.workload_spec = scenario_spec;
+    if (driver.replay() != nullptr) {
+      add_cell(scenario_spec, "replay",
+               driver.Replay(ledger, engine_config, pipeline));
+      continue;
+    }
+    for (const std::string& method_spec : method_specs) {
+      add_cell(scenario_spec, method_spec,
+               driver.RunCell(method_spec,
+                              method_spec + " on " + scenario_spec, ledger,
+                              scenario->registry(), seed, engine_config,
+                              pipeline));
+    }
+  }
+
+  if (!json_out.empty()) {
     std::ofstream file(json_out, std::ios::trunc);
     file << "{\n  \"bench\": \"gauntlet\",\n";
     file << "  \"k\": " << k << ",\n";
@@ -239,106 +244,7 @@ int main(int argc, char** argv) {
     }
     file << "\n  ]\n}\n";
     std::printf("wrote gauntlet snapshot to %s\n", json_out.c_str());
-  };
-
-  if (!trace.replay_path.empty()) {
-    auto loaded = engine::LoadReplayLog(trace.replay_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    // The trace names its workload: rebuild the scenario from the recorded
-    // spec (shape flags must match the recorded run — the ledger
-    // fingerprint check is the arbiter).
-    const std::string recorded_spec = loaded->meta.workload_spec;
-    if (recorded_spec.empty()) {
-      std::fprintf(stderr,
-                   "--replay: trace has no workload_spec (not a gauntlet "
-                   "trace); replay it with the bench that recorded it\n");
-      return 1;
-    }
-    std::unique_ptr<workload::Scenario> scenario =
-        bench::MakeScenarioOrDie(recorded_spec, shape);
-    const chain::Ledger ledger =
-        scenario->GenerateLedger(scenario->num_blocks());
-    engine::ParallelEngine engine(make_engine_config(), nullptr);
-    auto result = engine::ReplayRecordedStream(ledger, *loaded, &engine,
-                                               make_pipeline(recorded_spec));
-    if (!result.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    add_cell(
-        MakeCell(recorded_spec, "replay", *result, &engine, state_on));
-    write_json();
-    table.Print();
-    table.WriteCsv(flags.GetString("csv-dir", "bench_out"), "gauntlet.csv");
-    std::printf("\nreplay of '%s' (scenario '%s'): bit-identical (%zu "
-                "commits, %zu steps)\n",
-                trace.replay_path.c_str(), recorded_spec.c_str(),
-                loaded->commits.size(), loaded->steps.size());
-    return 0;
   }
-
-  bool recorded = false;
-  for (const std::string& scenario_spec : scenario_specs) {
-    std::unique_ptr<workload::Scenario> scenario =
-        bench::MakeScenarioOrDie(scenario_spec, shape);
-    const chain::Ledger ledger =
-        scenario->GenerateLedger(scenario->num_blocks());
-    for (const std::string& method_spec : method_specs) {
-      allocator::AllocatorOptions options;
-      options.params = alloc::AllocationParams::ForExperiment(
-          ledger.num_transactions(), k, eta);
-      options.registry = &scenario->registry();
-      options.seed = seed;
-      auto made = allocator::MakeAllocatorFromSpec(method_spec, options);
-      if (!made.ok()) {
-        std::fprintf(stderr, "allocator '%s': %s\n", method_spec.c_str(),
-                     made.status().ToString().c_str());
-        return 1;
-      }
-      allocator::OnlineAllocator* online = (*made)->AsOnline();
-      if (online == nullptr) {
-        // The gauntlet is a streaming benchmark; one-shot-only strategies
-        // have no per-epoch update to score. Skipped, not failed, so the
-        // full-registry default keeps working as the registry grows.
-        std::printf("skipping '%s': one-shot only\n", method_spec.c_str());
-        continue;
-      }
-      engine::ParallelEngine engine(make_engine_config(), nullptr);
-      engine::ReplayLog log;
-      engine::PipelineConfig pipeline = make_pipeline(scenario_spec);
-      if (!trace.record_path.empty() && !recorded) pipeline.record = &log;
-      auto result =
-          engine::RunReallocatedStream(ledger, online, &engine, pipeline);
-      if (!result.ok()) {
-        std::fprintf(stderr, "gauntlet cell (%s, %s) failed: %s\n",
-                     scenario_spec.c_str(), method_spec.c_str(),
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      if (!trace.record_path.empty() && !recorded) {
-        Status saved = engine::SaveReplayLog(log, trace.record_path);
-        if (!saved.ok()) {
-          std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
-          return 1;
-        }
-        std::printf("recorded cell (%s, %s) to %s (%zu commits, %zu steps; "
-                    "trace meta names the scenario)\n",
-                    scenario_spec.c_str(), method_spec.c_str(),
-                    trace.record_path.c_str(), log.commits.size(),
-                    log.steps.size());
-        recorded = true;
-      }
-      add_cell(MakeCell(scenario_spec, method_spec, *result, &engine,
-                        state_on));
-    }
-  }
-
-  write_json();
   table.Print();
   table.WriteCsv(flags.GetString("csv-dir", "bench_out"), "gauntlet.csv");
   std::printf(

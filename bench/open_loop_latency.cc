@@ -19,12 +19,9 @@
 // latency, loads above it measure queueing and, once --capacity is hit,
 // admission shedding.
 //
-// Record/replay (engine/replay.h): --record=PATH saves the first run's
-// deterministic trace — the first streaming method at the first load in
-// --loads, including the open-loop meta; every other (method, load) point
-// still runs, unrecorded, as in gauntlet — and --replay=PATH re-executes it
-// (same workload flags; the thread count is free to differ) verifying
-// bit-identity.
+// --record / --replay follow bench::StreamDriver's rule: the first method
+// at the first load in --loads is recorded, and its trace meta carries the
+// offered load and mempool parameters the replay runs under.
 //
 //   ./build/bench/open_loop_latency [--methods=a;b] [--loads=60,100,140]
 //       [--scenario=SPEC] (workload/scenario_registry.h; --scenario=help)
@@ -34,34 +31,13 @@
 //       [--pending-limit=N] [--rate-limit=N] [--ttl=N]
 //       [--policy=reject|block]
 //       [--json-out=PATH] [--record=PATH | --replay=PATH]
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/bench_common.h"
-#include "txallo/engine/pipeline.h"
-#include "txallo/engine/replay.h"
-
-namespace {
-
-// Same strictness as ResolveOfferedLoad, applied to each --loads clause.
-bool ParseLoad(const std::string& text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() ||
-      !std::isfinite(value) || !(value > 0.0)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace txallo;
@@ -116,24 +92,16 @@ int main(int argc, char** argv) {
   } else {
     for (const std::string& clause :
          bench::SplitList(flags.GetString("loads", "60,100,140"))) {
-      double load = 0.0;
-      if (!ParseLoad(clause, &load)) {
-        std::fprintf(stderr,
-                     "--loads: '%s' is not a positive transactions-per-tick "
-                     "rate\n",
-                     clause.c_str());
+      Result<double> load = bench::ParsePositiveRate("--loads", clause);
+      if (!load.ok()) {
+        std::fprintf(stderr, "%s\n", load.status().ToString().c_str());
         return 1;
       }
-      loads.push_back(load);
+      loads.push_back(*load);
     }
   }
 
-  const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
-  if (!trace.record_path.empty() && !trace.replay_path.empty()) {
-    std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
-  }
-
+  bench::StreamDriver driver(flags);
   const std::vector<std::string> specs = bench::ResolveMethodSpecs(
       flags, {"txallo-hybrid:global-every=4", "metis", "hash"});
 
@@ -141,13 +109,8 @@ int main(int argc, char** argv) {
   // only the pacing differs. --scenario (or TXALLO_SCENARIO) swaps the
   // pattern; the default "ethereum" spec reproduces this bench's historical
   // inline workload bit-identically, keeping BENCH_open_loop.json stable.
-  workload::ScenarioShape shape;
-  shape.num_blocks = static_cast<uint64_t>(blocks);
-  shape.txs_per_block = txs_per_block;
-  shape.num_accounts = std::min<uint64_t>(scale.num_accounts, 16'000);
-  shape.num_communities = static_cast<uint32_t>(
-      std::max<uint64_t>(32, shape.num_accounts / 160));
-  shape.seed = seed;
+  const workload::ScenarioShape shape = bench::EngineBenchShape(
+      scale, static_cast<uint64_t>(blocks), txs_per_block, seed);
   const std::string scenario_spec =
       bench::ResolveScenarioSpec(flags, "ethereum");
   std::unique_ptr<workload::Scenario> scenario =
@@ -175,9 +138,7 @@ int main(int argc, char** argv) {
     const engine::EngineReport& report = result.report;
     const mempool::AdmissionStats& admission = result.admission;
     const common::Histogram& latency = result.e2e_latency_ticks;
-    const uint64_t dropped =
-        admission.dropped_capacity + admission.dropped_account_pending +
-        admission.dropped_account_rate + admission.dropped_backpressure;
+    const uint64_t dropped = admission.dropped();
     table.AddRow({label, bench::Fmt(load, 1),
                   std::to_string(report.sim.blocks_elapsed),
                   std::to_string(report.sim.committed),
@@ -223,8 +184,33 @@ int main(int argc, char** argv) {
     if (!json_points.empty()) json_points += ",\n";
     json_points += entry;
   };
-  const auto write_json = [&]() {
-    if (json_out.empty()) return;
+
+  engine::EngineConfig engine_config =
+      bench::MakeEngineConfig(scale, k, eta, service_rate / k);
+  engine::PipelineConfig pipeline;
+  pipeline.blocks_per_epoch = epoch_blocks;
+  pipeline.workload_spec = scenario_spec;
+  pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
+  pipeline.open_loop.dispatch_per_tick = dispatch_per_tick;
+  pipeline.open_loop.mempool = mempool_config;
+  if (const engine::ReplayLog* trace = driver.replay()) {
+    add_point("replay", trace->meta.offered_load,
+              driver.Replay(ledger, engine_config, pipeline).result);
+  } else {
+    for (const std::string& spec : specs) {
+      for (double load : loads) {
+        pipeline.open_loop.offered_load = load;
+        add_point(spec, load,
+                  driver.RunCell(spec, spec + " @ " + bench::Fmt(load, 1) +
+                                           " tx/tick",
+                                 ledger, scenario->registry(), seed,
+                                 engine_config, pipeline)
+                      .result);
+      }
+    }
+  }
+
+  if (!json_out.empty()) {
     std::ofstream file(json_out, std::ios::trunc);
     file << "{\n  \"bench\": \"open_loop_latency\",\n";
     file << "  \"k\": " << k << ",\n";
@@ -235,108 +221,7 @@ int main(int argc, char** argv) {
     file << "  \"seed\": " << seed << ",\n";
     file << "  \"points\": [\n" << json_points << "\n  ]\n}\n";
     std::printf("wrote open-loop snapshot to %s\n", json_out.c_str());
-  };
-
-  const auto make_engine_config = [&]() {
-    engine::EngineConfig engine_config = bench::MakeEngineConfig(
-        scale, k, eta, service_rate / k);
-    engine_config.hash_route_unassigned = true;
-    return engine_config;
-  };
-  const auto make_pipeline = [&](double load) {
-    engine::PipelineConfig pipeline;
-    pipeline.blocks_per_epoch = epoch_blocks;
-    pipeline.workload_spec = scenario_spec;
-    pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
-    pipeline.open_loop.offered_load = load;
-    pipeline.open_loop.dispatch_per_tick = dispatch_per_tick;
-    pipeline.open_loop.mempool = mempool_config;
-    return pipeline;
-  };
-
-  if (!trace.replay_path.empty()) {
-    auto loaded = engine::LoadReplayLog(trace.replay_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    engine::ParallelEngine engine(make_engine_config(), nullptr);
-    // The trace's meta supplies the offered load and mempool parameters;
-    // the pipeline config contributes execution shape only. The recorded
-    // workload_spec is only enforced against an explicit --scenario (the
-    // ledger fingerprint is always checked regardless).
-    engine::PipelineConfig replay_pipeline = make_pipeline(1.0);
-    if (!flags.Has("scenario")) replay_pipeline.workload_spec.clear();
-    auto result = engine::ReplayRecordedStream(ledger, *loaded, &engine,
-                                               replay_pipeline);
-    if (!result.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    add_point("replay", loaded->meta.offered_load, *result);
-    write_json();
-    table.Print();
-    table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                   "open_loop_latency.csv");
-    std::printf("\nreplay of '%s': bit-identical (%zu commits, %zu steps, "
-                "offered load %g tx/tick)\n",
-                trace.replay_path.c_str(), loaded->commits.size(),
-                loaded->steps.size(), loaded->meta.offered_load);
-    return 0;
   }
-
-  bool recorded = false;
-  for (const std::string& spec : specs) {
-    for (double load : loads) {
-      allocator::AllocatorOptions options;
-      options.params = alloc::AllocationParams::ForExperiment(
-          ledger.num_transactions(), k, eta);
-      options.registry = &scenario->registry();
-      options.seed = seed;
-      auto made = allocator::MakeAllocatorFromSpec(spec, options);
-      if (!made.ok()) {
-        std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
-                     made.status().ToString().c_str());
-        return 1;
-      }
-      allocator::OnlineAllocator* online = (*made)->AsOnline();
-      if (online == nullptr) {
-        std::fprintf(stderr, "allocator '%s' is one-shot only; skipping\n",
-                     spec.c_str());
-        break;
-      }
-      engine::ParallelEngine engine(make_engine_config(), nullptr);
-      engine::ReplayLog log;
-      engine::PipelineConfig pipeline = make_pipeline(load);
-      // One trace file = one run: only the first run records.
-      const bool record = !trace.record_path.empty() && !recorded;
-      if (record) pipeline.record = &log;
-      auto result =
-          engine::RunReallocatedStream(ledger, online, &engine, pipeline);
-      if (!result.ok()) {
-        std::fprintf(stderr, "open loop under '%s' @ %g failed: %s\n",
-                     spec.c_str(), load, result.status().ToString().c_str());
-        return 1;
-      }
-      if (record) {
-        Status saved = engine::SaveReplayLog(log, trace.record_path);
-        if (!saved.ok()) {
-          std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
-          return 1;
-        }
-        std::printf("recorded open-loop trace of '%s' @ %g tx/tick to %s "
-                    "(%zu commits, %zu steps)\n",
-                    spec.c_str(), load, trace.record_path.c_str(),
-                    log.commits.size(), log.steps.size());
-        recorded = true;
-      }
-      add_point(spec, load, *result);
-    }
-  }
-
-  write_json();
   table.Print();
   table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
                  "open_loop_latency.csv");

@@ -10,14 +10,8 @@
 // deterministic software-pipelining schedule); sync/deferred run it on the
 // driver.
 //
-// Record/replay (engine/replay.h): --record=PATH saves the first run (the
-// first streaming method in --methods) as a deterministic trace; every
-// other method still runs, unrecorded, as in gauntlet. --replay=PATH
-// re-executes a saved trace on
-// the same generated workload (pass identical workload flags) and verifies
-// bit-identity — threads/alloc-mode may differ from the recorded
-// run. The CI smoke records and replays a tiny trace this way to catch
-// trace-format or determinism drift.
+// --record / --replay follow bench::StreamDriver's rule: the first method
+// in --methods is recorded; a replay may change --threads and --alloc-mode.
 //
 // Account-state backend (src/txallo/state/): --state=1 executes real
 // balance transfers with 2PC commit/rollback and per-tick Merkle roots;
@@ -49,9 +43,6 @@
 #include <vector>
 
 #include "common/bench_common.h"
-#include "txallo/common/sha256.h"
-#include "txallo/engine/pipeline.h"
-#include "txallo/engine/replay.h"
 
 int main(int argc, char** argv) {
   using namespace txallo;
@@ -85,12 +76,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
-  if (!trace.record_path.empty() && !trace.replay_path.empty()) {
-    std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
-  }
-
+  bench::StreamDriver driver(flags);
   const std::vector<std::string> specs = bench::ResolveMethodSpecs(
       flags, {"txallo-hybrid:global-every=4", "metis", "hash"});
 
@@ -99,14 +85,9 @@ int main(int argc, char** argv) {
   // TXALLO_SCENARIO). The default spec reproduces this bench's historical
   // inline workload — a drifting Ethereum-like stream — bit-identically, so
   // the committed BENCH_state.json snapshot survives the scenario rewiring.
-  workload::ScenarioShape shape;
-  shape.num_blocks = static_cast<uint64_t>(blocks);
-  shape.txs_per_block = txs_per_block;
-  shape.num_accounts = std::min<uint64_t>(scale.num_accounts, 16'000);
-  shape.num_communities = static_cast<uint32_t>(
-      std::max<uint64_t>(32, shape.num_accounts / 160));
+  workload::ScenarioShape shape = bench::EngineBenchShape(
+      scale, static_cast<uint64_t>(blocks), txs_per_block, seed);
   shape.initial_balance = state_balance;
-  shape.seed = seed;
   const std::string scenario_spec = bench::ResolveScenarioSpec(
       flags, "ethereum:drift-interval=" +
                  std::to_string(std::max<uint64_t>(
@@ -132,9 +113,14 @@ int main(int argc, char** argv) {
       "Summary per allocator",
       {"allocator", "committed", "tput/blk", "cross%", "aborted", "migrated",
        "epochs", "skipped", "moved", "alloc-s", "wait-s", "overlap%"});
+  // Deterministic state-series snapshot (--json-out): per-method logical
+  // counters only — no wall-clock fields — so a committed snapshot diffs
+  // clean across machines.
+  std::string json_methods;
 
-  const auto add_series_rows = [&](const std::string& label,
-                                   const engine::PipelineResult& result) {
+  const auto add_run = [&](const std::string& label,
+                           const bench::StreamDriver::Run& run) {
+    const engine::PipelineResult& result = run.result;
     for (const engine::StepMetrics& step : result.steps) {
       series.AddRow(
           {label, std::to_string(step.step),
@@ -147,15 +133,19 @@ int main(int argc, char** argv) {
            bench::Fmt(step.alloc_wait_seconds, 4),
            step.installed ? "yes" : "no"});
     }
-  };
-
-  // Deterministic state-series snapshot (--json-out): per-method logical
-  // counters only — no wall-clock fields — so a committed snapshot diffs
-  // clean across machines.
-  std::string json_methods;
-  const auto add_json_method = [&](const std::string& label,
-                                   const engine::PipelineResult& result,
-                                   engine::ParallelEngine* engine) {
+    const double cross_pct = bench::CrossShardPercent(
+        result.report.sim.cross_shard_submitted, result.report.sim.submitted);
+    summary.AddRow({label, std::to_string(result.report.sim.committed),
+                    bench::Fmt(result.report.sim.throughput_per_block, 1),
+                    bench::Fmt(cross_pct, 1),
+                    std::to_string(result.report.aborted),
+                    std::to_string(result.report.accounts_migrated),
+                    std::to_string(result.epochs),
+                    std::to_string(result.overrun_boundaries),
+                    std::to_string(result.accounts_moved),
+                    bench::Fmt(result.alloc_seconds, 4),
+                    bench::Fmt(result.alloc_wait_seconds, 4),
+                    bench::Fmt(100.0 * result.alloc_overlap_ratio, 1)});
     if (json_out.empty()) return;
     std::string entry;
     entry += "    {\n      \"allocator\": \"" + label + "\",\n";
@@ -170,10 +160,7 @@ int main(int argc, char** argv) {
     entry += "      \"epochs\": " + std::to_string(result.epochs) + ",\n";
     entry += "      \"overrun_boundaries\": " +
              std::to_string(result.overrun_boundaries) + ",\n";
-    entry += "      \"final_state_root\": \"";
-    if (state_on && engine != nullptr && engine->state() != nullptr) {
-      entry += DigestToHex(engine->state()->GlobalRoot());
-    }
+    entry += "      \"final_state_root\": \"" + run.StateRootHex();
     entry += "\",\n      \"steps\": [";
     for (size_t i = 0; i < result.steps.size(); ++i) {
       const engine::StepMetrics& step = result.steps[i];
@@ -188,8 +175,27 @@ int main(int argc, char** argv) {
     if (!json_methods.empty()) json_methods += ",\n";
     json_methods += entry;
   };
-  const auto write_json = [&]() {
-    if (json_out.empty()) return;
+
+  engine::EngineConfig engine_config = bench::MakeEngineConfig(
+      scale, k, eta, 1.3 * static_cast<double>(txs_per_block) / k);
+  engine_config.state.enabled = state_on;
+  engine_config.state.initial_balance = scenario->initial_balance();
+  engine_config.state.migration_work_per_account = migration_work;
+  engine::PipelineConfig pipeline;
+  pipeline.blocks_per_epoch = epoch_blocks;
+  pipeline.allocator_mode = *mode;
+  pipeline.allow_epoch_overrun = overrun;
+  pipeline.workload_spec = scenario_spec;
+  if (driver.replay() != nullptr) {
+    add_run("replay", driver.Replay(ledger, engine_config, pipeline));
+  } else {
+    for (const std::string& spec : specs) {
+      add_run(spec, driver.RunCell(spec, spec, ledger, scenario->registry(),
+                                   seed, engine_config, pipeline));
+    }
+  }
+
+  if (!json_out.empty()) {
     std::ofstream file(json_out, std::ios::trunc);
     file << "{\n  \"bench\": \"timeline_series\",\n";
     file << "  \"k\": " << k << ",\n";
@@ -202,132 +208,7 @@ int main(int argc, char** argv) {
     file << "  \"migration_work_per_account\": " << migration_work << ",\n";
     file << "  \"methods\": [\n" << json_methods << "\n  ]\n}\n";
     std::printf("wrote state series snapshot to %s\n", json_out.c_str());
-  };
-
-  if (!trace.replay_path.empty()) {
-    // Replay mode: the saved trace stands in for the allocator; the
-    // workload flags must regenerate the recorded stream (the trace's
-    // ledger fingerprint is verified) while the thread count is free to
-    // differ — that is the point of the drift check.
-    auto loaded = engine::LoadReplayLog(trace.replay_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    engine::EngineConfig engine_config = bench::MakeEngineConfig(
-        scale, k, eta, 1.3 * static_cast<double>(txs_per_block) / k);
-    engine_config.hash_route_unassigned = true;
-    engine_config.state.enabled = state_on;
-    engine_config.state.initial_balance = scenario->initial_balance();
-    engine_config.state.migration_work_per_account = migration_work;
-    engine::ParallelEngine engine(engine_config, nullptr);
-    engine::PipelineConfig pipeline;
-    // Only enforced when --scenario was given explicitly: the trace's own
-    // ledger fingerprint is always checked, but a recorded spec from an
-    // older flag set need not match this binary's default spec rendering.
-    if (flags.Has("scenario")) pipeline.workload_spec = scenario_spec;
-    auto result =
-        engine::ReplayRecordedStream(ledger, *loaded, &engine, pipeline);
-    if (!result.ok()) {
-      std::fprintf(stderr, "--replay: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    add_series_rows("replay", *result);
-    add_json_method("replay", *result, &engine);
-    write_json();
-    series.Print();
-    const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
-    series.WriteCsv(csv_dir, "timeline_series.csv");
-    std::printf(
-        "\nreplay of '%s': bit-identical (%zu prepares, %zu commits, %zu "
-        "installs, %zu steps)\n",
-        trace.replay_path.c_str(), loaded->prepares.size(),
-        loaded->commits.size(), loaded->installs.size(),
-        loaded->steps.size());
-    return 0;
   }
-
-  bool recorded = false;
-  for (const std::string& spec : specs) {
-    allocator::AllocatorOptions options;
-    options.params = alloc::AllocationParams::ForExperiment(
-        ledger.num_transactions(), k, eta);
-    options.registry = &scenario->registry();
-    options.seed = seed;
-    auto made = allocator::MakeAllocatorFromSpec(spec, options);
-    if (!made.ok()) {
-      std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
-                   made.status().ToString().c_str());
-      return 1;
-    }
-    allocator::OnlineAllocator* online = (*made)->AsOnline();
-    if (online == nullptr) {
-      std::fprintf(stderr, "allocator '%s' is one-shot only; skipping\n",
-                   spec.c_str());
-      continue;
-    }
-
-    engine::EngineConfig engine_config = bench::MakeEngineConfig(
-        scale, k, eta, 1.3 * static_cast<double>(txs_per_block) / k);
-    engine_config.hash_route_unassigned = true;
-    engine_config.state.enabled = state_on;
-    engine_config.state.initial_balance = scenario->initial_balance();
-    engine_config.state.migration_work_per_account = migration_work;
-    engine::ParallelEngine engine(engine_config, nullptr);
-    engine::ReplayLog log;
-    engine::PipelineConfig pipeline;
-    pipeline.blocks_per_epoch = epoch_blocks;
-    pipeline.allocator_mode = *mode;
-    pipeline.allow_epoch_overrun = overrun;
-    pipeline.workload_spec = scenario_spec;
-    // One trace file = one run: only the first run records.
-    const bool record = !trace.record_path.empty() && !recorded;
-    if (record) pipeline.record = &log;
-    auto result =
-        engine::RunReallocatedStream(ledger, online, &engine, pipeline);
-    if (!result.ok()) {
-      std::fprintf(stderr, "pipeline under '%s' failed: %s\n", spec.c_str(),
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    if (record) {
-      Status saved = engine::SaveReplayLog(log, trace.record_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "--record: %s\n", saved.ToString().c_str());
-        return 1;
-      }
-      std::printf("recorded trace of '%s' to %s (%zu prepares, %zu commits, "
-                  "%zu installs, %zu steps)\n",
-                  spec.c_str(), trace.record_path.c_str(),
-                  log.prepares.size(), log.commits.size(),
-                  log.installs.size(), log.steps.size());
-      recorded = true;
-    }
-
-    add_series_rows(spec, *result);
-    add_json_method(spec, *result, &engine);
-    const double cross_pct =
-        result->report.sim.submitted == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(result->report.sim.cross_shard_submitted) /
-                  static_cast<double>(result->report.sim.submitted);
-    summary.AddRow({spec, std::to_string(result->report.sim.committed),
-                    bench::Fmt(result->report.sim.throughput_per_block, 1),
-                    bench::Fmt(cross_pct, 1),
-                    std::to_string(result->report.aborted),
-                    std::to_string(result->report.accounts_migrated),
-                    std::to_string(result->epochs),
-                    std::to_string(result->overrun_boundaries),
-                    std::to_string(result->accounts_moved),
-                    bench::Fmt(result->alloc_seconds, 4),
-                    bench::Fmt(result->alloc_wait_seconds, 4),
-                    bench::Fmt(100.0 * result->alloc_overlap_ratio, 1)});
-  }
-
-  write_json();
   series.Print();
   summary.Print();
   const std::string csv_dir = flags.GetString("csv-dir", "bench_out");

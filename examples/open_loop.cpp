@@ -95,11 +95,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(latency.Percentile(50.0)),
                 static_cast<unsigned long long>(latency.Percentile(99.0)),
                 static_cast<unsigned long long>(latency.Percentile(99.9)),
-                static_cast<unsigned long long>(
-                    admission.dropped_capacity +
-                    admission.dropped_account_pending +
-                    admission.dropped_account_rate +
-                    admission.dropped_backpressure));
+                static_cast<unsigned long long>(admission.dropped()));
     // Smoke contract: every committed transaction carries a latency sample
     // and nothing vanished (no drops configured at these defaults).
     if (latency.count() != result->report.sim.committed ||

@@ -240,6 +240,10 @@ Result<std::unique_ptr<Allocator>> MakeAllocator(
   const common::SpecEntry<Factory>& entry = kEntries[*index];
   const OptionReader read(options.extra, entry.options);
   TXALLO_RETURN_NOT_OK(read.ExpectOnly("allocator", name));
+  if (options.params.num_shards == 0) {
+    return Status::InvalidArgument("allocator '" + name +
+                                   "': 'num_shards' must be at least 1");
+  }
   return entry.factory(name, options, read);
 }
 

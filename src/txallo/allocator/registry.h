@@ -59,7 +59,8 @@ std::vector<common::EntryDoc> DescribeAllocators();
 std::string AllocatorUsageText();
 
 /// Instantiates the strategy registered under `name` with
-/// `options` (options.extra carries the strategy-specific keys).
+/// `options` (options.extra carries the strategy-specific keys). Zero
+/// shards (options.params.num_shards == 0) is InvalidArgument.
 Result<std::unique_ptr<Allocator>> MakeAllocator(
     const std::string& name, const AllocatorOptions& options);
 

@@ -58,15 +58,6 @@ const char* IngestModeName(IngestMode mode) {
 
 namespace {
 
-/// Admission drops chargeable to the window series (capacity, per-account
-/// limits, staging backpressure). TTL expiries are a lifetime property of
-/// already-admitted transactions, not an admission decision — they stay in
-/// AdmissionStats only.
-uint64_t AdmissionDrops(const mempool::AdmissionStats& stats) {
-  return stats.dropped_capacity + stats.dropped_account_pending +
-         stats.dropped_account_rate + stats.dropped_backpressure;
-}
-
 // One RunReallocatedStream invocation. The closed- and open-loop drivers
 // share everything but the tick loop itself: validation, bootstrap, the
 // install path and its accounts_moved accounting, the replay install
@@ -490,7 +481,7 @@ Status PipelineRun::CloseOpenLoopWindow(
   const mempool::AdmissionStats admission = pool.stats();
   metrics.admitted = admission.admitted - admission_prev_.admitted;
   metrics.admission_dropped =
-      AdmissionDrops(admission) - AdmissionDrops(admission_prev_);
+      admission.dropped() - admission_prev_.dropped();
   admission_prev_ = admission;
   metrics.mempool_depth = pool.live_size();
   metrics.mempool_peak_depth = admission.peak_depth;

@@ -101,6 +101,16 @@ struct AdmissionStats {
   uint64_t expired = 0;
   /// High-water mark of live pool depth, sampled at each seal.
   uint64_t peak_depth = 0;
+
+  /// Admission drops: capacity + per-account pending + per-account rate +
+  /// staging backpressure. TTL expiries are not counted: they are a
+  /// lifetime property of already-admitted transactions, not an admission
+  /// decision.
+  uint64_t dropped() const {
+    return dropped_capacity + dropped_account_pending + dropped_account_rate +
+           dropped_backpressure;
+  }
+
   bool operator==(const AdmissionStats&) const = default;
 };
 

@@ -139,6 +139,22 @@ TEST(RegistryTest, TxAlloNamesRequireRegistry) {
   EXPECT_NE(made.status().message().find("registry"), std::string::npos);
 }
 
+// k = 0 used to reach the strategies and the engine, which divide by it;
+// every name must refuse it up front, naming the parameter.
+TEST(RegistryTest, ZeroShardsIsRejectedForEveryName) {
+  chain::AccountRegistry registry;
+  registry.Intern("0xa");
+  AllocatorOptions options = BaseOptions(&registry);
+  options.params.num_shards = 0;
+  for (const std::string& name : RegisteredNames()) {
+    auto made = MakeAllocator(name, options);
+    ASSERT_FALSE(made.ok()) << name;
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(made.status().message().find("'num_shards'"), std::string::npos)
+        << name << ": " << made.status().ToString();
+  }
+}
+
 TEST(RegistryTest, BrokerWrapsConfigurableInner) {
   chain::AccountRegistry registry;
   auto made = MakeAllocatorFromSpec("broker:inner=txallo-global,brokers=8",

@@ -172,6 +172,17 @@ TEST(MempoolTest, TrySubmitBackpressureWhenStagingFull) {
   EXPECT_TRUE(pool.TrySubmit(Tx(1, 2), 5, 1, 3));
 }
 
+TEST(MempoolTest, DroppedSumsAdmissionDropsButNotExpiries) {
+  AdmissionStats stats;
+  stats.dropped_capacity = 1;
+  stats.dropped_account_pending = 2;
+  stats.dropped_account_rate = 4;
+  stats.dropped_backpressure = 8;
+  stats.expired = 16;
+  stats.deferred = 32;
+  EXPECT_EQ(stats.dropped(), 15u);
+}
+
 TEST(MempoolTest, ReserveSequenceRangeIsContiguous) {
   Mempool pool(MempoolConfig{});
   EXPECT_EQ(pool.ReserveSequenceRange(4), 0u);

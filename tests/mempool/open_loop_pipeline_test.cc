@@ -57,11 +57,6 @@ engine::PipelineConfig OpenLoopPipeline(double offered_load) {
   return pipeline;
 }
 
-uint64_t TotalDrops(const mempool::AdmissionStats& stats) {
-  return stats.dropped_capacity + stats.dropped_account_pending +
-         stats.dropped_account_rate + stats.dropped_backpressure;
-}
-
 TEST(OpenLoopPipelineTest, CommitsEverythingAndMeasuresLatency) {
   const chain::Ledger ledger = MakeLedger();
   auto alloc = MakeAllocator(ledger);
@@ -73,7 +68,7 @@ TEST(OpenLoopPipelineTest, CommitsEverythingAndMeasuresLatency) {
   const uint64_t total = ledger.num_transactions();
   EXPECT_EQ(result->admission.submitted, total);
   EXPECT_EQ(result->admission.admitted, total);
-  EXPECT_EQ(TotalDrops(result->admission), 0u);
+  EXPECT_EQ(result->admission.dropped(), 0u);
   EXPECT_EQ(result->report.sim.committed, total);
   // Every committed transaction contributes exactly one latency sample.
   EXPECT_EQ(result->e2e_latency_ticks.count(), total);
@@ -189,7 +184,7 @@ TEST(OpenLoopPipelineTest, AdmissionSheddingIsDeterministicUnderOverload) {
     return std::move(*result);
   };
   const engine::PipelineResult base = run(1);
-  EXPECT_GT(TotalDrops(base.admission), 0u);
+  EXPECT_GT(base.admission.dropped(), 0u);
   EXPECT_EQ(base.admission.dropped_backpressure, 0u)
       << "all shedding must happen at the deterministic seal";
   EXPECT_LT(base.report.sim.committed, ledger.num_transactions());
