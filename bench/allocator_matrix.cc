@@ -34,10 +34,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", alloc_mode.status().ToString().c_str());
     return 1;
   }
-  std::vector<uint32_t> k_list;
-  for (const std::string& item :
-       bench::SplitList(flags.GetString("k-list", "4,8"))) {
-    k_list.push_back(static_cast<uint32_t>(std::atoi(item.c_str())));
+  Result<std::vector<uint32_t>> k_list = bench::ParseNumberList<uint32_t>(
+      "k-list", flags.GetString("k-list", "4,8"));
+  if (!k_list.ok()) {
+    std::fprintf(stderr, "%s\n", k_list.status().ToString().c_str());
+    return 1;
   }
 
   // --allocator restricts the matrix to one spec; default is every
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
       {"allocator", "k", "gamma", "Lambda/lambda", "zeta(avg)", "rho/lambda",
        "alloc-secs"});
   for (const std::string& spec : specs) {
-    for (uint32_t k : k_list) {
+    for (uint32_t k : *k_list) {
       bench::MethodResult result = fixture.RunMethod(spec, k, eta);
       oneshot.AddRow({spec, std::to_string(k),
                       bench::Fmt(result.report.cross_shard_ratio),
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
       {"allocator", "k", "committed", "tput/blk", "cross%", "epochs",
        "moved", "alloc-secs"});
   for (const std::string& spec : specs) {
-    for (uint32_t k : k_list) {
+    for (uint32_t k : *k_list) {
       const bench::StreamDriver::Run run = driver.RunCell(
           spec, spec + " at k=" + std::to_string(k), ledger,
           scenario->registry(), seed,

@@ -6,11 +6,14 @@
 #endif
 
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
+#include <type_traits>
 
 #include "txallo/common/csv.h"
 #include "txallo/common/sha256.h"
@@ -181,103 +184,19 @@ MethodResult Fixture::RunMethod(const std::string& spec, uint32_t k,
   std::unique_ptr<allocator::Allocator> method = MakeAllocator(spec, k, eta);
   const allocator::AllocationContext context = ContextFor(k, eta);
   MethodResult out;
+  const auto fail = [&](const char* stage, const Status& status) {
+    std::fprintf(stderr, "'%s' at k=%u, eta=%g: %s failed: %s\n",
+                 spec.c_str(), k, eta, stage, status.ToString().c_str());
+    std::exit(1);
+  };
   Stopwatch watch;
   auto allocation = method->Allocate(context);
-  if (!allocation.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", spec.c_str(),
-                 allocation.status().ToString().c_str());
-    std::abort();
-  }
+  if (!allocation.ok()) fail("allocation", allocation.status());
   out.allocation_seconds = watch.ElapsedSeconds();
   auto report = method->Evaluate(ledger_, *allocation, context.params);
-  if (!report.ok()) {
-    std::fprintf(stderr, "evaluation failed: %s\n",
-                 report.status().ToString().c_str());
-    std::abort();
-  }
+  if (!report.ok()) fail("evaluation", report.status());
   out.report = std::move(report.value());
   return out;
-}
-
-SweepCache::SweepCache(const Fixture* fixture, const BenchScale& scale,
-                       uint64_t seed, bool enabled, std::string cache_dir)
-    : fixture_(fixture), cache_dir_(std::move(cache_dir)), enabled_(enabled) {
-  char name[256];
-  std::snprintf(name, sizeof(name),
-                "sweep_%" PRIu64 "_%" PRIu64 "_%" PRIu64 ".csv",
-                scale.num_transactions, scale.num_accounts, seed);
-  path_ = cache_dir_ + "/" + name;
-  if (enabled_) Load();
-}
-
-void SweepCache::Load() {
-  auto rows = ReadCsvFile(path_);
-  if (!rows.ok()) return;  // Cold cache.
-  for (const auto& row : rows.value()) {
-    if (row.size() != 11) continue;
-    Key key{row[0], static_cast<uint32_t>(std::atoi(row[1].c_str())),
-            std::atof(row[2].c_str())};
-    Row value{std::atof(row[3].c_str()), std::atof(row[4].c_str()),
-              std::atof(row[5].c_str()), std::atof(row[6].c_str()),
-              std::atof(row[7].c_str()), std::atof(row[8].c_str()),
-              std::atof(row[9].c_str()),
-              static_cast<uint64_t>(std::atoll(row[10].c_str()))};
-    rows_[key] = value;
-  }
-}
-
-MethodResult SweepCache::Get(const std::string& spec, uint32_t k,
-                             double eta) {
-  Key key{spec, k, eta};
-  auto it = rows_.find(key);
-  if (enabled_ && it != rows_.end()) {
-    const Row& row = it->second;
-    MethodResult out;
-    out.report.num_shards = k;
-    out.report.total_transactions = fixture_->num_transactions();
-    out.report.cross_shard_transactions = row.cross_txs;
-    out.report.cross_shard_ratio = row.gamma;
-    out.report.normalized_workload_stddev = row.rho_norm;
-    out.report.normalized_throughput = row.throughput_norm;
-    out.report.avg_latency_blocks = row.avg_latency;
-    out.report.worst_latency_blocks = row.worst_latency;
-    out.report.mean_shards_per_tx = row.mean_mu;
-    out.allocation_seconds = row.seconds;
-    return out;
-  }
-  MethodResult result = fixture_->RunMethod(spec, k, eta);
-  rows_[key] = Row{result.report.cross_shard_ratio,
-                   result.report.normalized_workload_stddev,
-                   result.report.normalized_throughput,
-                   result.report.avg_latency_blocks,
-                   result.report.worst_latency_blocks,
-                   result.allocation_seconds,
-                   result.report.mean_shards_per_tx,
-                   result.report.cross_shard_transactions};
-  dirty_ = true;
-  return result;
-}
-
-SweepCache::~SweepCache() {
-  if (!enabled_ || !dirty_) return;
-  EnsureDirs(cache_dir_);
-  CsvWriter writer(path_);
-  if (!writer.ok()) return;
-  for (const auto& [key, row] : rows_) {
-    (void)writer.WriteRow({key.spec,
-                           std::to_string(key.k), Fmt(key.eta, 6),
-                           Fmt(row.gamma, 9), Fmt(row.rho_norm, 9),
-                           Fmt(row.throughput_norm, 9),
-                           Fmt(row.avg_latency, 9), Fmt(row.worst_latency, 9),
-                           Fmt(row.seconds, 9), Fmt(row.mean_mu, 9),
-                           std::to_string(row.cross_txs)});
-  }
-  (void)writer.Close();
-}
-
-std::string ResolveCacheDir(const Flags& flags) {
-  return flags.GetString("cache-dir",
-                         flags.GetString("csv-dir", "bench_out") + "/cache");
 }
 
 Result<double> ResolveOfferedLoad(const Flags& flags, double fallback) {
@@ -306,6 +225,36 @@ Result<double> ParsePositiveRate(const std::string& source,
   return value;
 }
 
+template <typename T>
+Result<std::vector<T>> ParseNumberList(const std::string& name,
+                                       const std::string& text) {
+  std::vector<T> values;
+  for (const std::string& clause : SplitList(text)) {
+    T value{};
+    const char* const end = clause.data() + clause.size();
+    const std::from_chars_result parsed =
+        std::from_chars(clause.data(), end, value);
+    if (parsed.ec != std::errc() || parsed.ptr != end ||
+        !std::isfinite(static_cast<double>(value))) {
+      return Status::InvalidArgument(
+          "'" + name + "': '" + clause + "' is not " +
+          (std::is_integral_v<T> ? "a non-negative integer"
+                                 : "a finite number"));
+    }
+    values.push_back(value);
+  }
+  if (values.empty()) {
+    return Status::InvalidArgument("'" + name + "': '" + text +
+                                   "' lists no value");
+  }
+  return values;
+}
+
+template Result<std::vector<double>> ParseNumberList<double>(
+    const std::string& name, const std::string& text);
+template Result<std::vector<uint32_t>> ParseNumberList<uint32_t>(
+    const std::string& name, const std::string& text);
+
 void EnsureDirs(const std::string& path) {
   std::string prefix;
   size_t start = 0;
@@ -319,17 +268,14 @@ void EnsureDirs(const std::string& path) {
 }
 
 SweepGrid ResolveGrid(const Flags& flags, const BenchScale& scale) {
-  SweepGrid grid;
-  std::string eta_list = flags.GetString("eta-list", "2,4,6,8,10");
-  size_t start = 0;
-  while (start <= eta_list.size()) {
-    size_t end = eta_list.find(',', start);
-    if (end == std::string::npos) end = eta_list.size();
-    if (end > start) {
-      grid.etas.push_back(std::atof(eta_list.substr(start, end - start).c_str()));
-    }
-    start = end + 1;
+  Result<std::vector<double>> etas = ParseNumberList<double>(
+      "eta-list", flags.GetString("eta-list", "2,4,6,8,10"));
+  if (!etas.ok()) {
+    std::fprintf(stderr, "%s\n", etas.status().ToString().c_str());
+    std::exit(1);
   }
+  SweepGrid grid;
+  grid.etas = std::move(etas.value());
   grid.shard_counts.push_back(2);
   for (int k = scale.shard_step; k <= scale.max_shards;
        k += scale.shard_step) {
@@ -520,6 +466,11 @@ TimelineConfig ResolveTimelineConfig(const Flags& flags,
   config.blocks_per_step = scale.blocks_per_step;
   config.prefix_multiple =
       static_cast<int>(flags.GetInt("prefix-multiple", 3));
+  if (config.prefix_multiple < 0) {
+    std::fprintf(stderr, "'prefix-multiple' must be >= 0, got %d\n",
+                 config.prefix_multiple);
+    std::exit(1);
+  }
   config.seed = seed;
   config.num_accounts = scale.num_accounts;
   // Size blocks so the whole timeline stays within the scale's tx budget.
@@ -563,13 +514,14 @@ TimelineResult RunTimeline(const TimelineConfig& config,
   for (int b = 0; b < prefix_blocks; ++b) {
     online->ApplyBlock(generator.NextBlock());
   }
+  const auto fail = [&](const std::string& stage, const Status& status) {
+    std::fprintf(stderr, "'%s' %s failed: %s\n", spec.c_str(), stage.c_str(),
+                 status.ToString().c_str());
+    std::exit(1);
+  };
   {
     auto bootstrap = online->Rebalance();
-    if (!bootstrap.ok()) {
-      std::fprintf(stderr, "prefix bootstrap Rebalance failed: %s\n",
-                   bootstrap.status().ToString().c_str());
-      std::abort();
-    }
+    if (!bootstrap.ok()) fail("prefix bootstrap Rebalance", bootstrap.status());
   }
 
   TimelineResult result;
@@ -583,12 +535,11 @@ TimelineResult RunTimeline(const TimelineConfig& config,
     }
     // Scheduled update (the strategy's own τ2 policy decides whether this
     // is a cheap adaptive step or a full refresh).
+    const std::string at_step = "step " + std::to_string(step);
     Stopwatch watch;
     auto rebalanced = online->Rebalance();
     if (!rebalanced.ok()) {
-      std::fprintf(stderr, "step %d Rebalance failed: %s\n", step,
-                   rebalanced.status().ToString().c_str());
-      std::abort();
+      fail(at_step + " Rebalance", rebalanced.status());
     }
     result.seconds_per_step.push_back(watch.ElapsedSeconds());
 
@@ -608,9 +559,7 @@ TimelineResult RunTimeline(const TimelineConfig& config,
     }
     auto report = strategy->Evaluate(txs, *rebalanced, window_params);
     if (!report.ok()) {
-      std::fprintf(stderr, "window evaluation failed: %s\n",
-                   report.status().ToString().c_str());
-      std::abort();
+      fail(at_step + " window evaluation", report.status());
     }
     result.throughput_per_step.push_back(report->normalized_throughput);
   }
@@ -621,49 +570,6 @@ TimelineResult RunTimeline(const TimelineConfig& config,
           ? 0.0
           : total / static_cast<double>(result.throughput_per_step.size());
   return result;
-}
-
-int RunStandardSweepFigure(int argc, char** argv, const char* figure_title,
-                           const char* metric_name,
-                           double (*extract)(const MethodResult&),
-                           const char* csv_prefix, const char* paper_note) {
-  Flags flags = ParseBenchFlags(
-      argc, argv, {"allocator", "cache-dir", "csv-dir", "eta-list", "methods",
-                   "no-cache", "seed"});
-  if (HandleAllocatorHelp(flags)) return 0;
-  BenchScale scale = ResolveBenchScaleOrExit(flags);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  Fixture fixture(scale, seed);
-  PrintRunBanner(figure_title, scale, fixture, seed);
-  std::printf("%s\n", paper_note);
-  SweepCache cache(&fixture, scale, seed, !flags.GetBool("no-cache", false),
-                   ResolveCacheDir(flags));
-  SweepGrid grid = ResolveGrid(flags, scale);
-  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
-  const std::vector<std::string> methods = ResolveMethodSpecs(flags);
-
-  for (double eta : grid.etas) {
-    char title[160];
-    std::snprintf(title, sizeof(title), "%s — eta = %g", metric_name, eta);
-    std::vector<std::string> columns{"k"};
-    for (const std::string& m : methods) columns.push_back(MethodLabel(m));
-    SeriesTable table(title, std::move(columns));
-    for (uint32_t k : grid.shard_counts) {
-      std::vector<std::string> row{std::to_string(k)};
-      for (const std::string& m : methods) {
-        row.push_back(Fmt(extract(cache.Get(m, k, eta))));
-      }
-      table.AddRow(std::move(row));
-    }
-    table.Print();
-    char filename[160];
-    std::snprintf(filename, sizeof(filename), "%s_eta%g.csv", csv_prefix,
-                  eta);
-    table.WriteCsv(csv_dir, filename);
-  }
-  std::printf("\nCSV series written to %s/%s_eta*.csv\n", csv_dir.c_str(),
-              csv_prefix);
-  return 0;
 }
 
 double PeakRssMegabytes() {

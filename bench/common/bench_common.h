@@ -1,7 +1,6 @@
 // Shared machinery for the figure-reproduction benchmarks: workload fixture
 // construction, allocation-method dispatch through the allocator registry
-// (allocator/registry.h), a disk cache so the per-figure binaries share
-// sweep results, and aligned table printing.
+// (allocator/registry.h), flag parsing, and aligned table printing.
 //
 // Every binary honours:
 //   TXALLO_SCALE=small|medium|large   (or --scale=...)
@@ -9,11 +8,8 @@
 //   --methods=a,b,c     allocator specs the sweep compares (default: the
 //                       paper's four)
 //   --allocator=SPEC    single-method override (also TXALLO_ALLOCATOR)
-//   --no-cache          recompute everything
 //   --csv-dir=DIR       where to drop machine-readable series (default
 //                       ./bench_out)
-//   --cache-dir=DIR     where the sweep cache lives (default
-//                       <csv-dir>/cache)
 //   --record=PATH       engine benches: record the first streaming run's
 //                       trace to PATH (StreamDriver below)
 //   --replay=PATH       engine benches: re-execute the trace at PATH and
@@ -21,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,7 +130,8 @@ class Fixture {
 
   /// Runs one method at (k, η), measuring allocation wall-clock time and
   /// evaluating under the method's own execution semantics (so the broker
-  /// decorator prices brokered transactions honestly).
+  /// decorator prices brokered transactions honestly). A failed allocation
+  /// or evaluation prints the spec, k, η and the status, and exits 1.
   MethodResult RunMethod(const std::string& spec, uint32_t k,
                          double eta) const;
 
@@ -148,53 +144,6 @@ class Fixture {
   std::vector<graph::NodeId> node_order_;
   uint64_t seed_ = 0;
 };
-
-/// Disk-backed memoization of MethodResult keyed by (method spec, k, eta),
-/// fingerprinted by (txs, accounts, seed) so scale changes invalidate it.
-/// Lives under `cache_dir` (the --cache-dir flag; default <csv-dir>/cache)
-/// so bench runs from read-only or parallel working directories don't
-/// collide in a hardcoded ./txallo_bench_cache.
-class SweepCache {
- public:
-  SweepCache(const Fixture* fixture, const BenchScale& scale, uint64_t seed,
-             bool enabled, std::string cache_dir);
-
-  /// Cached or computed result.
-  MethodResult Get(const std::string& spec, uint32_t k, double eta);
-
-  /// Flushes newly computed entries to disk.
-  ~SweepCache();
-
- private:
-  struct Key {
-    std::string spec;
-    uint32_t k;
-    double eta;
-    bool operator<(const Key& other) const {
-      if (spec != other.spec) return spec < other.spec;
-      if (k != other.k) return k < other.k;
-      return eta < other.eta;
-    }
-  };
-  // The cached scalar projection of an EvaluationReport (per-shard vectors
-  // are not cached; figures needing them recompute directly).
-  struct Row {
-    double gamma, rho_norm, throughput_norm, avg_latency, worst_latency,
-        seconds, mean_mu;
-    uint64_t cross_txs;
-  };
-  void Load();
-
-  const Fixture* fixture_;
-  std::string cache_dir_;
-  std::string path_;
-  bool enabled_;
-  bool dirty_ = false;
-  std::map<Key, Row> rows_;
-};
-
-/// The sweep-cache directory: --cache-dir, defaulting to <csv-dir>/cache.
-std::string ResolveCacheDir(const Flags& flags);
 
 /// Offered load (transactions per tick) for the open-loop benches:
 /// --offered-load beats the TXALLO_OFFERED_LOAD environment variable beats
@@ -209,12 +158,21 @@ Result<double> ResolveOfferedLoad(const Flags& flags, double fallback);
 Result<double> ParsePositiveRate(const std::string& source,
                                  const std::string& text);
 
+/// Strict parse of flag `name`'s comma-separated list `text`, for T =
+/// double or uint32_t: every clause must be one whole finite number (a
+/// non-negative integer for uint32_t), and the list must not be empty.
+/// "x", "4x" or "nan" is InvalidArgument quoting `name` and the clause.
+template <typename T>
+Result<std::vector<T>> ParseNumberList(const std::string& name,
+                                       const std::string& text);
+
 /// mkdir -p: creates `path` and any missing parents (best-effort; callers
 /// surface failures through the file writes that follow).
 void EnsureDirs(const std::string& path);
 
 /// Standard experiment grid (the paper's panels): η ∈ {2,4,6,8,10} and
-/// k from 2 to max_shards. Overridable via --eta-list="2,6,10".
+/// k from 2 to max_shards. Overridable via --eta-list="2,6,10"; a malformed
+/// list prints ParseNumberList's status and exits 1.
 struct SweepGrid {
   std::vector<double> etas;
   std::vector<uint32_t> shard_counts;
@@ -371,21 +329,15 @@ struct TimelineConfig {
 
 /// Runs one allocator spec (any online strategy in the registry) over the
 /// (deterministic) generated stream. On an invalid or one-shot-only spec,
-/// prints why and exits 1, like Fixture::MakeAllocator.
+/// prints why and exits 1, like Fixture::MakeAllocator; a failed Rebalance
+/// or window evaluation prints the spec, the step and the status, and
+/// exits 1.
 TimelineResult RunTimeline(const TimelineConfig& config,
                            const std::string& spec);
 
-/// Resolves the timeline shape from flags + scale presets.
+/// Resolves the timeline shape from flags + scale presets. A negative
+/// --prefix-multiple prints the flag and exits 1.
 TimelineConfig ResolveTimelineConfig(const Flags& flags,
                                      const BenchScale& scale, uint64_t seed);
-
-/// The common skeleton of Figures 2, 3, 5, 6, 7 and 8: for each η panel,
-/// sweep k and print one row per k with a column per method, extracting a
-/// single scalar from each MethodResult. `paper_note` restates what shape
-/// the paper reports so the console output is self-interpreting.
-int RunStandardSweepFigure(int argc, char** argv, const char* figure_title,
-                           const char* metric_name,
-                           double (*extract)(const MethodResult&),
-                           const char* csv_prefix, const char* paper_note);
 
 }  // namespace txallo::bench

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   }
   bench::SeriesTable table("Normalized workload per shard", columns);
 
-  // Per-shard vectors are not in the sweep cache; compute directly.
   std::vector<std::vector<double>> profiles;
   for (const std::string& m : methods) {
     bench::MethodResult result = fixture.RunMethod(m, k, eta);

@@ -11,15 +11,12 @@
 int main(int argc, char** argv) {
   using namespace txallo;
   bench::Flags flags = bench::ParseBenchFlags(argc, argv,
-      {"cache-dir", "csv-dir", "eta", "k", "no-cache", "seed"});
+      {"csv-dir", "eta", "k", "seed"});
   bench::BenchScale scale = bench::ResolveBenchScaleOrExit(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner("Headline table: abstract/introduction numbers",
                         scale, fixture, seed);
-  bench::SweepCache cache(&fixture, scale, seed,
-                          !flags.GetBool("no-cache", false),
-                          bench::ResolveCacheDir(flags));
 
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 60));
   const double eta = flags.GetDouble("eta", 2.0);
@@ -39,7 +36,7 @@ int main(int argc, char** argv) {
       {"shard-scheduler", "(between Metis and Random)"},
   };
   for (const PaperRef& ref : refs) {
-    bench::MethodResult result = cache.Get(ref.spec, k, eta);
+    bench::MethodResult result = fixture.RunMethod(ref.spec, k, eta);
     table.AddRow({bench::MethodLabel(ref.spec),
                   bench::Fmt(result.report.cross_shard_ratio),
                   ref.gamma,

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 namespace txallo {
 
@@ -122,6 +123,19 @@ Result<BenchScale> ResolveBenchScale(const Flags& flags) {
       static_cast<int>(flags.GetInt("steps", preset.timeline_steps));
   preset.blocks_per_step =
       static_cast<int>(flags.GetInt("blocks-per-step", preset.blocks_per_step));
+  // Each is a step or a divisor downstream: 0 never ends the k sweep and
+  // divides by zero when sizing a timeline's blocks.
+  const std::pair<const char*, int> steps[] = {
+      {"shard-step", preset.shard_step},
+      {"steps", preset.timeline_steps},
+      {"blocks-per-step", preset.blocks_per_step}};
+  for (const auto& [name, value] : steps) {
+    if (value < 1) {
+      return Status::InvalidArgument(std::string("'") + name +
+                                     "' must be >= 1, got " +
+                                     std::to_string(value));
+    }
+  }
   // Worker parallelism: an explicit --threads (even a nonsense negative,
   // clamped to auto) beats TXALLO_THREADS beats auto (0).
   int64_t threads = 0;

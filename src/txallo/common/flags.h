@@ -72,7 +72,9 @@ struct BenchScale {
 };
 
 /// Resolves the scale preset from --scale (or TXALLO_SCALE). An unknown
-/// preset name is InvalidArgument naming the value and the valid presets.
+/// preset name is InvalidArgument naming the value and the valid presets;
+/// a --shard-step, --steps or --blocks-per-step below 1 is InvalidArgument
+/// quoting the flag.
 Result<BenchScale> ResolveBenchScale(const Flags& flags);
 
 /// Resolves the allocation-strategy spec shared by benches and examples:

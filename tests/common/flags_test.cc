@@ -133,5 +133,24 @@ TEST(BenchScaleTest, UnknownScaleFailsNamingValueAndPresets) {
   ::unsetenv("TXALLO_SCALE");
 }
 
+TEST(BenchScaleTest, StepBelowOneFailsQuotingTheFlag) {
+  // 0 would never end the k sweep or would divide a timeline's blocks by
+  // zero; a negative value is no better.
+  for (const char* name : {"shard-step", "steps", "blocks-per-step"}) {
+    for (const char* value : {"0", "-3"}) {
+      const std::string arg = std::string("--") + name + "=" + value;
+      const Result<BenchScale> scale =
+          ResolveBenchScale(ParseArgs({arg.c_str()}));
+      ASSERT_FALSE(scale.ok()) << arg;
+      EXPECT_EQ(scale.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(scale.status().message().find(std::string("'") + name + "'"),
+                std::string::npos)
+          << scale.status().ToString();
+    }
+    const std::string one = std::string("--") + name + "=1";
+    EXPECT_TRUE(ResolveBenchScale(ParseArgs({one.c_str()})).ok()) << one;
+  }
+}
+
 }  // namespace
 }  // namespace txallo
