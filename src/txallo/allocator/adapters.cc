@@ -49,7 +49,7 @@ Status RequireGraph(const AllocationContext& context, const char* who) {
 // graph (AdoptCore), so the owner thread never pays the O(E) fold; it
 // adopts even when Run() failed, because the fold holds the same contents,
 // and AdoptCore rejects a stale or missing one. Then `commit` sees Run()'s
-// outcome.
+// status.
 std::unique_ptr<RebalanceTask> FoldGraphTask(
     graph::TransactionGraph* graph,
     std::function<Result<alloc::Allocation>(const graph::TransactionGraph&)>
@@ -62,10 +62,9 @@ std::unique_ptr<RebalanceTask> FoldGraphTask(
         return run(*copy);
       },
       [graph, copy, base = graph->core(), logged = graph->delta_edges(),
-       commit = std::move(commit)](
-          const Result<alloc::Allocation>& result) -> Status {
+       commit = std::move(commit)](const Status& status) -> Status {
         graph->AdoptCore(copy->core(), base, logged);
-        return commit(result);
+        return commit(status);
       });
 }
 
@@ -132,8 +131,8 @@ std::unique_ptr<RebalanceTask> TxAlloAllocator::BeginRebalance() {
         }
         return stepped->allocation();
       },
-      [this, stepped](const Result<alloc::Allocation>& result) -> Status {
-        if (!result.ok()) {
+      [this, stepped](const Status& status) -> Status {
+        if (!status.ok()) {
           // Failed or abandoned: undo the step (if it ran) and the count.
           stepped->RestoreCheckpoint(std::move(checkpoint_));
           --rebalances_;
@@ -146,7 +145,7 @@ std::unique_ptr<RebalanceTask> TxAlloAllocator::BeginRebalance() {
           stepped->ApplyBlock(block);
         }
         controller_ = stepped;
-        return result.status();
+        return status;
       });
 }
 
@@ -189,26 +188,29 @@ std::unique_ptr<RebalanceTask> HashStrategy::BeginRebalance() {
   const size_t domain = SeenDomain(registry_, num_accounts_seen_);
   const size_t known = KnownAccounts(registry_);
   if (LastCovers(domain, known)) {
-    // Same registry, same domain: the mapping cannot have changed.
+    // Same registry, same domain: the mapping cannot have changed. Run()
+    // hands out its one copy of the kept mapping.
     return std::make_unique<ClosureRebalanceTask>(
         [mapping = last_]() -> Result<alloc::Allocation> { return *mapping; },
         nullptr);
   }
   // Freeze the domain width and registry size; the recompute runs
-  // off-thread against the registry's (append-only) first `known` keys, and
-  // Commit() keeps its result for the next rebalance.
+  // off-thread against the registry's (append-only) first `known` keys into
+  // a slot shared with the commit, which keeps it for the next rebalance.
+  auto slot = std::make_shared<alloc::Allocation>();
   return std::make_unique<ClosureRebalanceTask>(
-      [registry = registry_, known, domain,
+      [slot, registry = registry_, known, domain,
        k = params_.num_shards]() -> Result<alloc::Allocation> {
-        return baselines::AllocateByHash(registry, known, domain, k);
+        *slot = baselines::AllocateByHash(registry, known, domain, k);
+        return *slot;
       },
-      [this, domain, known](const Result<alloc::Allocation>& result) -> Status {
-        if (result.ok()) {
-          last_ = std::make_shared<const alloc::Allocation>(result.value());
+      [this, slot, domain, known](const Status& status) -> Status {
+        if (status.ok()) {
+          last_ = slot;
           last_domain_ = domain;
           last_known_ = known;
         }
-        return result.status();
+        return status;
       });
 }
 
@@ -231,7 +233,7 @@ GraphStrategy::GraphStrategy(std::string name,
     : OnlineAllocator(std::move(name), params),
       registry_(registry),
       partition_(std::move(partition)),
-      last_(0, params.num_shards) {}
+      last_(std::make_shared<const alloc::Allocation>(0, params.num_shards)) {}
 
 Result<alloc::Allocation> GraphStrategy::Allocate(
     const AllocationContext& context) {
@@ -248,28 +250,33 @@ std::unique_ptr<RebalanceTask> GraphStrategy::BeginRebalance() {
   if (graph_.num_nodes() == 0) {
     // Nothing absorbed: every method maps zero nodes to the empty mapping.
     return std::make_unique<ClosureRebalanceTask>(
-        [mapping = last_]() -> Result<alloc::Allocation> { return mapping; },
+        [mapping = last_]() -> Result<alloc::Allocation> { return *mapping; },
         nullptr);
   }
   // The node order resolves against the live registry on the owner thread;
   // the task then reads only the order, the graph copy and the partition
-  // function, all frozen here.
+  // function, all frozen here. The partition lands in a slot shared with
+  // the commit, which keeps it as the mapping in force.
   AllocationContext context;
   context.graph = &graph_;
   context.registry = registry_;
+  auto slot = std::make_shared<alloc::Allocation>();
   return FoldGraphTask(
       &graph_,
-      [partition = partition_, order = ResolveNodeOrder(context),
-       k = params_.num_shards](const graph::TransactionGraph& graph) {
-        return partition(graph, order, k);
+      [slot, partition = partition_, order = ResolveNodeOrder(context),
+       k = params_.num_shards](
+          const graph::TransactionGraph& graph) -> Result<alloc::Allocation> {
+        Result<alloc::Allocation> mapping = partition(graph, order, k);
+        if (mapping.ok()) *slot = *mapping;
+        return mapping;
       },
-      [this](const Result<alloc::Allocation>& result) -> Status {
-        if (result.ok()) last_ = *result;
-        return result.status();
+      [this, slot](const Status& status) -> Status {
+        if (status.ok()) last_ = slot;
+        return status;
       });
 }
 
-alloc::Allocation GraphStrategy::CurrentAllocation() const { return last_; }
+alloc::Allocation GraphStrategy::CurrentAllocation() const { return *last_; }
 
 Result<alloc::Allocation> PartitionByCommunities(
     const graph::TransactionGraph& graph,
@@ -416,12 +423,11 @@ std::unique_ptr<RebalanceTask> BrokerOverlay::BeginRebalance() {
         *brokers = baselines::SelectBrokersByActivity(graph, n);
         return inner_task->Run();
       },
-      [this, inner_task, brokers](
-          const Result<alloc::Allocation>& result) -> Status {
+      [this, inner_task, brokers](const Status& status) -> Status {
         // On failure/abandonment the inner task must NOT commit (its
         // mapping is discarded, not folded in); it releases its own
         // bookkeeping when its last reference dies with these closures.
-        if (!result.ok()) return result.status();
+        if (!status.ok()) return status;
         TXALLO_RETURN_NOT_OK(inner_task->Commit());
         brokers_ = std::move(*brokers);
         return Status::OK();

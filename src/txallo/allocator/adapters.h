@@ -134,7 +134,9 @@ class GraphStrategy : public OnlineAllocator {
   PartitionFn partition_;
   graph::TransactionGraph graph_;
   graph::GraphBuilder builder_{&graph_};
-  alloc::Allocation last_;
+  // The mapping in force (immutable: tasks share it; a commit swaps in the
+  // slot its task's Run() filled).
+  std::shared_ptr<const alloc::Allocation> last_;
 };
 
 /// Pure community detection as a partition function: deterministic Louvain

@@ -151,31 +151,35 @@ class RebalanceTask {
 
 /// The common RebalanceTask shape: a pure `run` closure over state captured
 /// at BeginRebalance() time, and an optional owner-thread `commit` closure
-/// receiving Run()'s outcome (also on failure, for bookkeeping cleanup).
+/// receiving Run()'s status (also on failure, for bookkeeping cleanup).
+/// The task keeps no mapping: Run() hands the closure's result out by move.
+/// A strategy that keeps the mapping it publishes shares it with its
+/// `run` closure (a shared slot the commit then adopts) instead of copying
+/// it back out of the task.
 class ClosureRebalanceTask : public RebalanceTask {
  public:
   using RunFn = std::function<Result<alloc::Allocation>()>;
-  using CommitFn = std::function<Status(const Result<alloc::Allocation>&)>;
+  using CommitFn = std::function<Status(const Status&)>;
 
   ClosureRebalanceTask(RunFn run, CommitFn commit)
       : run_(std::move(run)), commit_(std::move(commit)) {}
 
   /// Abandonment: a task destroyed before Commit() still runs the commit
-  /// closure, but with an error outcome — parents release their
+  /// closure, but with an error status — parents release their
   /// outstanding-task bookkeeping (TxAllo restores its pre-step checkpoint
   /// and takes its controller back, etc.) without ever folding the
   /// abandoned mapping in.
   ~ClosureRebalanceTask() override {
     if (committed_ || !commit_) return;
-    (void)commit_(Result<alloc::Allocation>(
-        Status::FailedPrecondition("rebalance task abandoned before "
-                                   "Commit()")));
+    (void)commit_(Status::FailedPrecondition(
+        "rebalance task abandoned before Commit()"));
   }
 
   Result<alloc::Allocation> Run() override {
-    result_ = run_();
+    Result<alloc::Allocation> result = run_();
+    status_ = result.status();
     ran_ = true;
-    return result_;
+    return result;
   }
 
   Status Commit() override {
@@ -184,8 +188,8 @@ class ClosureRebalanceTask : public RebalanceTask {
           "RebalanceTask::Commit() before Run()");
     }
     committed_ = true;
-    if (commit_) return commit_(result_);
-    return result_.status();
+    if (commit_) return commit_(status_);
+    return status_;
   }
 
  private:
@@ -193,8 +197,7 @@ class ClosureRebalanceTask : public RebalanceTask {
   CommitFn commit_;
   bool ran_ = false;
   bool committed_ = false;
-  Result<alloc::Allocation> result_ =
-      Status::FailedPrecondition("RebalanceTask::Run() never ran");
+  Status status_;
 };
 
 /// A strategy that can run live: absorb committed blocks as they arrive and

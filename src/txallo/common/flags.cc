@@ -106,14 +106,14 @@ Result<BenchScale> ResolveBenchScale(const Flags& flags) {
   // --accounts beats TXALLO_ACCOUNTS beats the preset, so scripted sweeps
   // (1e5 → 1e7 accounts) can rescale every bench through one env var —
   // including google-benchmark binaries that don't parse our flags.
-  preset.num_transactions = static_cast<uint64_t>(
-      flags.GetInt("txs", static_cast<int64_t>(preset.num_transactions)));
+  const int64_t txs =
+      flags.GetInt("txs", static_cast<int64_t>(preset.num_transactions));
+  int64_t accounts = static_cast<int64_t>(preset.num_accounts);
   if (flags.Has("accounts")) {
-    preset.num_accounts = static_cast<uint64_t>(
-        flags.GetInt("accounts", static_cast<int64_t>(preset.num_accounts)));
+    accounts = flags.GetInt("accounts", accounts);
   } else if (const char* env_accounts = std::getenv("TXALLO_ACCOUNTS")) {
     const int64_t v = std::strtoll(env_accounts, nullptr, 10);
-    if (v > 0) preset.num_accounts = static_cast<uint64_t>(v);
+    if (v > 0) accounts = v;
   }
   preset.max_shards =
       static_cast<int>(flags.GetInt("max-shards", preset.max_shards));
@@ -123,19 +123,25 @@ Result<BenchScale> ResolveBenchScale(const Flags& flags) {
       static_cast<int>(flags.GetInt("steps", preset.timeline_steps));
   preset.blocks_per_step =
       static_cast<int>(flags.GetInt("blocks-per-step", preset.blocks_per_step));
-  // Each is a step or a divisor downstream: 0 never ends the k sweep and
+  // The ledger's size: zero accounts or transactions is a degenerate
+  // ledger, and a negative count would wrap to a huge unsigned one. The
+  // rest are a step or a divisor downstream: 0 never ends the k sweep and
   // divides by zero when sizing a timeline's blocks.
-  const std::pair<const char*, int> steps[] = {
+  const std::pair<const char*, int64_t> counts[] = {
+      {"txs", txs},
+      {"accounts", accounts},
       {"shard-step", preset.shard_step},
       {"steps", preset.timeline_steps},
       {"blocks-per-step", preset.blocks_per_step}};
-  for (const auto& [name, value] : steps) {
+  for (const auto& [name, value] : counts) {
     if (value < 1) {
       return Status::InvalidArgument(std::string("'") + name +
                                      "' must be >= 1, got " +
                                      std::to_string(value));
     }
   }
+  preset.num_transactions = static_cast<uint64_t>(txs);
+  preset.num_accounts = static_cast<uint64_t>(accounts);
   // Worker parallelism: an explicit --threads (even a nonsense negative,
   // clamped to auto) beats TXALLO_THREADS beats auto (0).
   int64_t threads = 0;

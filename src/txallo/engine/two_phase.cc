@@ -8,9 +8,12 @@ namespace txallo::engine {
 uint64_t TwoPhaseCoordinator::Register(uint64_t arrival_block,
                                        uint32_t participants,
                                        bool cross_shard, uint64_t seq) {
-  const uint64_t tx_index = txs_.size();
-  txs_.push_back(
-      TxEntry{arrival_block, seq, participants, cross_shard, false});
+  const uint64_t tx_index = next_++;
+  if ((tx_index & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<TxEntry[]>(kChunkMask + 1));
+  }
+  Entry(tx_index) =
+      TxEntry{arrival_block, seq, participants, cross_shard, false, false};
   ++stats_.submitted;
   if (cross_shard) ++stats_.cross_shard_submitted;
   ++stats_.in_flight;
@@ -19,7 +22,7 @@ uint64_t TwoPhaseCoordinator::Register(uint64_t arrival_block,
 
 void TwoPhaseCoordinator::Decide(uint64_t tx_index, uint64_t decision_block,
                                  bool aborted) {
-  const TxEntry& tx = txs_[tx_index];
+  TxEntry& tx = Entry(tx_index);
   if (aborted) {
     ++stats_.aborted;
     if (tx.cross_shard) ++stats_.cross_shard_aborted;
@@ -38,6 +41,12 @@ void TwoPhaseCoordinator::Decide(uint64_t tx_index, uint64_t decision_block,
   }
   if (collect_decisions_) {
     decisions_.push_back(Decision{decision_block, tx.seq, aborted});
+  }
+  tx.decided = true;
+  // Retire the decided prefix of the window.
+  while (base_ < next_ && Entry(base_).decided) {
+    // Crossing into the next chunk frees the one the window left.
+    if ((++base_ & kChunkMask) == 0) chunks_.erase(chunks_.begin());
   }
 }
 
@@ -60,7 +69,7 @@ std::vector<CommitEvent> TwoPhaseCoordinator::CanonicalCommitEvents() const {
 
 void TwoPhaseCoordinator::PartExecuted(uint64_t tx_index, uint64_t block,
                                        bool ok) {
-  TxEntry& tx = txs_[tx_index];
+  TxEntry& tx = Entry(tx_index);
   ++stats_.prepares_received;
   if (!ok) tx.abort_pending = true;
   if (--tx.parts_remaining > 0) return;

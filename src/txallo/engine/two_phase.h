@@ -11,14 +11,22 @@
 // the last-vote block: an abort needs no extra consensus round —
 // participants simply drop their staged thunks.
 //
+// Memory: the coordinator retires each transaction once it and every
+// older one are decided. It retains only the window from the oldest
+// undecided transaction to the newest registered one, in fixed-size chunks
+// of entries freed as the window passes them, so a long run holds no
+// history.
+//
 // Thread-safety: none, and none needed. Only the engine's driver thread
 // calls in: Register() from SubmitBlock, the votes, flushes and reads
 // between ticks, after the tick's lanes have joined. Lanes never touch the
 // coordinator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "txallo/common/histogram.h"
@@ -110,6 +118,10 @@ class TwoPhaseCoordinator {
   /// True when nothing is in flight or awaiting a commit round.
   bool Idle() const { return stats_.in_flight == 0 && delayed_.empty(); }
 
+  /// Transactions whose entries are still held: the window from the oldest
+  /// undecided transaction to the newest registered one (0 when Idle()).
+  size_t retained() const { return next_ - base_; }
+
   CommitStats stats() const { return stats_; }
 
   /// Exact histogram of commit latency (decision block − arrival block) in
@@ -125,12 +137,26 @@ class TwoPhaseCoordinator {
     bool cross_shard;
     /// A participant's vote failed; the decision will be an abort.
     bool abort_pending;
+    /// Decided: retired once every older entry is decided too.
+    bool decided;
   };
 
+  // 4,096 entries (96 KB) a chunk: one allocation per 4,096 registrations,
+  // and at most one partly retired chunk held beyond the window.
+  static constexpr uint64_t kChunkBits = 12;
+  static constexpr uint64_t kChunkMask = (uint64_t{1} << kChunkBits) - 1;
+  TxEntry& Entry(uint64_t tx_index) {
+    return chunks_[(tx_index >> kChunkBits) - (base_ >> kChunkBits)]
+                  [tx_index & kChunkMask];
+  }
   void Decide(uint64_t tx_index, uint64_t decision_block, bool aborted);
 
   const sim::WorkModel model_;
-  std::vector<TxEntry> txs_;
+  // The retained window [base_, next_): chunks_[c] holds the entries of
+  // chunk (base_ >> kChunkBits) + c, tx_index >> kChunkBits naming a chunk.
+  std::vector<std::unique_ptr<TxEntry[]>> chunks_;
+  uint64_t base_ = 0;
+  uint64_t next_ = 0;
   // (commit_block, tx) pairs. All prepares of one tick land at the same
   // block and ticks advance monotonically, so commit blocks are
   // non-decreasing front to back and flushing pops from the front.

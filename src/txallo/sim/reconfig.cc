@@ -7,13 +7,22 @@ namespace txallo::sim {
 ReconfigStats CompareAllocations(const alloc::Allocation& before,
                                  const alloc::Allocation& after) {
   ReconfigStats stats;
+  const alloc::ShardId* b = before.raw().data();
+  const alloc::ShardId* a = after.raw().data();
   const size_t n = std::min(before.num_accounts(), after.num_accounts());
-  for (size_t a = 0; a < n; ++a) {
-    const auto id = static_cast<chain::AccountId>(a);
-    if (!before.IsAssigned(id) || !after.IsAssigned(id)) continue;
-    ++stats.accounts_compared;
-    if (before.shard_of(id) != after.shard_of(id)) ++stats.accounts_moved;
+  // One branch-free pass over both arrays (it vectorizes): an account
+  // counts when both sides place it, and moves when the two places differ.
+  constexpr alloc::ShardId kNone = alloc::kUnassignedShard;
+  uint64_t compared = 0;
+  uint64_t moved = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t both = static_cast<uint64_t>(b[i] != kNone) &
+                          static_cast<uint64_t>(a[i] != kNone);
+    compared += both;
+    moved += both & static_cast<uint64_t>(b[i] != a[i]);
   }
+  stats.accounts_compared = compared;
+  stats.accounts_moved = moved;
   if (stats.accounts_compared > 0) {
     stats.moved_fraction = static_cast<double>(stats.accounts_moved) /
                            static_cast<double>(stats.accounts_compared);

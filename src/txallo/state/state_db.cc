@@ -1,5 +1,6 @@
 #include "txallo/state/state_db.h"
 
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -46,6 +47,10 @@ void StateDb::Fund(chain::AccountId account, AccountState record,
 bool StateDb::StagePart(uint64_t seq, const std::vector<Op>& ops,
                         uint32_t placement_shard) {
   assert(placement_shard < shards_.size());
+  // The shards this part stages on, even when a later op fails: the abort
+  // must find the earlier ones.
+  uint64_t staged = 0;
+  bool ok = true;
   for (const Op& op : ops) {
     uint32_t shard = ResidencyOf(op.account);
     if (shard == kNoShard) {
@@ -54,25 +59,39 @@ bool StateDb::StagePart(uint64_t seq, const std::vector<Op>& ops,
       // must agree before the fact.
       TrackResidency(op.account, shard);
     }
-    if (!shards_[shard]->StageOp(seq, op)) return false;
+    if (!shards_[shard]->StageOp(seq, op)) {
+      ok = false;
+      break;
+    }
+    if (shard < kMaskedShards) staged |= uint64_t{1} << shard;
   }
-  return true;
+  if (staged != 0) staged_shards_[seq] |= staged;
+  return ok;
+}
+
+size_t StateDb::Decide(uint64_t seq,
+                       size_t (ShardStateDb::*decide)(uint64_t)) {
+  uint64_t mask = 0;
+  if (auto it = staged_shards_.find(seq); it != staged_shards_.end()) {
+    mask = it->second;
+    staged_shards_.erase(it);
+  }
+  size_t ops = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    ops += (shards_[std::countr_zero(mask)].get()->*decide)(seq);
+  }
+  for (size_t s = kMaskedShards; s < shards_.size(); ++s) {
+    ops += (shards_[s].get()->*decide)(seq);
+  }
+  return ops;
 }
 
 size_t StateDb::Commit(uint64_t seq) {
-  size_t applied = 0;
-  for (const std::unique_ptr<ShardStateDb>& shard : shards_) {
-    applied += shard->CommitStaged(seq);
-  }
-  return applied;
+  return Decide(seq, &ShardStateDb::CommitStaged);
 }
 
 size_t StateDb::Abort(uint64_t seq) {
-  size_t dropped = 0;
-  for (const std::unique_ptr<ShardStateDb>& shard : shards_) {
-    dropped += shard->AbortStaged(seq);
-  }
-  return dropped;
+  return Decide(seq, &ShardStateDb::AbortStaged);
 }
 
 uint32_t StateDb::EffectiveShard(chain::AccountId account) const {

@@ -8,7 +8,8 @@
 //     may differ from the lane the part was routed to at ingest); missing
 //     records are lazily created — funded with the initial balance — on
 //     the ingest-routed placement shard. Commit()/Abort() apply or drop
-//     everything staged under a sequence tag across all shards.
+//     everything staged under a sequence tag, visiting only the shards
+//     that staged ops for it, in ascending shard order.
 //
 //   * State migration. BeginMigration(allocation) moves every record whose
 //     effective shard under the new mapping differs from its residency —
@@ -30,6 +31,7 @@
 
 #include "txallo/alloc/allocation.h"
 #include "txallo/chain/account.h"
+#include "txallo/common/flat_map.h"
 #include "txallo/common/sha256.h"
 #include "txallo/state/account_state.h"
 #include "txallo/state/shard_state_db.h"
@@ -75,8 +77,8 @@ class StateDb {
   bool StagePart(uint64_t seq, const std::vector<Op>& ops,
                  uint32_t placement_shard);
 
-  /// Applies / drops everything staged under `seq` on every shard.
-  /// Returns ops affected.
+  /// Applies / drops everything staged under `seq`, shard by shard in
+  /// ascending order. Returns ops affected.
   size_t Commit(uint64_t seq);
   size_t Abort(uint64_t seq);
 
@@ -103,9 +105,19 @@ class StateDb {
   // Moves what it can out of `candidates`, refilling deferred_moves_.
   MigrationReport MoveRecords(const std::vector<chain::AccountId>& candidates);
   void TrackResidency(chain::AccountId account, uint32_t shard);
+  // Commit()/Abort(): runs `decide` for `seq` on every shard that may hold
+  // ops staged under it, in ascending shard order.
+  size_t Decide(uint64_t seq, size_t (ShardStateDb::*decide)(uint64_t));
+
+  // Shards 0..kMaskedShards-1 are tracked per sequence tag in
+  // staged_shards_; any beyond are visited at every decision.
+  static constexpr uint32_t kMaskedShards = 64;
 
   const StateConfig config_;
   std::vector<std::unique_ptr<ShardStateDb>> shards_;
+  // staged_shards_[seq]: bit s set when shard s staged ops under `seq`;
+  // erased by the decision.
+  common::FlatMap<uint64_t, uint64_t> staged_shards_;
   // residency_[account] = shard holding its record, kNoShard when none.
   // Dense by account id; grown on demand.
   std::vector<uint32_t> residency_;

@@ -5,13 +5,17 @@
 // equal a fresh hash of the registry size and domain width in force when
 // the mapping was asked for — a task begun before a growth still returns
 // the pre-growth mapping. Labelled `allocators engine`: the TSan preset
-// runs it, racing the kept mapping's hand-off to the worker.
+// runs it, racing the kept mapping's hand-off to the worker. The
+// ClosureRebalanceTask contract every strategy's task rests on (the run's
+// status reaches the commit, an error when the task is abandoned) is
+// pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "txallo/alloc/params.h"
 #include "txallo/allocator/registry.h"
@@ -212,6 +216,92 @@ TEST(HashReuseTest, TaskCommittedAfterAGrowthKeepsItsOwnDomain) {
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(*next, harness.Expected());
   EXPECT_NE(*next, before);
+}
+
+// Runs `task` on the worker thread and returns its mapping; the task comes
+// back through `*collected` uncommitted.
+alloc::Allocation RunOnWorker(engine::BackgroundAllocator& worker,
+                              std::unique_ptr<RebalanceTask> task,
+                              std::unique_ptr<RebalanceTask>* collected) {
+  EXPECT_TRUE(worker.Launch(std::move(task)).ok());
+  Result<engine::BackgroundAllocator::Outcome> outcome = worker.Collect();
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->mapping.ok());
+  *collected = std::move(outcome->task);
+  return std::move(*outcome->mapping);
+}
+
+TEST(HashReuseTest, UnchangedAndRecomputePathsHandOutAFreshHash) {
+  // Each growth makes the next task recompute into the slot it shares with
+  // its commit; the task after it hands out the kept mapping unchanged.
+  // Both run on the worker, so TSan sees the slot's hand-off.
+  Harness harness(200);
+  engine::BackgroundAllocator worker;
+  for (int growth = 0; growth < 3; ++growth) {
+    harness.Touch(static_cast<chain::AccountId>(harness.domain() + 40));
+    harness.GrowRegistry(10);
+    for (const char* path : {"recompute", "unchanged"}) {
+      std::unique_ptr<RebalanceTask> task;
+      const alloc::Allocation mapping =
+          RunOnWorker(worker, harness.online().BeginRebalance(), &task);
+      EXPECT_EQ(mapping, harness.Expected()) << path << ", growth " << growth;
+      ASSERT_TRUE(task->Commit().ok());
+      EXPECT_EQ(harness.online().CurrentAllocation(), harness.Expected())
+          << path << ", growth " << growth;
+    }
+  }
+  // A recompute abandoned after its Run() keeps nothing: the next task
+  // recomputes and still hands out the fresh hash.
+  harness.Touch(static_cast<chain::AccountId>(harness.domain() + 40));
+  {
+    std::unique_ptr<RebalanceTask> abandoned;
+    EXPECT_EQ(RunOnWorker(worker, harness.online().BeginRebalance(),
+                          &abandoned),
+              harness.Expected());
+  }
+  Result<alloc::Allocation> next = harness.online().Rebalance();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, harness.Expected());
+}
+
+TEST(HashReuseTest, AbandonedTaskReachesItsCommitWithAnError) {
+  // Every strategy's task is a ClosureRebalanceTask: its commit closure
+  // sees the run's status, and an error when the task is dropped
+  // uncommitted, before or after its Run() (here on the worker thread).
+  std::vector<Status> seen;
+  auto make = [&seen](bool fail) {
+    return std::make_unique<ClosureRebalanceTask>(
+        [fail]() -> Result<alloc::Allocation> {
+          if (fail) return Status::Internal("run failed");
+          return alloc::Allocation(3, kShards);
+        },
+        [&seen](const Status& status) {
+          seen.push_back(status);
+          return status;
+        });
+  };
+  engine::BackgroundAllocator worker;
+  { auto never_run = make(false); }
+  {
+    std::unique_ptr<RebalanceTask> ran;
+    EXPECT_EQ(RunOnWorker(worker, make(false), &ran),
+              alloc::Allocation(3, kShards));
+  }
+  {
+    auto committed = make(false);
+    ASSERT_TRUE(committed->Run().ok());
+    EXPECT_TRUE(committed->Commit().ok());
+  }
+  {
+    auto failed = make(true);
+    EXPECT_FALSE(failed->Run().ok());
+    EXPECT_EQ(failed->Commit().code(), StatusCode::kInternal);
+  }
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0].code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(seen[1].code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(seen[2].ok());
+  EXPECT_EQ(seen[3].code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -152,5 +152,27 @@ TEST(BenchScaleTest, StepBelowOneFailsQuotingTheFlag) {
   }
 }
 
+TEST(BenchScaleTest, CountBelowOneFailsQuotingTheFlag) {
+  // Zero accounts or transactions is a degenerate ledger, and a negative
+  // count must not wrap to a huge unsigned one.
+  for (const char* name : {"accounts", "txs"}) {
+    for (const char* value : {"0", "-3"}) {
+      const std::string arg = std::string("--") + name + "=" + value;
+      const Result<BenchScale> scale =
+          ResolveBenchScale(ParseArgs({arg.c_str()}));
+      ASSERT_FALSE(scale.ok()) << arg;
+      EXPECT_EQ(scale.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(scale.status().message().find(std::string("'") + name + "'"),
+                std::string::npos)
+          << scale.status().ToString();
+    }
+  }
+  const Result<BenchScale> one =
+      ResolveBenchScale(ParseArgs({"--accounts=1", "--txs=1"}));
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->num_accounts, 1u);
+  EXPECT_EQ(one->num_transactions, 1u);
+}
+
 }  // namespace
 }  // namespace txallo

@@ -118,9 +118,9 @@ class LatchedAllocator : public allocator::OnlineAllocator {
           return CurrentAllocation();
         },
         // Also on abandonment, so a dropped task cannot wedge ApplyBlock.
-        [this](const Result<alloc::Allocation>& outcome) {
+        [this](const Status& status) {
           Release();
-          return outcome.status();
+          return status;
         });
   }
 

@@ -51,7 +51,7 @@ class SlowAllocator : public allocator::OnlineAllocator {
           std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
           return MappingFor(frozen, shards);
         },
-        [](const Result<alloc::Allocation>&) { return Status(); });
+        [](const Status&) { return Status(); });
   }
 
  private:
