@@ -11,6 +11,7 @@
 // throughput. This quantifies the paper's own §VI-A advice to initialize
 // from recent history ("prevents noise from out-of-date transactions").
 #include <cstdio>
+#include <utility>
 
 #include "common/bench_common.h"
 #include "txallo/core/global.h"
@@ -32,13 +33,28 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::ParseOrExit(argc, argv,
       {"blocks-per-window", "csv-dir", "decay", "eta", "fresh", "k", "seed",
        "windows"});
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 12));
+  const int64_t k_flag = flags.GetInt("k", 12);
+  const uint32_t k = static_cast<uint32_t>(k_flag);
   const double eta = flags.GetDouble("eta", 4.0);
   const int windows = static_cast<int>(flags.GetInt("windows", 12));
   const int blocks_per_window =
       static_cast<int>(flags.GetInt("blocks-per-window", 60));
   const double decay = flags.GetDouble("decay", 0.5);
   const int fresh_windows = static_cast<int>(flags.GetInt("fresh", 2));
+  // Each flag out of range exits 1 naming it; decay is a factor in (0, 1],
+  // as TxAlloController::ApplyHistoryDecay requires (NaN fails too).
+  for (const auto& [ok, bound] : {
+           std::pair{k_flag >= 1, "'k' must be >= 1"},
+           std::pair{windows >= 1, "'windows' must be >= 1"},
+           std::pair{blocks_per_window >= 1,
+                     "'blocks-per-window' must be >= 1"},
+           std::pair{decay > 0.0 && decay <= 1.0, "'decay' must be in (0, 1]"},
+           std::pair{fresh_windows >= 1, "'fresh' must be >= 1"}}) {
+    if (!ok) {
+      std::fprintf(stderr, "%s\n", bound);
+      return 1;
+    }
+  }
 
   std::printf("==============================================================\n");
   std::printf("Extension: history policies on a drifting workload "
@@ -124,7 +140,11 @@ int main(int argc, char** argv) {
             alloc::AllocationParams::ForExperiment(next.size(), k, eta);
         auto report =
             alloc::EvaluateAllocation(next, allocation.value(), next_params);
-        if (!report.ok()) return 1;
+        if (!report.ok()) {
+          std::fprintf(stderr, "next-window evaluation failed: %s\n",
+                       report.status().ToString().c_str());
+          return 1;
+        }
         scores[policy].gamma_sum += report->cross_shard_ratio;
         scores[policy].throughput_sum += report->normalized_throughput;
         ++scores[policy].windows;

@@ -1,5 +1,7 @@
 #include "txallo/alloc/params.h"
 
+#include <cmath>
+
 namespace txallo::alloc {
 
 AllocationParams AllocationParams::ForExperiment(uint64_t num_transactions,
@@ -15,20 +17,27 @@ AllocationParams AllocationParams::ForExperiment(uint64_t num_transactions,
   return params;
 }
 
+// Each check is written so that NaN fails it too: every comparison with NaN
+// is false.
+Status AllocationParams::ValidateEta(double eta) {
+  if (!(eta >= 1.0 && std::isfinite(eta))) {
+    return Status::InvalidArgument(
+        "'eta' must be finite and >= 1 (cross-shard work cannot be cheaper "
+        "than intra-shard)");
+  }
+  return Status::OK();
+}
+
 Status AllocationParams::Validate() const {
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  if (eta < 1.0) {
-    return Status::InvalidArgument(
-        "eta must be >= 1 (cross-shard work cannot be cheaper than "
-        "intra-shard)");
+  TXALLO_RETURN_NOT_OK(ValidateEta(eta));
+  if (!(capacity > 0.0 && std::isfinite(capacity))) {
+    return Status::InvalidArgument("capacity must be finite and positive");
   }
-  if (capacity <= 0.0) {
-    return Status::InvalidArgument("capacity must be positive");
-  }
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be non-negative");
+  if (!(epsilon >= 0.0 && std::isfinite(epsilon))) {
+    return Status::InvalidArgument("epsilon must be finite and non-negative");
   }
   return Status::OK();
 }

@@ -32,8 +32,14 @@ struct AllocationParams {
   static AllocationParams ForExperiment(uint64_t num_transactions,
                                         uint32_t num_shards, double eta);
 
-  /// Sanity-checks the parameter combination.
+  /// Sanity-checks the parameter combination. NaN and ±inf fail every
+  /// check.
   Status Validate() const;
+
+  /// The η part of Validate(): InvalidArgument naming 'eta' unless η is
+  /// finite and >= 1. The allocator registry checks η alone, before λ is
+  /// sized.
+  static Status ValidateEta(double eta);
 };
 
 }  // namespace txallo::alloc

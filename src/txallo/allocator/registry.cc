@@ -244,6 +244,11 @@ Result<std::unique_ptr<Allocator>> MakeAllocator(
     return Status::InvalidArgument("allocator '" + name +
                                    "': 'num_shards' must be at least 1");
   }
+  const Status eta = alloc::AllocationParams::ValidateEta(options.params.eta);
+  if (!eta.ok()) {
+    return Status::InvalidArgument("allocator '" + name + "': " +
+                                   eta.message());
+  }
   return entry.factory(name, options, read);
 }
 

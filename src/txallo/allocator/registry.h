@@ -60,7 +60,9 @@ std::string AllocatorUsageText();
 
 /// Instantiates the strategy registered under `name` with
 /// `options` (options.extra carries the strategy-specific keys). Zero
-/// shards (options.params.num_shards == 0) is InvalidArgument.
+/// shards (options.params.num_shards == 0) and an η that is NaN, infinite
+/// or below 1 are InvalidArgument naming the parameter. λ and ε are not
+/// checked: callers size them from a window later.
 Result<std::unique_ptr<Allocator>> MakeAllocator(
     const std::string& name, const AllocatorOptions& options);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace txallo::alloc {
 namespace {
 
@@ -37,6 +39,24 @@ TEST(ParamsTest, ValidateRejectsNegativeEpsilon) {
   AllocationParams p = AllocationParams::ForExperiment(100, 2, 2.0);
   p.epsilon = -1.0;
   EXPECT_FALSE(p.Validate().ok());
+}
+
+// Every comparison with NaN is false, so a check written as `eta < 1.0`
+// passes NaN; each check must refuse NaN and both infinities.
+TEST(ParamsTest, ValidateRejectsNonFiniteValues) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    AllocationParams p = AllocationParams::ForExperiment(100, 2, 2.0);
+    p.eta = bad;
+    EXPECT_FALSE(p.Validate().ok()) << "eta " << bad;
+    p = AllocationParams::ForExperiment(100, 2, 2.0);
+    p.capacity = bad;
+    EXPECT_FALSE(p.Validate().ok()) << "capacity " << bad;
+    p = AllocationParams::ForExperiment(100, 2, 2.0);
+    p.epsilon = bad;
+    EXPECT_FALSE(p.Validate().ok()) << "epsilon " << bad;
+  }
 }
 
 TEST(ParamsTest, EtaEqualOneIsAllowed) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "../common/declared_options_check.h"
@@ -152,6 +153,36 @@ TEST(RegistryTest, ZeroShardsIsRejectedForEveryName) {
     EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << name;
     EXPECT_NE(made.status().message().find("'num_shards'"), std::string::npos)
         << name << ": " << made.status().ToString();
+  }
+}
+
+// An out-of-range η used to surface only at the first Rebalance, after a
+// whole prefix was absorbed; every name refuses it up front, naming it.
+TEST(RegistryTest, BadEtaIsRejectedForEveryName) {
+  chain::AccountRegistry registry;
+  registry.Intern("0xa");
+  for (double eta : {0.0, 0.5, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    AllocatorOptions options = BaseOptions(&registry);
+    options.params.eta = eta;
+    for (const std::string& name : RegisteredNames()) {
+      auto made = MakeAllocator(name, options);
+      ASSERT_FALSE(made.ok()) << name << " eta " << eta;
+      EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_NE(made.status().message().find("'eta'"), std::string::npos)
+          << name << ": " << made.status().ToString();
+    }
+  }
+}
+
+// Capacity is sized from a window later, so the registry leaves it alone.
+TEST(RegistryTest, UnsizedCapacityIsAccepted) {
+  chain::AccountRegistry registry;
+  registry.Intern("0xa");
+  AllocatorOptions options = BaseOptions(&registry);
+  options.params.capacity = 0.0;
+  for (const std::string& name : RegisteredNames()) {
+    EXPECT_TRUE(MakeAllocator(name, options).ok()) << name;
   }
 }
 
